@@ -4,22 +4,18 @@
  * simulator wall time on the Table-5-shaped matrix (every Table-4
  * workload x four MOAT ETH points on the 2-sub-channel system).
  *
- * Runs the identical matrix twice through the SweepEngine:
+ * Runs the identical matrix twice through the SweepEngine, sharing one
+ * workload::TraceStore and one in-memory sim::ResultStore:
  *
- *  - reference: trace store disabled and the pre-overhaul sub-channel
- *    path (virtual per-hook dispatch, eagerly allocated security
- *    oracle) -- every cell regenerates its workload trace, exactly as
- *    the pipeline worked before the shared-trace-store PR;
- *  - optimized: the shared workload::TraceStore plus the sealed
- *    devirtualized hot path -- each distinct trace is generated once
- *    (baselines included) and shared across the pool.
+ *  - cold: fresh stores -- each distinct trace is generated once
+ *    (baselines included) and every cell is simulated;
+ *  - warm: the same matrix again, served entirely from the result
+ *    store (no cell recomputes, no trace generates).
  *
- * Both runs must produce byte-identical JSONL (checked here; the bench
- * fails otherwise), so the comparison measures the pipeline, not the
- * simulation. The PR bar is >= 2x matrix cells/sec; the trace store's
- * hit rate and the generateTraces() invocation counts are reported so
- * a regression is attributable at a glance. bench_aggregate.py gates
- * the smoke run on the emitted bar.
+ * Both runs must produce byte-identical JSONL and the warm run must
+ * recompute nothing (checked here; the bench fails otherwise). It
+ * reports cold and warm cells/sec, generateTraces() calls, and the
+ * trace store's hit rate, so a regression is attributable at a glance.
  */
 
 #include <chrono>
@@ -72,9 +68,8 @@ main()
 {
     bench::header(
         "Matrix-sweep throughput (cells/sec of simulator wall time)",
-        "Shared trace store + devirtualized ACT hot path vs the "
-        "store-disabled/virtual-dispatch reference pipeline on the "
-        "Table-5-shaped matrix; PR bar: >= 2x.");
+        "Cold (fresh trace and result stores) and warm (result-store "
+        "hits) runs of the Table-5-shaped matrix.");
 
     const auto workloads = workload::table4Workloads();
     std::vector<std::pair<mitigation::MitigatorSpec, abo::Level>> points;
@@ -87,52 +82,30 @@ main()
     const auto cells = sim::crossCells(
         {workloads.begin(), workloads.end()}, points);
 
-    sim::SweepConfig base;
-    base.tracegen.windowFraction = 0.0625 * bench::benchScale();
-    base.tracegen.subchannels = 2; // Table-3 full system
-    base.jobs = bench::jobs();
-
-    // Reference: regenerate per cell, pre-overhaul sub-channel path.
-    sim::SweepConfig ref_cfg = base;
-    ref_cfg.sealedDispatch = false;
-    workload::TraceStore::Config off;
-    off.enabled = false;
-    ref_cfg.traceStore = std::make_shared<workload::TraceStore>(off);
-    const MatrixRun ref = runMatrix(ref_cfg, cells);
-
-    // Optimized: shared store, sealed hot path. The store config is
-    // pinned explicitly (not read from the environment) so an ambient
-    // MOATSIM_TRACE_STORE=0 cannot corrupt the A/B comparison.
-    sim::SweepConfig opt_cfg = base;
-    workload::TraceStore::Config on;
-    opt_cfg.traceStore = std::make_shared<workload::TraceStore>(on);
-    const MatrixRun opt = runMatrix(opt_cfg, cells);
-    const auto store = opt_cfg.traceStore->stats();
-
-    // Warm run: the identical matrix served from a pre-warmed
-    // sim::ResultStore. The untimed cold pass fills the store; the
-    // timed pass must recompute nothing (and generate no traces), so
-    // its rate is the warm full-matrix re-run throughput the
-    // result-store PR is about.
-    sim::SweepConfig warm_cfg = base;
-    warm_cfg.traceStore =
+    // The store configs are pinned explicitly (not read from the
+    // environment) so an ambient MOATSIM_TRACE_STORE=0 or
+    // MOATSIM_RESULT_STORE cannot change what is measured.
+    sim::SweepConfig config;
+    config.tracegen.windowFraction = 0.0625 * bench::benchScale();
+    config.tracegen.subchannels = 2; // Table-3 full system
+    config.jobs = bench::jobs();
+    config.traceStore =
         std::make_shared<workload::TraceStore>(workload::TraceStore::Config{});
     sim::ResultStore::Config rs_on;
     rs_on.enabled = true;
-    warm_cfg.resultStore = std::make_shared<sim::ResultStore>(rs_on);
-    (void)runMatrix(warm_cfg, cells); // cold fill
-    const uint64_t computes_cold = warm_cfg.resultStore->stats().computes;
-    const MatrixRun warm = runMatrix(warm_cfg, cells);
-    const uint64_t warm_recomputes =
-        warm_cfg.resultStore->stats().computes - computes_cold;
+    config.resultStore = std::make_shared<sim::ResultStore>(rs_on);
 
-    // Same simulation on all paths or the comparison is meaningless.
-    const std::string ref_jsonl = jsonlOf(ref.results);
-    const std::string opt_jsonl = jsonlOf(opt.results);
-    if (ref_jsonl != opt_jsonl || jsonlOf(warm.results) != ref_jsonl) {
-        std::cerr << "FATAL: reference, optimized, and warm matrix runs "
-                     "diverged (results must be bit-identical with the "
-                     "stores on, off, cold, or warm)\n";
+    const MatrixRun cold = runMatrix(config, cells);
+    const auto store = config.traceStore->stats();
+    const uint64_t computes_cold = config.resultStore->stats().computes;
+    const MatrixRun warm = runMatrix(config, cells);
+    const uint64_t warm_recomputes =
+        config.resultStore->stats().computes - computes_cold;
+
+    if (jsonlOf(cold.results) != jsonlOf(warm.results)) {
+        std::cerr << "FATAL: cold and warm matrix runs diverged (results "
+                     "must be bit-identical whether computed or served "
+                     "from the result store)\n";
         return 1;
     }
     if (warm_recomputes != 0) {
@@ -142,40 +115,30 @@ main()
     }
 
     const double n = static_cast<double>(cells.size());
-    const double ref_rate = ref.seconds > 0 ? n / ref.seconds : 0.0;
-    const double opt_rate = opt.seconds > 0 ? n / opt.seconds : 0.0;
+    const double cold_rate = cold.seconds > 0 ? n / cold.seconds : 0.0;
     const double warm_rate = warm.seconds > 0 ? n / warm.seconds : 0.0;
-    const double speedup = ref_rate > 0 ? opt_rate / ref_rate : 0.0;
 
-    TablePrinter t({"pipeline", "cells", "seconds", "cells/sec",
+    TablePrinter t({"run", "cells", "seconds", "cells/sec",
                     "generateTraces calls"});
-    t.addRow({"reference (no store, virtual dispatch)",
-              std::to_string(cells.size()), formatFixed(ref.seconds, 3),
-              formatFixed(ref_rate, 2), std::to_string(ref.genCalls)});
-    t.addRow({"optimized (trace store, sealed dispatch)",
-              std::to_string(cells.size()), formatFixed(opt.seconds, 3),
-              formatFixed(opt_rate, 2), std::to_string(opt.genCalls)});
-    t.addRow({"warm (pre-warmed result store)",
-              std::to_string(cells.size()), formatFixed(warm.seconds, 3),
-              formatFixed(warm_rate, 2), std::to_string(warm.genCalls)});
+    t.addRow({"cold (fresh stores)", std::to_string(cells.size()),
+              formatFixed(cold.seconds, 3), formatFixed(cold_rate, 2),
+              std::to_string(cold.genCalls)});
+    t.addRow({"warm (result-store hits)", std::to_string(cells.size()),
+              formatFixed(warm.seconds, 3), formatFixed(warm_rate, 2),
+              std::to_string(warm.genCalls)});
     t.print(std::cout);
     std::cout << "trace store: " << store.hits << " hits, "
               << store.misses << " misses (hit rate "
               << formatFixed(store.hitRate() * 100.0, 1) << "%), "
               << store.entries << " entries resident\n";
-    std::cout << "speedup (optimized/reference): "
-              << formatFixed(speedup, 2) << "x (bar: 2.00x)\n";
 
     if (std::ostream *os = bench::jsonlStream()) {
         *os << "{\"kind\":\"sweep_scale\",\"cells\":" << cells.size()
-            << ",\"ref_cells_per_sec\":" << formatFixed(ref_rate, 3)
-            << ",\"opt_cells_per_sec\":" << formatFixed(opt_rate, 3)
-            << ",\"speedup\":" << formatFixed(speedup, 3)
-            << ",\"bar\":2.0"
+            << ",\"cold_cells_per_sec\":" << formatFixed(cold_rate, 3)
             << ",\"warm_cells_per_sec\":" << formatFixed(warm_rate, 3)
             << ",\"warm_recomputes\":" << warm_recomputes
-            << ",\"ref_gen_calls\":" << ref.genCalls
-            << ",\"opt_gen_calls\":" << opt.genCalls
+            << ",\"cold_gen_calls\":" << cold.genCalls
+            << ",\"warm_gen_calls\":" << warm.genCalls
             << ",\"trace_store_hits\":" << store.hits
             << ",\"trace_store_misses\":" << store.misses
             << ",\"trace_store_hit_rate\":"

@@ -5,9 +5,9 @@ Reads the MOATSIM_JSONL lines every bench emitted (perf cells, attack
 outcomes, throughput-attack outcomes, the core-loop acts/sec record,
 and the matrix-sweep throughput record) plus the per-bench wall times,
 and writes a single JSON document: the perf-trajectory snapshot CI
-archives on every push. Exits non-zero when a bench's measured speedup
-falls below the bar it recorded (core_loop >= 1.3x, sweep_scale >=
-2x), so bench-smoke is a gate, not just a log. Stdlib only.
+archives on every push. Throughput is recorded, not gated; compare it
+against earlier snapshots, or measure a change with perfbench/run.py.
+Stdlib only.
 """
 
 import datetime
@@ -58,7 +58,7 @@ def main() -> int:
         # record plus the two headline numbers tooling keys on.
         "sweep_scale": sweep,
         "sweep_cells_per_sec": (
-            sweep["opt_cells_per_sec"] if sweep else None
+            sweep["cold_cells_per_sec"] if sweep else None
         ),
         "trace_store_hit_rate": (
             sweep["trace_store_hit_rate"] if sweep else None
@@ -109,23 +109,6 @@ def main() -> int:
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-    # Speedup gates: every bench that measures an optimized path
-    # against a preserved reference path emits its own bar; the smoke
-    # run fails when a recorded speedup regresses below it.
-    failures = []
-    for name, row in (("core_loop", core), ("sweep_scale", sweep)):
-        if row is None or "bar" not in row:
-            continue
-        if row["speedup"] < row["bar"]:
-            failures.append(
-                f"{name}: speedup {row['speedup']:.2f}x is below its "
-                f"recorded bar {row['bar']:.2f}x"
-            )
-    if failures:
-        for message in failures:
-            print(f"bench gate FAILED -- {message}", file=sys.stderr)
-        return 1
     return 0
 
 

@@ -64,7 +64,7 @@ struct ParamInfo
  * A validated mitigator selection: a registered design name plus the
  * explicitly-overridden parameters. Obtain one from Registry::parse()
  * (or default-construct for the paper's default MOAT) and hand it to
- * PerfRunner, Experiment, or runAttack; factory() adapts it to the
+ * SweepEngine, Experiment, or runAttack; factory() adapts it to the
  * SubChannel constructor.
  */
 class MitigatorSpec

@@ -6,7 +6,7 @@
  * the trace-generator config), ABO level, workload selection, the
  * mitigator spec, the seed, and the worker count -- so the CLI, the
  * benches, and the examples all drive the same code path instead of
- * hand-assembling PerfRunner calls. The Experiment owns a SweepEngine
+ * hand-assembling engine calls. The Experiment owns a SweepEngine
  * (sim/sweep.hh), so every run fans its cells across the engine's
  * work-stealing pool and the cached no-ALERT baselines are shared
  * across every design/level evaluated through it. Design-space sweeps
@@ -181,11 +181,8 @@ class Experiment
     /** The co-attack engine (attack-free baseline cache included). */
     CoAttackEngine &coAttackEngine() { return coattack_; }
 
-    /**
-     * The trace store shared by both engines. Its stats() are the
-     * experiment-level hit/miss record bench_sweep_scale and the
-     * bench snapshot surface.
-     */
+    /** The trace store shared by both engines (hit/miss/eviction
+     *  stats for the whole experiment). */
     const std::shared_ptr<workload::TraceStore> &traceStore() const
     {
         return engine_.traceStore();

@@ -1,11 +1,9 @@
 #include "sim/perf.hh"
 
 #include <algorithm>
-#include <utility>
 
 #include "common/hash.hh"
 #include "mitigation/null.hh"
-#include "sim/system.hh"
 
 namespace moatsim::sim
 {
@@ -15,14 +13,13 @@ namespace
 
 subchannel::SubChannelConfig
 channelConfigFor(const workload::TraceGenConfig &tg, abo::Level level,
-                 uint64_t seed, bool sealed_dispatch)
+                 uint64_t seed)
 {
     subchannel::SubChannelConfig sc;
     sc.timing = tg.timing;
     sc.numBanks = tg.banksSimulated;
     sc.aboLevel = level;
     sc.securityEnabled = false; // perf runs skip the damage oracle
-    sc.sealedDispatch = sealed_dispatch;
     sc.seed = seed;
     return sc;
 }
@@ -32,11 +29,10 @@ channelConfigFor(const workload::TraceGenConfig &tg, abo::Level level,
  *  channelConfigFor. */
 System
 systemFor(const workload::TraceGenConfig &tg, abo::Level level,
-          uint64_t seed, const subchannel::SubChannel::MitigatorFactory &f,
-          bool sealed_dispatch)
+          uint64_t seed, const subchannel::SubChannel::MitigatorFactory &f)
 {
     SystemConfig sys;
-    sys.channel = channelConfigFor(tg, level, seed, sealed_dispatch);
+    sys.channel = channelConfigFor(tg, level, seed);
     sys.subchannels = std::max(1u, tg.subchannels);
     sys.channels = std::max(1u, tg.channels);
     sys.ranks = std::max(1u, tg.ranks);
@@ -90,8 +86,12 @@ perfCellKey(const workload::TraceGenConfig &config, const CoreModel &core,
 }
 
 std::shared_ptr<const BaselineCache::Finish>
-BaselineCache::getImpl(uint64_t key, const std::function<Finish()> &replay)
+BaselineCache::get(const workload::TraceGenConfig &config,
+                   const CoreModel &core, const workload::WorkloadSpec &spec,
+                   const workload::TraceSet &traces)
 {
+    const uint64_t key =
+        hashCombine(perfConfigKey(config, core), stableHash64(spec.name));
     std::shared_future<std::shared_ptr<const Finish>> future;
     std::promise<std::shared_ptr<const Finish>> promise;
     bool compute = false;
@@ -107,9 +107,16 @@ BaselineCache::getImpl(uint64_t key, const std::function<Finish()> &replay)
         }
     }
     if (compute) {
+        // Replay outside the lock: only the winning requester computes.
         std::shared_ptr<const Finish> value;
         try {
-            value = std::make_shared<const Finish>(replay());
+            System sys = systemFor(
+                config, abo::Level::L1, baselineSeed(config, core, spec),
+                [](BankId) {
+                    return std::make_unique<mitigation::NullMitigator>();
+                });
+            value = std::make_shared<const Finish>(
+                runSystem(sys, traces.views(), core).coreFinish);
         } catch (...) {
             // A failed replay is never cached: drop the entry so the
             // next touch recomputes, and propagate the exception to
@@ -126,46 +133,6 @@ BaselineCache::getImpl(uint64_t key, const std::function<Finish()> &replay)
     return future.get();
 }
 
-std::shared_ptr<const BaselineCache::Finish>
-BaselineCache::get(const workload::TraceGenConfig &config,
-                   const CoreModel &core, const workload::WorkloadSpec &spec,
-                   const workload::TraceSet &traces, bool sealed_dispatch)
-{
-    const uint64_t key =
-        hashCombine(perfConfigKey(config, core), stableHash64(spec.name));
-    return getImpl(key, [&]() {
-        System sys = systemFor(
-            config, abo::Level::L1, baselineSeed(config, core, spec),
-            [](BankId) {
-                return std::make_unique<mitigation::NullMitigator>();
-            },
-            sealed_dispatch);
-        SystemResult res = runSystem(sys, traces.views(), core);
-        return std::move(res.coreFinish);
-    });
-}
-
-std::shared_ptr<const BaselineCache::Finish>
-BaselineCache::get(const workload::TraceGenConfig &config,
-                   const CoreModel &core, const workload::WorkloadSpec &spec,
-                   bool sealed_dispatch)
-{
-    const uint64_t key =
-        hashCombine(perfConfigKey(config, core), stableHash64(spec.name));
-    return getImpl(key, [&]() {
-        const workload::TraceSet traces(workload::generateTraces(spec,
-                                                                 config));
-        System sys = systemFor(
-            config, abo::Level::L1, baselineSeed(config, core, spec),
-            [](BankId) {
-                return std::make_unique<mitigation::NullMitigator>();
-            },
-            sealed_dispatch);
-        SystemResult res = runSystem(sys, traces.views(), core);
-        return std::move(res.coreFinish);
-    });
-}
-
 std::size_t
 BaselineCache::size() const
 {
@@ -178,11 +145,11 @@ runPerfCell(const workload::TraceGenConfig &config, const CoreModel &core,
             const workload::WorkloadSpec &spec,
             const mitigation::MitigatorSpec &mitigator, abo::Level level,
             const workload::TraceSet &traces,
-            const std::vector<Time> &baseline, bool sealed_dispatch)
+            const std::vector<Time> &baseline)
 {
     System sys = systemFor(config, level,
                            cellSeed(config, spec, mitigator, level),
-                           mitigator.factory(), sealed_dispatch);
+                           mitigator.factory());
     const SystemResult res = runSystem(sys, traces.views(), core);
 
     PerfResult out;
@@ -247,49 +214,6 @@ runPerfCell(const workload::TraceGenConfig &config, const CoreModel &core,
             static_cast<double>(res.totalActs);
     }
     return out;
-}
-
-PerfRunner::PerfRunner(const workload::TraceGenConfig &config,
-                       CoreModel core)
-    : PerfRunner(config, core, std::make_shared<BaselineCache>())
-{
-}
-
-PerfRunner::PerfRunner(const workload::TraceGenConfig &config, CoreModel core,
-                       std::shared_ptr<BaselineCache> baselines)
-    : PerfRunner(config, core, std::move(baselines),
-                 std::make_shared<workload::TraceStore>())
-{
-}
-
-PerfRunner::PerfRunner(const workload::TraceGenConfig &config, CoreModel core,
-                       std::shared_ptr<BaselineCache> baselines,
-                       std::shared_ptr<workload::TraceStore> traces)
-    : config_(config),
-      core_(core),
-      baselines_(std::move(baselines)),
-      traces_(std::move(traces))
-{
-}
-
-PerfResult
-PerfRunner::run(const workload::WorkloadSpec &spec,
-                const mitigation::MitigatorSpec &mitigator, abo::Level level)
-{
-    const auto traces = traces_->get(spec, config_);
-    const auto base = baselines_->get(config_, core_, spec, *traces);
-    return runPerfCell(config_, core_, spec, mitigator, level, *traces,
-                       *base);
-}
-
-std::vector<PerfResult>
-PerfRunner::runSuite(const mitigation::MitigatorSpec &mitigator,
-                     abo::Level level)
-{
-    std::vector<PerfResult> results;
-    for (const auto &spec : workload::table4Workloads())
-        results.push_back(run(spec, mitigator, level));
-    return results;
 }
 
 double

@@ -22,7 +22,6 @@
 #ifndef MOATSIM_SIM_PERF_HH
 #define MOATSIM_SIM_PERF_HH
 
-#include <functional>
 #include <future>
 #include <memory>
 #include <string>
@@ -32,7 +31,7 @@
 #include "abo/abo.hh"
 #include "common/mutex.hh"
 #include "mitigation/registry.hh"
-#include "sim/memsys.hh"
+#include "sim/system.hh"
 #include "workload/spec.hh"
 #include "workload/trace_store.hh"
 #include "workload/tracegen.hh"
@@ -134,39 +133,21 @@ class BaselineCache
     /**
      * Finish times of @p spec under (config, core); computes on miss
      * by replaying @p traces -- the shared TraceSet the caller fetched
-     * from the TraceStore for this very (spec, config), so a matrix
-     * run never regenerates a trace just to compute its baseline.
-     * @p sealed_dispatch selects the hot path of the baseline replay
-     * (cost only; results are identical and the key ignores it).
+     * for this very (spec, config), so a matrix run never regenerates
+     * a trace just to compute its baseline. Concurrent requesters of
+     * one key block on the single computation; a failed replay is
+     * never cached.
      */
     std::shared_ptr<const Finish> get(const workload::TraceGenConfig &config,
                                       const CoreModel &core,
                                       const workload::WorkloadSpec &spec,
-                                      const workload::TraceSet &traces,
-                                      bool sealed_dispatch = true);
-
-    /**
-     * As above, generating the traces itself on a miss. This is the
-     * pre-TraceStore compute path (one redundant generation per
-     * baseline); it survives for callers that hold no store and as
-     * the store-disabled reference pipeline bench_sweep_scale
-     * measures against.
-     */
-    std::shared_ptr<const Finish> get(const workload::TraceGenConfig &config,
-                                      const CoreModel &core,
-                                      const workload::WorkloadSpec &spec,
-                                      bool sealed_dispatch = true);
+                                      const workload::TraceSet &traces)
+        EXCLUDES(mu_);
 
     /** Number of distinct baselines computed so far. */
     std::size_t size() const EXCLUDES(mu_);
 
   private:
-    /** Single compute-once path; @p replay runs the baseline replay
-     *  (outside the lock: only the winning requester computes). */
-    std::shared_ptr<const Finish>
-    getImpl(uint64_t key, const std::function<Finish()> &replay)
-        EXCLUDES(mu_);
-
     mutable Mutex mu_;
     std::unordered_map<uint64_t,
                        std::shared_future<std::shared_ptr<const Finish>>>
@@ -176,12 +157,9 @@ class BaselineCache
 /**
  * Run one sweep cell given its traces and precomputed baseline finish
  * times. Pure function of its arguments (the cell seed is derived
- * internally via cellSeed), shared by PerfRunner and the SweepEngine
- * workers. @p traces is the shared TraceSet of (spec, config) --
- * typically a TraceStore handout replayed by every cell of the
- * matrix. @p sealed_dispatch selects the devirtualized hot path
- * (true, the default) or the pre-overhaul reference path; results are
- * bit-identical either way (bench_sweep_scale A/Bs the two).
+ * internally via cellSeed); SweepEngine::runCell is its caller.
+ * @p traces is the shared TraceSet of (spec, config) -- typically a
+ * TraceStore handout replayed by every cell of the matrix.
  */
 PerfResult runPerfCell(const workload::TraceGenConfig &config,
                        const CoreModel &core,
@@ -189,54 +167,7 @@ PerfResult runPerfCell(const workload::TraceGenConfig &config,
                        const mitigation::MitigatorSpec &mitigator,
                        abo::Level level,
                        const workload::TraceSet &traces,
-                       const std::vector<Time> &baseline,
-                       bool sealed_dispatch = true);
-
-/** Runs workloads against mitigator configurations with caching. */
-class PerfRunner
-{
-  public:
-    explicit PerfRunner(const workload::TraceGenConfig &config,
-                        CoreModel core = CoreModel{});
-
-    /** Share a baseline cache with other runners / a sweep engine. */
-    PerfRunner(const workload::TraceGenConfig &config, CoreModel core,
-               std::shared_ptr<BaselineCache> baselines);
-
-    /** Share both the baseline cache and the trace store. */
-    PerfRunner(const workload::TraceGenConfig &config, CoreModel core,
-               std::shared_ptr<BaselineCache> baselines,
-               std::shared_ptr<workload::TraceStore> traces);
-
-    /** Run one workload against any registered mitigator design. */
-    PerfResult run(const workload::WorkloadSpec &spec,
-                   const mitigation::MitigatorSpec &mitigator,
-                   abo::Level level = abo::Level::L1);
-
-    /** Run every Table-4 workload; returns per-workload results. */
-    std::vector<PerfResult> runSuite(const mitigation::MitigatorSpec &mitigator,
-                                     abo::Level level = abo::Level::L1);
-
-    const workload::TraceGenConfig &config() const { return config_; }
-
-    /** The baseline cache (shared with any co-owning sweep engine). */
-    const std::shared_ptr<BaselineCache> &baselines() const
-    {
-        return baselines_;
-    }
-
-    /** The trace store (shared with any co-owning sweep engine). */
-    const std::shared_ptr<workload::TraceStore> &traceStore() const
-    {
-        return traces_;
-    }
-
-  private:
-    workload::TraceGenConfig config_;
-    CoreModel core_;
-    std::shared_ptr<BaselineCache> baselines_;
-    std::shared_ptr<workload::TraceStore> traces_;
-};
+                       const std::vector<Time> &baseline);
 
 /** Average normPerf across results (the paper's Gmean bar). */
 double meanNormPerf(const std::vector<PerfResult> &results);

@@ -57,22 +57,14 @@ SweepEngine::computeCell(const SweepCell &cell)
     fault::failPoint("sweep.compute");
     // One store fetch serves the cell and (on first touch of this
     // workload) its baseline: each distinct trace of a matrix is
-    // generated exactly once. With the store disabled, the baseline
-    // falls back to the pre-store compute path (it regenerates its own
-    // traces), reproducing the pre-overhaul pipeline faithfully for
-    // the bench_sweep_scale reference and the determinism smoke.
+    // generated exactly once, and with the store disabled exactly once
+    // per cell.
     const auto traces =
         config_.traceStore->get(cell.workload, config_.tracegen);
-    const auto base =
-        config_.traceStore->enabled()
-            ? baselines_->get(config_.tracegen, config_.core,
-                              cell.workload, *traces,
-                              config_.sealedDispatch)
-            : baselines_->get(config_.tracegen, config_.core,
-                              cell.workload, config_.sealedDispatch);
+    const auto base = baselines_->get(config_.tracegen, config_.core,
+                                      cell.workload, *traces);
     return runPerfCell(config_.tracegen, config_.core, cell.workload,
-                       cell.mitigator, cell.level, *traces, *base,
-                       config_.sealedDispatch);
+                       cell.mitigator, cell.level, *traces, *base);
 }
 
 std::vector<PerfResult>

@@ -80,13 +80,6 @@ struct SweepConfig
      * across every client request.
      */
     std::shared_ptr<ResultStore> resultStore;
-    /**
-     * Run cells on the devirtualized/flattened sub-channel hot path
-     * (subchannel::SubChannelConfig::sealedDispatch). Results are
-     * bit-identical either way; false exists so bench_sweep_scale can
-     * measure the pre-overhaul reference path.
-     */
-    bool sealedDispatch = true;
 };
 
 /** Runs sweep cells in parallel with bit-identical-to-serial results. */
@@ -95,7 +88,7 @@ class SweepEngine
   public:
     explicit SweepEngine(const SweepConfig &config);
 
-    /** Share a baseline cache with other engines / PerfRunners. */
+    /** Share a baseline cache with other engines. */
     SweepEngine(const SweepConfig &config,
                 std::shared_ptr<BaselineCache> baselines);
 

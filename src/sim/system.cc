@@ -87,13 +87,15 @@ System::totalBanks() const
     return n;
 }
 
+namespace
+{
+
+/** The merged replay loop behind runSystem(); see sim/system.hh. */
 SystemResult
 runOnSubChannels(const std::vector<subchannel::SubChannel *> &channels,
                  const std::vector<workload::CoreTraceView> &traces,
                  const CoreModel &core)
 {
-    if (channels.empty())
-        fatal("runOnSubChannels: at least one sub-channel is required");
     const size_t nsc = channels.size();
     const Time tRC = channels[0]->timing().tRC;
 
@@ -235,17 +237,7 @@ runOnSubChannels(const std::vector<subchannel::SubChannel *> &channels,
     return result;
 }
 
-SystemResult
-runOnSubChannels(const std::vector<subchannel::SubChannel *> &channels,
-                 const std::vector<workload::CoreTrace> &traces,
-                 const CoreModel &core)
-{
-    std::vector<workload::CoreTraceView> views;
-    views.reserve(traces.size());
-    for (const auto &t : traces)
-        views.push_back(workload::viewOf(t));
-    return runOnSubChannels(channels, views, core);
-}
+} // namespace
 
 SystemResult
 runSystem(System &system, const std::vector<workload::CoreTraceView> &traces,

@@ -14,12 +14,19 @@
  * back-pressures the instruction stream across all sub-channels a
  * core touches.
  *
+ * The intended gap between two of a core's activations (the
+ * instructions executed between them) is preserved, so channel stalls
+ * (REF, ALERT/RFM) delay a core only through that bound. The per-core
+ * finish time is the measure of performance; the paper's normalized
+ * weighted speedup is the ratio of finish times against a no-ALERT
+ * baseline run of the identical traces.
+ *
  * The replay loop is the simulator's hot path, so it is flattened:
  * per-core in-flight completions live in fixed ring buffers (no deque
  * allocation per ACT), trace events are consumed through raw pointers,
- * and the sub-channels run the fastAlertScan path (see
- * subchannel/subchannel.hh). bench_core_loop measures the resulting
- * acts/sec against the pre-flattening loop.
+ * and each sub-channel keeps a sticky ALERT-want flag instead of
+ * polling every bank per ACT (see subchannel/subchannel.hh).
+ * bench_core_loop reports the resulting acts/sec.
  */
 
 #ifndef MOATSIM_SIM_SYSTEM_HH
@@ -30,12 +37,18 @@
 #include <vector>
 
 #include "common/time.hh"
-#include "sim/memsys.hh"
 #include "subchannel/subchannel.hh"
 #include "workload/tracegen.hh"
 
 namespace moatsim::sim
 {
+
+/** Core model parameters. */
+struct CoreModel
+{
+    /** Maximum outstanding activations per core. */
+    uint32_t mlp = 4;
+};
 
 /** Configuration of a multi-sub-channel system. */
 struct SystemConfig
@@ -140,28 +153,15 @@ class System
 };
 
 /**
- * Replay per-core trace views across an explicit sub-channel set in
- * one merged event loop; event.subchannel indexes @p channels (reduced
- * modulo its size, so single-sub-channel replays accept any trace).
- * Views borrow their event storage (typically a shared
+ * Replay per-core trace views on @p system in one merged event loop
+ * until every core consumed its trace. event.subchannel indexes the
+ * system's sub-channel slots, reduced modulo their count, so a smaller
+ * system accepts any trace (`moatsim replay --subchannels` relies on
+ * it). Views borrow their event storage (typically a shared
  * workload::TraceSet slab out of the TraceStore, or a CoreTrace owned
  * by the caller), so a whole sweep matrix replays one immutable copy
- * of each workload's trace. This is the implementation shared by every
- * replay entry point: the CoreTrace overload, runSystem(), and the
- * single-channel runMemSystem() wrapper.
+ * of each workload's trace.
  */
-SystemResult
-runOnSubChannels(const std::vector<subchannel::SubChannel *> &channels,
-                 const std::vector<workload::CoreTraceView> &traces,
-                 const CoreModel &core = CoreModel{});
-
-/** Convenience overload over owned traces (borrows them as views). */
-SystemResult
-runOnSubChannels(const std::vector<subchannel::SubChannel *> &channels,
-                 const std::vector<workload::CoreTrace> &traces,
-                 const CoreModel &core = CoreModel{});
-
-/** Replay @p traces on @p system until every core consumed its trace. */
 SystemResult runSystem(System &system,
                        const std::vector<workload::CoreTraceView> &traces,
                        const CoreModel &core = CoreModel{});

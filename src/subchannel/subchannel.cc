@@ -67,42 +67,36 @@ SubChannel::SubChannel(const SubChannelConfig &config,
                             : config_.timing.banksPerSubchannel;
     // The oracle's per-bank arrays (3 words per row) dominate the cost
     // of constructing a sub-channel; allocate them only when something
-    // will read them. The reference path keeps the eager allocation so
-    // the benches can A/B the pre-overhaul cost model.
-    const bool oracle = config_.securityEnabled || !config_.sealedDispatch;
-    const size_t rows = config_.timing.rowsPerBank;
-    // The flat counter slab pays off where construction cost is the
-    // bottleneck: oracle-free performance cells, built by the
-    // thousand across a matrix. Channels that carry the oracle are
+    // will read them. Oracle-free channels (performance cells, built
+    // by the thousand across a matrix) instead back every bank with
+    // one flat counter slab. Channels that carry the oracle are
     // dominated by its arrays anyway, and measure slightly *slower*
     // with the slab, so they keep per-bank counter storage.
-    const bool slab = config_.sealedDispatch && !oracle;
-    if (slab)
-        counter_slab_.assign(static_cast<size_t>(nb) * rows, 0);
-    banks_.reserve(nb);
+    const bool oracle = config_.securityEnabled;
+    const size_t rows = config_.timing.rowsPerBank;
     if (oracle)
         security_.reserve(nb);
+    else
+        counter_slab_.assign(static_cast<size_t>(nb) * rows, 0);
+    banks_.reserve(nb);
     mitigators_.reserve(nb);
     kinds_.reserve(nb);
     refresh_.reserve(nb);
     mitigation_stats_.reserve(nb);
     for (BankId b = 0; b < nb; ++b) {
-        if (slab) {
+        if (oracle) {
+            banks_.emplace_back(config_.timing, config_.counterInit,
+                                &rng_);
+            security_.emplace_back(config_.timing.rowsPerBank,
+                                   config_.timing.blastRadius);
+        } else {
             banks_.emplace_back(
                 config_.timing, config_.counterInit, &rng_,
                 std::span<ActCount>(counter_slab_.data() + b * rows,
                                     rows));
-        } else {
-            banks_.emplace_back(config_.timing, config_.counterInit,
-                                &rng_);
         }
-        if (oracle)
-            security_.emplace_back(config_.timing.rowsPerBank,
-                                   config_.timing.blastRadius);
         mitigators_.push_back(factory(b));
-        kinds_.push_back(config_.sealedDispatch
-                             ? mitigators_.back()->kind()
-                             : MitigatorKind::Custom);
+        kinds_.push_back(mitigators_.back()->kind());
         refresh_.emplace_back(config_.timing, config_.maxPostponedRefs);
         mitigation_stats_.emplace_back();
     }
@@ -170,8 +164,7 @@ SubChannel::activateAt(BankId bank, RowId row, Time not_before)
                        [&](auto &m) { m.onActivate(row, ctx); });
         // An ACT can only raise the activated bank's own want; the
         // sticky flag spares the per-ACT scan over every other bank.
-        if (config_.fastAlertScan &&
-            dispatchSealed(kind, mit,
+        if (dispatchSealed(kind, mit,
                            [](const auto &m) { return m.wantsAlert(); }))
             alert_wanted_sticky_ = true;
         ++stats_.acts;
@@ -257,8 +250,7 @@ SubChannel::processRefBoundary()
         performOneRef();
     // REF-time mitigation work can clear (or, via counter resets on
     // refresh, raise) wants on any bank; refresh the sticky flag.
-    if (config_.fastAlertScan)
-        alert_wanted_sticky_ = anyAlertWanted();
+    alert_wanted_sticky_ = anyAlertWanted();
     maybeAssertAlert(channel_busy_until_);
 }
 
@@ -304,8 +296,7 @@ SubChannel::serviceRfmBlock()
     abo_.completeAlert();
     rfm_block_pending_ = false;
     // RFM mitigation cleared wants on any subset of banks.
-    if (config_.fastAlertScan)
-        alert_wanted_sticky_ = anyAlertWanted();
+    alert_wanted_sticky_ = anyAlertWanted();
 }
 
 void
@@ -314,9 +305,10 @@ SubChannel::maybeAssertAlert(Time t)
     if (rfm_block_pending_)
         return;
     // The sticky flag is exact (see its invariant in the header), so
-    // the fast path replaces the all-banks wantsAlert() poll that
-    // otherwise dominates the per-ACT cost.
-    if (config_.fastAlertScan ? !alert_wanted_sticky_ : !anyAlertWanted())
+    // it replaces the all-banks wantsAlert() poll that would otherwise
+    // dominate the per-ACT cost.
+    assert(alert_wanted_sticky_ == anyAlertWanted());
+    if (!alert_wanted_sticky_)
         return;
     if (!abo_.canAssert(t))
         return;
@@ -335,9 +327,8 @@ SubChannel::requireOracle() const
 {
     if (security_.empty())
         fatal("SubChannel::security: the ground-truth oracle is elided "
-              "on this channel (securityEnabled is off on the sealed "
-              "path); enable securityEnabled to track damage/hammer "
-              "state");
+              "on this channel (securityEnabled is off); enable "
+              "securityEnabled to track damage/hammer state");
 }
 
 bool

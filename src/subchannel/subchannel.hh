@@ -66,28 +66,6 @@ struct SubChannelConfig
     bool securityEnabled = true;
     /** Number of banks; 0 means timing.banksPerSubchannel. */
     uint32_t numBanks = 0;
-    /**
-     * Track bank ALERT requests incrementally (a sticky flag updated
-     * at the single points where a mitigator's wantsAlert() can
-     * change) instead of polling every bank's mitigator on every ACT.
-     * Behaviour is bit-identical either way -- the flag exists so the
-     * flattened hot path can be benchmarked against the full per-ACT
-     * scan (bench_core_loop) and cross-checked in tests.
-     */
-    bool fastAlertScan = true;
-    /**
-     * Run the devirtualized hot path: per-ACT (and per-REF/RFM)
-     * mitigator hooks dispatch through a sealed MitigatorKind switch
-     * of direct calls into the five registry designs (anything else
-     * falls back to the virtual IMitigator interface), and the
-     * ground-truth oracle's multi-MB per-bank arrays are allocated
-     * only when securityEnabled actually reads them. false preserves
-     * the pre-overhaul reference path -- a virtual call per hook and
-     * eagerly allocated oracle state -- so bench_core_loop and
-     * bench_sweep_scale can A/B the two; results are bit-identical
-     * either way (the same member functions run in the same order).
-     */
-    bool sealedDispatch = true;
     /** Maximum REFs that postponement may owe at once (DDR5: 2). */
     uint32_t maxPostponedRefs = 2;
     /** Seed for randomized counter initialization. */
@@ -186,10 +164,10 @@ class SubChannel
     }
 
     /**
-     * Ground-truth security monitor of a bank. Only available when the
-     * configuration keeps the oracle (securityEnabled, or the
-     * reference path); performance runs elide its storage entirely and
-     * this accessor then fatal()s with a diagnostic.
+     * Ground-truth security monitor of a bank. Only available when
+     * securityEnabled keeps the oracle; performance runs elide its
+     * storage entirely and this accessor then fatal()s with a
+     * diagnostic.
      */
     dram::SecurityMonitor &security(BankId b)
     {
@@ -264,19 +242,19 @@ class SubChannel
     SubChannelConfig config_;
     Rng rng_;
     /**
-     * Flat PRAC-counter slab backing every bank (sealed path): one
-     * allocation of numBanks x rowsPerBank entries instead of one
-     * multi-hundred-KB allocation per bank. Declared before banks_ so
-     * it outlives the Bank spans into it. Empty on the reference path
-     * (banks own their counters, the pre-overhaul layout).
+     * Flat PRAC-counter slab backing every bank when the oracle is
+     * elided: one allocation of numBanks x rowsPerBank entries instead
+     * of one multi-hundred-KB allocation per bank. Declared before
+     * banks_ so it outlives the Bank spans into it. Empty when
+     * securityEnabled is on (banks then own their counters).
      */
     std::vector<ActCount> counter_slab_;
     /** Banks stored by value: the per-ACT path indexes a contiguous
      *  array instead of chasing one heap pointer per bank. */
     std::vector<dram::Bank> banks_;
-    /** Empty when the oracle is elided (securityEnabled off on the
-     *  sealed path); its per-bank arrays are the dominant cost of
-     *  constructing a sub-channel. */
+    /** Empty when the oracle is elided (securityEnabled off); its
+     *  per-bank arrays are the dominant cost of constructing a
+     *  sub-channel. */
     std::vector<dram::SecurityMonitor> security_;
     std::vector<std::unique_ptr<mitigation::IMitigator>> mitigators_;
     /** Sealed dispatch tag per bank (Custom forces virtual calls). */
@@ -302,11 +280,12 @@ class SubChannel
     bool rfm_block_pending_ = false;
     bool postpone_refresh_ = false;
     /**
-     * Whether any bank's mitigator currently wants an ALERT, kept
-     * current by the fastAlertScan path: OR-ed with the activated
+     * Whether any bank's mitigator currently wants an ALERT, so the
+     * per-ACT path never polls every bank: OR-ed with the activated
      * bank's state after every ACT (the only place a want can appear)
      * and recomputed after REF/RFM mitigation work (the only places a
-     * want can clear). Unused when fastAlertScan is off.
+     * want can clear). maybeAssertAlert() asserts it equals
+     * anyAlertWanted() in debug builds.
      */
     bool alert_wanted_sticky_ = false;
     /** Channel-level count of postponed (owed) REFs. */

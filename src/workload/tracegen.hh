@@ -174,8 +174,9 @@ std::vector<CoreTrace> generateTraces(const WorkloadSpec &spec,
  * Process-wide count of generateTraces() invocations. Trace
  * generation is the redundant work the workload::TraceStore exists to
  * eliminate, so the counter is the observable the store's regression
- * tests and bench_sweep_scale assert on: a full matrix run must
- * invoke the generator exactly once per distinct (spec, config).
+ * tests assert on and bench_sweep_scale reports: a full matrix run
+ * invokes the generator exactly once per distinct (spec, config), and
+ * once per cell with the store disabled.
  */
 uint64_t traceGenInvocations();
 

@@ -2,8 +2,8 @@
  * @file
  * Determinism guarantees of the parallel sweep engine: the same sweep
  * must produce bit-identical PerfResult vectors at jobs=1, jobs=2, and
- * jobs=8 (catches RNG or schedule leaks between cells), match the
- * serial PerfRunner path, and the baseline cache must key on the full
+ * jobs=8 (catches RNG or schedule leaks between cells), match a serial
+ * runCell loop, and the baseline cache must key on the full
  * configuration, not just the workload name.
  */
 
@@ -12,6 +12,7 @@
 #include "attacks/attack.hh"
 #include "sim/result_io.hh"
 #include "sim/sweep.hh"
+#include "workload/trace_store.hh"
 
 namespace moatsim::sim
 {
@@ -95,7 +96,7 @@ TEST(SweepDeterminism, MultiSubChannelBitIdenticalAcrossJobCounts)
         EXPECT_EQ(r.perSubchannel.size(), 2u);
 }
 
-TEST(SweepDeterminism, MatchesSerialPerfRunner)
+TEST(SweepDeterminism, MatchesSerialRunCellLoop)
 {
     const auto cells = sampleCells();
     SweepConfig sc;
@@ -104,12 +105,12 @@ TEST(SweepDeterminism, MatchesSerialPerfRunner)
     SweepEngine engine(sc);
     const auto parallel = engine.run(cells);
 
-    PerfRunner runner(smallTracegen());
+    sc.jobs = 1;
+    SweepEngine inline_engine(sc);
     std::vector<PerfResult> serial;
     for (const auto &cell : cells)
-        serial.push_back(
-            runner.run(cell.workload, cell.mitigator, cell.level));
-    expectIdentical(parallel, serial, "engine vs PerfRunner");
+        serial.push_back(inline_engine.runCell(cell));
+    expectIdentical(parallel, serial, "jobs=4 run vs inline runCell");
 }
 
 TEST(SweepDeterminism, RepeatedRunsOnOneEngineAreIdentical)
@@ -151,14 +152,17 @@ TEST(BaselineCache, KeyIncludesConfigNotJustWorkloadName)
     // trace configs must not return stale finish times for the second
     // config just because the workload name matches.
     const auto cache = std::make_shared<BaselineCache>();
+    workload::TraceStore store;
     const auto &spec = workload::findWorkload("roms");
 
     auto tg1 = smallTracegen();
     auto tg2 = smallTracegen();
     tg2.windowFraction *= 2;
+    const auto traces1 = store.get(spec, tg1);
+    const auto traces2 = store.get(spec, tg2);
 
-    const auto f1 = cache->get(tg1, CoreModel{}, spec);
-    const auto f2 = cache->get(tg2, CoreModel{}, spec);
+    const auto f1 = cache->get(tg1, CoreModel{}, spec, *traces1);
+    const auto f2 = cache->get(tg2, CoreModel{}, spec, *traces2);
     EXPECT_EQ(cache->size(), 2u);
     ASSERT_EQ(f1->size(), f2->size());
     // Twice the window means later finish times under config 2.
@@ -167,24 +171,27 @@ TEST(BaselineCache, KeyIncludesConfigNotJustWorkloadName)
     // Different core model, same tracegen: also a distinct entry.
     CoreModel core2;
     core2.mlp = 1;
-    cache->get(tg1, core2, spec);
+    cache->get(tg1, core2, spec, *traces1);
     EXPECT_EQ(cache->size(), 3u);
 
     // Re-requesting an existing key hits the cache.
-    const auto f1again = cache->get(tg1, CoreModel{}, spec);
+    const auto f1again = cache->get(tg1, CoreModel{}, spec, *traces1);
     EXPECT_EQ(cache->size(), 3u);
     EXPECT_EQ(f1.get(), f1again.get());
 }
 
-TEST(BaselineCache, SharedAcrossRunnersGivesIdenticalResults)
+TEST(BaselineCache, SharedAcrossEnginesGivesIdenticalResults)
 {
     const auto cache = std::make_shared<BaselineCache>();
-    const auto tg = smallTracegen();
-    PerfRunner a(tg, CoreModel{}, cache);
-    PerfRunner b(tg, CoreModel{}, cache);
-    const auto &spec = workload::findWorkload("xz");
-    const auto m = mitigation::Registry::parse("moat");
-    EXPECT_EQ(toJsonLine(a.run(spec, m)), toJsonLine(b.run(spec, m)));
+    SweepConfig sc;
+    sc.tracegen = smallTracegen();
+    sc.jobs = 1;
+    SweepEngine a(sc, cache);
+    SweepEngine b(sc, cache);
+    const SweepCell cell{workload::findWorkload("xz"),
+                         mitigation::Registry::parse("moat"),
+                         abo::Level::L1};
+    EXPECT_EQ(toJsonLine(a.runCell(cell)), toJsonLine(b.runCell(cell)));
     EXPECT_EQ(cache->size(), 1u);
 }
 

@@ -1,16 +1,15 @@
 /**
  * @file
- * Tests of the memory-system performance model (single-sub-channel
- * runMemSystem and the full-system sim::System replay) and the
- * PerfRunner.
+ * Tests of the memory-system performance model (the sim::System replay
+ * on one and on several sub-channels) and of single perf cells run
+ * through SweepEngine::runCell.
  */
 
 #include <gtest/gtest.h>
 
 #include "mitigation/null.hh"
 #include "mitigation/registry.hh"
-#include "sim/memsys.hh"
-#include "sim/perf.hh"
+#include "sim/sweep.hh"
 #include "sim/system.hh"
 
 namespace moatsim::sim
@@ -18,15 +17,14 @@ namespace moatsim::sim
 namespace
 {
 
-using subchannel::SubChannel;
-using subchannel::SubChannelConfig;
-
-SubChannel
-nullChannel(uint32_t banks)
+/** A one-sub-channel System of @p banks no-ALERT banks. */
+System
+nullSystem(uint32_t banks)
 {
-    SubChannelConfig sc;
-    sc.numBanks = banks;
-    return SubChannel(sc, [](BankId) {
+    SystemConfig sys;
+    sys.channel.numBanks = banks;
+    sys.subchannels = 1;
+    return System(sys, [](BankId) {
         return std::make_unique<mitigation::NullMitigator>();
     });
 }
@@ -43,11 +41,11 @@ simpleTrace(Time window, Time gap, BankId bank, RowId row, int n)
 
 TEST(MemSys, EmptyTracesFinishAtWindow)
 {
-    auto ch = nullChannel(2);
+    auto sys = nullSystem(2);
     std::vector<workload::CoreTrace> traces(2);
     traces[0].window = fromNs(1000);
     traces[1].window = fromNs(1000);
-    const MemSysResult r = runMemSystem(ch, traces);
+    const SystemResult r = runSystem(sys, traces);
     EXPECT_EQ(r.totalActs, 0u);
     EXPECT_EQ(r.coreFinish[0], fromNs(1000));
 }
@@ -56,10 +54,10 @@ TEST(MemSys, SparseTraceFinishesNearWindow)
 {
     // Large gaps: memory is never the bottleneck, the finish time is
     // the trace window plus at most one access latency.
-    auto ch = nullChannel(2);
+    auto sys = nullSystem(2);
     std::vector<workload::CoreTrace> traces;
     traces.push_back(simpleTrace(fromNs(100000), fromNs(1000), 0, 100, 50));
-    const MemSysResult r = runMemSystem(ch, traces);
+    const SystemResult r = runSystem(sys, traces);
     EXPECT_NEAR(toNs(r.coreFinish[0]), 100000, 3000);
     EXPECT_EQ(r.totalActs, 50u);
 }
@@ -67,20 +65,20 @@ TEST(MemSys, SparseTraceFinishesNearWindow)
 TEST(MemSys, DenseTraceIsBankLimited)
 {
     // Zero-gap trace to one bank: finish ~ n * tRC (plus REF time).
-    auto ch = nullChannel(1);
+    auto sys = nullSystem(1);
     std::vector<workload::CoreTrace> traces;
     traces.push_back(simpleTrace(fromNs(100), 0, 0, 100, 100));
-    const MemSysResult r = runMemSystem(ch, traces);
-    EXPECT_GE(r.coreFinish[0], 100 * ch.timing().tRC);
+    const SystemResult r = runSystem(sys, traces);
+    EXPECT_GE(r.coreFinish[0], 100 * sys.subchannel(0).timing().tRC);
 }
 
 TEST(MemSys, TwoCoresShareTheChannelFairly)
 {
-    auto ch = nullChannel(2);
+    auto sys = nullSystem(2);
     std::vector<workload::CoreTrace> traces;
     traces.push_back(simpleTrace(fromNs(50000), fromNs(100), 0, 100, 200));
     traces.push_back(simpleTrace(fromNs(50000), fromNs(100), 1, 200, 200));
-    const MemSysResult r = runMemSystem(ch, traces);
+    const SystemResult r = runSystem(sys, traces);
     const double ratio = static_cast<double>(r.coreFinish[0]) /
                          static_cast<double>(r.coreFinish[1]);
     EXPECT_NEAR(ratio, 1.0, 0.1);
@@ -97,24 +95,24 @@ TEST(MemSys, MlpBoundsOutstandingRequests)
         t.events.push_back({0, static_cast<BankId>(i % 4), 100});
     traces.push_back(t);
 
-    auto ch1 = nullChannel(4);
+    auto sys1 = nullSystem(4);
     CoreModel m1;
     m1.mlp = 1;
-    const auto r1 = runMemSystem(ch1, traces, m1);
-    auto ch4 = nullChannel(4);
+    const auto r1 = runSystem(sys1, traces, m1);
+    auto sys4 = nullSystem(4);
     CoreModel m4;
     m4.mlp = 4;
-    const auto r4 = runMemSystem(ch4, traces, m4);
+    const auto r4 = runSystem(sys4, traces, m4);
     EXPECT_LT(r4.coreFinish[0], r1.coreFinish[0]);
 }
 
 TEST(MemSys, CountsRefsAndAlerts)
 {
-    auto ch = nullChannel(1);
+    auto sys = nullSystem(1);
     std::vector<workload::CoreTrace> traces;
-    traces.push_back(
-        simpleTrace(10 * ch.timing().tREFI, fromNs(100), 0, 100, 300));
-    const MemSysResult r = runMemSystem(ch, traces);
+    traces.push_back(simpleTrace(10 * sys.subchannel(0).timing().tREFI,
+                                 fromNs(100), 0, 100, 300));
+    const SystemResult r = runSystem(sys, traces);
     EXPECT_GE(r.refs, 8u);
     EXPECT_EQ(r.alerts, 0u);
 }
@@ -181,48 +179,24 @@ TEST(System, AggregatesAreTheSumOfSubChannels)
     EXPECT_EQ(r.perSubchannel[0].acts, r.perSubchannel[1].acts);
 }
 
-TEST(System, SingleSubChannelMatchesRunMemSystem)
+TEST(System, SubChannelFieldFoldsOntoSmallerSystems)
 {
-    // The System loop with one sub-channel must reproduce the
-    // runMemSystem compatibility wrapper bit for bit.
+    // Events address sub-channels modulo the system's slot count (the
+    // `moatsim replay --subchannels` contract): a trace routed to
+    // sub-channel 1 replays on a one-sub-channel system exactly as the
+    // same trace routed to sub-channel 0.
     const auto moat = mitigation::Registry::parse("moat:ath=32,eth=16");
-    std::vector<workload::CoreTrace> traces;
-    traces.push_back(hammerTrace(0, 500));
-    traces.push_back(simpleTrace(fromNs(30000), fromNs(150), 1, 42, 150));
-
-    System sys(moatSystem(1, 4), moat.factory());
-    const SystemResult a = runSystem(sys, traces);
-
-    subchannel::SubChannelConfig sc = moatSystem(1, 4).channel;
-    sc.seed = sys.subchannel(0).config().seed; // same derived stream
-    SubChannel ch(sc, moat.factory());
-    const MemSysResult b = runMemSystem(ch, traces);
-
-    EXPECT_EQ(a.coreFinish, b.coreFinish);
-    EXPECT_EQ(a.totalActs, b.totalActs);
-    EXPECT_EQ(a.refs, b.refs);
-    EXPECT_EQ(a.alerts, b.alerts);
-}
-
-TEST(System, FastAlertScanIsBehaviourNeutral)
-{
-    // The sticky-flag ALERT path is a pure optimization: a full run
-    // with fastAlertScan off must match one with it on exactly.
-    const auto moat = mitigation::Registry::parse("moat:ath=32,eth=16");
-    std::vector<workload::CoreTrace> traces;
-    traces.push_back(hammerTrace(0, 800));
-    traces.push_back(hammerTrace(1, 800));
-
     SystemResult results[2];
-    for (const bool fast : {false, true}) {
-        SystemConfig cfg = moatSystem(2, 4);
-        cfg.channel.fastAlertScan = fast;
-        System sys(cfg, moat.factory());
-        results[fast ? 1 : 0] = runSystem(sys, traces);
+    for (const uint32_t sc : {0u, 1u}) {
+        System sys(moatSystem(1, 4), moat.factory());
+        std::vector<workload::CoreTrace> traces;
+        traces.push_back(hammerTrace(sc, 500));
+        results[sc] = runSystem(sys, traces);
     }
     EXPECT_EQ(results[0].coreFinish, results[1].coreFinish);
     EXPECT_EQ(results[0].alerts, results[1].alerts);
-    EXPECT_EQ(results[0].refs, results[1].refs);
+    EXPECT_EQ(results[1].perSubchannel.size(), 1u);
+    EXPECT_EQ(results[1].perSubchannel[0].acts, 500u);
     ASSERT_GT(results[0].alerts, 0u); // the comparison must bite
 }
 
@@ -240,15 +214,32 @@ TEST(System, EmptyTracesFinishAtWindow)
     EXPECT_EQ(r.coreFinish[1], fromNs(1000));
 }
 
-TEST(PerfRunner, MultiSubChannelRunReportsBreakdown)
+/** A serial engine over @p tg (the sweep path every perf cell takes). */
+SweepEngine
+serialEngine(const workload::TraceGenConfig &tg)
+{
+    SweepConfig sc;
+    sc.tracegen = tg;
+    sc.jobs = 1;
+    return SweepEngine(sc);
+}
+
+PerfResult
+runOne(SweepEngine &engine, const char *workload,
+       const mitigation::MitigatorSpec &mitigator)
+{
+    return engine.runCell(
+        {workload::findWorkload(workload), mitigator, abo::Level::L1});
+}
+
+TEST(PerfCell, MultiSubChannelRunReportsBreakdown)
 {
     workload::TraceGenConfig tg;
     tg.banksSimulated = 8;
     tg.subchannels = 2;
     tg.windowFraction = 0.03125;
-    PerfRunner runner(tg);
-    const auto r = runner.run(workload::findWorkload("roms"),
-                              mitigation::Registry::parse("moat"));
+    auto engine = serialEngine(tg);
+    const auto r = runOne(engine, "roms", mitigation::Registry::parse("moat"));
     ASSERT_EQ(r.perSubchannel.size(), 2u);
     // Traffic is routed across both sub-channels.
     EXPECT_GT(r.perSubchannel[0].acts, 0u);
@@ -258,48 +249,47 @@ TEST(PerfRunner, MultiSubChannelRunReportsBreakdown)
               r.alerts);
 }
 
-TEST(PerfRunner, BaselineNormPerfIsOne)
+TEST(PerfCell, BaselineNormPerfIsOne)
 {
-    // Running the suite against an effectively-disabled MOAT
-    // (ATH huge) must give ~1.0 normalized performance.
+    // Running against an effectively-disabled MOAT (ATH huge) must
+    // give ~1.0 normalized performance.
     workload::TraceGenConfig tg;
     tg.banksSimulated = 8;
     tg.windowFraction = 0.03125;
-    PerfRunner runner(tg);
-    const auto moat =
-        mitigation::Registry::parse("moat:ath=1048576,eth=524288");
-    const auto r = runner.run(workload::findWorkload("x264"), moat);
+    auto engine = serialEngine(tg);
+    const auto r = runOne(
+        engine, "x264",
+        mitigation::Registry::parse("moat:ath=1048576,eth=524288"));
     EXPECT_NEAR(r.normPerf, 1.0, 0.002);
     EXPECT_EQ(r.alerts, 0u);
 }
 
-TEST(PerfRunner, HotWorkloadSlowsMoreThanColdOne)
+TEST(PerfCell, HotWorkloadSlowsMoreThanColdOne)
 {
     workload::TraceGenConfig tg;
     tg.banksSimulated = 8;
     tg.windowFraction = 0.0625;
-    PerfRunner runner(tg);
+    auto engine = serialEngine(tg);
     const mitigation::MitigatorSpec moat; // default: ATH 64
-    const auto hot = runner.run(workload::findWorkload("roms"), moat);
-    const auto cold = runner.run(workload::findWorkload("tc"), moat);
+    const auto hot = runOne(engine, "roms", moat);
+    const auto cold = runOne(engine, "tc", moat);
     EXPECT_GT(hot.alertsPerRefi, cold.alertsPerRefi);
     EXPECT_LE(cold.alertsPerRefi, 0.001);
     EXPECT_LT(hot.normPerf, 1.0);
 }
 
-TEST(PerfRunner, Ath128QuenchesAlerts)
+TEST(PerfCell, Ath128QuenchesAlerts)
 {
     // Needs the full 32-bank sub-channel: every ALERT gives all banks
     // a free mitigation, so fewer banks means more residual alerts.
     workload::TraceGenConfig tg;
     tg.banksSimulated = dram::kTable3BanksPerSubchannel;
     tg.windowFraction = 0.0625;
-    PerfRunner runner(tg);
+    auto engine = serialEngine(tg);
     const auto a64 = mitigation::Registry::parse("moat");
     const auto a128 = mitigation::Registry::parse("moat:ath=128,eth=64");
-    const auto &spec = workload::findWorkload("roms");
-    const auto r64 = runner.run(spec, a64);
-    const auto r128 = runner.run(spec, a128);
+    const auto r64 = runOne(engine, "roms", a64);
+    const auto r128 = runOne(engine, "roms", a128);
     EXPECT_LT(r128.alertsPerRefi, 0.1 * r64.alertsPerRefi + 1e-3);
 }
 

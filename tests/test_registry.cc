@@ -3,8 +3,8 @@
  * Tests of the mitigator registry and the unified experiment API: spec
  * parsing (round-trip, unknown names/keys, malformed values), config
  * extraction, the SRAM single-source-of-truth, and a parameterized
- * sweep running every registered design through the PerfRunner and the
- * generic attack driver.
+ * sweep running every registered design through the sweep engine and
+ * the generic attack driver.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include "attacks/attack.hh"
 #include "mitigation/registry.hh"
 #include "sim/experiment.hh"
+#include "sim/sweep.hh"
 
 namespace moatsim::mitigation
 {
@@ -185,15 +186,16 @@ class RegistryDesignTest : public ::testing::TestWithParam<std::string>
 {
 };
 
-TEST_P(RegistryDesignTest, RunsThroughPerfRunner)
+TEST_P(RegistryDesignTest, RunsThroughTheSweepEngine)
 {
-    workload::TraceGenConfig tg;
-    tg.banksSimulated = 8;
-    tg.windowFraction = 0.03125;
-    sim::PerfRunner runner(tg);
+    sim::SweepConfig sc;
+    sc.tracegen.banksSimulated = 8;
+    sc.tracegen.windowFraction = 0.03125;
+    sc.jobs = 1;
+    sim::SweepEngine engine(sc);
     const auto spec = Registry::parse(GetParam());
-    const auto r =
-        runner.run(workload::findWorkload("x264"), spec, abo::Level::L1);
+    const auto r = engine.runCell(
+        {workload::findWorkload("x264"), spec, abo::Level::L1});
     EXPECT_EQ(r.mitigator, spec.describe());
     EXPECT_GT(r.acts, 0u);
     EXPECT_GT(r.normPerf, 0.0);

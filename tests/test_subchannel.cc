@@ -210,24 +210,14 @@ TEST(SubChannel, StatsCountActs)
 
 TEST(SubChannel, SecurityDisabledSkipsTracking)
 {
-    // The sealed hot path elides the oracle's storage entirely when
-    // tracking is off; the aggregate view reports nothing tracked.
+    // With tracking off the oracle's storage is elided entirely; the
+    // aggregate view reports nothing tracked.
     SubChannelConfig sc = baseConfig(1);
     sc.securityEnabled = false;
     auto ch = nullChannel(sc);
     for (int i = 0; i < 10; ++i)
         ch.activate(0, 100);
     EXPECT_EQ(ch.maxHammerAnyBank(), 0u);
-
-    // The reference path keeps the monitor allocated (pre-overhaul
-    // cost model) but still tracks nothing.
-    SubChannelConfig ref = baseConfig(1);
-    ref.securityEnabled = false;
-    ref.sealedDispatch = false;
-    auto ch_ref = nullChannel(ref);
-    for (int i = 0; i < 10; ++i)
-        ch_ref.activate(0, 100);
-    EXPECT_EQ(ch_ref.security(0).maxHammer(), 0u);
 }
 
 TEST(SubChannel, RefreshResetsRowsDisabledKeepsCounters)

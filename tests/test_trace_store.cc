@@ -187,8 +187,15 @@ TEST(TraceStore, CacheOnAndOffAreBitIdenticalAtAnyJobs)
     const std::string reference = jsonl(true, 1);
     for (const unsigned jobs : {1u, 2u, 8u}) {
         EXPECT_EQ(reference, jsonl(true, jobs)) << "store on, jobs=" << jobs;
+        const uint64_t before = traceGenInvocations();
         EXPECT_EQ(reference, jsonl(false, jobs))
             << "store off, jobs=" << jobs;
+        // With the store off every cell regenerates its traces once,
+        // and its baseline replays that same set rather than
+        // generating its own.
+        if (jobs == 1) {
+            EXPECT_EQ(traceGenInvocations() - before, cells.size());
+        }
     }
 }
 
