@@ -30,17 +30,10 @@ main()
     // at any MOATSIM_JOBS value).
     const auto workloads = workload::table4Workloads();
     std::vector<workload::TierCensus> census(workloads.size());
-    {
-        ThreadPool pool(bench::jobs());
-        for (size_t i = 0; i < workloads.size(); ++i) {
-            pool.submit([&, i] {
-                const auto traces =
-                    workload::generateTraces(workloads[i], tg);
-                census[i] = workload::censusOf(traces, tg, workloads[i]);
-            });
-        }
-        pool.wait();
-    }
+    parallelFor(bench::jobs(), workloads.size(), [&](size_t i) {
+        const auto traces = workload::generateTraces(workloads[i], tg);
+        census[i] = workload::censusOf(traces, tg, workloads[i]);
+    });
 
     TablePrinter t({"workload", "ACT-PKI (paper/gen)", "ACT-32+ (p/g)",
                     "ACT-64+ (p/g)", "ACT-128+ (p/g)"});

@@ -19,8 +19,8 @@
 #     Safety Analysis promoted to errors (-Werror=thread-safety; see
 #     MOATSIM_THREAD_SAFETY in CMakeLists.txt and
 #     src/common/thread_annotations.hh), which verifies the lock
-#     discipline of the ThreadPool/TraceStore/BaselineCache/
-#     CoAttackEngine annotations;
+#     discipline of the SingleFlight (the one compute-once map behind
+#     every cache) and ThreadPool/parallelFor annotations;
 #   - clang-tidy with the curated .clang-tidy profile over the files
 #     changed since MOATSIM_TIDY_BASE (default origin/main; skipped
 #     with a notice when no base resolves).

@@ -100,6 +100,13 @@ grep -q "computes=0 " "$BUILD_DIR/perf_store_warm.err" || {
   cat "$BUILD_DIR/perf_store_warm.err" >&2
   exit 1
 }
+# A clean default run has nothing to warn about; a warning that always
+# fires teaches users to ignore stderr.
+if grep -q "^warn:" "$BUILD_DIR/perf_store_cold.err"; then
+  echo "FATAL: clean result-store run printed warnings:" >&2
+  cat "$BUILD_DIR/perf_store_cold.err" >&2
+  exit 1
+fi
 
 # Serve smoke: a daemon-served sweep must be byte-identical to the
 # direct CLI's --jsonl output. --max-requests 1 bounds the daemon's

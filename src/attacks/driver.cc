@@ -241,25 +241,12 @@ runAttackTrials(const AttackConfig &config,
         return runAttack(config, mitigator);
 
     std::vector<AttackResult> results(trials);
-    auto trialConfig = [&](uint32_t i) {
+    parallelFor(jobs, trials, [&](size_t i) {
         AttackConfig c = config;
         c.trials = 1;
         c.seed = config.seed + i;
-        return c;
-    };
-
-    if (jobs == 1) {
-        for (uint32_t i = 0; i < trials; ++i)
-            results[i] = runAttack(trialConfig(i), mitigator);
-    } else {
-        ThreadPool pool(jobs);
-        for (uint32_t i = 0; i < trials; ++i) {
-            pool.submit([&, i] {
-                results[i] = runAttack(trialConfig(i), mitigator);
-            });
-        }
-        pool.wait();
-    }
+        results[i] = runAttack(c, mitigator);
+    });
 
     // Strongest outcome; index order breaks ties, so the winner does
     // not depend on the completion schedule.

@@ -8,9 +8,12 @@
  * annotated capability, so locking it through std::lock_guard is
  * invisible to the analysis; locking a moatsim::Mutex through a
  * MutexLock is not. All mutex-protected state in the concurrency core
- * (ThreadPool, TraceStore, BaselineCache, CoAttackEngine) is declared
- * GUARDED_BY one of these, which is what lets the static-analysis CI
- * leg prove the lock discipline instead of sampling it under TSan.
+ * is declared GUARDED_BY one of these, which is what lets the
+ * static-analysis CI leg prove the lock discipline instead of sampling
+ * it under TSan. That core is SingleFlight (common/single_flight.hh),
+ * the one compute-once map every cache fronts, and ThreadPool with its
+ * parallelFor fan-out (common/thread_pool.hh), the one place per-cell
+ * exceptions are captured.
  *
  * CondVar deliberately has no predicate-taking wait: the predicate
  * lambda would be analyzed as a separate unannotated function and

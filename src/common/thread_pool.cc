@@ -1,5 +1,8 @@
 #include "common/thread_pool.hh"
 
+#include <algorithm>
+#include <exception>
+
 namespace moatsim
 {
 
@@ -111,6 +114,37 @@ ThreadPool::wait()
     MutexLock lock(mu_);
     while (pending_ != 0)
         idle_cv_.wait(lock);
+}
+
+void
+parallelFor(unsigned jobs, std::size_t n,
+            const std::function<void(std::size_t)> &fn)
+{
+    if (jobs == 0)
+        jobs = ThreadPool::hardwareThreads();
+    std::vector<std::exception_ptr> errors(n);
+    const auto runOne = [&](std::size_t i) noexcept {
+        try {
+            fn(i);
+        } catch (...) {
+            errors[i] = std::current_exception();
+        }
+    };
+    if (jobs <= 1 || n <= 1) {
+        for (std::size_t i = 0; i < n; ++i)
+            runOne(i);
+    } else {
+        // No point spinning up more workers than there are indices.
+        ThreadPool pool(static_cast<unsigned>(
+            std::min<std::size_t>(jobs, n)));
+        for (std::size_t i = 0; i < n; ++i)
+            pool.submit([&runOne, i] { runOne(i); });
+        pool.wait();
+    }
+    for (const auto &error : errors) {
+        if (error)
+            std::rethrow_exception(error);
+    }
 }
 
 } // namespace moatsim

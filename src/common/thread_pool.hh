@@ -10,8 +10,8 @@
  * the deques; submit() is safe from any thread, including from inside
  * a running job.
  *
- * Jobs must not throw: simulation errors go through fatal() or are
- * reported in the job's own result slot.
+ * Jobs must not throw. Index fan-outs go through parallelFor(), the
+ * one place that captures per-index exceptions and rethrows them.
  */
 
 #ifndef MOATSIM_COMMON_THREAD_POOL_HH
@@ -90,6 +90,18 @@ class ThreadPool
     std::size_t next_queue_ GUARDED_BY(mu_) = 0;
     bool stop_ GUARDED_BY(mu_) = false;
 };
+
+/**
+ * Run fn(i) for every i in [0, n) and return once all have finished:
+ * on a ThreadPool of min(@p jobs, n) workers (@p jobs 0 means
+ * ThreadPool::hardwareThreads()), or inline in index order when jobs
+ * <= 1 or n <= 1. Each index captures its own exception, so every
+ * index runs even when some throw; afterwards the exception of the
+ * lowest failed index is rethrown -- which error surfaces does not
+ * depend on the schedule.
+ */
+void parallelFor(unsigned jobs, std::size_t n,
+                 const std::function<void(std::size_t)> &fn);
 
 } // namespace moatsim
 

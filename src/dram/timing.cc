@@ -80,25 +80,6 @@ TimingParams::validate() const
         fatal("TimingParams: rowsPerBank must be a multiple of refreshGroups");
     if (blastRadius == 0)
         fatal("TimingParams: blastRadius must be at least 1");
-
-    // refisPerRefw() and actsPerRefi() truncate on non-divisible
-    // inputs; the JEDEC defaults themselves leave a remainder (32 ms %
-    // 3900 ns, (tREFI - tRFC) % tRC), so truncation is expected but
-    // worth one note per process, not one per sweep cell.
-    static const bool warned_once = [this] {
-        if (tREFW % tREFI != 0)
-            warn("TimingParams: tREFW (" + std::to_string(tREFW) +
-                 " ps) is not a multiple of tREFI (" +
-                 std::to_string(tREFI) +
-                 " ps); refisPerRefw() truncates the remainder");
-        if ((tREFI - tRFC) % tRC != 0)
-            warn("TimingParams: tREFI - tRFC (" +
-                 std::to_string(tREFI - tRFC) +
-                 " ps) is not a multiple of tRC (" + std::to_string(tRC) +
-                 " ps); actsPerRefi() truncates the remainder");
-        return true;
-    }();
-    (void)warned_once;
 }
 
 } // namespace moatsim::dram

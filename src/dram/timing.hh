@@ -68,7 +68,7 @@ struct TimingParams
 
     /** Maximum whole ACTs that fit in one tREFI after tRFC (paper: 67). */
     uint32_t actsPerRefi() const;
-    /** REF commands per refresh window (tREFW / tREFI). */
+    /** Whole REF commands per refresh window (floor of tREFW / tREFI). */
     uint32_t refisPerRefw() const;
     /** Rows per refresh group. */
     uint32_t rowsPerGroup() const;

@@ -1,7 +1,6 @@
 #include "sim/coattack.hh"
 
 #include <algorithm>
-#include <exception>
 #include <utility>
 
 #include "common/fault.hh"
@@ -162,53 +161,25 @@ CoAttackEngine::baseline(const CoAttackCell &cell)
                       static_cast<uint64_t>(abo::levelValue(cell.level)));
     key = hashCombine(key, stableHash64("coattack-baseline"));
 
-    std::shared_future<std::shared_ptr<const Baseline>> future;
-    std::promise<std::shared_ptr<const Baseline>> promise;
-    bool compute = false;
-    {
-        MutexLock lock(mu_);
-        auto it = baselines_.find(key);
-        if (it == baselines_.end()) {
-            future = promise.get_future().share();
-            baselines_.emplace(key, future);
-            compute = true;
-        } else {
-            future = it->second;
-        }
-    }
-    if (compute) {
-        std::shared_ptr<Baseline> base;
-        try {
-            CoAttackScenario none;
-            none.pattern = "none";
-            const auto benign =
-                config_.traceStore->get(cell.workload, config_.tracegen);
-            const SystemResult res = runCoSystem(
-                config_.tracegen, config_.core, cell.workload,
-                cell.mitigator, cell.level,
-                resolveAttack(none, config_.tracegen), nullptr,
-                benign.get());
-            base = std::make_shared<Baseline>();
-            base->coreFinish = res.coreFinish;
-            base->totalActs = res.totalActs;
-            base->alerts = res.alerts;
-            base->refs = res.refs;
-            for (const auto &u : res.perSubchannel)
-                base->rfms += u.rfms;
-        } catch (...) {
-            // A failed baseline run is never cached: drop the entry so
-            // the next touch recomputes, and propagate the exception
-            // to every waiter blocked on the shared future.
-            {
-                MutexLock lock(mu_);
-                baselines_.erase(key);
-            }
-            promise.set_exception(std::current_exception());
-            throw;
-        }
-        promise.set_value(std::move(base));
-    }
-    return future.get();
+    const auto replay = [&] {
+        CoAttackScenario none;
+        none.pattern = "none";
+        const auto benign =
+            config_.traceStore->get(cell.workload, config_.tracegen);
+        const SystemResult res = runCoSystem(
+            config_.tracegen, config_.core, cell.workload, cell.mitigator,
+            cell.level, resolveAttack(none, config_.tracegen), nullptr,
+            benign.get());
+        auto base = std::make_shared<Baseline>();
+        base->coreFinish = res.coreFinish;
+        base->totalActs = res.totalActs;
+        base->alerts = res.alerts;
+        base->refs = res.refs;
+        for (const auto &u : res.perSubchannel)
+            base->rfms += u.rfms;
+        return std::shared_ptr<const Baseline>(std::move(base));
+    };
+    return baselines_.get(key, replay).value;
 }
 
 CoAttackResult
@@ -312,33 +283,13 @@ CoAttackEngine::run(const std::vector<CoAttackCell> &cells,
                     const CellSink &sink)
 {
     std::vector<CoAttackResult> results(cells.size());
-    // ThreadPool jobs must not throw (see SweepEngine::run): capture
-    // per-cell failures, keep the rest of the sweep running, rethrow
-    // the lowest failed index afterwards.
-    std::vector<std::exception_ptr> errors(cells.size());
-    const auto runOne = [&](size_t i) noexcept {
-        try {
-            results[i] = runCell(cells[i]);
-            if (sink)
-                sink(i, results[i]);
-        } catch (...) {
-            errors[i] = std::current_exception();
-        }
-    };
-    if (jobs_ <= 1 || cells.size() <= 1) {
-        for (size_t i = 0; i < cells.size(); ++i)
-            runOne(i);
-    } else {
-        ThreadPool pool(
-            std::min(jobs_, static_cast<unsigned>(cells.size())));
-        for (size_t i = 0; i < cells.size(); ++i)
-            pool.submit([&runOne, i] { runOne(i); });
-        pool.wait();
-    }
-    for (const auto &error : errors) {
-        if (error)
-            std::rethrow_exception(error);
-    }
+    // A failed cell does not stop the others (their results still land
+    // in the store); parallelFor rethrows the lowest failed index.
+    parallelFor(jobs_, cells.size(), [&](size_t i) {
+        results[i] = runCell(cells[i]);
+        if (sink)
+            sink(i, results[i]);
+    });
     return results;
 }
 

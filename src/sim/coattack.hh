@@ -24,14 +24,12 @@
 #define MOATSIM_SIM_COATTACK_HH
 
 #include <functional>
-#include <future>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "abo/abo.hh"
-#include "common/mutex.hh"
+#include "common/single_flight.hh"
 #include "mitigation/registry.hh"
 #include "sim/sweep.hh"
 #include "sim/system.hh"
@@ -209,20 +207,16 @@ class CoAttackEngine
         uint64_t refs = 0;
     };
 
-    std::shared_ptr<const Baseline> baseline(const CoAttackCell &cell)
-        EXCLUDES(mu_);
+    std::shared_ptr<const Baseline> baseline(const CoAttackCell &cell);
 
     /** Simulate one cell (the result store's compute path). */
     CoAttackResult computeCell(const CoAttackCell &cell);
 
     SweepConfig config_;
     unsigned jobs_;
-    Mutex mu_;
-    /** Single-flight futures: concurrent first-requesters of one
-     *  (workload, mitigator, level) tuple block on one computation. */
-    std::unordered_map<uint64_t,
-                       std::shared_future<std::shared_ptr<const Baseline>>>
-        baselines_ GUARDED_BY(mu_);
+    /** Concurrent first-requesters of one (workload, mitigator, level)
+     *  tuple block on one computation. */
+    SingleFlight<Baseline> baselines_;
 };
 
 /** Cross product: every workload at every (mitigator, level, attack)

@@ -92,52 +92,22 @@ BaselineCache::get(const workload::TraceGenConfig &config,
 {
     const uint64_t key =
         hashCombine(perfConfigKey(config, core), stableHash64(spec.name));
-    std::shared_future<std::shared_ptr<const Finish>> future;
-    std::promise<std::shared_ptr<const Finish>> promise;
-    bool compute = false;
-    {
-        MutexLock lock(mu_);
-        auto it = entries_.find(key);
-        if (it == entries_.end()) {
-            future = promise.get_future().share();
-            entries_.emplace(key, future);
-            compute = true;
-        } else {
-            future = it->second;
-        }
-    }
-    if (compute) {
-        // Replay outside the lock: only the winning requester computes.
-        std::shared_ptr<const Finish> value;
-        try {
-            System sys = systemFor(
-                config, abo::Level::L1, baselineSeed(config, core, spec),
-                [](BankId) {
-                    return std::make_unique<mitigation::NullMitigator>();
-                });
-            value = std::make_shared<const Finish>(
-                runSystem(sys, traces.views(), core).coreFinish);
-        } catch (...) {
-            // A failed replay is never cached: drop the entry so the
-            // next touch recomputes, and propagate the exception to
-            // every waiter blocked on the shared future.
-            {
-                MutexLock lock(mu_);
-                entries_.erase(key);
-            }
-            promise.set_exception(std::current_exception());
-            throw;
-        }
-        promise.set_value(value);
-    }
-    return future.get();
+    const auto replay = [&] {
+        System sys = systemFor(
+            config, abo::Level::L1, baselineSeed(config, core, spec),
+            [](BankId) {
+                return std::make_unique<mitigation::NullMitigator>();
+            });
+        return std::make_shared<const Finish>(
+            runSystem(sys, traces.views(), core).coreFinish);
+    };
+    return flight_.get(key, replay).value;
 }
 
 std::size_t
 BaselineCache::size() const
 {
-    MutexLock lock(mu_);
-    return entries_.size();
+    return flight_.stats().entries;
 }
 
 PerfResult

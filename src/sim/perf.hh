@@ -22,14 +22,12 @@
 #ifndef MOATSIM_SIM_PERF_HH
 #define MOATSIM_SIM_PERF_HH
 
-#include <future>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "abo/abo.hh"
-#include "common/mutex.hh"
+#include "common/single_flight.hh"
 #include "mitigation/registry.hh"
 #include "sim/system.hh"
 #include "workload/spec.hh"
@@ -122,8 +120,9 @@ uint64_t perfCellKey(const workload::TraceGenConfig &config,
  * Keys combine perfConfigKey() with the workload name, so a single
  * cache may serve sweeps with different trace/core configurations
  * without serving stale times (a workload name alone is NOT a valid
- * key). Each distinct key is computed exactly once; concurrent
- * requesters of the same key block on the first computation.
+ * key). A front over an unbounded SingleFlight: each distinct key is
+ * computed exactly once; concurrent requesters of the same key block
+ * on the first computation.
  */
 class BaselineCache
 {
@@ -141,17 +140,13 @@ class BaselineCache
     std::shared_ptr<const Finish> get(const workload::TraceGenConfig &config,
                                       const CoreModel &core,
                                       const workload::WorkloadSpec &spec,
-                                      const workload::TraceSet &traces)
-        EXCLUDES(mu_);
+                                      const workload::TraceSet &traces);
 
-    /** Number of distinct baselines computed so far. */
-    std::size_t size() const EXCLUDES(mu_);
+    /** Number of distinct baselines resident (in-flight included). */
+    std::size_t size() const;
 
   private:
-    mutable Mutex mu_;
-    std::unordered_map<uint64_t,
-                       std::shared_future<std::shared_ptr<const Finish>>>
-        entries_ GUARDED_BY(mu_);
+    SingleFlight<Finish> flight_;
 };
 
 /**

@@ -261,15 +261,9 @@ ResultStore::loadShards()
     for (uint64_t shard = 0; shard < kShards; ++shard) {
         const std::string path = shardFileOf(config_.dir, shard);
         ShardScan scan = scanShard(path, /*inject_read_faults=*/true);
-        for (auto &[key, payload] : scan.records) {
-            std::promise<std::shared_ptr<const std::string>> promise;
-            Entry e;
-            e.future = promise.get_future().share();
-            e.resolved = true;
-            promise.set_value(
-                std::make_shared<const std::string>(std::move(payload)));
-            entries_[key] = std::move(e);
-        }
+        for (auto &[key, payload] : scan.records)
+            flight_.seed(key, std::make_shared<const std::string>(
+                                  std::move(payload)));
         loaded_ += scan.records.size() + scan.duplicates;
         corrupt_ += scan.corrupt_lines.size();
         if (scan.corrupt_lines.empty())
@@ -383,81 +377,36 @@ ResultStore::getOrCompute(uint64_t key,
     if (!config_.enabled) {
         auto value = std::make_shared<const std::string>(compute());
         MutexLock lock(mu_);
-        ++misses_;
-        ++computes_;
+        ++uncached_;
         return value;
     }
 
     const uint64_t folded = foldKey(key);
-    std::shared_future<std::shared_ptr<const std::string>> future;
-    std::promise<std::shared_ptr<const std::string>> promise;
-    bool run = false;
-    {
-        MutexLock lock(mu_);
-        auto it = entries_.find(folded);
-        if (it == entries_.end()) {
-            future = promise.get_future().share();
-            Entry e;
-            e.future = future;
-            entries_.emplace(folded, e);
-            ++misses_;
-            ++computes_;
-            ++in_flight_;
-            run = true;
-        } else {
-            future = it->second.future;
-            ++hits_;
-        }
-    }
-
-    if (run) {
-        // Only the winning first-toucher computes, outside every store
-        // lock; everyone else blocks on the shared future.
-        std::shared_ptr<const std::string> value;
-        try {
-            value = std::make_shared<const std::string>(compute());
-        } catch (...) {
-            // A failed compute is never cached: drop the entry so the
-            // next touch recomputes, and propagate the exception to
-            // every waiter blocked on the shared future.
-            {
-                MutexLock lock(mu_);
-                entries_.erase(folded);
-                --in_flight_;
-            }
-            promise.set_exception(std::current_exception());
-            throw;
-        }
-        promise.set_value(value);
-        {
-            MutexLock lock(mu_);
-            auto it = entries_.find(folded);
-            if (it != entries_.end())
-                it->second.resolved = true;
-            --in_flight_;
-        }
-        if (!config_.dir.empty())
-            appendRecord(folded, *value);
-        return value;
-    }
-    return future.get();
+    auto [value, computed] = flight_.get(folded, [&] {
+        return std::make_shared<const std::string>(compute());
+    });
+    // Only the call that computed persists the record.
+    if (computed && !config_.dir.empty())
+        appendRecord(folded, *value);
+    return value;
 }
 
 ResultStore::Stats
 ResultStore::stats() const
 {
+    const auto f = flight_.stats();
     Stats s;
+    s.hits = f.hits;
+    s.entries = f.entries;
+    s.inFlight = f.inFlight;
     {
         MutexLock lock(mu_);
-        s.hits = hits_;
-        s.misses = misses_;
-        s.computes = computes_;
+        s.misses = f.misses + uncached_;
+        s.computes = f.misses + uncached_;
         s.loaded = loaded_;
         s.corrupt = corrupt_;
         s.quarantined = quarantined_;
         s.compactions = compactions_;
-        s.entries = entries_.size();
-        s.inFlight = in_flight_;
     }
     {
         MutexLock lock(io_mu_);

@@ -17,11 +17,11 @@
  * cold and the warm path of an engine round-trip the result through
  * serialize -> parse, so a hit is byte-for-byte the line a recompute
  * would have produced (the determinism suite proves it). The in-memory
- * front uses the single-flight future idiom (concurrent first-touchers
- * of one key block on one computation -- this is what dedupes in-flight
- * cells across `moatsim serve` clients); a compute that throws
- * propagates to every waiter and is never cached, so a retry
- * recomputes. The on-disk back is a directory of append-only JSONL
+ * front is a SingleFlight (common/single_flight.hh): concurrent
+ * first-touchers of one key block on one computation -- this is what
+ * dedupes in-flight cells across `moatsim serve` clients -- and a
+ * compute that throws propagates to every waiter and is never cached,
+ * so a retry recomputes. The on-disk back is a directory of append-only JSONL
  * shards, each record framed with the key, an FNV payload checksum,
  * and a CRC-32 over all three fields (older records without the CRC
  * still parse by their checksum alone).
@@ -56,12 +56,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 #include <string>
-#include <unordered_map>
 
 #include "common/mutex.hh"
+#include "common/single_flight.hh"
 
 namespace moatsim::sim
 {
@@ -203,19 +202,12 @@ class ResultStore
     static Config configOf(const std::string &text);
 
   private:
-    struct Entry
-    {
-        std::shared_future<std::shared_ptr<const std::string>> future;
-        /** Resolved (vs still in flight). */
-        bool resolved = false;
-    };
-
     /** Fold the schema epoch into a raw cell key. */
     uint64_t foldKey(uint64_t key) const;
 
-    /** Read every shard of config_.dir into entries_, quarantining
-     *  and compacting damaged shards (ctor only). */
-    void loadShards();
+    /** Seed every shard record of config_.dir into the front,
+     *  quarantining and compacting damaged shards (ctor only). */
+    void loadShards() EXCLUDES(mu_);
 
     /** Append one resolved record to its shard file. */
     void appendRecord(uint64_t folded, const std::string &payload)
@@ -226,16 +218,15 @@ class ResultStore
 
     /** Immutable after construction. */
     Config config_;
+    /** The in-memory front, keyed by folded key. */
+    SingleFlight<std::string> flight_;
     mutable Mutex mu_;
-    std::unordered_map<uint64_t, Entry> entries_ GUARDED_BY(mu_);
-    uint64_t hits_ GUARDED_BY(mu_) = 0;
-    uint64_t misses_ GUARDED_BY(mu_) = 0;
-    uint64_t computes_ GUARDED_BY(mu_) = 0;
+    /** Computes of the disabled store (never cached). */
+    uint64_t uncached_ GUARDED_BY(mu_) = 0;
     uint64_t loaded_ GUARDED_BY(mu_) = 0;
     uint64_t corrupt_ GUARDED_BY(mu_) = 0;
     uint64_t quarantined_ GUARDED_BY(mu_) = 0;
     uint64_t compactions_ GUARDED_BY(mu_) = 0;
-    size_t in_flight_ GUARDED_BY(mu_) = 0;
     /** Serializes shard appends (never held together with mu_). */
     mutable Mutex io_mu_;
     uint64_t append_failures_ GUARDED_BY(io_mu_) = 0;

@@ -1,7 +1,5 @@
 #include "sim/sweep.hh"
 
-#include <algorithm>
-#include <exception>
 #include <utility>
 
 #include "common/fault.hh"
@@ -77,35 +75,14 @@ std::vector<PerfResult>
 SweepEngine::run(const std::vector<SweepCell> &cells, const CellSink &sink)
 {
     std::vector<PerfResult> results(cells.size());
-    // ThreadPool jobs must not throw, so every cell captures its own
-    // failure; the sweep keeps running the remaining cells (their
-    // results still land in the store) and rethrows the lowest failed
-    // index afterwards -- which error surfaces is schedule-independent.
-    std::vector<std::exception_ptr> errors(cells.size());
-    const auto runOne = [&](size_t i) noexcept {
-        try {
-            results[i] = runCell(cells[i]);
-            if (sink)
-                sink(i, results[i]);
-        } catch (...) {
-            errors[i] = std::current_exception();
-        }
-    };
-    if (jobs_ <= 1 || cells.size() <= 1) {
-        for (size_t i = 0; i < cells.size(); ++i)
-            runOne(i);
-    } else {
-        // No point spinning up more workers than there are cells.
-        ThreadPool pool(
-            std::min(jobs_, static_cast<unsigned>(cells.size())));
-        for (size_t i = 0; i < cells.size(); ++i)
-            pool.submit([&runOne, i] { runOne(i); });
-        pool.wait();
-    }
-    for (const auto &error : errors) {
-        if (error)
-            std::rethrow_exception(error);
-    }
+    // A failed cell does not stop the others (their results still land
+    // in the store); parallelFor rethrows the lowest failed index, so
+    // which error surfaces is schedule-independent.
+    parallelFor(jobs_, cells.size(), [&](size_t i) {
+        results[i] = runCell(cells[i]);
+        if (sink)
+            sink(i, results[i]);
+    });
     return results;
 }
 

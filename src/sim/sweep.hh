@@ -3,10 +3,10 @@
  * Parallel sweep engine for (workload x mitigator x parameter) grids.
  *
  * Every cell of a paper figure/table sweep is an independent
- * simulation, so the engine fans the cells out across a work-stealing
- * thread pool (common/thread_pool.hh). Determinism is by construction:
- * each cell's RNG streams are seeded from its own stable cell key
- * (sim::cellSeed), its workload traces come out of the shared
+ * simulation, so the engine fans the cells out with parallelFor over a
+ * work-stealing thread pool (common/thread_pool.hh). Determinism is by
+ * construction: each cell's RNG streams are seeded from its own stable
+ * cell key (sim::cellSeed), its workload traces come out of the shared
  * content-addressed workload::TraceStore (generated exactly once per
  * distinct key, baselines included), and its baseline comes from the
  * thread-safe BaselineCache, so the result vector is bit-identical at
@@ -18,9 +18,9 @@
  * annotations (src/common/thread_annotations.hh): each worker writes
  * only results[i] of its own pre-assigned cell index, every shared
  * input is const, and all cross-thread state lives behind the
- * annotated TraceStore and BaselineCache mutexes. ThreadPool::wait()
- * provides the happens-before edge that makes the result vector safe
- * to read afterwards.
+ * annotated SingleFlight maps the stores and caches front.
+ * parallelFor's join provides the happens-before edge that makes the
+ * result vector safe to read afterwards.
  */
 
 #ifndef MOATSIM_SIM_SWEEP_HH

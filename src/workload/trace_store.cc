@@ -1,7 +1,6 @@
 #include "workload/trace_store.hh"
 
 #include <cstdlib>
-#include <utility>
 
 #include "common/fault.hh"
 #include "common/hash.hh"
@@ -28,7 +27,10 @@ TraceStore::TraceStore() : TraceStore(envConfig())
 {
 }
 
-TraceStore::TraceStore(const Config &config) : config_(config)
+TraceStore::TraceStore(const Config &config)
+    : config_(config),
+      flight_(config.maxBytes,
+              [](const TraceSet &set) { return set.bytes(); })
 {
 }
 
@@ -62,103 +64,30 @@ TraceStore::envConfig()
 std::shared_ptr<const TraceSet>
 TraceStore::get(const WorkloadSpec &spec, const TraceGenConfig &config)
 {
-    if (!config_.enabled) {
+    const auto generate = [&] {
         fault::failPoint("trace-store.generate");
-        auto set =
-            std::make_shared<const TraceSet>(generateTraces(spec, config));
+        return std::make_shared<const TraceSet>(generateTraces(spec, config));
+    };
+    if (!config_.enabled) {
+        auto set = generate();
         MutexLock lock(mu_);
-        ++misses_;
+        ++uncached_;
         return set;
     }
-
-    const uint64_t k = key(spec, config);
-    std::shared_future<std::shared_ptr<const TraceSet>> future;
-    std::promise<std::shared_ptr<const TraceSet>> promise;
-    bool compute = false;
-    {
-        MutexLock lock(mu_);
-        auto it = entries_.find(k);
-        if (it == entries_.end()) {
-            future = promise.get_future().share();
-            Entry e;
-            e.future = future;
-            e.lastUse = ++tick_;
-            entries_.emplace(k, e);
-            ++misses_;
-            compute = true;
-        } else {
-            it->second.lastUse = ++tick_;
-            future = it->second.future;
-            ++hits_;
-        }
-    }
-
-    if (compute) {
-        std::shared_ptr<const TraceSet> set;
-        try {
-            fault::failPoint("trace-store.generate");
-            set = std::make_shared<const TraceSet>(
-                generateTraces(spec, config));
-        } catch (...) {
-            // A failed generation is never cached: drop the entry so
-            // the next touch regenerates, and propagate the exception
-            // to every waiter blocked on the shared future.
-            {
-                MutexLock lock(mu_);
-                entries_.erase(k);
-            }
-            promise.set_exception(std::current_exception());
-            throw;
-        }
-        promise.set_value(set);
-        MutexLock lock(mu_);
-        auto it = entries_.find(k);
-        if (it != entries_.end()) {
-            // Account the resolved size, then enforce the bound (the
-            // entry just produced is exempt: its holder has it anyway).
-            it->second.bytes = set->bytes();
-            bytes_ += set->bytes();
-            evictLocked(k);
-        }
-        return set;
-    }
-    return future.get();
-}
-
-void
-TraceStore::evictLocked(uint64_t keep)
-{
-    while (bytes_ > config_.maxBytes && entries_.size() > 1) {
-        auto victim = entries_.end();
-        // moatlint: allow(unordered-iter): min-by-lastUse scan; the
-        // LRU tick picks the victim regardless of visit order, and
-        // eviction is invisible to results (equal keys regenerate
-        // bit-identical traces on a later miss)
-        for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-            if (it->first == keep || it->second.bytes == 0)
-                continue; // unresolved entries have no cost yet
-            if (victim == entries_.end() ||
-                it->second.lastUse < victim->second.lastUse)
-                victim = it;
-        }
-        if (victim == entries_.end())
-            break;
-        bytes_ -= victim->second.bytes;
-        entries_.erase(victim);
-        ++evictions_;
-    }
+    return flight_.get(key(spec, config), generate).value;
 }
 
 TraceStore::Stats
 TraceStore::stats() const
 {
-    MutexLock lock(mu_);
+    const auto f = flight_.stats();
     Stats s;
-    s.hits = hits_;
-    s.misses = misses_;
-    s.evictions = evictions_;
-    s.entries = entries_.size();
-    s.bytes = bytes_;
+    s.hits = f.hits;
+    s.evictions = f.evictions;
+    s.entries = f.entries;
+    s.bytes = f.bytes;
+    MutexLock lock(mu_);
+    s.misses = f.misses + uncached_;
     return s;
 }
 

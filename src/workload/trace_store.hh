@@ -37,12 +37,11 @@
 #define MOATSIM_WORKLOAD_TRACE_STORE_HH
 
 #include <cstdint>
-#include <future>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/mutex.hh"
+#include "common/single_flight.hh"
 #include "workload/spec.hh"
 #include "workload/tracegen.hh"
 
@@ -86,7 +85,8 @@ class TraceSet
     std::vector<CoreTraceView> views_;
 };
 
-/** Shared, bounded cache of generated TraceSets. */
+/** Shared, bounded cache of generated TraceSets: a front over a
+ *  SingleFlight bounded by Config::maxBytes. */
 class TraceStore
 {
   public:
@@ -154,28 +154,12 @@ class TraceStore
     static Config envConfig();
 
   private:
-    struct Entry
-    {
-        std::shared_future<std::shared_ptr<const TraceSet>> future;
-        /** LRU tick of the last get() that touched this entry. */
-        uint64_t lastUse = 0;
-        /** Resident bytes; 0 until the generation resolves. */
-        size_t bytes = 0;
-    };
-
-    /** Drop LRU resolved entries until the bound holds (mu_ held).
-     *  Never drops @p keep (the entry the caller is handing out). */
-    void evictLocked(uint64_t keep) REQUIRES(mu_);
-
     /** Immutable after construction. */
     Config config_;
+    SingleFlight<TraceSet> flight_;
     mutable Mutex mu_;
-    std::unordered_map<uint64_t, Entry> entries_ GUARDED_BY(mu_);
-    uint64_t tick_ GUARDED_BY(mu_) = 0;
-    uint64_t hits_ GUARDED_BY(mu_) = 0;
-    uint64_t misses_ GUARDED_BY(mu_) = 0;
-    uint64_t evictions_ GUARDED_BY(mu_) = 0;
-    size_t bytes_ GUARDED_BY(mu_) = 0;
+    /** Generations of the disabled store (never cached). */
+    uint64_t uncached_ GUARDED_BY(mu_) = 0;
 };
 
 } // namespace moatsim::workload

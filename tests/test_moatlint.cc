@@ -325,6 +325,47 @@ TEST(MoatlintMagicGeometry, DeviceTablesAreExempt)
               (std::vector<int>{1, 2}));
 }
 
+// ------------------------------------------------------- single-flight
+
+TEST(MoatlintSingleFlight, FlagsHandRolledFuturesInSrc)
+{
+    const auto f = lintSource(
+        "src/sim/x.cc",
+        "std::promise<std::shared_ptr<const V>> promise;\n"
+        "std::shared_future<std::shared_ptr<const V>> future;\n");
+    EXPECT_EQ(linesOf(f, "single-flight"), (std::vector<int>{1, 2}));
+}
+
+TEST(MoatlintSingleFlight, QuietInThePrimitiveAndOutsideSrc)
+{
+    const std::string body = "std::promise<Ptr> promise;\n"
+                             "std::shared_future<Ptr> future;\n";
+    EXPECT_TRUE(ofRule(lintSource("src/common/single_flight.hh", body),
+                       "single-flight")
+                    .empty());
+    EXPECT_TRUE(
+        ofRule(lintSource("tests/test_x.cc", body), "single-flight")
+            .empty());
+    // Comments, strings, and SingleFlight fronts never trigger.
+    EXPECT_TRUE(ofRule(lintSource("src/sim/x.cc",
+                                  "// no std::promise here\n"
+                                  "const char *s = \"std::promise\";\n"
+                                  "SingleFlight<Finish> flight_;\n"),
+                       "single-flight")
+                    .empty());
+}
+
+TEST(MoatlintSingleFlight, SuppressionRoundTrip)
+{
+    const auto f = lintSource(
+        "src/sim/x.cc",
+        "std::promise<int> p; // moatlint: allow(single-flight): fixture\n");
+    const auto hits = ofRule(f, "single-flight");
+    ASSERT_EQ(hits.size(), 1u);
+    EXPECT_TRUE(hits[0].suppressed);
+    EXPECT_TRUE(linesOf(f, "bad-suppression").empty());
+}
+
 // -------------------------------------------------------- suppressions
 
 TEST(MoatlintSuppression, SameLineRoundTrip)

@@ -616,6 +616,23 @@ ruleMagicGeometry(const ParsedFile &f, std::vector<Finding> &out)
     }
 }
 
+void
+ruleSingleFlight(const ParsedFile &f, std::vector<Finding> &out)
+{
+    // The primitive itself is the one sanctioned home of the idiom.
+    if (!inDir(f.path, "src") || endsWith(f.path, "common/single_flight.hh"))
+        return;
+    for (const char *name : {"std::promise", "std::shared_future"}) {
+        for (size_t at : tokenRefs(f.code, name))
+            add(out, f, at, "single-flight",
+                std::string(name) +
+                    " outside common/single_flight.hh; compute-once "
+                    "caches are SingleFlight fronts (one place for "
+                    "blocking waiters, exception propagation, and "
+                    "never-cached failures)");
+    }
+}
+
 /** Per-file rule driver (everything except the cross-file checks). */
 std::vector<Finding>
 lintParsed(const ParsedFile &f, const std::vector<std::string> &extra)
@@ -629,6 +646,7 @@ lintParsed(const ParsedFile &f, const std::vector<std::string> &extra)
     ruleMitigatorFinal(f, out);
     ruleJsonlStability(f, out);
     ruleMagicGeometry(f, out);
+    ruleSingleFlight(f, out);
     return out;
 }
 
@@ -818,6 +836,8 @@ rules()
                             "only (byte-stable goldens)"},
         {"magic-geometry", "raw Table-3 geometry literals outside the "
                            "device tables; derive from DeviceModel"},
+        {"single-flight", "std::promise/std::shared_future in src/ "
+                          "outside common/single_flight.hh"},
         {"key-coverage", "every field of a key-source struct must be "
                          "reachable in its key function's fold"},
         {"key-exempt-leak", "key-exempt fields must be absent from the "
