@@ -4,21 +4,23 @@
  * simulator wall time on the Table-5-shaped matrix (every Table-4
  * workload x four MOAT ETH points on the 2-sub-channel system).
  *
- * Runs the identical matrix twice through the SweepEngine, sharing one
- * workload::TraceStore and one in-memory sim::ResultStore:
+ * Runs the identical matrix through the SweepEngine in two modes, each
+ * repeated for at least 0.5 s (median and min..max spread reported):
  *
- *  - cold: fresh stores -- each distinct trace is generated once
- *    (baselines included) and every cell is simulated;
- *  - warm: the same matrix again, served entirely from the result
- *    store (no cell recomputes, no trace generates).
+ *  - cold: fresh trace and result stores on every repeat -- each
+ *    distinct trace is generated once (baselines included) and every
+ *    cell is simulated;
+ *  - warm: the same matrix again on the last cold repeat's stores,
+ *    served entirely from the result store (no cell recomputes, no
+ *    trace generates).
  *
- * Both runs must produce byte-identical JSONL and the warm run must
- * recompute nothing (checked here; the bench fails otherwise). It
- * reports cold and warm cells/sec, generateTraces() calls, and the
+ * The first cold, last cold and last warm runs must produce
+ * byte-identical JSONL and no warm repeat may recompute a cell
+ * (checked here; the bench fails otherwise).
+ * It reports cold and warm cells/sec, generateTraces() calls, and the
  * trace store's hit rate, so a regression is attributable at a glance.
  */
 
-#include <chrono>
 #include <iostream>
 #include <sstream>
 
@@ -29,29 +31,6 @@ using namespace moatsim;
 
 namespace
 {
-
-struct MatrixRun
-{
-    std::vector<sim::PerfResult> results;
-    double seconds = 0.0;
-    /** generateTraces() invocations this run performed. */
-    uint64_t genCalls = 0;
-};
-
-MatrixRun
-runMatrix(const sim::SweepConfig &config,
-          const std::vector<sim::SweepCell> &cells)
-{
-    sim::SweepEngine engine(config);
-    MatrixRun out;
-    const uint64_t gen0 = workload::traceGenInvocations();
-    const auto t0 = std::chrono::steady_clock::now();
-    out.results = engine.run(cells);
-    const auto t1 = std::chrono::steady_clock::now();
-    out.seconds = std::chrono::duration<double>(t1 - t0).count();
-    out.genCalls = workload::traceGenInvocations() - gen0;
-    return out;
-}
 
 std::string
 jsonlOf(const std::vector<sim::PerfResult> &results)
@@ -89,56 +68,76 @@ main()
     config.tracegen.windowFraction = 0.0625 * bench::benchScale();
     config.tracegen.subchannels = 2; // Table-3 full system
     config.jobs = bench::jobs();
-    config.traceStore =
-        std::make_shared<workload::TraceStore>(workload::TraceStore::Config{});
     sim::ResultStore::Config rs_on;
     rs_on.enabled = true;
-    config.resultStore = std::make_shared<sim::ResultStore>(rs_on);
 
-    const MatrixRun cold = runMatrix(config, cells);
-    const auto store = config.traceStore->stats();
+    // Each repeat keeps its results and generateTraces() count; the
+    // checks below compare the first cold, last cold and last warm runs.
+    std::vector<sim::PerfResult> results;
+    uint64_t gen_calls = 0;
+    const auto run = [&] {
+        sim::SweepEngine engine(config);
+        const uint64_t gen0 = workload::traceGenInvocations();
+        results = engine.run(cells);
+        gen_calls = workload::traceGenInvocations() - gen0;
+    };
+
+    std::vector<sim::PerfResult> first_cold;
+    workload::TraceStore::Stats store;
+    const bench::RepeatTiming cold = bench::timeRepeated([&] {
+        config.traceStore = std::make_shared<workload::TraceStore>(
+            workload::TraceStore::Config{});
+        config.resultStore = std::make_shared<sim::ResultStore>(rs_on);
+        run();
+        if (first_cold.empty())
+            first_cold = results;
+        store = config.traceStore->stats();
+    });
+    const uint64_t cold_gen_calls = gen_calls;
+    const std::string expected = jsonlOf(first_cold);
+    const std::string last_cold = jsonlOf(results);
     const uint64_t computes_cold = config.resultStore->stats().computes;
-    const MatrixRun warm = runMatrix(config, cells);
+    const bench::RepeatTiming warm = bench::timeRepeated(run);
+    const uint64_t warm_gen_calls = gen_calls;
     const uint64_t warm_recomputes =
         config.resultStore->stats().computes - computes_cold;
 
-    if (jsonlOf(cold.results) != jsonlOf(warm.results)) {
-        std::cerr << "FATAL: cold and warm matrix runs diverged (results "
-                     "must be bit-identical whether computed or served "
-                     "from the result store)\n";
+    if (last_cold != expected || jsonlOf(results) != expected) {
+        std::cerr << "FATAL: matrix runs diverged (results must be "
+                     "bit-identical whether computed or served from the "
+                     "result store)\n";
         return 1;
     }
     if (warm_recomputes != 0) {
-        std::cerr << "FATAL: warm result-store run recomputed "
+        std::cerr << "FATAL: warm result-store runs recomputed "
                   << warm_recomputes << " cells (expected 0)\n";
         return 1;
     }
 
     const double n = static_cast<double>(cells.size());
-    const double cold_rate = cold.seconds > 0 ? n / cold.seconds : 0.0;
-    const double warm_rate = warm.seconds > 0 ? n / warm.seconds : 0.0;
-
-    TablePrinter t({"run", "cells", "seconds", "cells/sec",
-                    "generateTraces calls"});
+    TablePrinter t({"run", "cells", "median seconds", "repeats",
+                    "cells/sec (min..max)", "generateTraces calls"});
     t.addRow({"cold (fresh stores)", std::to_string(cells.size()),
-              formatFixed(cold.seconds, 3), formatFixed(cold_rate, 2),
-              std::to_string(cold.genCalls)});
+              formatFixed(cold.medianSeconds, 3),
+              std::to_string(cold.repeats), bench::rateCell(n, cold, 2),
+              std::to_string(cold_gen_calls)});
     t.addRow({"warm (result-store hits)", std::to_string(cells.size()),
-              formatFixed(warm.seconds, 3), formatFixed(warm_rate, 2),
-              std::to_string(warm.genCalls)});
+              formatFixed(warm.medianSeconds, 3),
+              std::to_string(warm.repeats), bench::rateCell(n, warm, 2),
+              std::to_string(warm_gen_calls)});
     t.print(std::cout);
-    std::cout << "trace store: " << store.hits << " hits, "
+    std::cout << "trace store (one cold run): " << store.hits << " hits, "
               << store.misses << " misses (hit rate "
               << formatFixed(store.hitRate() * 100.0, 1) << "%), "
               << store.entries << " entries resident\n";
 
     if (std::ostream *os = bench::jsonlStream()) {
         *os << "{\"kind\":\"sweep_scale\",\"cells\":" << cells.size()
-            << ",\"cold_cells_per_sec\":" << formatFixed(cold_rate, 3)
-            << ",\"warm_cells_per_sec\":" << formatFixed(warm_rate, 3)
+            << bench::rateFields("cold_cells_per_sec", n, cold)
+            << bench::rateFields("warm_cells_per_sec", n, warm)
             << ",\"warm_recomputes\":" << warm_recomputes
-            << ",\"cold_gen_calls\":" << cold.genCalls
-            << ",\"warm_gen_calls\":" << warm.genCalls
+            << ",\"cold_gen_calls\":" << cold_gen_calls
+            << ",\"warm_gen_calls\":" << warm_gen_calls
             << ",\"trace_store_hits\":" << store.hits
             << ",\"trace_store_misses\":" << store.misses
             << ",\"trace_store_hit_rate\":"

@@ -8,6 +8,8 @@
 #ifndef MOATSIM_BENCH_BENCH_UTIL_HH
 #define MOATSIM_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -43,6 +45,71 @@ benchScale()
             return v;
     }
     return 1.0;
+}
+
+/** Wall time of a repeated bench body: the median and its spread. */
+struct RepeatTiming
+{
+    /** Runs of the body. */
+    size_t repeats = 0;
+    double medianSeconds = 0.0;
+    double minSeconds = 0.0;
+    double maxSeconds = 0.0;
+};
+
+/**
+ * Run @p body until at least @p min_seconds of wall time and
+ * @p min_repeats runs have passed, and report the median run time and
+ * the min..max spread. One short pass is mostly timer and scheduler
+ * noise; the median of many is a number worth comparing.
+ */
+template <typename F>
+RepeatTiming
+timeRepeated(F &&body, double min_seconds = 0.5, size_t min_repeats = 3)
+{
+    std::vector<double> samples;
+    double total = 0.0;
+    while (total < min_seconds || samples.size() < min_repeats) {
+        const auto t0 = std::chrono::steady_clock::now();
+        body();
+        const auto t1 = std::chrono::steady_clock::now();
+        samples.push_back(std::chrono::duration<double>(t1 - t0).count());
+        total += samples.back();
+    }
+    std::sort(samples.begin(), samples.end());
+    const size_t n = samples.size();
+    RepeatTiming out;
+    out.repeats = n;
+    out.medianSeconds = n % 2 == 1
+                            ? samples[n / 2]
+                            : 0.5 * (samples[n / 2 - 1] + samples[n / 2]);
+    out.minSeconds = samples.front();
+    out.maxSeconds = samples.back();
+    return out;
+}
+
+/** @p work per second at the median, fastest and slowest run of @p t,
+ *  formatted for a table cell: "median (min..max)". */
+inline std::string
+rateCell(double work, const RepeatTiming &t, int decimals)
+{
+    return formatFixed(work / t.medianSeconds, decimals) + " (" +
+           formatFixed(work / t.maxSeconds, decimals) + ".." +
+           formatFixed(work / t.minSeconds, decimals) + ")";
+}
+
+/**
+ * JSON fields for a rate measured by @p t: "<name>" at the median
+ * run, "<name>_min"/"<name>_max" at the slowest/fastest run, and
+ * "<name>_repeats". Starts with a comma, so it appends to a record.
+ */
+inline std::string
+rateFields(const std::string &name, double work, const RepeatTiming &t)
+{
+    return ",\"" + name + "\":" + formatFixed(work / t.medianSeconds, 3) +
+           ",\"" + name + "_min\":" + formatFixed(work / t.maxSeconds, 3) +
+           ",\"" + name + "_max\":" + formatFixed(work / t.minSeconds, 3) +
+           ",\"" + name + "_repeats\":" + std::to_string(t.repeats);
 }
 
 /**

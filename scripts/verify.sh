@@ -51,6 +51,17 @@ echo "determinism smoke: coattack sweep at --jobs 1 vs --jobs 8"
   --mitigator panopticon --fraction 0.015625 --subchannels 2 \
   --jobs 8 > "$BUILD_DIR/coattack_jobs8.txt"
 diff "$BUILD_DIR/coattack_jobs1.txt" "$BUILD_DIR/coattack_jobs8.txt"
+# Off the default slot: the security oracle tracks only the attacker's
+# (slot, bank), so pin the placement away from (0, 0).
+echo "determinism smoke: off-slot coattack at --jobs 1 vs --jobs 8"
+for jobs in 1 8; do
+  "$BUILD_DIR/moatsim" coattack --workload all --pattern hammer \
+    --mitigator moat --fraction 0.015625 --subchannels 2 \
+    --attack-subchannel 1 --attack-bank 3 \
+    --jobs "$jobs" > "$BUILD_DIR/coattack_offslot_jobs$jobs.txt"
+done
+diff "$BUILD_DIR/coattack_offslot_jobs1.txt" \
+  "$BUILD_DIR/coattack_offslot_jobs8.txt"
 
 # The device axis carries the same guarantee at every topology: a
 # named multi-rank, multi-channel grade fans its slots out across

@@ -80,10 +80,10 @@ class MitigationContext
 
     /**
      * Context without a ground-truth monitor (@p security may be
-     * null). Pure performance runs elide the oracle's storage
-     * entirely; the security-facing accounting calls then become
-     * no-ops, which is unobservable -- nothing reads the oracle when
-     * it is disabled.
+     * null). Banks the oracle does not track (every bank of a pure
+     * performance run) have no monitor; the security-facing
+     * accounting calls then become no-ops, which is unobservable --
+     * nothing reads the oracle of an untracked bank.
      */
     MitigationContext(dram::Bank &bank, dram::SecurityMonitor *security,
                       MitigationStats &stats);

@@ -16,17 +16,18 @@ namespace moatsim::sim
 namespace
 {
 
-/** The channel template of a co-attack System: unlike perf runs the
- *  security oracle stays on -- attacker exposure is the point. */
+/** The channel template of a co-attack System. The security oracle
+ *  is on only when @p oracle (the attacked run reads the attacker's
+ *  exposure; the attack-free run reads nothing). */
 subchannel::SubChannelConfig
 coChannelConfig(const workload::TraceGenConfig &tg, abo::Level level,
-                uint64_t seed)
+                uint64_t seed, bool oracle)
 {
     subchannel::SubChannelConfig sc;
     sc.timing = tg.timing;
     sc.numBanks = tg.banksSimulated;
     sc.aboLevel = level;
-    sc.securityEnabled = true;
+    sc.securityEnabled = oracle;
     sc.seed = seed;
     return sc;
 }
@@ -90,15 +91,18 @@ runCoSystem(const workload::TraceGenConfig &config, const CoreModel &core,
             const workload::AttackTraceConfig &attack,
             uint32_t *attacker_max_hammer, const workload::TraceSet *benign)
 {
+    // The attacker's (slot, bank): range-checked, tracked by the
+    // oracle and read back from this one source.
+    const SystemConfig::OracleSite site{attack.subchannel, attack.bank};
     const uint32_t subchannels = std::max(1u, config.subchannels);
     const uint32_t slots = std::max(1u, config.channels) *
                            std::max(1u, config.ranks) * subchannels;
-    if (attack.subchannel >= slots)
+    if (site.slot >= slots)
         fatal("runCoSystem: attack sub-channel slot " +
-              std::to_string(attack.subchannel) + " out of range (" +
+              std::to_string(site.slot) + " out of range (" +
               std::to_string(slots) + " simulated)");
-    if (attack.bank >= config.banksSimulated)
-        fatal("runCoSystem: attack bank " + std::to_string(attack.bank) +
+    if (site.bank >= config.banksSimulated)
+        fatal("runCoSystem: attack bank " + std::to_string(site.bank) +
               " out of range (" + std::to_string(config.banksSimulated) +
               " simulated)");
 
@@ -117,13 +121,17 @@ runCoSystem(const workload::TraceGenConfig &config, const CoreModel &core,
     if (!at.trace.events.empty())
         views.push_back(workload::viewOf(at.trace));
 
+    // The oracle never changes a result, so it is built only where it
+    // is read: the attacker's bank of the attacked run.
     SystemConfig sys;
     sys.channel = coChannelConfig(
         config, level,
-        coAttackCellSeed(config, spec, mitigator, level, attack));
+        coAttackCellSeed(config, spec, mitigator, level, attack),
+        attacker_max_hammer != nullptr);
     sys.subchannels = subchannels;
     sys.channels = std::max(1u, config.channels);
     sys.ranks = std::max(1u, config.ranks);
+    sys.oracleOnly = site;
     System system(sys, mitigator.factory());
     system.setPostponeRefresh(
         workload::attackPostponesRefresh(attack.pattern));
@@ -132,8 +140,7 @@ runCoSystem(const workload::TraceGenConfig &config, const CoreModel &core,
 
     if (attacker_max_hammer != nullptr) {
         uint32_t peak = 0;
-        const auto &sec =
-            system.subchannel(at.subchannel).security(at.bank);
+        const auto &sec = system.subchannel(site.slot).security(site.bank);
         for (const RowId row : at.rows)
             peak = std::max(peak, sec.peakHammer(row));
         *attacker_max_hammer = peak;

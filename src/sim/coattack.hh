@@ -140,10 +140,12 @@ uint64_t coAttackCellKey(const workload::TraceGenConfig &config,
 /**
  * Replay @p spec's benign traces -- plus the attacker stream unless
  * @p attack is "none" -- on a fresh System of
- * config.subchannels sub-channels (security tracking on). The benign
- * cores occupy result indices [0, numCores); the attacker, when
- * present, is the last core. When @p attacker_max_hammer is non-null
- * it receives the peak hammer count over the attacker's rows. When
+ * config.subchannels sub-channels. The benign cores occupy result
+ * indices [0, numCores); the attacker, when present, is the last
+ * core. When @p attacker_max_hammer is non-null it receives the peak
+ * hammer count over the attacker's rows, and the security oracle
+ * tracks the attacker's (slot, bank) only; otherwise the run carries
+ * no oracle (it never changes the SystemResult either way). When
  * @p benign is non-null it supplies the benign traces (a shared
  * TraceStore handout); otherwise they are generated locally.
  */

@@ -1,6 +1,7 @@
 #include "sim/system.hh"
 
 #include <algorithm>
+#include <string>
 
 #include "common/hash.hh"
 #include "common/logging.hh"
@@ -18,16 +19,28 @@ System::System(const SystemConfig &config,
         fatal("System: channels and ranks must be at least 1");
     const uint32_t slots =
         config_.channels * config_.ranks * config_.subchannels;
+    if (config_.oracleOnly && config_.oracleOnly->slot >= slots)
+        fatal("System: oracle slot " +
+              std::to_string(config_.oracleOnly->slot) +
+              " out of range (" + std::to_string(slots) + " slots)");
     channels_.reserve(slots);
+    // Slots are built in flat-index order on both paths below.
+    const auto add = [&](uint64_t seed) {
+        subchannel::SubChannelConfig sc = config_.channel;
+        sc.seed = seed;
+        if (const auto &site = config_.oracleOnly) {
+            sc.securityEnabled =
+                sc.securityEnabled && site->slot == channels_.size();
+            sc.oracleBank = site->bank;
+        }
+        channels_.push_back(
+            std::make_unique<subchannel::SubChannel>(sc, factory));
+    };
     if (config_.channels == 1 && config_.ranks == 1) {
         // Flat single-channel, single-rank system: the historical
         // seeding scheme, which the golden results are a function of.
-        for (uint32_t i = 0; i < config_.subchannels; ++i) {
-            subchannel::SubChannelConfig sc = config_.channel;
-            sc.seed = hashCombine(config_.channel.seed, i);
-            channels_.push_back(
-                std::make_unique<subchannel::SubChannel>(sc, factory));
-        }
+        for (uint32_t i = 0; i < config_.subchannels; ++i)
+            add(hashCombine(config_.channel.seed, i));
         return;
     }
     // Per-level derivation: fold each topology coordinate in turn so
@@ -38,12 +51,8 @@ System::System(const SystemConfig &config,
         const uint64_t chan_seed = hashCombine(config_.channel.seed, c);
         for (uint32_t r = 0; r < config_.ranks; ++r) {
             const uint64_t rank_seed = hashCombine(chan_seed, r);
-            for (uint32_t s = 0; s < config_.subchannels; ++s) {
-                subchannel::SubChannelConfig sc = config_.channel;
-                sc.seed = hashCombine(rank_seed, s);
-                channels_.push_back(
-                    std::make_unique<subchannel::SubChannel>(sc, factory));
-            }
+            for (uint32_t s = 0; s < config_.subchannels; ++s)
+                add(hashCombine(rank_seed, s));
         }
     }
 }

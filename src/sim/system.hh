@@ -34,6 +34,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/time.hh"
@@ -70,6 +71,20 @@ struct SystemConfig
     uint32_t channels = 1;
     /** Ranks per channel (device topology; Table 3: 1). */
     uint32_t ranks = 1;
+
+    /** One bank of one sub-channel slot (flat index, see slotIndex). */
+    struct OracleSite
+    {
+        uint32_t slot = 0;
+        BankId bank = 0;
+    };
+    /**
+     * When set with channel.securityEnabled, the ground-truth oracle
+     * tracks only this bank: every other slot runs oracle-free and the
+     * chosen slot narrows it via SubChannelConfig::oracleBank. Unset
+     * means every bank of every slot. It never changes a result.
+     */
+    std::optional<OracleSite> oracleOnly;
 };
 
 /** Activity of one sub-channel during a replay. */
@@ -139,7 +154,8 @@ class System
     /** Mitigation-work counters summed over every sub-channel. */
     mitigation::MitigationStats mitigationStats() const;
 
-    /** Max hammer count across every bank of every sub-channel. */
+    /** Max hammer count across every tracked bank of every
+     *  sub-channel. */
     uint32_t maxHammerAnyBank() const;
 
     /** Total banks across all sub-channels. */

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <span>
+#include <string>
 
 #include "common/logging.hh"
 #include "mitigation/ideal_prc.hh"
@@ -65,40 +66,39 @@ SubChannel::SubChannel(const SubChannelConfig &config,
     const uint32_t nb = config_.numBanks != 0
                             ? config_.numBanks
                             : config_.timing.banksPerSubchannel;
-    // The oracle's per-bank arrays (3 words per row) dominate the cost
-    // of constructing a sub-channel; allocate them only when something
-    // will read them. Oracle-free channels (performance cells, built
-    // by the thousand across a matrix) instead back every bank with
-    // one flat counter slab. Channels that carry the oracle are
-    // dominated by its arrays anyway, and measure slightly *slower*
-    // with the slab, so they keep per-bank counter storage.
-    const bool oracle = config_.securityEnabled;
+    // Every bank's PRAC counters live in one flat slab.
     const size_t rows = config_.timing.rowsPerBank;
-    if (oracle)
-        security_.reserve(nb);
-    else
-        counter_slab_.assign(static_cast<size_t>(nb) * rows, 0);
+    counter_slab_.assign(static_cast<size_t>(nb) * rows, 0);
     banks_.reserve(nb);
     mitigators_.reserve(nb);
     kinds_.reserve(nb);
     refresh_.reserve(nb);
     mitigation_stats_.reserve(nb);
     for (BankId b = 0; b < nb; ++b) {
-        if (oracle) {
-            banks_.emplace_back(config_.timing, config_.counterInit,
-                                &rng_);
-            security_.emplace_back(config_.timing.rowsPerBank,
-                                   config_.timing.blastRadius);
-        } else {
-            banks_.emplace_back(
-                config_.timing, config_.counterInit, &rng_,
-                std::span<ActCount>(counter_slab_.data() + b * rows,
-                                    rows));
-        }
+        banks_.emplace_back(
+            config_.timing, config_.counterInit, &rng_,
+            std::span<ActCount>(counter_slab_.data() + b * rows, rows));
         mitigators_.push_back(factory(b));
         kinds_.push_back(mitigators_.back()->kind());
         refresh_.emplace_back(config_.timing, config_.maxPostponedRefs);
         mitigation_stats_.emplace_back();
+    }
+
+    // The oracle's per-row arrays (3 words per row) dominate the cost
+    // of constructing a sub-channel; build them only for the banks
+    // something will read: every bank, or just oracleBank.
+    oracle_.assign(nb, nullptr);
+    if (config_.securityEnabled) {
+        const uint32_t first = config_.oracleBank.value_or(0);
+        const uint32_t last = config_.oracleBank ? first + 1 : nb;
+        if (last > nb)
+            fatal("SubChannel: oracle bank " + std::to_string(first) +
+                  " out of range (" + std::to_string(nb) + " banks)");
+        security_.reserve(last - first); // keeps oracle_ pointers stable
+        for (uint32_t b = first; b < last; ++b) {
+            oracle_[b] = &security_.emplace_back(
+                config_.timing.rowsPerBank, config_.timing.blastRadius);
+        }
     }
     bank_ready_.assign(nb, 0);
     next_ref_time_ = config_.timing.tREFI;
@@ -154,10 +154,10 @@ SubChannel::activateAt(BankId bank, RowId row, Time not_before)
         dram::Bank &bk = banks_[bank];
         bk.activate(row);
         bk.precharge();
-        if (config_.securityEnabled)
-            security_[bank].onActivate(row);
-        mitigation::MitigationContext ctx(bk, securityPtr(bank),
-                                          mitigation_stats_[bank]);
+        dram::SecurityMonitor *sec = oracle_[bank];
+        if (sec != nullptr)
+            sec->onActivate(row);
+        mitigation::MitigationContext ctx(bk, sec, mitigation_stats_[bank]);
         mitigation::IMitigator &mit = *mitigators_[bank];
         const MitigatorKind kind = kinds_[bank];
         dispatchSealed(kind, mit,
@@ -260,12 +260,13 @@ SubChannel::performOneRef()
     for (BankId b = 0; b < banks_.size(); ++b) {
         const uint32_t group = refresh_[b].issueRef();
         const auto [first, last] = refresh_[b].groupRows(group);
-        mitigation::MitigationContext ctx(banks_[b], securityPtr(b),
+        dram::SecurityMonitor *sec = oracle_[b];
+        mitigation::MitigationContext ctx(banks_[b], sec,
                                           mitigation_stats_[b]);
         if (config_.refreshResetsRows) {
-            if (config_.securityEnabled) {
+            if (sec != nullptr) {
                 for (RowId r = first; r <= last; ++r)
-                    security_[b].onRowRefreshed(r);
+                    sec->onRowRefreshed(r);
             }
             dispatchSealed(kinds_[b], *mitigators_[b], [&](auto &m) {
                 m.onAutoRefresh(first, last, ctx);
@@ -284,7 +285,7 @@ SubChannel::serviceRfmBlock()
     const int n = abo_.rfmsPerAlert();
     for (int i = 0; i < n; ++i) {
         for (BankId b = 0; b < banks_.size(); ++b) {
-            mitigation::MitigationContext ctx(banks_[b], securityPtr(b),
+            mitigation::MitigationContext ctx(banks_[b], oracle_[b],
                                               mitigation_stats_[b]);
             dispatchSealed(kinds_[b], *mitigators_[b],
                            [&](auto &m) { m.onRfm(ctx); });
@@ -315,20 +316,26 @@ SubChannel::maybeAssertAlert(Time t)
     abo_.assertAlert(t);
     rfm_block_pending_ = true;
     for (BankId b = 0; b < banks_.size(); ++b) {
-        mitigation::MitigationContext ctx(banks_[b], securityPtr(b),
+        mitigation::MitigationContext ctx(banks_[b], oracle_[b],
                                           mitigation_stats_[b]);
         dispatchSealed(kinds_[b], *mitigators_[b],
                        [&](auto &m) { m.onAlertAsserted(ctx); });
     }
 }
 
-void
-SubChannel::requireOracle() const
+dram::SecurityMonitor *
+SubChannel::requireOracle(BankId b) const
 {
+    dram::SecurityMonitor *sec = oracle_.at(b);
+    if (sec != nullptr)
+        return sec;
     if (security_.empty())
         fatal("SubChannel::security: the ground-truth oracle is elided "
               "on this channel (securityEnabled is off); enable "
               "securityEnabled to track damage/hammer state");
+    fatal("SubChannel::security: bank " + std::to_string(b) +
+          " is untracked; the ground-truth oracle on this channel "
+          "tracks only bank " + std::to_string(*config_.oracleBank));
 }
 
 bool

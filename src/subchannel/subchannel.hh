@@ -25,6 +25,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "abo/abo.hh"
@@ -59,11 +60,19 @@ struct SubChannelConfig
      */
     bool refreshResetsRows = true;
     /**
-     * Whether the ground-truth SecurityMonitor tracks every activation.
+     * Whether the ground-truth SecurityMonitor tracks activations.
      * Security experiments need it; pure performance runs disable it
-     * for speed (it never affects behaviour, only observation).
+     * for speed. It never affects behaviour, only observation, so the
+     * oracle is built only where something reads it: every bank by
+     * default, or only oracleBank when that is set.
      */
     bool securityEnabled = true;
+    /**
+     * With securityEnabled, the one bank the oracle tracks; every
+     * other bank runs oracle-free and security() on it fatal()s.
+     * Unset means every bank. Ignored when securityEnabled is off.
+     */
+    std::optional<BankId> oracleBank;
     /** Number of banks; 0 means timing.banksPerSubchannel. */
     uint32_t numBanks = 0;
     /** Maximum REFs that postponement may owe at once (DDR5: 2). */
@@ -164,20 +173,17 @@ class SubChannel
     }
 
     /**
-     * Ground-truth security monitor of a bank. Only available when
-     * securityEnabled keeps the oracle; performance runs elide its
-     * storage entirely and this accessor then fatal()s with a
-     * diagnostic.
+     * Ground-truth security monitor of a bank. Only available on the
+     * banks the oracle tracks (see securityEnabled and oracleBank);
+     * on any other bank this accessor fatal()s with a diagnostic.
      */
     dram::SecurityMonitor &security(BankId b)
     {
-        requireOracle();
-        return security_.at(b);
+        return *requireOracle(b);
     }
     const dram::SecurityMonitor &security(BankId b) const
     {
-        requireOracle();
-        return security_.at(b);
+        return *requireOracle(b);
     }
 
     /** Mitigator of a bank. */
@@ -202,7 +208,8 @@ class SubChannel
     /** Aggregated mitigation-work counters across all banks. */
     mitigation::MitigationStats mitigationStats() const;
 
-    /** Max hammer count (paper's attack metric) across all banks. */
+    /** Max hammer count (paper's attack metric) across the banks the
+     *  oracle tracks (0 when it tracks none). */
     uint32_t maxHammerAnyBank() const;
 
     /** The timing parameters in use. */
@@ -230,32 +237,29 @@ class SubChannel
     /** Whether any bank's mitigator currently wants an ALERT. */
     bool anyAlertWanted() const;
 
-    /** Security monitor of @p b, or null when the oracle is elided. */
-    dram::SecurityMonitor *securityPtr(BankId b)
-    {
-        return security_.empty() ? nullptr : &security_[b];
-    }
-
-    /** fatal() with a diagnostic when the oracle is elided. */
-    void requireOracle() const;
+    /** The monitor of @p b; fatal() with a diagnostic when @p b is
+     *  untracked. */
+    dram::SecurityMonitor *requireOracle(BankId b) const;
 
     SubChannelConfig config_;
     Rng rng_;
     /**
-     * Flat PRAC-counter slab backing every bank when the oracle is
-     * elided: one allocation of numBanks x rowsPerBank entries instead
-     * of one multi-hundred-KB allocation per bank. Declared before
-     * banks_ so it outlives the Bank spans into it. Empty when
-     * securityEnabled is on (banks then own their counters).
+     * Flat PRAC-counter slab backing every bank: one allocation of
+     * numBanks x rowsPerBank entries instead of one multi-hundred-KB
+     * allocation per bank. Declared before banks_ so it outlives the
+     * Bank spans into it.
      */
     std::vector<ActCount> counter_slab_;
     /** Banks stored by value: the per-ACT path indexes a contiguous
      *  array instead of chasing one heap pointer per bank. */
     std::vector<dram::Bank> banks_;
-    /** Empty when the oracle is elided (securityEnabled off); its
-     *  per-bank arrays are the dominant cost of constructing a
-     *  sub-channel. */
+    /** One monitor per tracked bank (none, one, or all of them); its
+     *  per-row arrays are the dominant cost of constructing a
+     *  sub-channel, so untracked banks get none. */
     std::vector<dram::SecurityMonitor> security_;
+    /** Per bank: its monitor in security_, or null when untracked --
+     *  the per-ACT oracle test is one load and one branch. */
+    std::vector<dram::SecurityMonitor *> oracle_;
     std::vector<std::unique_ptr<mitigation::IMitigator>> mitigators_;
     /** Sealed dispatch tag per bank (Custom forces virtual calls). */
     std::vector<mitigation::MitigatorKind> kinds_;

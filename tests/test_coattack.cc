@@ -9,6 +9,8 @@
  *    its isolated run of the identical trace: contention interleaves
  *    more REFs/mitigation into the pattern and can only hurt it.
  *  - Co-attack sweep cells must be bit-identical at any jobs count.
+ *  - Tracking only the attacker's bank must report what a System
+ *    that tracks every bank reports, off the default slot too.
  */
 
 #include <gtest/gtest.h>
@@ -34,7 +36,8 @@ smallTracegen(uint32_t subchannels = 2)
     return tg;
 }
 
-/** The System a co-attack cell simulates, built by hand. */
+/** The System a co-attack cell simulates, built by hand with the
+ *  oracle on every bank of every slot. */
 System
 manualSystem(const workload::TraceGenConfig &tg,
              const mitigation::MitigatorSpec &m, abo::Level level,
@@ -47,6 +50,8 @@ manualSystem(const workload::TraceGenConfig &tg,
     sys.channel.securityEnabled = true;
     sys.channel.seed = seed;
     sys.subchannels = tg.subchannels;
+    sys.channels = tg.channels;
+    sys.ranks = tg.ranks;
     return System(sys, m.factory());
 }
 
@@ -132,6 +137,59 @@ TEST(CoAttack, SharedMaxHammerNeverExceedsIsolated)
                 << mname << "/" << pattern
                 << ": contention must not meaningfully help the attacker";
             EXPECT_GT(isolated, 0u) << mname << "/" << pattern;
+        }
+    }
+}
+
+TEST(CoAttack, OneBankOracleMatchesFullOracleOffSlot)
+{
+    // runCoSystem tracks only the attacker's (slot, bank). With the
+    // attacker off the default slot, on a flat and on a two-rank
+    // topology, the replay and the attacker's peak must equal a
+    // hand-built System that tracks every bank.
+    const auto &spec = workload::findWorkload("roms");
+    for (const uint32_t ranks : {1u, 2u}) {
+        auto tg = smallTracegen();
+        tg.ranks = ranks;
+        const auto benign = workload::generateTraces(spec, tg);
+        for (const char *mname : {"moat", "panopticon", "null"}) {
+            for (const char *pattern : {"hammer", "postponement"}) {
+                const auto m = mitigation::Registry::parse(mname);
+                CoAttackScenario sc;
+                sc.pattern = pattern;
+                // Channel 0, the last rank, sub-channel 1.
+                sc.subchannel = (ranks - 1) * tg.subchannels + 1;
+                sc.bank = 5;
+                const auto attack = resolveAttack(sc, tg);
+
+                uint32_t narrowed = 0;
+                const SystemResult co = runCoSystem(
+                    tg, CoreModel{}, spec, m, abo::Level::L1, attack,
+                    &narrowed);
+
+                // The same replay on a System that tracks every bank.
+                System full = manualSystem(
+                    tg, m, abo::Level::L1,
+                    coAttackCellSeed(tg, spec, m, abo::Level::L1, attack));
+                const auto at = workload::generateAttackTrace(attack);
+                std::vector<workload::CoreTraceView> views;
+                for (const auto &t : benign)
+                    views.push_back(workload::viewOf(t));
+                views.push_back(workload::viewOf(at.trace));
+                full.setPostponeRefresh(
+                    workload::attackPostponesRefresh(pattern));
+                const SystemResult ref = runSystem(full, views);
+                uint32_t peak = 0;
+                const auto &sec = full.subchannel(sc.subchannel).security(5);
+                for (const RowId row : at.rows)
+                    peak = std::max(peak, sec.peakHammer(row));
+
+                SCOPED_TRACE(std::string(mname) + "/" + pattern +
+                             " ranks=" + std::to_string(ranks));
+                expectIdenticalSystemResults(co, ref);
+                EXPECT_EQ(narrowed, peak);
+                EXPECT_GT(peak, 0u);
+            }
         }
     }
 }

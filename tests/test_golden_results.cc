@@ -85,10 +85,12 @@ perfLinesFor(const std::string &mitigator, uint32_t subchannels = 1)
  * The golden adversary-under-load sweep of one registered design: the
  * hammer and postponement patterns co-scheduled with 2 workloads on
  * the full 2-sub-channel System, run through the parallel co-attack
- * engine (jobs=2 exercises the pool and the baseline cache).
+ * engine (jobs=2 exercises the pool and the baseline cache). The
+ * attacker sits on (@p subchannel, @p bank).
  */
 std::vector<std::string>
-coattackLinesFor(const std::string &mitigator)
+coattackLinesFor(const std::string &mitigator, uint32_t subchannel = 0,
+                 uint32_t bank = 0)
 {
     SweepConfig sc;
     sc.tracegen = goldenTracegen();
@@ -101,6 +103,8 @@ coattackLinesFor(const std::string &mitigator)
         for (const char *w : {"roms", "xz"}) {
             CoAttackScenario attack;
             attack.pattern = p;
+            attack.subchannel = subchannel;
+            attack.bank = bank;
             cells.push_back({workload::findWorkload(w),
                              mitigation::Registry::parse(mitigator),
                              abo::Level::L1, attack});
@@ -256,6 +260,14 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return name;
     });
+
+TEST(GoldenCoAttackOffSlot, MoatMatchesCheckedInResults)
+{
+    // The attacker off the default slot: sub-channel 1, bank 3. The
+    // per-design goldens above all pin slot 0, bank 0.
+    checkGolden("coattack_moat_offslot.jsonl",
+                coattackLinesFor("moat", 1, 3));
+}
 
 TEST(GoldenFormat, CoAttackLinesRoundTripThroughParser)
 {

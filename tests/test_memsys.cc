@@ -200,6 +200,50 @@ TEST(System, SubChannelFieldFoldsOntoSmallerSystems)
     ASSERT_GT(results[0].alerts, 0u); // the comparison must bite
 }
 
+TEST(System, OracleOnlyTracksOneBankOfOneSlot)
+{
+    // Both slot-construction paths (flat, and channels x ranks) honor
+    // the placement: only (slot, bank) carries the oracle.
+    for (const uint32_t ranks : {1u, 2u}) {
+        SystemConfig cfg = moatSystem(2, 4);
+        cfg.channel.securityEnabled = true;
+        cfg.channel.refreshResetsRows = false; // exact hammer counts
+        cfg.ranks = ranks;
+        const uint32_t site = 2 * ranks - 1;
+        cfg.oracleOnly = SystemConfig::OracleSite{site, 3};
+        System sys(cfg, [](BankId) {
+            return std::make_unique<mitigation::NullMitigator>();
+        });
+        workload::CoreTrace t;
+        t.window = fromNs(40000);
+        for (uint32_t i = 0; i < 400; ++i) {
+            t.events.push_back({static_cast<Time>(i) * fromNs(60),
+                                static_cast<BankId>(i % 4), 7,
+                                i / 4 % (2 * ranks)});
+        }
+        runSystem(sys, {t});
+        // Every bank of every slot saw the same 100 / slots ACTs.
+        const uint32_t acts = 100 / sys.numSubchannels();
+        for (uint32_t i = 0; i < sys.numSubchannels(); ++i) {
+            const uint32_t want = i == site ? acts : 0u;
+            EXPECT_EQ(sys.subchannel(i).maxHammerAnyBank(), want)
+                << "ranks " << ranks << " slot " << i;
+        }
+        EXPECT_EQ(sys.subchannel(site).security(3).hammerCount(7), acts);
+        EXPECT_EXIT(sys.subchannel(site).security(0),
+                    testing::ExitedWithCode(1), "tracks only bank 3");
+        EXPECT_EXIT(sys.subchannel(0).security(3),
+                    testing::ExitedWithCode(1), "oracle is elided");
+    }
+    SystemConfig bad = moatSystem(2, 4);
+    bad.oracleOnly = SystemConfig::OracleSite{2, 0};
+    EXPECT_EXIT(System(bad, [](BankId) {
+                    return std::make_unique<mitigation::NullMitigator>();
+                }),
+                testing::ExitedWithCode(1),
+                "oracle slot 2 out of range \\(2 slots\\)");
+}
+
 TEST(System, EmptyTracesFinishAtWindow)
 {
     System sys(moatSystem(2, 2), [](BankId) {

@@ -220,6 +220,61 @@ TEST(SubChannel, SecurityDisabledSkipsTracking)
     EXPECT_EQ(ch.maxHammerAnyBank(), 0u);
 }
 
+TEST(SubChannel, NarrowedOracleTracksOnlyItsBank)
+{
+    // oracleBank keeps the oracle on one bank: that bank's view equals
+    // a full-oracle channel's, untracked banks fall out of
+    // maxHammerAnyBank, and the command stream is unchanged.
+    mitigation::MoatConfig m;
+    SubChannelConfig full_cfg = baseConfig(4);
+    SubChannelConfig narrow_cfg = full_cfg;
+    narrow_cfg.oracleBank = 2;
+    auto full = moatChannel(full_cfg, m);
+    auto narrow = moatChannel(narrow_cfg, m);
+    for (auto *ch : {&full, &narrow}) {
+        for (int i = 0; i < 300; ++i) {
+            ch->activate(0, 100); // the hot row, on an untracked bank
+            if (i < 20)
+                ch->activate(2, 500);
+        }
+        ch->advanceTo(ch->now() + 4 * ch->timing().tREFI);
+    }
+    EXPECT_GT(full.maxHammerAnyBank(), narrow.maxHammerAnyBank());
+    EXPECT_EQ(full.security(0).maxHammer(), full.maxHammerAnyBank());
+    EXPECT_EQ(narrow.maxHammerAnyBank(), narrow.security(2).maxHammer());
+    EXPECT_EQ(narrow.security(2).maxHammer(),
+              full.security(2).maxHammer());
+    EXPECT_EQ(narrow.security(2).peakHammer(500),
+              full.security(2).peakHammer(500));
+    EXPECT_GT(narrow.security(2).peakHammer(500), 0u);
+    EXPECT_EQ(narrow.now(), full.now());
+    EXPECT_EQ(narrow.stats().acts, full.stats().acts);
+    EXPECT_EQ(narrow.stats().rfms, full.stats().rfms);
+    EXPECT_EQ(narrow.abo().alertCount(), full.abo().alertCount());
+    EXPECT_GT(full.abo().alertCount(), 0u); // the comparison must bite
+    for (BankId b = 0; b < 4; ++b) {
+        EXPECT_EQ(narrow.bank(b).counter(100), full.bank(b).counter(100));
+        EXPECT_EQ(narrow.bank(b).counter(500), full.bank(b).counter(500));
+    }
+}
+
+TEST(SubChannel, SecurityOnUntrackedBankIsFatal)
+{
+    SubChannelConfig sc = baseConfig(4);
+    sc.oracleBank = 2;
+    auto ch = nullChannel(sc);
+    EXPECT_EXIT(ch.security(1), testing::ExitedWithCode(1),
+                "bank 1 is untracked.*tracks only bank 2");
+    sc.securityEnabled = false;
+    auto off = nullChannel(sc);
+    EXPECT_EXIT(off.security(2), testing::ExitedWithCode(1),
+                "oracle is elided");
+    sc.securityEnabled = true;
+    sc.oracleBank = 4;
+    EXPECT_EXIT(nullChannel(sc), testing::ExitedWithCode(1),
+                "oracle bank 4 out of range \\(4 banks\\)");
+}
+
 TEST(SubChannel, RefreshResetsRowsDisabledKeepsCounters)
 {
     SubChannelConfig sc = baseConfig(1);
