@@ -57,19 +57,24 @@ struct RepeatTiming
     double maxSeconds = 0.0;
 };
 
+/** Least total wall time timeRepeated spends on its body. */
+inline constexpr double kMinSeconds = 0.5;
+/** Least number of runs timeRepeated makes of its body. */
+inline constexpr size_t kMinRepeats = 3;
+
 /**
- * Run @p body until at least @p min_seconds of wall time and
- * @p min_repeats runs have passed, and report the median run time and
- * the min..max spread. One short pass is mostly timer and scheduler
- * noise; the median of many is a number worth comparing.
+ * Run @p body until at least kMinSeconds of wall time and kMinRepeats
+ * runs have passed, and report the median run time and the min..max
+ * spread. One short pass is mostly timer and scheduler noise; the
+ * median of many is a number worth comparing.
  */
 template <typename F>
 RepeatTiming
-timeRepeated(F &&body, double min_seconds = 0.5, size_t min_repeats = 3)
+timeRepeated(F &&body)
 {
     std::vector<double> samples;
     double total = 0.0;
-    while (total < min_seconds || samples.size() < min_repeats) {
+    while (total < kMinSeconds || samples.size() < kMinRepeats) {
         const auto t0 = std::chrono::steady_clock::now();
         body();
         const auto t1 = std::chrono::steady_clock::now();

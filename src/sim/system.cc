@@ -29,9 +29,10 @@ System::System(const SystemConfig &config,
         subchannel::SubChannelConfig sc = config_.channel;
         sc.seed = seed;
         if (const auto &site = config_.oracleOnly) {
-            sc.securityEnabled =
-                sc.securityEnabled && site->slot == channels_.size();
-            sc.oracleBank = site->bank;
+            if (site->slot == channels_.size())
+                sc.oracleBank = site->bank;
+            else
+                sc.securityEnabled = false;
         }
         channels_.push_back(
             std::make_unique<subchannel::SubChannel>(sc, factory));

@@ -71,6 +71,8 @@ struct SubChannelConfig
      * With securityEnabled, the one bank the oracle tracks; every
      * other bank runs oracle-free and security() on it fatal()s.
      * Unset means every bank. Ignored when securityEnabled is off.
+     * System sets it from SystemConfig::oracleOnly, on the chosen
+     * slot only.
      */
     std::optional<BankId> oracleBank;
     /** Number of banks; 0 means timing.banksPerSubchannel. */
