@@ -31,8 +31,8 @@ main()
     TablePrinter t({"tenant workload", "slowdown", "ALERTs/tREFI",
                     "mitigations/bank/tREFW"});
     for (const char *name : {"bwaves", "mcf", "roms", "pr", "x264"}) {
-        const auto r = exp.runWorkload(workload::findWorkload(name),
-                                       ec.mitigator, ec.aboLevel);
+        const auto r = exp.engine().runCell(sim::SweepCell{
+            workload::findWorkload(name), ec.mitigator, ec.aboLevel});
         t.addRow({name, formatPercent(1.0 - r.normPerf),
                   formatFixed(r.alertsPerRefi, 4),
                   formatFixed(r.mitigationsPerBankPerRefw, 0)});

@@ -29,8 +29,7 @@ main()
 
     sim::ExperimentConfig ec;
     ec.tracegen.windowFraction = 0.0625; // quick evaluation runs
-    sim::Experiment exp(ec);
-    const auto &hot = workload::findWorkload("roms");
+    ec.workload = "roms";
 
     struct Candidate
     {
@@ -41,18 +40,26 @@ main()
         {32, 1}, {64, 1}, {64, 2}, {96, 1}, {128, 1},
     };
 
+    // Every candidate on the hot workload, as one parallel batch.
+    std::vector<sim::SweepPoint> points;
+    for (const auto &c : candidates) {
+        points.push_back({mitigation::Registry::parse(
+                              "moat:ath=" + std::to_string(c.ath) +
+                              ",eth=" + std::to_string(c.ath / 2) +
+                              ",entries=" + std::to_string(c.level)),
+                          static_cast<abo::Level>(c.level)});
+    }
+    sim::Experiment exp(ec);
+    const auto measured = exp.runMatrix(points);
+
     TablePrinter t({"design", "tolerated TRH", "safe for chip?",
                     "SRAM B/bank", "roms slowdown", "ALERTs/tREFI"});
-    for (const auto &c : candidates) {
+    for (size_t i = 0; i < candidates.size(); ++i) {
+        const auto &c = candidates[i];
         const auto bound =
             analysis::ratchetBound(ec.tracegen.timing, c.ath, c.level);
-
-        const auto spec = mitigation::Registry::parse(
-            "moat:ath=" + std::to_string(c.ath) +
-            ",eth=" + std::to_string(c.ath / 2) +
-            ",entries=" + std::to_string(c.level));
-        const auto perf =
-            exp.runWorkload(hot, spec, static_cast<abo::Level>(c.level));
+        const auto &spec = points[i].mitigator;
+        const auto &perf = measured[i].front();
 
         t.addRow({"MOAT-L" + std::to_string(c.level) +
                       " ATH=" + std::to_string(c.ath),

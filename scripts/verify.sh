@@ -76,18 +76,28 @@ echo "determinism smoke: --device sweep at --jobs 1 vs --jobs 8"
   --jobs 8 > "$BUILD_DIR/perf_device_jobs8.txt"
 diff "$BUILD_DIR/perf_device_jobs1.txt" "$BUILD_DIR/perf_device_jobs8.txt"
 
-# The shared trace store is a pure cache: a run with it disabled (via
-# the CLI flag and via the environment switch -- both are supported
-# knobs) must be byte-identical to the cached jobs=8 run above.
+# The shared trace store is a pure cache: a run with it disabled by
+# the environment switch must be byte-identical to the cached jobs=8
+# run above.
 echo "determinism smoke: trace store enabled vs disabled"
-"$BUILD_DIR/moatsim" perf --workload all --fraction 0.015625 \
-  --subchannels 2 --jobs 8 --no-trace-store \
-  > "$BUILD_DIR/perf_store_flag_off.txt"
-diff "$BUILD_DIR/perf_jobs8.txt" "$BUILD_DIR/perf_store_flag_off.txt"
 MOATSIM_TRACE_STORE=0 "$BUILD_DIR/moatsim" perf --workload all \
   --fraction 0.015625 --subchannels 2 --jobs 8 \
   > "$BUILD_DIR/perf_store_env_off.txt"
 diff "$BUILD_DIR/perf_jobs8.txt" "$BUILD_DIR/perf_store_env_off.txt"
+
+# The CLI rejects what the serve daemon rejects: an out-of-range
+# request must fail loudly rather than print NaN and exit 0.
+echo "validation smoke: perf --fraction 0 must fail"
+if "$BUILD_DIR/moatsim" perf --workload xz --fraction 0 \
+  --result-store 0 > /dev/null 2> "$BUILD_DIR/perf_fraction0.err"; then
+  echo "FATAL: perf --fraction 0 exited 0" >&2
+  exit 1
+fi
+grep -q "fraction" "$BUILD_DIR/perf_fraction0.err" || {
+  echo "FATAL: perf --fraction 0 failed without naming the field:" >&2
+  cat "$BUILD_DIR/perf_fraction0.err" >&2
+  exit 1
+}
 
 # The result store is a pure cache of whole cells: a cold run filling
 # a shard directory and a warm re-run served entirely from it must be

@@ -3,8 +3,8 @@
  * The one single-flight primitive: a thread-safe compute-once map.
  *
  * Every cache in moatsim -- the trace store, the result store's
- * in-memory front, the perf baseline cache, and the co-attack engine's
- * attack-free baselines -- is a thin front over a SingleFlight, which
+ * in-memory front, the perf baseline cache, and the sweep engine's
+ * co-attack baselines -- is a thin front over a SingleFlight, which
  * owns the rules in one place:
  *
  *   - concurrent first-touchers of a key block on one compute, which

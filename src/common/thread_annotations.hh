@@ -2,7 +2,7 @@
  * @file
  * Clang Thread Safety Analysis annotation macros.
  *
- * The sweep engines promise bit-identical results at any --jobs count,
+ * The sweep engine promises bit-identical results at any --jobs count,
  * and that promise rests on a small set of lock-discipline invariants
  * (every shared member has one owning mutex; helpers that assume a
  * held lock say so). These macros let the compiler check those

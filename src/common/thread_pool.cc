@@ -54,6 +54,23 @@ ThreadPool::submit(std::function<void()> job)
     work_cv_.notifyOne();
 }
 
+void
+ThreadPool::submitAll(std::vector<std::function<void()>> jobs)
+{
+    {
+        MutexLock lock(mu_);
+        for (auto &job : jobs) {
+            Queue &q = *queues_[next_queue_++ % queues_.size()];
+            MutexLock qlock(q.mu);
+            q.jobs.push_back(std::move(job));
+        }
+        // Claims open only now, with the whole batch in the deques.
+        queued_ += jobs.size();
+        pending_ += jobs.size();
+    }
+    work_cv_.notifyAll();
+}
+
 std::function<void()>
 ThreadPool::take(unsigned self)
 {
@@ -137,8 +154,11 @@ parallelFor(unsigned jobs, std::size_t n,
         // No point spinning up more workers than there are indices.
         ThreadPool pool(static_cast<unsigned>(
             std::min<std::size_t>(jobs, n)));
+        std::vector<std::function<void()>> batch;
+        batch.reserve(n);
         for (std::size_t i = 0; i < n; ++i)
-            pool.submit([&runOne, i] { runOne(i); });
+            batch.emplace_back([&runOne, i] { runOne(i); });
+        pool.submitAll(std::move(batch));
         pool.wait();
     }
     for (const auto &error : errors) {

@@ -7,8 +7,8 @@
  * (LIFO, cache-warm) and steals from the front of a sibling's deque
  * when its own runs dry, so a handful of long cells submitted early
  * cannot serialize the tail of a sweep. Submission round-robins across
- * the deques; submit() is safe from any thread, including from inside
- * a running job.
+ * the deques; submit() and submitAll() are safe from any thread,
+ * including from inside a running job.
  *
  * Jobs must not throw. Index fan-outs go through parallelFor(), the
  * one place that captures per-index exceptions and rethrows them.
@@ -44,6 +44,15 @@ class ThreadPool
 
     /** Enqueue one job. */
     void submit(std::function<void()> job) EXCLUDES(mu_);
+
+    /**
+     * Enqueue every job of @p jobs before any worker may claim one of
+     * them. On an idle pool each worker then starts on the last job
+     * dealt to its deque, whatever the timing of the workers' wake-ups;
+     * submitting one by one lets an early-waking worker take whatever
+     * its deque holds so far.
+     */
+    void submitAll(std::vector<std::function<void()>> jobs) EXCLUDES(mu_);
 
     /**
      * Block until every job submitted so far (including jobs submitted
@@ -95,7 +104,9 @@ class ThreadPool
  * Run fn(i) for every i in [0, n) and return once all have finished:
  * on a ThreadPool of min(@p jobs, n) workers (@p jobs 0 means
  * ThreadPool::hardwareThreads()), or inline in index order when jobs
- * <= 1 or n <= 1. Each index captures its own exception, so every
+ * <= 1 or n <= 1. The indices go in as one ThreadPool::submitAll()
+ * batch, so which indices start first does not depend on how quickly
+ * the workers start. Each index captures its own exception, so every
  * index runs even when some throw; afterwards the exception of the
  * lowest failed index is rethrown -- which error surfaces does not
  * depend on the schedule.

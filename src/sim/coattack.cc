@@ -1,38 +1,15 @@
 #include "sim/coattack.hh"
 
 #include <algorithm>
-#include <utility>
+#include <memory>
+#include <optional>
 
-#include "common/fault.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 #include "sim/perf.hh"
-#include "sim/result_io.hh"
 
 namespace moatsim::sim
 {
-
-namespace
-{
-
-/** The channel template of a co-attack System. The security oracle
- *  is on only when @p oracle (the attacked run reads the attacker's
- *  exposure; the attack-free run reads nothing). */
-subchannel::SubChannelConfig
-coChannelConfig(const workload::TraceGenConfig &tg, abo::Level level,
-                uint64_t seed, bool oracle)
-{
-    subchannel::SubChannelConfig sc;
-    sc.timing = tg.timing;
-    sc.numBanks = tg.banksSimulated;
-    sc.aboLevel = level;
-    sc.securityEnabled = oracle;
-    sc.seed = seed;
-    return sc;
-}
-
-} // namespace
 
 uint64_t
 coAttackCellSeed(const workload::TraceGenConfig &config,
@@ -92,11 +69,17 @@ runCoSystem(const workload::TraceGenConfig &config, const CoreModel &core,
             uint32_t *attacker_max_hammer, const workload::TraceSet *benign)
 {
     // The attacker's (slot, bank): range-checked, tracked by the
-    // oracle and read back from this one source.
+    // oracle and read back from this one source. The oracle never
+    // changes a result, so it is built only where it is read: the
+    // attacker's bank of the attacked run.
     const SystemConfig::OracleSite site{attack.subchannel, attack.bank};
-    const uint32_t subchannels = std::max(1u, config.subchannels);
-    const uint32_t slots = std::max(1u, config.channels) *
-                           std::max(1u, config.ranks) * subchannels;
+    const SystemConfig sys = systemConfigFor(
+        config, level,
+        coAttackCellSeed(config, spec, mitigator, level, attack),
+        attacker_max_hammer != nullptr
+            ? std::optional<SystemConfig::OracleSite>(site)
+            : std::nullopt);
+    const uint32_t slots = sys.channels * sys.ranks * sys.subchannels;
     if (site.slot >= slots)
         fatal("runCoSystem: attack sub-channel slot " +
               std::to_string(site.slot) + " out of range (" +
@@ -121,17 +104,6 @@ runCoSystem(const workload::TraceGenConfig &config, const CoreModel &core,
     if (!at.trace.events.empty())
         views.push_back(workload::viewOf(at.trace));
 
-    // The oracle never changes a result, so it is built only where it
-    // is read: the attacker's bank of the attacked run.
-    SystemConfig sys;
-    sys.channel = coChannelConfig(
-        config, level,
-        coAttackCellSeed(config, spec, mitigator, level, attack),
-        attacker_max_hammer != nullptr);
-    sys.subchannels = subchannels;
-    sys.channels = std::max(1u, config.channels);
-    sys.ranks = std::max(1u, config.ranks);
-    sys.oracleOnly = site;
     System system(sys, mitigator.factory());
     system.setPostponeRefresh(
         workload::attackPostponesRefresh(attack.pattern));
@@ -148,106 +120,64 @@ runCoSystem(const workload::TraceGenConfig &config, const CoreModel &core,
     return res;
 }
 
-CoAttackEngine::CoAttackEngine(const SweepConfig &config)
-    : config_(config),
-      jobs_(config.jobs > 0 ? config.jobs : ThreadPool::hardwareThreads())
+CoAttackBaseline
+runCoAttackBaseline(const workload::TraceGenConfig &config,
+                    const CoreModel &core, const CoAttackCell &cell,
+                    const workload::TraceSet &benign)
 {
-    if (!config_.traceStore)
-        config_.traceStore = std::make_shared<workload::TraceStore>();
-    if (!config_.resultStore)
-        config_.resultStore = std::make_shared<ResultStore>();
-}
-
-std::shared_ptr<const CoAttackEngine::Baseline>
-CoAttackEngine::baseline(const CoAttackCell &cell)
-{
-    uint64_t key = hashCombine(perfConfigKey(config_.tracegen, config_.core),
-                               stableHash64(cell.workload.name));
-    key = hashCombine(key, stableHash64(cell.mitigator.describe()));
-    key = hashCombine(key,
-                      static_cast<uint64_t>(abo::levelValue(cell.level)));
-    key = hashCombine(key, stableHash64("coattack-baseline"));
-
-    const auto replay = [&] {
-        CoAttackScenario none;
-        none.pattern = "none";
-        const auto benign =
-            config_.traceStore->get(cell.workload, config_.tracegen);
-        const SystemResult res = runCoSystem(
-            config_.tracegen, config_.core, cell.workload, cell.mitigator,
-            cell.level, resolveAttack(none, config_.tracegen), nullptr,
-            benign.get());
-        auto base = std::make_shared<Baseline>();
-        base->coreFinish = res.coreFinish;
-        base->totalActs = res.totalActs;
-        base->alerts = res.alerts;
-        base->refs = res.refs;
-        for (const auto &u : res.perSubchannel)
-            base->rfms += u.rfms;
-        return std::shared_ptr<const Baseline>(std::move(base));
-    };
-    return baselines_.get(key, replay).value;
+    CoAttackScenario none;
+    none.pattern = "none";
+    const SystemResult res =
+        runCoSystem(config, core, cell.workload, cell.mitigator, cell.level,
+                    resolveAttack(none, config), nullptr, &benign);
+    CoAttackBaseline base;
+    base.coreFinish = res.coreFinish;
+    base.totalActs = res.totalActs;
+    base.alerts = res.alerts;
+    base.refs = res.refs;
+    for (const auto &u : res.perSubchannel)
+        base.rfms += u.rfms;
+    return base;
 }
 
 CoAttackResult
-CoAttackEngine::runCell(const CoAttackCell &cell)
+runCoAttackCell(const workload::TraceGenConfig &config, const CoreModel &core,
+                const CoAttackCell &cell, const CoAttackBaseline &baseline,
+                const workload::TraceSet &benign)
 {
-    // Store-first, exactly like SweepEngine::runCell: a warm hit skips
-    // the attack-free baseline and the co-run entirely, and both paths
-    // round-trip through the byte-stable JSONL payload.
-    if (!config_.resultStore->enabled())
-        return computeCell(cell);
-    const uint64_t key =
-        coAttackCellKey(config_.tracegen, config_.core, cell);
-    const auto payload = config_.resultStore->getOrCompute(
-        key, [&] { return toJsonLine(computeCell(cell)); });
-    return coAttackResultOfJsonLine(*payload);
-}
-
-CoAttackResult
-CoAttackEngine::computeCell(const CoAttackCell &cell)
-{
-    // Same chaos boundary as SweepEngine::computeCell: upstream of the
-    // result store, so injected failures are never cached.
-    fault::failPoint("sweep.compute");
-    const auto base = baseline(cell);
-
     CoAttackResult out;
     out.workload = cell.workload.name;
     out.mitigator = cell.mitigator.describe();
-    out.device = config_.tracegen.device;
+    out.device = config.device;
     out.pattern = cell.attack.pattern;
     out.aboLevel = abo::levelValue(cell.level);
-    out.victimActs = base->totalActs;
-    out.attackFreeAlerts = base->alerts;
-    out.attackFreeRfms = base->rfms;
-    if (base->refs > 0) {
+    out.victimActs = baseline.totalActs;
+    out.attackFreeAlerts = baseline.alerts;
+    out.attackFreeRfms = baseline.rfms;
+    if (baseline.refs > 0) {
         out.attackFreeAlertsPerRefi =
-            static_cast<double>(base->alerts) /
-            static_cast<double>(base->refs);
+            static_cast<double>(baseline.alerts) /
+            static_cast<double>(baseline.refs);
     }
 
     if (cell.attack.pattern == "none") {
         // The attack-free cell *is* the baseline.
-        out.alerts = base->alerts;
-        out.rfms = base->rfms;
-        out.refs = base->refs;
+        out.alerts = baseline.alerts;
+        out.rfms = baseline.rfms;
+        out.refs = baseline.refs;
         out.alertsPerRefi = out.attackFreeAlertsPerRefi;
         return out;
     }
 
     const workload::AttackTraceConfig attack =
-        resolveAttack(cell.attack, config_.tracegen);
+        resolveAttack(cell.attack, config);
     uint32_t max_hammer = 0;
-    const auto benign =
-        config_.traceStore->get(cell.workload, config_.tracegen);
     const SystemResult co =
-        runCoSystem(config_.tracegen, config_.core, cell.workload,
-                    cell.mitigator, cell.level, attack, &max_hammer,
-                    benign.get());
+        runCoSystem(config, core, cell.workload, cell.mitigator,
+                    cell.level, attack, &max_hammer, &benign);
 
     out.attackerMaxHammer = max_hammer;
-    out.attackerActs = co.totalActs - base->totalActs;
+    out.attackerActs = co.totalActs - baseline.totalActs;
     out.alerts = co.alerts;
     out.refs = co.refs;
     for (const auto &u : co.perSubchannel)
@@ -259,16 +189,16 @@ CoAttackEngine::computeCell(const CoAttackCell &cell)
 
     // Victim classes occupy [0, numCores); the attacker is last.
     const size_t victims =
-        std::min(base->coreFinish.size(), co.coreFinish.size());
+        std::min(baseline.coreFinish.size(), co.coreFinish.size());
     double slow_sum = 0.0;
     double norm_sum = 0.0;
     size_t n = 0;
     for (size_t c = 0; c < victims; ++c) {
-        if (base->coreFinish[c] <= 0 || co.coreFinish[c] <= 0)
+        if (baseline.coreFinish[c] <= 0 || co.coreFinish[c] <= 0)
             continue;
         slow_sum += static_cast<double>(co.coreFinish[c]) /
-                    static_cast<double>(base->coreFinish[c]);
-        norm_sum += static_cast<double>(base->coreFinish[c]) /
+                    static_cast<double>(baseline.coreFinish[c]);
+        norm_sum += static_cast<double>(baseline.coreFinish[c]) /
                     static_cast<double>(co.coreFinish[c]);
         ++n;
     }
@@ -277,27 +207,6 @@ CoAttackEngine::computeCell(const CoAttackCell &cell)
         out.victimNormPerf = norm_sum / static_cast<double>(n);
     }
     return out;
-}
-
-std::vector<CoAttackResult>
-CoAttackEngine::run(const std::vector<CoAttackCell> &cells)
-{
-    return run(cells, nullptr);
-}
-
-std::vector<CoAttackResult>
-CoAttackEngine::run(const std::vector<CoAttackCell> &cells,
-                    const CellSink &sink)
-{
-    std::vector<CoAttackResult> results(cells.size());
-    // A failed cell does not stop the others (their results still land
-    // in the store); parallelFor rethrows the lowest failed index.
-    parallelFor(jobs_, cells.size(), [&](size_t i) {
-        results[i] = runCell(cells[i]);
-        if (sink)
-            sink(i, results[i]);
-    });
-    return results;
 }
 
 std::vector<CoAttackCell>

@@ -1,40 +1,36 @@
 /**
  * @file
- * Adversary-under-load scenario engine.
+ * Adversary-under-load cell math.
  *
  * The paper's security results run the attacker on an isolated
  * sub-channel; its performance results replay only benign traffic.
- * This engine closes the gap between the two: it appends a synthesized
- * attacker core (workload/attack_trace.hh) to a workload's benign
- * tracegen cores and replays all of them through sim::System's merged
- * multi-sub-channel event loop, then reports per-core-class metrics --
- * the attacker's residual maxHammer under real contention, the
- * victims' slowdown against an attack-free co-run of the *same*
+ * A co-attack cell closes the gap between the two: it appends a
+ * synthesized attacker core (workload/attack_trace.hh) to a workload's
+ * benign tracegen cores and replays all of them through sim::System's
+ * merged multi-sub-channel event loop, then reports per-core-class
+ * metrics -- the attacker's residual maxHammer under real contention,
+ * the victims' slowdown against an attack-free co-run of the *same*
  * mitigator (isolating the attack's cost from the mitigation's own
  * overhead), and the ALERT/RFM activity attributable to the attack.
  *
- * Cells of a (workload x mitigator x attack x level) sweep are
- * independent simulations seeded from stable cell keys, so the engine
- * fans them across a thread pool with bit-identical results at any
- * jobs count; attack-free baselines are computed once per
- * (configuration, workload, mitigator, level) in a thread-safe cache.
+ * Everything here is a pure function of its arguments. sim::SweepEngine
+ * (sim/sweep.hh) runs co-attack cells beside perf cells: it keys,
+ * caches and fans them out, and computes each attack-free baseline
+ * once per (configuration, workload, mitigator, level).
  */
 
 #ifndef MOATSIM_SIM_COATTACK_HH
 #define MOATSIM_SIM_COATTACK_HH
 
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "abo/abo.hh"
-#include "common/single_flight.hh"
 #include "mitigation/registry.hh"
-#include "sim/sweep.hh"
 #include "sim/system.hh"
 #include "workload/attack_trace.hh"
 #include "workload/spec.hh"
+#include "workload/trace_store.hh"
 
 namespace moatsim::sim
 {
@@ -164,62 +160,36 @@ workload::AttackTraceConfig
 resolveAttack(const CoAttackScenario &scenario,
               const workload::TraceGenConfig &config);
 
-/** Runs co-attack cells in parallel with bit-identical results. */
-class CoAttackEngine
+/** Attack-free co-run of (workload, mitigator, level): the victim
+ *  baseline every attacked cell of that tuple compares against. */
+struct CoAttackBaseline
 {
-  public:
-    explicit CoAttackEngine(const SweepConfig &config);
-
-    /** Streaming completion callback; see SweepEngine::CellSink. */
-    using CellSink = std::function<void(size_t, const CoAttackResult &)>;
-
-    /** Run every cell; results are in cell order regardless of the
-     *  execution schedule. */
-    std::vector<CoAttackResult> run(const std::vector<CoAttackCell> &cells);
-
-    /** As run(cells), additionally streaming each finished cell to
-     *  @p sink (null = none); the sink must be thread-safe. */
-    std::vector<CoAttackResult> run(const std::vector<CoAttackCell> &cells,
-                                    const CellSink &sink);
-
-    /** Run one cell inline (shares the baseline cache and stores). */
-    CoAttackResult runCell(const CoAttackCell &cell);
-
-    /** Resolved worker count. */
-    unsigned jobs() const { return jobs_; }
-
-    const SweepConfig &config() const { return config_; }
-
-    /** The result store (config.resultStore, or the engine's own). */
-    const std::shared_ptr<ResultStore> &resultStore() const
-    {
-        return config_.resultStore;
-    }
-
-  private:
-    /** Attack-free co-run of (workload, mitigator, level): the victim
-     *  baseline every attacked cell of that tuple compares against. */
-    struct Baseline
-    {
-        std::vector<Time> coreFinish;
-        /** Benign activations (the victim-class act count). */
-        uint64_t totalActs = 0;
-        uint64_t alerts = 0;
-        uint64_t rfms = 0;
-        uint64_t refs = 0;
-    };
-
-    std::shared_ptr<const Baseline> baseline(const CoAttackCell &cell);
-
-    /** Simulate one cell (the result store's compute path). */
-    CoAttackResult computeCell(const CoAttackCell &cell);
-
-    SweepConfig config_;
-    unsigned jobs_;
-    /** Concurrent first-requesters of one (workload, mitigator, level)
-     *  tuple block on one computation. */
-    SingleFlight<Baseline> baselines_;
+    std::vector<Time> coreFinish;
+    /** Benign activations (the victim-class act count). */
+    uint64_t totalActs = 0;
+    uint64_t alerts = 0;
+    uint64_t rfms = 0;
+    uint64_t refs = 0;
 };
+
+/** Replay the attack-free co-run of @p cell's (workload, mitigator,
+ *  level) over its @p benign traces; the attack side is ignored. */
+CoAttackBaseline runCoAttackBaseline(const workload::TraceGenConfig &config,
+                                     const CoreModel &core,
+                                     const CoAttackCell &cell,
+                                     const workload::TraceSet &benign);
+
+/**
+ * Run one co-attack cell given its attack-free @p baseline and its
+ * @p benign traces (typically a TraceStore handout). Pure function of
+ * its arguments; an attack-free cell ("none") *is* its baseline and
+ * replays nothing.
+ */
+CoAttackResult runCoAttackCell(const workload::TraceGenConfig &config,
+                               const CoreModel &core,
+                               const CoAttackCell &cell,
+                               const CoAttackBaseline &baseline,
+                               const workload::TraceSet &benign);
 
 /** Cross product: every workload at every (mitigator, level, attack)
  *  point. */

@@ -1,5 +1,7 @@
 #include "sim/experiment.hh"
 
+#include <type_traits>
+
 #include "dram/device.hh"
 
 namespace moatsim::sim
@@ -23,20 +25,42 @@ sweepConfigOf(const ExperimentConfig &config,
     sc.jobs = config.jobs;
     // One store of each kind for the whole experiment -- or the
     // caller's long-lived ones (`moatsim serve` shares stores across
-    // every client request). For the trace store the environment can
-    // disable it on top of the config (both must opt in).
-    if (stores.traces) {
-        sc.traceStore = stores.traces;
-    } else {
-        workload::TraceStore::Config tsc =
-            workload::TraceStore::envConfig();
-        tsc.enabled = tsc.enabled && config.traceStore;
-        sc.traceStore = std::make_shared<workload::TraceStore>(tsc);
-    }
+    // every client request). Null members leave the engine to create
+    // env-configured stores of its own.
+    sc.traceStore = stores.traces;
     sc.resultStore = stores.results
                          ? stores.results
                          : std::make_shared<ResultStore>(config.resultStore);
     return sc;
+}
+
+/**
+ * Run one row of cells per point -- every workload at that point,
+ * built by @p make -- as one parallel batch, and cut the flat results
+ * back into rows: result [i][w] is point i on workload w.
+ */
+template <typename Point, typename MakeCell>
+auto
+runRows(SweepEngine &engine,
+        const std::vector<workload::WorkloadSpec> &workloads,
+        const std::vector<Point> &points, const MakeCell &make)
+{
+    std::vector<decltype(make(points.front(), workloads.front()))> cells;
+    cells.reserve(points.size() * workloads.size());
+    for (const auto &p : points) {
+        for (const auto &w : workloads)
+            cells.push_back(make(p, w));
+    }
+    const auto flat = engine.run(cells);
+
+    std::vector<std::remove_const_t<decltype(flat)>> rows(points.size());
+    for (size_t i = 0; i < points.size(); ++i) {
+        const auto first =
+            flat.begin() + static_cast<ptrdiff_t>(i * workloads.size());
+        rows[i].assign(first,
+                       first + static_cast<ptrdiff_t>(workloads.size()));
+    }
+    return rows;
 }
 
 } // namespace
@@ -49,13 +73,7 @@ Experiment::Experiment(const ExperimentConfig &config)
 Experiment::Experiment(const ExperimentConfig &config,
                        const ExperimentStores &stores)
     : config_(config),
-      engine_(sweepConfigOf(config, stores),
-              stores.baselines ? stores.baselines
-                               : std::make_shared<BaselineCache>()),
-      // The co-attack engine shares the perf engine's resolved config
-      // -- trace and result stores included -- so both replay one copy
-      // of each workload's traces and fill one result store.
-      coattack_(engine_.config())
+      engine_(sweepConfigOf(config, stores), stores.baselines)
 {
 }
 
@@ -70,93 +88,41 @@ Experiment::selectedWorkloads() const
 }
 
 std::vector<PerfResult>
-Experiment::run()
-{
-    return run(config_.mitigator, config_.aboLevel);
-}
-
-std::vector<PerfResult>
-Experiment::run(const SweepEngine::CellSink &sink)
+Experiment::run(const SweepEngine::CellSink<PerfResult> &sink)
 {
     return engine_.run(crossCells(selectedWorkloads(),
                                   {{config_.mitigator, config_.aboLevel}}),
                        sink);
 }
 
-std::vector<PerfResult>
-Experiment::run(const mitigation::MitigatorSpec &mitigator, abo::Level level)
-{
-    return engine_.run(crossCells(selectedWorkloads(), {{mitigator, level}}));
-}
-
 std::vector<std::vector<PerfResult>>
 Experiment::runMatrix(const std::vector<SweepPoint> &points)
 {
-    const auto workloads = selectedWorkloads();
-    std::vector<std::pair<mitigation::MitigatorSpec, abo::Level>> pts;
-    pts.reserve(points.size());
-    for (const auto &p : points)
-        pts.emplace_back(p.mitigator, p.level);
-
-    const auto flat = engine_.run(crossCells(workloads, pts));
-
-    std::vector<std::vector<PerfResult>> out(points.size());
-    for (size_t i = 0; i < points.size(); ++i) {
-        out[i].assign(flat.begin() + static_cast<ptrdiff_t>(
-                                         i * workloads.size()),
-                      flat.begin() + static_cast<ptrdiff_t>(
-                                         (i + 1) * workloads.size()));
-    }
-    return out;
-}
-
-PerfResult
-Experiment::runWorkload(const workload::WorkloadSpec &spec,
-                        const mitigation::MitigatorSpec &mitigator,
-                        abo::Level level)
-{
-    return engine_.runCell({spec, mitigator, level});
-}
-
-std::vector<CoAttackResult>
-Experiment::runCoAttack(const CoAttackScenario &attack)
-{
-    return coattack_.run(crossCoAttackCells(
-        selectedWorkloads(), {config_.mitigator}, config_.aboLevel,
-        attack));
+    return runRows(engine_, selectedWorkloads(), points,
+                   [](const SweepPoint &p, const workload::WorkloadSpec &w) {
+                       return SweepCell{w, p.mitigator, p.level};
+                   });
 }
 
 std::vector<CoAttackResult>
 Experiment::runCoAttack(const CoAttackScenario &attack,
-                        const CoAttackEngine::CellSink &sink)
+                        const SweepEngine::CellSink<CoAttackResult> &sink)
 {
-    return coattack_.run(
-        crossCoAttackCells(selectedWorkloads(), {config_.mitigator},
-                           config_.aboLevel, attack),
-        sink);
+    return engine_.run(crossCoAttackCells(selectedWorkloads(),
+                                          {config_.mitigator},
+                                          config_.aboLevel, attack),
+                       sink);
 }
 
 std::vector<std::vector<CoAttackResult>>
 Experiment::runCoAttackMatrix(const std::vector<CoAttackPoint> &points)
 {
-    const auto workloads = selectedWorkloads();
-    std::vector<CoAttackCell> cells;
-    cells.reserve(points.size() * workloads.size());
-    for (const auto &p : points) {
-        for (const auto &w : workloads)
-            cells.push_back({w, p.mitigator, p.level, p.attack});
-    }
-
-    const auto flat = coattack_.run(cells);
-
-    std::vector<std::vector<CoAttackResult>> out(points.size());
-    for (size_t i = 0; i < points.size(); ++i) {
-        out[i].assign(flat.begin() + static_cast<ptrdiff_t>(
-                                         i * workloads.size()),
-                      flat.begin() + static_cast<ptrdiff_t>(
-                                         (i + 1) * workloads.size()));
-    }
-    return out;
+    return runRows(engine_, selectedWorkloads(), points,
+                   [](const CoAttackPoint &p,
+                      const workload::WorkloadSpec &w) {
+                       return CoAttackCell{w, p.mitigator, p.level,
+                                           p.attack};
+                   });
 }
 
 } // namespace moatsim::sim

@@ -6,11 +6,13 @@
  * the trace-generator config), ABO level, workload selection, the
  * mitigator spec, the seed, and the worker count -- so the CLI, the
  * benches, and the examples all drive the same code path instead of
- * hand-assembling engine calls. The Experiment owns a SweepEngine
- * (sim/sweep.hh), so every run fans its cells across the engine's
- * work-stealing pool and the cached no-ALERT baselines are shared
- * across every design/level evaluated through it. Design-space sweeps
- * call runMatrix() with the full point list so the whole matrix
+ * hand-assembling engine calls. The Experiment owns one SweepEngine
+ * (sim/sweep.hh) for both cell kinds, so every run -- perf or
+ * co-attack -- fans its cells across the engine's work-stealing pool,
+ * replays one copy of each workload's traces, fills one result store,
+ * and shares the cached baselines across every design/level evaluated
+ * through it. Design-space sweeps call runMatrix() or
+ * runCoAttackMatrix() with the full point list so the whole matrix
  * parallelizes as one batch; results are bit-identical at any jobs
  * count.
  */
@@ -23,8 +25,6 @@
 
 #include "abo/abo.hh"
 #include "mitigation/registry.hh"
-#include "sim/coattack.hh"
-#include "sim/perf.hh"
 #include "sim/sweep.hh"
 
 namespace moatsim::sim
@@ -45,7 +45,7 @@ struct ExperimentConfig
      * ("device:org=...,speed=..."). When non-empty the spec is parsed
      * (fatal on malformed input) and applied to the trace-generator
      * configuration via workload::withDevice() -- timing, channels x
-     * ranks topology, system bank count -- before the engines are
+     * ranks topology, system bank count -- before the engine is
      * built. Empty (the default) leaves `tracegen` exactly as given,
      * reproducing the pre-device pipeline bit-identically.
      */
@@ -60,16 +60,6 @@ struct ExperimentConfig
     CoreModel core{};
     /** Sweep worker threads; 0 = hardware concurrency, 1 = serial. */
     unsigned jobs = 0;
-    /**
-     * Whether to cache generated workload traces in the shared
-     * workload::TraceStore (one store serves both the perf and the
-     * co-attack engine, so a matrix generates each distinct trace
-     * exactly once). false -- or MOATSIM_TRACE_STORE=0 in the
-     * environment, or the CLI --no-trace-store flag -- regenerates
-     * per cell instead; results are bit-identical either way (the
-     * determinism suite proves it).
-     */
-    bool traceStore = true;
     /**
      * Result store configuration (sim/result_store.hh). The default
      * comes from the environment (MOATSIM_RESULT_STORE unset =
@@ -119,77 +109,56 @@ class Experiment
     Experiment(const ExperimentConfig &config,
                const ExperimentStores &stores);
 
-    /** Run the configured workload selection with the configured design. */
-    std::vector<PerfResult> run();
-
     /**
-     * As run(), streaming each finished cell to @p sink (index within
-     * the workload selection, result) as it completes -- the serve
-     * protocol's per-cell response path. The sink is called from
-     * worker threads; it must be thread-safe.
+     * Run the configured workload selection with the configured
+     * design, streaming each finished cell to @p sink (index within
+     * the workload selection, result; null = none) as it completes --
+     * the serve protocol's per-cell response path. The sink is called
+     * from worker threads; it must be thread-safe.
      */
-    std::vector<PerfResult> run(const SweepEngine::CellSink &sink);
-
-    /**
-     * Run the same workload selection with a different design and/or
-     * ABO level; the no-ALERT baselines are shared, so sweeps only pay
-     * for the mitigated runs.
-     */
-    std::vector<PerfResult> run(const mitigation::MitigatorSpec &mitigator,
-                                abo::Level level);
+    std::vector<PerfResult>
+    run(const SweepEngine::CellSink<PerfResult> &sink = {});
 
     /**
      * Run the workload selection at every sweep point as one parallel
-     * batch; result [i][w] is point i on workload w. Equivalent to
-     * (but much faster than) calling run() per point.
+     * batch; result [i][w] is point i on workload w. The no-ALERT
+     * baselines are shared, so sweeps only pay for the mitigated runs.
      */
     std::vector<std::vector<PerfResult>>
     runMatrix(const std::vector<SweepPoint> &points);
 
-    /** One workload with an explicit design/level (sweep inner loop). */
-    PerfResult runWorkload(const workload::WorkloadSpec &spec,
-                           const mitigation::MitigatorSpec &mitigator,
-                           abo::Level level);
-
     /**
      * Run the adversary-under-load scenario: the workload selection
      * co-scheduled with @p attack against the configured design and
-     * level (one CoAttackResult per workload).
+     * level (one CoAttackResult per workload), streaming each finished
+     * cell to @p sink as run() does.
      */
-    std::vector<CoAttackResult> runCoAttack(const CoAttackScenario &attack);
-
-    /** As runCoAttack(), streaming each finished cell to @p sink (the
-     *  sink must be thread-safe). */
     std::vector<CoAttackResult>
     runCoAttack(const CoAttackScenario &attack,
-                const CoAttackEngine::CellSink &sink);
+                const SweepEngine::CellSink<CoAttackResult> &sink = {});
 
     /**
      * Run the workload selection at every (design, level, attack)
      * point as one parallel batch; result [i][w] is point i on
-     * workload w. The (workload x mitigator x attack x level) cells
-     * all fan out across the engine's pool.
+     * workload w.
      */
     std::vector<std::vector<CoAttackResult>>
     runCoAttackMatrix(const std::vector<CoAttackPoint> &points);
 
     const ExperimentConfig &config() const { return config_; }
 
-    /** The underlying sweep engine (baseline cache included). */
+    /** The cell engine (baseline caches included). */
     SweepEngine &engine() { return engine_; }
 
-    /** The co-attack engine (attack-free baseline cache included). */
-    CoAttackEngine &coAttackEngine() { return coattack_; }
-
-    /** The trace store shared by both engines (hit/miss/eviction
-     *  stats for the whole experiment). */
+    /** The trace store (hit/miss/eviction stats for the whole
+     *  experiment). */
     const std::shared_ptr<workload::TraceStore> &traceStore() const
     {
         return engine_.traceStore();
     }
 
-    /** The result store shared by both engines (hit/miss/compute
-     *  stats; the CLI prints them, `moatsim serve` exposes them). */
+    /** The result store (hit/miss/compute stats; the CLI prints them,
+     *  `moatsim serve` exposes them). */
     const std::shared_ptr<ResultStore> &resultStore() const
     {
         return engine_.resultStore();
@@ -201,7 +170,6 @@ class Experiment
 
     ExperimentConfig config_;
     SweepEngine engine_;
-    CoAttackEngine coattack_;
 };
 
 } // namespace moatsim::sim

@@ -11,34 +11,6 @@ namespace moatsim::sim
 namespace
 {
 
-subchannel::SubChannelConfig
-channelConfigFor(const workload::TraceGenConfig &tg, abo::Level level,
-                 uint64_t seed)
-{
-    subchannel::SubChannelConfig sc;
-    sc.timing = tg.timing;
-    sc.numBanks = tg.banksSimulated;
-    sc.aboLevel = level;
-    sc.securityEnabled = false; // perf runs skip the damage oracle
-    sc.seed = seed;
-    return sc;
-}
-
-/** The full system a perf run simulates: tracegen.subchannels
- *  sub-channels per (channel, rank), each configured by
- *  channelConfigFor. */
-System
-systemFor(const workload::TraceGenConfig &tg, abo::Level level,
-          uint64_t seed, const subchannel::SubChannel::MitigatorFactory &f)
-{
-    SystemConfig sys;
-    sys.channel = channelConfigFor(tg, level, seed);
-    sys.subchannels = std::max(1u, tg.subchannels);
-    sys.channels = std::max(1u, tg.channels);
-    sys.ranks = std::max(1u, tg.ranks);
-    return System(sys, f);
-}
-
 /** Seed of the no-ALERT baseline run of @p spec (mitigator-free key). */
 uint64_t
 baselineSeed(const workload::TraceGenConfig &config, const CoreModel &core,
@@ -50,6 +22,24 @@ baselineSeed(const workload::TraceGenConfig &config, const CoreModel &core,
 }
 
 } // namespace
+
+SystemConfig
+systemConfigFor(const workload::TraceGenConfig &config, abo::Level level,
+                uint64_t seed,
+                std::optional<SystemConfig::OracleSite> oracle)
+{
+    SystemConfig sys;
+    sys.channel.timing = config.timing;
+    sys.channel.numBanks = config.banksSimulated;
+    sys.channel.aboLevel = level;
+    sys.channel.securityEnabled = oracle.has_value();
+    sys.channel.seed = seed;
+    sys.subchannels = std::max(1u, config.subchannels);
+    sys.channels = std::max(1u, config.channels);
+    sys.ranks = std::max(1u, config.ranks);
+    sys.oracleOnly = oracle;
+    return sys;
+}
 
 uint64_t
 perfConfigKey(const workload::TraceGenConfig &config, const CoreModel &core)
@@ -93,8 +83,9 @@ BaselineCache::get(const workload::TraceGenConfig &config,
     const uint64_t key =
         hashCombine(perfConfigKey(config, core), stableHash64(spec.name));
     const auto replay = [&] {
-        System sys = systemFor(
-            config, abo::Level::L1, baselineSeed(config, core, spec),
+        System sys(
+            systemConfigFor(config, abo::Level::L1,
+                            baselineSeed(config, core, spec)),
             [](BankId) {
                 return std::make_unique<mitigation::NullMitigator>();
             });
@@ -117,9 +108,9 @@ runPerfCell(const workload::TraceGenConfig &config, const CoreModel &core,
             const workload::TraceSet &traces,
             const std::vector<Time> &baseline)
 {
-    System sys = systemFor(config, level,
-                           cellSeed(config, spec, mitigator, level),
-                           mitigator.factory());
+    System sys(systemConfigFor(config, level,
+                               cellSeed(config, spec, mitigator, level)),
+               mitigator.factory());
     const SystemResult res = runSystem(sys, traces.views(), core);
 
     PerfResult out;

@@ -23,6 +23,7 @@
 #define MOATSIM_SIM_PERF_HH
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -81,6 +82,18 @@ struct PerfResult
      *  entries, in sim::System slot order). */
     std::vector<SubChannelPerf> perSubchannel;
 };
+
+/**
+ * The System every cell replays on -- perf cells, their no-ALERT
+ * baselines and co-attack runs alike: config.subchannels sub-channels
+ * per (channel, rank) at ABO @p level, seeded from @p seed. The
+ * security oracle is off unless @p oracle names the one (slot, bank)
+ * it tracks.
+ */
+SystemConfig
+systemConfigFor(const workload::TraceGenConfig &config, abo::Level level,
+                uint64_t seed,
+                std::optional<SystemConfig::OracleSite> oracle = {});
 
 /**
  * Stable 64-bit key of everything that shapes a perf simulation: the

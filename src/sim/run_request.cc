@@ -18,14 +18,6 @@ namespace moatsim::sim
 namespace
 {
 
-abo::Level
-levelOf(uint64_t l)
-{
-    if (l != 1 && l != 2 && l != 4)
-        fatal("--level must be 1, 2, or 4");
-    return static_cast<abo::Level>(l);
-}
-
 /** Strict base-10 uint64 parse of a bare JSON number token. */
 bool
 parseU64(const std::string &text, uint64_t *out)
@@ -187,6 +179,14 @@ mitigatorOfArgs(const Args &args, abo::Level level)
         ",blast=" + std::to_string(moat.blastRadius));
 }
 
+abo::Level
+levelOf(uint64_t level)
+{
+    if (level != 1 && level != 2 && level != 4)
+        fatal("--level must be 1, 2, or 4");
+    return static_cast<abo::Level>(level);
+}
+
 RunRequest
 runRequestOfArgs(const std::string &kind, const Args &args)
 {
@@ -200,7 +200,6 @@ runRequestOfArgs(const std::string &kind, const Args &args)
     req.subchannels = args.getPositive("subchannels", 2);
     req.seed = args.getInt("trace-seed", 7);
     req.jobs = args.getUint32("jobs", 0);
-    req.traceStore = !args.getBool("no-trace-store", false);
     if (kind == "coattack") {
         req.pattern = args.get("pattern", "hammer");
         req.poolRows = args.getUint32("pool", 0);
@@ -223,9 +222,7 @@ toJsonLine(const RunRequest &req)
                       ",\"fraction\":" + jsonDouble(req.fraction) +
                       ",\"subchannels\":" + std::to_string(req.subchannels) +
                       ",\"seed\":" + std::to_string(req.seed) +
-                      ",\"jobs\":" + std::to_string(req.jobs) +
-                      ",\"trace_store\":" +
-                      std::to_string(req.traceStore ? 1 : 0);
+                      ",\"jobs\":" + std::to_string(req.jobs);
     if (req.kind == "coattack") {
         out += ",\"pattern\":" + jsonQuote(req.pattern) +
                ",\"pool_rows\":" + std::to_string(req.poolRows) +
@@ -268,7 +265,6 @@ tryRunRequestOfJsonLine(const std::string &line, RunRequest *req,
 {
     RunRequest r;
     uint64_t level = static_cast<uint64_t>(r.level);
-    uint64_t traceStore = r.traceStore ? 1 : 0;
     const bool ok =
         optString(line, "kind", &r.kind, err) &&
         optString(line, "mitigator", &r.mitigator, err) &&
@@ -279,7 +275,6 @@ tryRunRequestOfJsonLine(const std::string &line, RunRequest *req,
         optU32(line, "subchannels", &r.subchannels, err) &&
         optU64(line, "seed", &r.seed, err) &&
         optU32(line, "jobs", &r.jobs, err) &&
-        optU64(line, "trace_store", &traceStore, err) &&
         optString(line, "pattern", &r.pattern, err) &&
         optU32(line, "pool_rows", &r.poolRows, err) &&
         optU64(line, "budget", &r.budget, err) &&
@@ -291,7 +286,6 @@ tryRunRequestOfJsonLine(const std::string &line, RunRequest *req,
     if (level > INT32_MAX)
         return failField("level", "is out of range", err);
     r.level = static_cast<int>(level);
-    r.traceStore = traceStore != 0;
     *req = r;
     return true;
 }
@@ -391,7 +385,6 @@ experimentConfigOf(const RunRequest &req)
     ec.mitigator = mitigation::Registry::parse(req.mitigator);
     ec.workload = req.workload;
     ec.jobs = req.jobs;
-    ec.traceStore = req.traceStore;
     return ec;
 }
 

@@ -61,11 +61,6 @@ struct RunRequest
     // any jobs count (the determinism headline), so two requests
     // differing only here must dedupe to one computation
     unsigned jobs = 0;
-    /** Whether the run may use the shared trace store. */
-    // moatlint: key-exempt(requestKey): the trace store is
-    // content-addressed and bit-exact, so store on/off changes how a
-    // result is computed, never what it is
-    bool traceStore = true;
 
     // ----- coattack only -------------------------------------------
     /** Attack pattern (attacks::attackPatterns()), or "none". */
@@ -81,6 +76,10 @@ struct RunRequest
     /** Attack-trace seed. */
     uint64_t attackSeed = 1;
 };
+
+/** The ABO level @p level names; fatal()s unless it is 1, 2, or 4
+ *  (CLI codec). */
+abo::Level levelOf(uint64_t level);
 
 /**
  * MOAT-L couples the tracker size to the ABO level (Appendix D). When
@@ -117,10 +116,10 @@ std::string toJsonLine(const RunRequest &req);
 /**
  * Content-address of a request: a stable 64-bit fold (FNV-1a,
  * common/hash.hh) of every result-shaping field. Two requests with
- * equal keys produce byte-identical result lines; scheduling knobs
- * (jobs, traceStore) are deliberately absent so they dedupe. The
- * coattack-only fields fold only for coattack requests, mirroring
- * toJsonLine(). The serve daemon reports it in the done line and
+ * equal keys produce byte-identical result lines; the scheduling knob
+ * (jobs) is deliberately absent so requests differing only there
+ * dedupe. The coattack-only fields fold only for coattack requests,
+ * mirroring toJsonLine(). The serve daemon reports it in the done line and
  * clients can use it to correlate sweeps across sessions.
  */
 uint64_t requestKey(const RunRequest &req);

@@ -92,8 +92,7 @@ struct ServeConfig
      * exceeds the budget still runs when the server is idle.
      */
     double maxCost = 0.0;
-    /** The shared trace store all requests use (server policy; a
-     *  request's trace_store field does not override it). */
+    /** The shared trace store all requests use (server policy). */
     workload::TraceStore::Config traceStore =
         workload::TraceStore::envConfig();
     /** The shared result store all requests fill and hit. */

@@ -3,22 +3,50 @@
 #include <utility>
 
 #include "common/fault.hh"
+#include "common/hash.hh"
 #include "common/thread_pool.hh"
 #include "sim/result_io.hh"
 
 namespace moatsim::sim
 {
 
-SweepEngine::SweepEngine(const SweepConfig &config)
-    : SweepEngine(config, std::make_shared<BaselineCache>())
+namespace
 {
+
+uint64_t
+cellKey(const SweepConfig &config, const SweepCell &cell)
+{
+    return perfCellKey(config.tracegen, config.core, cell.workload,
+                       cell.mitigator, cell.level);
 }
+
+uint64_t
+cellKey(const SweepConfig &config, const CoAttackCell &cell)
+{
+    return coAttackCellKey(config.tracegen, config.core, cell);
+}
+
+/** Key of the attack-free co-run every attacked cell of one
+ *  (workload, mitigator, level) tuple compares against. */
+uint64_t
+coBaselineKey(const SweepConfig &config, const CoAttackCell &cell)
+{
+    uint64_t key = hashCombine(perfConfigKey(config.tracegen, config.core),
+                               stableHash64(cell.workload.name));
+    key = hashCombine(key, stableHash64(cell.mitigator.describe()));
+    key = hashCombine(key,
+                      static_cast<uint64_t>(abo::levelValue(cell.level)));
+    return hashCombine(key, stableHash64("coattack-baseline"));
+}
+
+} // namespace
 
 SweepEngine::SweepEngine(const SweepConfig &config,
                          std::shared_ptr<BaselineCache> baselines)
     : config_(config),
       jobs_(config.jobs > 0 ? config.jobs : ThreadPool::hardwareThreads()),
-      baselines_(std::move(baselines))
+      baselines_(baselines ? std::move(baselines)
+                           : std::make_shared<BaselineCache>())
 {
     if (!config_.traceStore)
         config_.traceStore = std::make_shared<workload::TraceStore>();
@@ -26,33 +54,47 @@ SweepEngine::SweepEngine(const SweepConfig &config,
         config_.resultStore = std::make_shared<ResultStore>();
 }
 
-PerfResult
-SweepEngine::runCell(const SweepCell &cell)
+template <typename Cell, typename Result>
+Result
+SweepEngine::storeFirst(const Cell &cell,
+                        Result (*parse)(const std::string &))
 {
-    // Store-first: a warm hit serves the cached JSONL payload without
-    // touching traces or baselines (a warm matrix re-run does zero
-    // trace generations). Both the hit and the compute path round-trip
-    // the result through serialize -> parse, so the returned struct is
+    const auto compute = [&] {
+        // The chaos suite fails whole cells here, upstream of the
+        // result store, so an injected failure is never cached and a
+        // retried request recomputes only the cells that failed.
+        fault::failPoint("sweep.compute");
+        return computeCell(cell);
+    };
+    // A warm hit serves the cached JSONL payload without touching
+    // traces or baselines (a warm matrix re-run does zero trace
+    // generations). Both the hit and the compute path round-trip the
+    // result through serialize -> parse, so the returned struct is
     // byte-equivalent either way; with the store disabled the
     // round-trip is skipped entirely, reproducing the pre-store
     // pipeline exactly.
     if (!config_.resultStore->enabled())
-        return computeCell(cell);
-    const uint64_t key = perfCellKey(config_.tracegen, config_.core,
-                                     cell.workload, cell.mitigator,
-                                     cell.level);
+        return compute();
     const auto payload = config_.resultStore->getOrCompute(
-        key, [&] { return toJsonLine(computeCell(cell)); });
-    return perfResultOfJsonLine(*payload);
+        cellKey(config_, cell), [&] { return toJsonLine(compute()); });
+    return parse(*payload);
+}
+
+PerfResult
+SweepEngine::runCell(const SweepCell &cell)
+{
+    return storeFirst(cell, perfResultOfJsonLine);
+}
+
+CoAttackResult
+SweepEngine::runCell(const CoAttackCell &cell)
+{
+    return storeFirst(cell, coAttackResultOfJsonLine);
 }
 
 PerfResult
 SweepEngine::computeCell(const SweepCell &cell)
 {
-    // The chaos suite fails whole cells here, upstream of the result
-    // store, so an injected failure is never cached and a retried
-    // request recomputes only the cells that failed.
-    fault::failPoint("sweep.compute");
     // One store fetch serves the cell and (on first touch of this
     // workload) its baseline: each distinct trace of a matrix is
     // generated exactly once, and with the store disabled exactly once
@@ -65,16 +107,27 @@ SweepEngine::computeCell(const SweepCell &cell)
                        cell.mitigator, cell.level, *traces, *base);
 }
 
-std::vector<PerfResult>
-SweepEngine::run(const std::vector<SweepCell> &cells)
+CoAttackResult
+SweepEngine::computeCell(const CoAttackCell &cell)
 {
-    return run(cells, nullptr);
+    // As for a perf cell, one store fetch serves the cell and its
+    // attack-free baseline.
+    const auto benign =
+        config_.traceStore->get(cell.workload, config_.tracegen);
+    const auto base = coBaselines_.get(coBaselineKey(config_, cell), [&] {
+        return std::make_shared<const CoAttackBaseline>(runCoAttackBaseline(
+            config_.tracegen, config_.core, cell, *benign));
+    });
+    return runCoAttackCell(config_.tracegen, config_.core, cell,
+                           *base.value, *benign);
 }
 
-std::vector<PerfResult>
-SweepEngine::run(const std::vector<SweepCell> &cells, const CellSink &sink)
+template <typename Cell, typename Result>
+std::vector<Result>
+SweepEngine::fanOut(const std::vector<Cell> &cells,
+                    const CellSink<Result> &sink)
 {
-    std::vector<PerfResult> results(cells.size());
+    std::vector<Result> results(cells.size());
     // A failed cell does not stop the others (their results still land
     // in the store); parallelFor rethrows the lowest failed index, so
     // which error surfaces is schedule-independent.
@@ -84,6 +137,20 @@ SweepEngine::run(const std::vector<SweepCell> &cells, const CellSink &sink)
             sink(i, results[i]);
     });
     return results;
+}
+
+std::vector<PerfResult>
+SweepEngine::run(const std::vector<SweepCell> &cells,
+                 const CellSink<PerfResult> &sink)
+{
+    return fanOut(cells, sink);
+}
+
+std::vector<CoAttackResult>
+SweepEngine::run(const std::vector<CoAttackCell> &cells,
+                 const CellSink<CoAttackResult> &sink)
+{
+    return fanOut(cells, sink);
 }
 
 std::vector<SweepCell>

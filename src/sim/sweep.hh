@@ -1,18 +1,24 @@
 /**
  * @file
- * Parallel sweep engine for (workload x mitigator x parameter) grids.
+ * The one cell engine: parallel sweeps of (workload x mitigator x
+ * level[ x attack]) grids.
  *
- * Every cell of a paper figure/table sweep is an independent
- * simulation, so the engine fans the cells out with parallelFor over a
- * work-stealing thread pool (common/thread_pool.hh). Determinism is by
- * construction: each cell's RNG streams are seeded from its own stable
- * cell key (sim::cellSeed), its workload traces come out of the shared
+ * The paper measures two kinds of cell -- performance (SweepCell,
+ * runPerfCell) and a design under attack with benign co-runners
+ * (CoAttackCell, runCoAttackCell; sim/coattack.hh) -- and the engine
+ * keys, caches and fans out both the same way. Every cell is an
+ * independent simulation, so run() fans the cells out with
+ * parallelFor over a work-stealing thread pool
+ * (common/thread_pool.hh). Determinism is by construction: each
+ * cell's RNG streams are seeded from its own stable cell key
+ * (sim::cellSeed), its workload traces come out of the shared
  * content-addressed workload::TraceStore (generated exactly once per
- * distinct key, baselines included), and its baseline comes from the
- * thread-safe BaselineCache, so the result vector is bit-identical at
- * any --jobs value and under any thread schedule -- and identical
- * again with the trace store disabled. The serial path (jobs=1) runs
- * inline on the calling thread and produces the same bytes.
+ * distinct key, baselines included), and its baseline comes from a
+ * thread-safe compute-once cache, so the result vector is
+ * bit-identical at any --jobs value and under any thread schedule --
+ * and identical again with the trace store disabled. The serial path
+ * (jobs=1) runs inline on the calling thread and produces the same
+ * bytes.
  *
  * The engine itself holds no lock and so carries no thread-safety
  * annotations (src/common/thread_annotations.hh): each worker writes
@@ -28,10 +34,13 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "abo/abo.hh"
+#include "common/single_flight.hh"
 #include "mitigation/registry.hh"
+#include "sim/coattack.hh"
 #include "sim/perf.hh"
 #include "sim/result_store.hh"
 #include "workload/spec.hh"
@@ -64,8 +73,8 @@ struct SweepConfig
      * included) and across the pool. Null = the engine creates an
      * env-configured store of its own (MOATSIM_TRACE_STORE=0 yields a
      * disabled one); pass an explicit store to share it between
-     * engines (sim::Experiment shares one across its perf and
-     * co-attack engines).
+     * engines (`moatsim serve` shares one across every client
+     * request).
      */
     std::shared_ptr<workload::TraceStore> traceStore;
     /**
@@ -75,57 +84,50 @@ struct SweepConfig
      * warm matrix re-run recomputes only changed cells. Null = the
      * engine creates an env-configured store of its own
      * (MOATSIM_RESULT_STORE unset yields a disabled pass-through);
-     * pass an explicit store to share it -- sim::Experiment shares
-     * one across its perf and co-attack engines, `moatsim serve`
-     * across every client request.
+     * pass an explicit store to share it -- `moatsim serve` shares
+     * one across every client request.
      */
     std::shared_ptr<ResultStore> resultStore;
 };
 
-/** Runs sweep cells in parallel with bit-identical-to-serial results. */
+/** Runs perf and co-attack cells in parallel with bit-identical-to-serial
+ *  results. */
 class SweepEngine
 {
   public:
-    explicit SweepEngine(const SweepConfig &config);
-
-    /** Share a baseline cache with other engines. */
-    SweepEngine(const SweepConfig &config,
-                std::shared_ptr<BaselineCache> baselines);
+    /** @p baselines shares a perf baseline cache with other engines
+     *  (null = the engine's own). */
+    explicit SweepEngine(const SweepConfig &config,
+                         std::shared_ptr<BaselineCache> baselines = {});
 
     /**
-     * Per-cell completion callback of the streaming run() overload:
-     * called with (cell index, result) as each cell finishes. Invoked
-     * from worker threads in completion order -- the sink must be
+     * Per-cell completion callback of run(): called with (cell index,
+     * result) as each cell finishes -- `moatsim serve` responds per
+     * cell as it completes instead of after the batch. Invoked from
+     * worker threads in completion order, so the sink must be
      * thread-safe; per-cell results themselves stay bit-identical to
      * the returned vector at any jobs count.
      */
-    using CellSink = std::function<void(size_t, const PerfResult &)>;
+    template <typename Result>
+    using CellSink = std::function<void(size_t, const Result &)>;
 
     /**
-     * Run every cell; results are returned in cell order, independent
-     * of the execution schedule.
+     * Run every cell, streaming each finished one to @p sink (null =
+     * none); results are returned in cell order, independent of the
+     * execution schedule.
      */
-    std::vector<PerfResult> run(const std::vector<SweepCell> &cells);
-
-    /** As run(cells), additionally streaming each finished cell to
-     *  @p sink (null = none) -- `moatsim serve` responds per cell as
-     *  it completes instead of after the batch. */
     std::vector<PerfResult> run(const std::vector<SweepCell> &cells,
-                                const CellSink &sink);
+                                const CellSink<PerfResult> &sink = {});
+    std::vector<CoAttackResult>
+    run(const std::vector<CoAttackCell> &cells,
+        const CellSink<CoAttackResult> &sink = {});
 
-    /** Run one cell inline (shares the baseline cache and stores). */
+    /** Run one cell inline (shares the baseline caches and stores). */
     PerfResult runCell(const SweepCell &cell);
+    CoAttackResult runCell(const CoAttackCell &cell);
 
     /** Resolved worker count (after the 0 -> hardware default). */
     unsigned jobs() const { return jobs_; }
-
-    const SweepConfig &config() const { return config_; }
-
-    /** The baseline cache (shared across runs of this engine). */
-    const std::shared_ptr<BaselineCache> &baselines() const
-    {
-        return baselines_;
-    }
 
     /** The trace store (config.traceStore, or the engine's own). */
     const std::shared_ptr<workload::TraceStore> &traceStore() const
@@ -140,12 +142,27 @@ class SweepEngine
     }
 
   private:
+    /** Store-first: serve @p cell from the result store, computing it
+     *  (the one `sweep.compute` fault site) on a miss. */
+    template <typename Cell, typename Result>
+    Result storeFirst(const Cell &cell,
+                      Result (*parse)(const std::string &));
+
+    /** Fan @p cells out across the pool, streaming to @p sink. */
+    template <typename Cell, typename Result>
+    std::vector<Result> fanOut(const std::vector<Cell> &cells,
+                               const CellSink<Result> &sink);
+
     /** Simulate one cell (the result store's compute path). */
     PerfResult computeCell(const SweepCell &cell);
+    CoAttackResult computeCell(const CoAttackCell &cell);
 
     SweepConfig config_;
     unsigned jobs_;
     std::shared_ptr<BaselineCache> baselines_;
+    /** Attack-free co-runs, one per (workload, mitigator, level):
+     *  concurrent first-requesters block on one computation. */
+    SingleFlight<CoAttackBaseline> coBaselines_;
 };
 
 /** Cross product: every workload at every (mitigator, level) point. */

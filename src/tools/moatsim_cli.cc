@@ -16,6 +16,11 @@
  * README.md "Failure model") -- the chaos knob behind the serve/client
  * convergence smoke.
  *
+ * `perf` and `coattack` decode their flags into a sim::RunRequest and
+ * check it with sim::validateRunRequest -- the serve daemon's own
+ * check -- so a request the socket API rejects (say `--fraction 0`)
+ * fails here too, by fatal() with the validator's message.
+ *
  *   moatsim bound   [--ath N] [--level 1|2|4]        Appendix-A bound
  *   moatsim ratchet [--mitigator S] [--ath N] [--level 1|2|4] [--pool N]
  *   moatsim jailbreak [--mitigator S] [--queue N] [--threshold N]
@@ -35,7 +40,7 @@
  *   moatsim perf    [--workload NAME|all] [--mitigator S] [--ath N]
  *                   [--eth N] [--level 1|2|4] [--fraction F]
  *                   [--subchannels N] [--device D[;D...]] [--jobs N]
- *                   [--jsonl FILE] [--no-trace-store] [--trace-seed N]
+ *                   [--jsonl FILE] [--trace-seed N]
  *                   [--result-store 0|1|DIR]
  *                   --subchannels N simulates the full system as N
  *                   sub-channels (default 2, the Table-3 baseline)
@@ -57,8 +62,7 @@
  *                   [--fraction F] [--subchannels N] [--pool N]
  *                   [--acts N] [--attack-subchannel I] [--attack-bank B]
  *                   [--seed N] [--jobs N] [--jsonl FILE]
- *                   [--no-trace-store] [--trace-seed N]
- *                   [--result-store 0|1|DIR]
+ *                   [--trace-seed N] [--result-store 0|1|DIR]
  *                   adversary-under-load scenario: the attack pattern
  *                   is synthesized as one more core's activation
  *                   trace and co-scheduled with the workload's benign
@@ -145,14 +149,6 @@ using namespace moatsim;
 namespace
 {
 
-abo::Level
-levelOf(uint64_t l)
-{
-    if (l != 1 && l != 2 && l != 4)
-        fatal("--level must be 1, 2, or 4");
-    return static_cast<abo::Level>(l);
-}
-
 /** The --mitigator spec, or the parsed @p def when absent. */
 mitigation::MitigatorSpec
 mitigatorArg(const Args &args, const std::string &def)
@@ -232,7 +228,7 @@ cmdRatchet(const Args &args)
 {
     rejectLegacyWithSpec(args, {"ath", "eth"});
     attacks::RatchetConfig cfg;
-    cfg.aboLevel = levelOf(args.getInt("level", 1));
+    cfg.aboLevel = sim::levelOf(args.getInt("level", 1));
     cfg.moat = mitigation::moatConfigOf(sim::withMoatLevelEntries(
         mitigatorArg(args, "moat"), cfg.aboLevel));
     if (args.has("ath")) {
@@ -344,7 +340,7 @@ cmdAttack(const Args &args)
 {
     attacks::AttackConfig cfg;
     cfg.pattern = args.get("pattern", "hammer");
-    cfg.aboLevel = levelOf(args.getInt("level", 1));
+    cfg.aboLevel = sim::levelOf(args.getInt("level", 1));
     // A named device grade swaps in that grade's timings (geometry
     // included); attacks keep hammering one bank either way.
     const std::string device = deviceArg(args);
@@ -439,6 +435,11 @@ cmdPerf(const Args &args)
     for (const std::string &device : deviceListArg(args)) {
         sim::RunRequest req = base;
         req.device = device;
+        // The daemon's own check: a request the socket API rejects
+        // never runs from the command line either.
+        std::string err;
+        if (!sim::validateRunRequest(req, &err))
+            fatal(err);
         const sim::ExperimentConfig ec = sim::experimentConfigOf(req);
         sim::Experiment exp(ec, stores);
         const auto results = exp.run();
@@ -498,13 +499,10 @@ cmdCoattack(const Args &args)
 {
     sim::RunRequest req = sim::runRequestOfArgs("coattack", args);
     req.device = deviceArg(args);
-
-    // The attacker pins one replay slot; a named device grade may
-    // multiply the slot count by channels x ranks.
+    std::string err;
+    if (!sim::validateRunRequest(req, &err))
+        fatal(err);
     const uint32_t slots = sim::slotCountOf(req);
-    if (req.attackSubchannel >= slots)
-        fatal("--attack-subchannel must be below the sub-channel slot "
-              "count (" + std::to_string(slots) + ")");
 
     sim::ExperimentStores stores;
     stores.results =
@@ -801,8 +799,9 @@ usage()
         "list to sweep the device axis); perf and coattack accept\n"
         "--jsonl FILE for structured results and --subchannels N\n"
         "(default 2) for the full-system simulation\n"
-        "(--no-trace-store, or MOATSIM_TRACE_STORE=0, disables the\n"
-        "shared trace cache -- results are bit-identical); coattack\n"
+        "(MOATSIM_TRACE_STORE=0 disables the shared trace cache --\n"
+        "results are bit-identical); both reject the same requests\n"
+        "the serve daemon rejects; coattack\n"
         "co-schedules an attack pattern with the workload's cores and\n"
         "reports attacker maxHammer plus victim slowdown;\n"
         "--result-store 0|1|DIR (or MOATSIM_RESULT_STORE) caches\n"

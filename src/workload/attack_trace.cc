@@ -180,8 +180,8 @@ generateAttackTrace(const AttackTraceConfig &config)
     } else if (config.pattern == "hammer" ||
                config.pattern == "postponement") {
         // Postponement pressure is continuous hammering; the attack's
-        // bite comes from the System-level REF postponement the
-        // co-attack engine enables (attackPostponesRefresh).
+        // bite comes from the System-level REF postponement a
+        // co-attack run enables (attackPostponesRefresh).
         buildHammer(b);
     } else if (config.pattern == "round-robin") {
         buildRoundRobin(b);

@@ -77,7 +77,7 @@ struct AttackTrace
 AttackTrace generateAttackTrace(const AttackTraceConfig &config);
 
 /** Whether the pattern relies on attacker-controlled REF postponement
- *  (the co-attack engine enables it on the System for these). */
+ *  (a co-attack run enables it on the System for these). */
 bool attackPostponesRefresh(const std::string &pattern);
 
 /**

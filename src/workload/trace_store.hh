@@ -24,10 +24,10 @@
  * (approximate bytes; least-recently-used entries are evicted once the
  * bound is exceeded -- outstanding shared_ptr holders keep evicted
  * sets alive) and surfaces hit/miss/eviction stats for the sweep
- * engines and bench_sweep_scale.
+ * engine and bench_sweep_scale.
  *
- * Disable it with MOATSIM_TRACE_STORE=0 (or the CLI --no-trace-store
- * flag, or Config::enabled = false): get() then generates a fresh set
+ * Disable it with MOATSIM_TRACE_STORE=0 (or Config::enabled = false):
+ * get() then generates a fresh set
  * per call -- one generation per sweep cell, which the cell's baseline
  * replays too -- and the determinism suite proves cached and uncached
  * runs emit byte-identical JSONL.

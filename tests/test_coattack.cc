@@ -11,6 +11,9 @@
  *  - Co-attack sweep cells must be bit-identical at any jobs count.
  *  - Tracking only the attacker's bank must report what a System
  *    that tracks every bank reports, off the default slot too.
+ *  - Perf and co-attack cells of one Experiment share one engine: each
+ *    workload's traces are generated once for both kinds, and sharing
+ *    changes no result byte.
  */
 
 #include <gtest/gtest.h>
@@ -215,7 +218,7 @@ TEST(CoAttack, SweepCellsBitIdenticalAcrossJobCounts)
         SweepConfig sc;
         sc.tracegen = tg;
         sc.jobs = jobs;
-        CoAttackEngine engine(sc);
+        SweepEngine engine(sc);
         runs.push_back(engine.run(cells));
     }
     ASSERT_EQ(runs[0].size(), runs[1].size());
@@ -232,7 +235,7 @@ TEST(CoAttack, AttackedRunReportsAttackActivity)
     SweepConfig sc;
     sc.tracegen = smallTracegen();
     sc.jobs = 1;
-    CoAttackEngine engine(sc);
+    SweepEngine engine(sc);
     CoAttackScenario attack;
     attack.pattern = "hammer";
     const CoAttackResult r =
@@ -271,7 +274,7 @@ TEST(CoAttack, ExperimentMatrixMatchesEngineCells)
     SweepConfig sc;
     sc.tracegen = ec.tracegen;
     sc.jobs = 1;
-    CoAttackEngine engine(sc);
+    SweepEngine engine(sc);
     for (size_t i = 0; i < points.size(); ++i) {
         const CoAttackResult direct =
             engine.runCell({workload::findWorkload("xz"),
@@ -279,6 +282,45 @@ TEST(CoAttack, ExperimentMatrixMatchesEngineCells)
                             points[i].attack});
         EXPECT_EQ(toJsonLine(matrix[i][0]), toJsonLine(direct));
     }
+}
+
+TEST(CoAttack, OneEngineSharesTracesAcrossCellKinds)
+{
+    ExperimentConfig ec;
+    ec.tracegen = smallTracegen();
+    ec.jobs = 2;
+    ec.resultStore = ResultStore::Config{};
+    // An explicitly enabled trace store, immune to MOATSIM_TRACE_STORE.
+    const auto stores = [] {
+        ExperimentStores s;
+        s.traces = std::make_shared<workload::TraceStore>(
+            workload::TraceStore::Config{});
+        return s;
+    };
+    const std::vector<SweepPoint> points = {
+        {mitigation::Registry::parse("moat:ath=128,eth=64"),
+         abo::Level::L1}};
+    CoAttackScenario attack;
+    attack.pattern = "hammer";
+
+    Experiment shared(ec, stores());
+    const uint64_t before = workload::traceGenInvocations();
+    const auto perf = shared.runMatrix(points);
+    const auto co = shared.runCoAttack(attack);
+    EXPECT_EQ(workload::traceGenInvocations() - before,
+              workload::table4Workloads().size());
+
+    const auto fresh_perf = Experiment(ec, stores()).runMatrix(points);
+    const auto fresh_co = Experiment(ec, stores()).runCoAttack(attack);
+    ASSERT_EQ(perf.size(), 1u);
+    ASSERT_EQ(perf[0].size(), fresh_perf[0].size());
+    for (size_t w = 0; w < perf[0].size(); ++w)
+        EXPECT_EQ(toJsonLine(perf[0][w]), toJsonLine(fresh_perf[0][w]))
+            << "perf cell " << w;
+    ASSERT_EQ(co.size(), fresh_co.size());
+    for (size_t w = 0; w < co.size(); ++w)
+        EXPECT_EQ(toJsonLine(co[w]), toJsonLine(fresh_co[w]))
+            << "co-attack cell " << w;
 }
 
 TEST(CoAttack, ResultRoundTripsThroughJsonl)

@@ -84,7 +84,7 @@ perfLinesFor(const std::string &mitigator, uint32_t subchannels = 1)
 /**
  * The golden adversary-under-load sweep of one registered design: the
  * hammer and postponement patterns co-scheduled with 2 workloads on
- * the full 2-sub-channel System, run through the parallel co-attack
+ * the full 2-sub-channel System, run through the parallel sweep
  * engine (jobs=2 exercises the pool and the baseline cache). The
  * attacker sits on (@p subchannel, @p bank).
  */
@@ -96,7 +96,7 @@ coattackLinesFor(const std::string &mitigator, uint32_t subchannel = 0,
     sc.tracegen = goldenTracegen();
     sc.tracegen.subchannels = 2;
     sc.jobs = 2;
-    CoAttackEngine engine(sc);
+    SweepEngine engine(sc);
 
     std::vector<CoAttackCell> cells;
     for (const char *p : {"hammer", "postponement"}) {

@@ -273,7 +273,8 @@ runOne(SweepEngine &engine, const char *workload,
        const mitigation::MitigatorSpec &mitigator)
 {
     return engine.runCell(
-        {workload::findWorkload(workload), mitigator, abo::Level::L1});
+        SweepCell{workload::findWorkload(workload), mitigator,
+                  abo::Level::L1});
 }
 
 TEST(PerfCell, MultiSubChannelRunReportsBreakdown)

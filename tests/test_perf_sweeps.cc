@@ -130,9 +130,9 @@ TEST(PerfSweep, SlowdownTracksAlertRate)
     auto engine = smallEngine();
     const auto &spec = workload::findWorkload("roms");
     const auto r64 = engine.runCell(
-        {spec, mitigation::Registry::parse("moat"), abo::Level::L1});
-    const auto r32 =
-        engine.runCell({spec, moatSpecOf("ath=32,eth=16"), abo::Level::L1});
+        SweepCell{spec, mitigation::Registry::parse("moat"), abo::Level::L1});
+    const auto r32 = engine.runCell(
+        SweepCell{spec, moatSpecOf("ath=32,eth=16"), abo::Level::L1});
     EXPECT_GT(r32.alertsPerRefi, r64.alertsPerRefi);
     EXPECT_LE(r32.normPerf, r64.normPerf + 0.002);
 }

@@ -195,7 +195,7 @@ TEST_P(RegistryDesignTest, RunsThroughTheSweepEngine)
     sim::SweepEngine engine(sc);
     const auto spec = Registry::parse(GetParam());
     const auto r = engine.runCell(
-        {workload::findWorkload("x264"), spec, abo::Level::L1});
+        sim::SweepCell{workload::findWorkload("x264"), spec, abo::Level::L1});
     EXPECT_EQ(r.mitigator, spec.describe());
     EXPECT_GT(r.acts, 0u);
     EXPECT_GT(r.normPerf, 0.0);
@@ -253,9 +253,11 @@ TEST(Experiment, RunsTheConfiguredSelection)
 
     // A sweep over another design reuses the same baseline cache.
     const auto swept =
-        exp.run(Registry::parse("moat:ath=128,eth=64"), abo::Level::L1);
+        exp.runMatrix({{Registry::parse("moat:ath=128,eth=64"),
+                        abo::Level::L1}});
     ASSERT_EQ(swept.size(), 1u);
-    EXPECT_EQ(swept[0].mitigator, "moat:ath=128,eth=64");
+    ASSERT_EQ(swept[0].size(), 1u);
+    EXPECT_EQ(swept[0][0].mitigator, "moat:ath=128,eth=64");
 }
 
 } // namespace

@@ -74,7 +74,6 @@ TEST(RequestKey, SchedulingKnobsDoNotPerturbTheKey)
     const RunRequest base = smallRequest();
     RunRequest other = base;
     other.jobs = 16;
-    other.traceStore = false;
     EXPECT_EQ(requestKey(base), requestKey(other));
 }
 

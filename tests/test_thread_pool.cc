@@ -6,6 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <functional>
+#include <map>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.hh"
@@ -81,6 +86,52 @@ TEST(ThreadPool, MoreThreadsThanJobs)
     pool.submit([&count] { ++count; });
     pool.wait();
     EXPECT_EQ(count.load(), 1);
+}
+
+TEST(ThreadPool, SubmitAllQueuesTheBatchBeforeAnyJobRuns)
+{
+    // One worker, one deque: with the whole batch queued before the
+    // worker may claim a job, its LIFO pops run the batch in reverse.
+    // Submitted one by one, an early wake-up would run job 0 first.
+    for (int round = 0; round < 20; ++round) {
+        ThreadPool pool(1);
+        std::vector<int> order;
+        std::vector<std::function<void()>> batch;
+        for (int i = 0; i < 16; ++i)
+            batch.emplace_back([&order, i] { order.push_back(i); });
+        pool.submitAll(std::move(batch));
+        pool.wait();
+        std::vector<int> want(16);
+        for (int i = 0; i < 16; ++i)
+            want[static_cast<size_t>(i)] = 15 - i;
+        ASSERT_EQ(order, want) << "round " << round;
+    }
+}
+
+TEST(ThreadPool, ParallelForStartsEachWorkerOnItsLastIndex)
+{
+    // parallelFor deals n indices round-robin over its workers' deques
+    // in one batch, so each worker's first index is the last one dealt
+    // to it -- the same every run, however the workers' start-up races.
+    // Every job holds until all workers have started one, so no worker
+    // runs dry and steals before the others have made their first pick
+    // (as with sweep cells, which each run for milliseconds or more).
+    constexpr unsigned kWorkers = 4;
+    constexpr size_t kN = 64;
+    for (int round = 0; round < 20; ++round) {
+        std::mutex mu;
+        std::condition_variable all_started;
+        std::map<std::thread::id, size_t> first;
+        parallelFor(kWorkers, kN, [&](size_t i) {
+            std::unique_lock<std::mutex> lock(mu);
+            first.emplace(std::this_thread::get_id(), i);
+            all_started.notify_all();
+            all_started.wait(lock, [&] { return first.size() == kWorkers; });
+        });
+        ASSERT_EQ(first.size(), kWorkers);
+        for (const auto &[id, i] : first)
+            EXPECT_GE(i, kN - kWorkers) << "round " << round;
+    }
 }
 
 TEST(ThreadPool, WaitWithNothingSubmittedReturns)
