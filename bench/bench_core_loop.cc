@@ -5,7 +5,7 @@
  *
  * Replays a Table-4 workload's traces through the sim::System hot path
  * (ring-buffer in-flight state, sticky ALERT flag, pre-decoded
- * coordinates, sealed mitigator dispatch) and reports absolute
+ * coordinates, by-value mitigator dispatch) and reports absolute
  * acts/sec for two systems:
  *
  *  - System x1: one sub-channel;

@@ -8,6 +8,7 @@
  */
 
 #include <iostream>
+#include <variant>
 
 #include "abo/abo.hh"
 #include "bench_util.hh"
@@ -35,8 +36,7 @@ measureActsBetweenAlerts(abo::Level level)
         "moat:entries=" + std::to_string(abo::levelValue(level)));
     const mitigation::MoatConfig moat = mitigation::moatConfigOf(spec);
     subchannel::SubChannel ch(sc, spec.factory());
-    const auto &m =
-        static_cast<const mitigation::MoatMitigator &>(ch.mitigator(0));
+    const auto &m = std::get<mitigation::MoatMitigator>(ch.mitigator(0));
 
     std::vector<RowId> live;
     for (int i = 0; i < 512; ++i)

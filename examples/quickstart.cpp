@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <variant>
 
 #include "analysis/ratchet_model.hh"
 #include "mitigation/registry.hh"
@@ -35,9 +36,12 @@ main()
     std::printf("Sub-channel: %u banks, %u rows each, tRC %.0f ns\n",
                 channel.numBanks(), channel.bank(0).numRows(),
                 toNs(channel.timing().tRC));
-    std::printf("MOAT: %s, %u bytes SRAM per bank\n\n",
-                channel.mitigator(0).name().c_str(),
-                channel.mitigator(0).sramBytesPerBank());
+    std::visit(
+        [](const auto &m) {
+            std::printf("MOAT: %s, %u bytes SRAM per bank\n\n",
+                        m.name().c_str(), m.sramBytesPerBank());
+        },
+        channel.mitigator(0));
 
     // 2. Hammer one row. Every activation increments the row's PRAC
     //    counter; the SecurityMonitor independently tracks the ground

@@ -54,7 +54,7 @@ CLANG_CXX="${CLANG_CXX:-clang++}"
 CLANG_TIDY="${CLANG_TIDY:-clang-tidy}"
 
 # ------------------------------------------------------------ moatlint
-# The repo-specific determinism/sealed-dispatch/cache-key linter.
+# The repo-specific determinism/cache-key linter.
 # Exits non-zero on any finding without a justified suppression; the
 # JSON report is a CI artifact and the SARIF report feeds GitHub code
 # scanning. mutate-check then proves the keylint pass would notice a

@@ -18,8 +18,8 @@ cmake -B "$BUILD_DIR" -S . -DMOATSIM_WERROR=ON ${MOATSIM_CMAKE_ARGS:-}
 cmake --build "$BUILD_DIR" -j
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
 
-# Static analysis, lint-only flavour: the moatlint determinism/
-# sealed-dispatch linter plus its keylint cache-key pass must report
+# Static analysis, lint-only flavour: the moatlint determinism linter
+# plus its keylint cache-key pass must report
 # zero unsuppressed findings across src/, tools/, and tests/, and the
 # moatlint --mutate-check oracle must catch every seeded key mutant.
 # This works with any toolchain; the clang thread-safety build and the

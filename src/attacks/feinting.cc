@@ -40,9 +40,7 @@ runFeinting(const FeintingConfig &config)
     mitigation::IdealPrcConfig prc;
     prc.mitigationPeriodRefis = k;
     prc.blastRadius = t.blastRadius;
-    SubChannel ch(sc, [&](BankId) {
-        return std::make_unique<mitigation::IdealPrcMitigator>(prc);
-    });
+    SubChannel ch(sc, mitigation::IdealPrcMitigator(prc));
 
     // Pool rows spaced beyond the blast radius so mitigating one row
     // never refreshes another pool row's victims.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <variant>
 
 #include "common/rng.hh"
 #include "subchannel/subchannel.hh"
@@ -24,18 +25,14 @@ makeChannel(const JailbreakConfig &config, dram::CounterInit init)
     sc.numBanks = 1;
     sc.counterInit = init;
     sc.seed = config.seed;
-    return SubChannel(sc, [&](BankId) {
-        return std::make_unique<mitigation::PanopticonMitigator>(
-            config.panopticon);
-    });
+    return SubChannel(sc, mitigation::PanopticonMitigator(config.panopticon));
 }
 
 /** The Panopticon instance of bank 0 (the attacker knows its state). */
 const mitigation::PanopticonMitigator &
 pano(const SubChannel &ch)
 {
-    return static_cast<const mitigation::PanopticonMitigator &>(
-        ch.mitigator(0));
+    return std::get<mitigation::PanopticonMitigator>(ch.mitigator(0));
 }
 
 /**

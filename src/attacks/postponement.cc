@@ -18,10 +18,7 @@ runRefreshPostponement(const PostponementConfig &config)
     sc.numBanks = 1;
     sc.maxPostponedRefs = config.maxPostponed;
     sc.seed = config.seed;
-    SubChannel ch(sc, [&](BankId) {
-        return std::make_unique<mitigation::PanopticonMitigator>(
-            config.panopticon);
-    });
+    SubChannel ch(sc, mitigation::PanopticonMitigator(config.panopticon));
     ch.setPostponeRefresh(true);
 
     const ActCount threshold = config.panopticon.queueThreshold;

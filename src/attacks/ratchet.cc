@@ -1,6 +1,7 @@
 #include "attacks/ratchet.hh"
 
 #include <algorithm>
+#include <variant>
 #include <vector>
 
 #include "analysis/ratchet_model.hh"
@@ -97,11 +98,8 @@ runRatchet(const RatchetConfig &config)
     sc.aboLevel = config.aboLevel;
     sc.refreshResetsRows = false; // attacker dodges the refresh sweep
     sc.seed = config.seed;
-    SubChannel ch(sc, [&](BankId) {
-        return std::make_unique<mitigation::MoatMitigator>(config.moat);
-    });
-    const auto &moat =
-        static_cast<const mitigation::MoatMitigator &>(ch.mitigator(0));
+    SubChannel ch(sc, mitigation::MoatMitigator(config.moat));
+    const auto &moat = std::get<mitigation::MoatMitigator>(ch.mitigator(0));
 
     std::vector<RowId> rows(pool);
     for (uint32_t i = 0; i < pool; ++i)

@@ -58,14 +58,11 @@ ThroughputAttackResult
 measure(const PerfAttackConfig &config,
         const std::function<void(SubChannel &)> &pattern)
 {
-    SubChannel attacked(channelConfig(config), [&](BankId) {
-        return std::make_unique<mitigation::MoatMitigator>(config.moat);
-    });
+    SubChannel attacked(channelConfig(config),
+                        mitigation::MoatMitigator(config.moat));
     pattern(attacked);
 
-    SubChannel baseline(channelConfig(config), [](BankId) {
-        return std::make_unique<mitigation::NullMitigator>();
-    });
+    SubChannel baseline(channelConfig(config), mitigation::NullMitigator{});
     const uint64_t total = attacked.stats().acts;
     const uint32_t k = baseline.numBanks();
     for (uint64_t i = 0; i < total; ++i) {

@@ -32,20 +32,18 @@ struct IdealPrcConfig
 };
 
 /** Idealized per-row-counter mitigator (per bank). */
-class IdealPrcMitigator final : public IMitigator
+class IdealPrcMitigator
 {
   public:
     explicit IdealPrcMitigator(const IdealPrcConfig &config);
 
-    void onActivate(RowId row, MitigationContext &ctx) override;
-    void onRefCommand(MitigationContext &ctx) override;
-    void onAutoRefresh(RowId first, RowId last,
-                       MitigationContext &ctx) override;
-    void onRfm(MitigationContext &ctx) override;
-    bool wantsAlert() const override { return false; }
-    MitigatorKind kind() const override { return MitigatorKind::IdealPrc; }
-    std::string name() const override;
-    uint32_t sramBytesPerBank() const override;
+    void onActivate(RowId row, MitigationContext &ctx);
+    void onRefCommand(MitigationContext &ctx);
+    void onAutoRefresh(RowId first, RowId last, MitigationContext &ctx);
+    void onRfm(MitigationContext &ctx);
+    bool wantsAlert() const { return false; }
+    std::string name() const;
+    uint32_t sramBytesPerBank() const;
 
   private:
     IdealPrcConfig config_;
@@ -54,6 +52,8 @@ class IdealPrcMitigator final : public IMitigator
     RowId max_row_ = kInvalidRow;
     ActCount max_count_ = 0;
 };
+
+static_assert(MitigatorDesign<IdealPrcMitigator>);
 
 } // namespace moatsim::mitigation
 

@@ -1,20 +1,22 @@
 /**
  * @file
- * In-DRAM Rowhammer mitigator interface.
+ * The contract of an in-DRAM Rowhammer mitigator design.
  *
  * A mitigator is the per-bank logic a DRAM vendor implements on top of
  * the PRAC+ABO framework: it observes activations (with PRAC counter
  * values), gets one proactive work slot per REF command, may request an
  * ALERT, and performs reactive mitigation during RFM commands. The
- * SubChannel owns one mitigator per bank and provides it a
+ * MitigatorDesign concept names those hooks; the closed set of designs
+ * that satisfy it is mitigation::Mitigator (registry.hh). The
+ * SubChannel holds one Mitigator per bank by value and provides it a
  * MitigationContext for touching DRAM state.
  */
 
 #ifndef MOATSIM_MITIGATION_MITIGATOR_HH
 #define MOATSIM_MITIGATION_MITIGATOR_HH
 
+#include <concepts>
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "common/types.hh"
@@ -27,25 +29,6 @@ class SecurityMonitor;
 
 namespace moatsim::mitigation
 {
-
-/**
- * Sealed tag of the built-in mitigator designs. The per-ACT hooks are
- * the simulator's hottest calls, so the SubChannel resolves each
- * bank's kind once at construction and dispatches through a switch of
- * direct (devirtualized) calls into the five registry designs. Custom
- * is the extensibility fallback: any IMitigator subclass outside the
- * registry keeps working through the virtual interface, just without
- * the sealed fast path.
- */
-enum class MitigatorKind : uint8_t
-{
-    Moat,
-    Panopticon,
-    PanopticonCounter,
-    IdealPrc,
-    Null,
-    Custom,
-};
 
 /** Counters of mitigation work, aggregated per bank. */
 struct MitigationStats
@@ -160,64 +143,50 @@ class MitigationJob
     uint32_t next_step_ = 0;
 };
 
-/** Abstract in-DRAM Rowhammer mitigator (one instance per bank). */
-class IMitigator
-{
-  public:
-    virtual ~IMitigator() = default;
-
-    /**
-     * Observe an activation. Called after the PRAC counter increment;
-     * the new value is readable via ctx.counter(row).
-     */
-    virtual void onActivate(RowId row, MitigationContext &ctx) = 0;
-
-    /**
-     * One REF command. Called after the auto-refresh bookkeeping, once
-     * per tREFI; the mitigator may perform up to its per-REF quota of
-     * single-row operations here.
-     */
-    virtual void onRefCommand(MitigationContext &ctx) = 0;
-
-    /**
-     * Auto-refresh of the row range [first, last] is being performed.
-     * Counter-reset-on-refresh policies act here.
-     */
-    virtual void onAutoRefresh(RowId first, RowId last,
-                               MitigationContext &ctx) = 0;
-
-    /**
-     * An ALERT was asserted on the channel (by this bank or another).
-     * Designs that latch their candidate at assertion time (MOAT's
-     * CTA -> CMA transfer, Section 4.2) do so here; activations in the
-     * 180 ns window between assertion and the RFMs then no longer
-     * change which row gets mitigated. Default: no-op.
-     */
-    virtual void onAlertAsserted(MitigationContext &ctx) { (void)ctx; }
-
-    /**
-     * One RFM command during an ALERT. The mitigator should complete
-     * reactive mitigation of (up to) one aggressor row.
-     */
-    virtual void onRfm(MitigationContext &ctx) = 0;
-
-    /** Whether the mitigator currently needs an ALERT. */
-    virtual bool wantsAlert() const = 0;
-
-    /**
-     * Sealed dispatch tag, resolved once per bank at SubChannel
-     * construction (never on the hot path). Registry designs return
-     * their own kind; anything else inherits Custom and dispatches
-     * virtually.
-     */
-    virtual MitigatorKind kind() const { return MitigatorKind::Custom; }
-
-    /** Human-readable design name. */
-    virtual std::string name() const = 0;
-
-    /** SRAM cost of this design in bytes per bank (Section 6.5). */
-    virtual uint32_t sramBytesPerBank() const = 0;
-};
+/**
+ * The hook contract of an in-DRAM Rowhammer mitigator design (one
+ * instance per bank). Every alternative of mitigation::Mitigator
+ * static_asserts it; the SubChannel calls the hooks through one
+ * std::visit per call.
+ *
+ *  - onActivate(row, ctx): observe an activation. Called after the
+ *    PRAC counter increment; the new value is readable via
+ *    ctx.counter(row).
+ *  - onRefCommand(ctx): one REF command. Called after the
+ *    auto-refresh bookkeeping, once per tREFI; the mitigator may
+ *    perform up to its per-REF quota of single-row operations here.
+ *  - onAutoRefresh(first, last, ctx): auto-refresh of the row range
+ *    [first, last] is being performed. Counter-reset-on-refresh
+ *    policies act here.
+ *  - onRfm(ctx): one RFM command during an ALERT. The mitigator
+ *    should complete reactive mitigation of (up to) one aggressor row.
+ *  - wantsAlert(): whether the mitigator currently needs an ALERT.
+ *  - name(): human-readable design name.
+ *  - sramBytesPerBank(): SRAM cost of this design in bytes per bank
+ *    (Section 6.5).
+ *
+ * Optional: onAlertAsserted(ctx), called when an ALERT is asserted on
+ * the channel (by this bank or another). Designs that latch their
+ * candidate at assertion time (MOAT's CTA -> CMA transfer, Section
+ * 4.2) do so here; activations in the 180 ns window between assertion
+ * and the RFMs then no longer change which row gets mitigated. A
+ * design without the hook ignores the assertion.
+ *
+ * Designs are copyable values: a copy of a mid-run mitigator is a
+ * snapshot of its whole state.
+ */
+template <typename M>
+concept MitigatorDesign =
+    std::copyable<M> &&
+    requires(M &m, const M &cm, RowId row, MitigationContext &ctx) {
+        { m.onActivate(row, ctx) } -> std::same_as<void>;
+        { m.onRefCommand(ctx) } -> std::same_as<void>;
+        { m.onAutoRefresh(row, row, ctx) } -> std::same_as<void>;
+        { m.onRfm(ctx) } -> std::same_as<void>;
+        { cm.wantsAlert() } -> std::same_as<bool>;
+        { cm.name() } -> std::same_as<std::string>;
+        { cm.sramBytesPerBank() } -> std::same_as<uint32_t>;
+    };
 
 } // namespace moatsim::mitigation
 

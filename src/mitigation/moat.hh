@@ -65,21 +65,19 @@ struct MoatConfig
 };
 
 /** The MOAT mitigator (per bank). */
-class MoatMitigator final : public IMitigator
+class MoatMitigator
 {
   public:
     explicit MoatMitigator(const MoatConfig &config);
 
-    void onActivate(RowId row, MitigationContext &ctx) override;
-    void onRefCommand(MitigationContext &ctx) override;
-    void onAutoRefresh(RowId first, RowId last,
-                       MitigationContext &ctx) override;
-    void onAlertAsserted(MitigationContext &ctx) override;
-    void onRfm(MitigationContext &ctx) override;
-    bool wantsAlert() const override;
-    MitigatorKind kind() const override { return MitigatorKind::Moat; }
-    std::string name() const override;
-    uint32_t sramBytesPerBank() const override;
+    void onActivate(RowId row, MitigationContext &ctx);
+    void onRefCommand(MitigationContext &ctx);
+    void onAutoRefresh(RowId first, RowId last, MitigationContext &ctx);
+    void onAlertAsserted(MitigationContext &ctx);
+    void onRfm(MitigationContext &ctx);
+    bool wantsAlert() const;
+    std::string name() const;
+    uint32_t sramBytesPerBank() const;
 
     const MoatConfig &config() const { return config_; }
 
@@ -140,6 +138,8 @@ class MoatMitigator final : public IMitigator
     /** Whether any tracked count exceeds ATH (latched ALERT request). */
     bool alert_requested_ = false;
 };
+
+static_assert(MitigatorDesign<MoatMitigator>);
 
 } // namespace moatsim::mitigation
 

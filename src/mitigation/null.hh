@@ -15,19 +15,19 @@ namespace moatsim::mitigation
 {
 
 /** Mitigator that never mitigates and never alerts. */
-class NullMitigator final : public IMitigator
+class NullMitigator
 {
   public:
-    void onActivate(RowId row, MitigationContext &ctx) override;
-    void onRefCommand(MitigationContext &ctx) override;
-    void onAutoRefresh(RowId first, RowId last,
-                       MitigationContext &ctx) override;
-    void onRfm(MitigationContext &ctx) override;
-    bool wantsAlert() const override { return false; }
-    MitigatorKind kind() const override { return MitigatorKind::Null; }
-    std::string name() const override { return "none"; }
-    uint32_t sramBytesPerBank() const override { return 0; }
+    void onActivate(RowId, MitigationContext &) {}
+    void onRefCommand(MitigationContext &) {}
+    void onAutoRefresh(RowId, RowId, MitigationContext &) {}
+    void onRfm(MitigationContext &) {}
+    bool wantsAlert() const { return false; }
+    std::string name() const { return "none"; }
+    uint32_t sramBytesPerBank() const { return 0; }
 };
+
+static_assert(MitigatorDesign<NullMitigator>);
 
 } // namespace moatsim::mitigation
 

@@ -45,23 +45,18 @@ struct PanopticonConfig
 };
 
 /** The Panopticon mitigator (per bank). */
-class PanopticonMitigator final : public IMitigator
+class PanopticonMitigator
 {
   public:
     explicit PanopticonMitigator(const PanopticonConfig &config);
 
-    void onActivate(RowId row, MitigationContext &ctx) override;
-    void onRefCommand(MitigationContext &ctx) override;
-    void onAutoRefresh(RowId first, RowId last,
-                       MitigationContext &ctx) override;
-    void onRfm(MitigationContext &ctx) override;
-    bool wantsAlert() const override;
-    MitigatorKind kind() const override
-    {
-        return MitigatorKind::Panopticon;
-    }
-    std::string name() const override;
-    uint32_t sramBytesPerBank() const override;
+    void onActivate(RowId row, MitigationContext &ctx);
+    void onRefCommand(MitigationContext &ctx);
+    void onAutoRefresh(RowId first, RowId last, MitigationContext &ctx);
+    void onRfm(MitigationContext &ctx);
+    bool wantsAlert() const;
+    std::string name() const;
+    uint32_t sramBytesPerBank() const;
 
     const PanopticonConfig &config() const { return config_; }
 
@@ -85,6 +80,8 @@ class PanopticonMitigator final : public IMitigator
     /** Drain-all mode: a REF left entries behind; ALERT until empty. */
     bool drain_alert_armed_ = false;
 };
+
+static_assert(MitigatorDesign<PanopticonMitigator>);
 
 } // namespace moatsim::mitigation
 

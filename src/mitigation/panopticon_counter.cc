@@ -1,6 +1,7 @@
 #include "mitigation/panopticon_counter.hh"
 
 #include <algorithm>
+#include <cstddef>
 
 #include "common/logging.hh"
 

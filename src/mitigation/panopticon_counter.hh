@@ -41,25 +41,20 @@ struct PanopticonCounterConfig
 };
 
 /** Panopticon with per-entry counters and max-first service. */
-class PanopticonCounterMitigator final : public IMitigator
+class PanopticonCounterMitigator
 {
   public:
     explicit PanopticonCounterMitigator(
         const PanopticonCounterConfig &config);
 
-    void onActivate(RowId row, MitigationContext &ctx) override;
-    void onRefCommand(MitigationContext &ctx) override;
-    void onAutoRefresh(RowId first, RowId last,
-                       MitigationContext &ctx) override;
-    void onAlertAsserted(MitigationContext &ctx) override;
-    void onRfm(MitigationContext &ctx) override;
-    bool wantsAlert() const override;
-    MitigatorKind kind() const override
-    {
-        return MitigatorKind::PanopticonCounter;
-    }
-    std::string name() const override;
-    uint32_t sramBytesPerBank() const override;
+    void onActivate(RowId row, MitigationContext &ctx);
+    void onRefCommand(MitigationContext &ctx);
+    void onAutoRefresh(RowId first, RowId last, MitigationContext &ctx);
+    void onAlertAsserted(MitigationContext &ctx);
+    void onRfm(MitigationContext &ctx);
+    bool wantsAlert() const;
+    std::string name() const;
+    uint32_t sramBytesPerBank() const;
 
     /** Current queue occupancy. */
     uint32_t queueSize() const
@@ -86,6 +81,8 @@ class PanopticonCounterMitigator final : public IMitigator
     bool pending_valid_ = false;
     bool alert_requested_ = false;
 };
+
+static_assert(MitigatorDesign<PanopticonCounterMitigator>);
 
 } // namespace moatsim::mitigation
 

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/logging.hh"
-#include "mitigation/null.hh"
 
 namespace moatsim::mitigation
 {
@@ -77,9 +76,6 @@ buildDescriptors()
             {"blast", ParamType::UInt, std::to_string(def.blastRadius),
              "victim rows refreshed on each side of an aggressor"},
         };
-        moat.create = [](const MitigatorSpec &spec) {
-            return std::make_unique<MoatMitigator>(moatConfigOf(spec));
-        };
         d.push_back(std::move(moat));
     }
 
@@ -102,10 +98,6 @@ buildDescriptors()
             {"blast", ParamType::UInt, std::to_string(def.blastRadius),
              "victim rows refreshed on each side of an aggressor"},
         };
-        pano.create = [](const MitigatorSpec &spec) {
-            return std::make_unique<PanopticonMitigator>(
-                panopticonConfigOf(spec));
-        };
         d.push_back(std::move(pano));
     }
 
@@ -125,10 +117,6 @@ buildDescriptors()
             {"blast", ParamType::UInt, std::to_string(def.blastRadius),
              "victim rows refreshed on each side of an aggressor"},
         };
-        repaired.create = [](const MitigatorSpec &spec) {
-            return std::make_unique<PanopticonCounterMitigator>(
-                panopticonCounterConfigOf(spec));
-        };
         d.push_back(std::move(repaired));
     }
 
@@ -147,9 +135,6 @@ buildDescriptors()
             {"blast", ParamType::UInt, std::to_string(def.blastRadius),
              "victim rows refreshed on each side of an aggressor"},
         };
-        prc.create = [](const MitigatorSpec &spec) {
-            return std::make_unique<IdealPrcMitigator>(idealPrcConfigOf(spec));
-        };
         d.push_back(std::move(prc));
     }
 
@@ -159,9 +144,6 @@ buildDescriptors()
         none.summary = "PRAC counters with no mitigation logic; the "
                        "no-ALERT normalization baseline";
         none.params = {};
-        none.create = [](const MitigatorSpec &) {
-            return std::make_unique<NullMitigator>();
-        };
         d.push_back(std::move(none));
     }
 
@@ -273,74 +255,27 @@ MitigatorSpec::paramBool(const std::string &key, bool def) const
     return def;
 }
 
-std::unique_ptr<IMitigator>
-MitigatorSpec::create() const
-{
-    const MitigatorDescriptor *desc = findDescriptor(name_);
-    if (desc == nullptr)
-        fatal("unknown mitigator '" + name_ + "' (known: " +
-              knownNamesText() + ")");
-    return desc->create(*this);
-}
-
-std::function<std::unique_ptr<IMitigator>(BankId)>
+Mitigator
 MitigatorSpec::factory() const
 {
-    // One shared resolved factory per factory() call: the per-bank
-    // invocations copy a typed config struct instead of re-parsing the
-    // spec's key=value strings.
-    auto resolved = std::make_shared<const BankMitigatorFactory>(*this);
-    return [resolved](BankId bank) { return resolved->make(bank); };
-}
-
-BankMitigatorFactory::BankMitigatorFactory(const MitigatorSpec &spec)
-    : spec_(spec)
-{
-    if (spec.name() == "moat") {
-        kind_ = MitigatorKind::Moat;
-        config_ = moatConfigOf(spec);
-    } else if (spec.name() == "panopticon") {
-        kind_ = MitigatorKind::Panopticon;
-        config_ = panopticonConfigOf(spec);
-    } else if (spec.name() == "panopticon-counter") {
-        kind_ = MitigatorKind::PanopticonCounter;
-        config_ = panopticonCounterConfigOf(spec);
-    } else if (spec.name() == "ideal-prc") {
-        kind_ = MitigatorKind::IdealPrc;
-        config_ = idealPrcConfigOf(spec);
-    } else if (spec.name() == "null") {
-        kind_ = MitigatorKind::Null;
-    }
-}
-
-std::unique_ptr<IMitigator>
-BankMitigatorFactory::make(BankId bank) const
-{
-    (void)bank; // registry designs are bank-agnostic
-    switch (kind_) {
-    case MitigatorKind::Moat:
-        return std::make_unique<MoatMitigator>(std::get<MoatConfig>(config_));
-    case MitigatorKind::Panopticon:
-        return std::make_unique<PanopticonMitigator>(
-            std::get<PanopticonConfig>(config_));
-    case MitigatorKind::PanopticonCounter:
-        return std::make_unique<PanopticonCounterMitigator>(
-            std::get<PanopticonCounterConfig>(config_));
-    case MitigatorKind::IdealPrc:
-        return std::make_unique<IdealPrcMitigator>(
-            std::get<IdealPrcConfig>(config_));
-    case MitigatorKind::Null:
-        return std::make_unique<NullMitigator>();
-    case MitigatorKind::Custom:
-        break;
-    }
-    return spec_.create();
+    if (name_ == "moat")
+        return MoatMitigator(moatConfigOf(*this));
+    if (name_ == "panopticon")
+        return PanopticonMitigator(panopticonConfigOf(*this));
+    if (name_ == "panopticon-counter")
+        return PanopticonCounterMitigator(panopticonCounterConfigOf(*this));
+    if (name_ == "ideal-prc")
+        return IdealPrcMitigator(idealPrcConfigOf(*this));
+    if (name_ == "null")
+        return NullMitigator();
+    panic("MitigatorSpec holds unregistered design '" + name_ + "'");
 }
 
 uint32_t
 MitigatorSpec::sramBytesPerBank() const
 {
-    return create()->sramBytesPerBank();
+    return std::visit([](const auto &m) { return m.sramBytesPerBank(); },
+                      factory());
 }
 
 MitigatorSpec

@@ -11,21 +11,20 @@
  *     name[:key=value,...]        e.g.  "moat:ath=128,eth=64"
  *
  * which parses into a MitigatorSpec: a validated, canonical,
- * round-trippable (parse -> describe -> parse) selection that converts
- * into the per-bank factory a SubChannel consumes. The registry is the
- * single source of truth for parameter names, defaults, and the
- * Section-6.5 SRAM cost reported by `moatsim list-mitigators` and the
- * storage bench.
+ * round-trippable (parse -> describe -> parse) selection whose
+ * factory() builds the prototype Mitigator a SubChannel copies into
+ * every bank. The registry is the single source of truth for parameter
+ * names, defaults, and the Section-6.5 SRAM cost reported by `moatsim
+ * list-mitigators` and the storage bench.
  *
  * Registered designs: "moat", "panopticon", "panopticon-counter",
- * "ideal-prc", "null".
+ * "ideal-prc", "null". They are a closed set: Mitigator is a
+ * std::variant over exactly these five, held by value.
  */
 
 #ifndef MOATSIM_MITIGATION_REGISTRY_HH
 #define MOATSIM_MITIGATION_REGISTRY_HH
 
-#include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -35,11 +34,23 @@
 #include "mitigation/ideal_prc.hh"
 #include "mitigation/mitigator.hh"
 #include "mitigation/moat.hh"
+#include "mitigation/null.hh"
 #include "mitigation/panopticon.hh"
 #include "mitigation/panopticon_counter.hh"
 
 namespace moatsim::mitigation
 {
+
+/**
+ * One bank's mitigator: a value of one of the registry's five designs
+ * (each satisfies MitigatorDesign). The SubChannel dispatches every
+ * hook through one std::visit, and copying a Mitigator snapshots the
+ * design's whole state.
+ */
+using Mitigator =
+    std::variant<MoatMitigator, PanopticonMitigator,
+                 PanopticonCounterMitigator, IdealPrcMitigator,
+                 NullMitigator>;
 
 /** Value type of one descriptor parameter. */
 enum class ParamType
@@ -64,8 +75,8 @@ struct ParamInfo
  * A validated mitigator selection: a registered design name plus the
  * explicitly-overridden parameters. Obtain one from Registry::parse()
  * (or default-construct for the paper's default MOAT) and hand it to
- * SweepEngine, Experiment, or runAttack; factory() adapts it to the
- * SubChannel constructor.
+ * SweepEngine, Experiment, or runAttack; factory() builds the
+ * mitigator the SubChannel constructor takes.
  */
 class MitigatorSpec
 {
@@ -88,14 +99,11 @@ class MitigatorSpec
     /** Boolean parameter value, or @p def when not explicitly set. */
     bool paramBool(const std::string &key, bool def) const;
 
-    /** Build one mitigator instance of this design. */
-    std::unique_ptr<IMitigator> create() const;
-
     /**
-     * Per-bank factory in the shape SubChannel consumes
-     * (SubChannel::MitigatorFactory is this exact function type).
+     * The prototype mitigator of this design at these parameters; a
+     * SubChannel copies it into every bank.
      */
-    std::function<std::unique_ptr<IMitigator>(BankId)> factory() const;
+    Mitigator factory() const;
 
     /**
      * SRAM cost in bytes per bank (Section 6.5) of this design at
@@ -117,38 +125,6 @@ class MitigatorSpec
     std::vector<std::pair<std::string, std::string>> params_;
 };
 
-/**
- * Reusable per-bank mitigator factory.
- *
- * MitigatorSpec::create() re-derives the design's typed configuration
- * from the spec's key=value strings on every call, which a sweep pays
- * once per bank per cell. This factory resolves the spec once -- the
- * design kind and its parsed config struct -- and then stamps out
- * instances with no further string work, so constructing a 64-bank
- * System costs 64 struct copies instead of 64 re-parses. Designs
- * outside the registry's sealed set fall back to spec.create().
- */
-class BankMitigatorFactory
-{
-  public:
-    explicit BankMitigatorFactory(const MitigatorSpec &spec);
-
-    /** Build the mitigator instance of one bank. */
-    std::unique_ptr<IMitigator> make(BankId bank) const;
-
-    /** The sealed dispatch tag of the resolved design. */
-    MitigatorKind kind() const { return kind_; }
-
-  private:
-    MitigatorKind kind_ = MitigatorKind::Custom;
-    /** The typed config, resolved once (monostate for null/custom). */
-    std::variant<std::monostate, MoatConfig, PanopticonConfig,
-                 PanopticonCounterConfig, IdealPrcConfig>
-        config_;
-    /** Fallback spec for non-sealed designs. */
-    MitigatorSpec spec_;
-};
-
 /** Registration record of one mitigator design. */
 struct MitigatorDescriptor
 {
@@ -157,8 +133,6 @@ struct MitigatorDescriptor
     std::string summary;
     /** Accepted parameters with defaults. */
     std::vector<ParamInfo> params;
-    /** Build an instance from a validated spec. */
-    std::function<std::unique_ptr<IMitigator>(const MitigatorSpec &)> create;
 };
 
 /** The static registry of mitigator designs. */
@@ -190,7 +164,7 @@ class Registry
 
 /**
  * Config extraction: rebuild the typed config struct a spec denotes.
- * Single parsing point shared by the factories and the attack drivers
+ * Single parsing point shared by factory() and the attack drivers
  * (which genuinely consume typed configs). Each fatal()s when the
  * spec names a different design. Code *constructing* a request goes
  * the other way: build the spec text and Registry::parse() it --

@@ -86,9 +86,7 @@ BaselineCache::get(const workload::TraceGenConfig &config,
         System sys(
             systemConfigFor(config, abo::Level::L1,
                             baselineSeed(config, core, spec)),
-            [](BankId) {
-                return std::make_unique<mitigation::NullMitigator>();
-            });
+            mitigation::NullMitigator{});
         return std::make_shared<const Finish>(
             runSystem(sys, traces.views(), core).coreFinish);
     };

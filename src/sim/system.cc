@@ -10,7 +10,7 @@ namespace moatsim::sim
 {
 
 System::System(const SystemConfig &config,
-               const subchannel::SubChannel::MitigatorFactory &factory)
+               const mitigation::Mitigator &prototype)
     : config_(config)
 {
     if (config_.subchannels == 0)
@@ -35,7 +35,7 @@ System::System(const SystemConfig &config,
                 sc.securityEnabled = false;
         }
         channels_.push_back(
-            std::make_unique<subchannel::SubChannel>(sc, factory));
+            std::make_unique<subchannel::SubChannel>(sc, prototype));
     };
     if (config_.channels == 1 && config_.ranks == 1) {
         // Flat single-channel, single-rank system: the historical

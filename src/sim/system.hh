@@ -4,8 +4,8 @@
  *
  * The paper's baseline (Table 3) is a 32 GB system with two DDR5
  * sub-channels of 32 banks each. A System instantiates N SubChannel
- * instances -- each with its own per-bank mitigator set built from the
- * same mitigation::MitigatorSpec factory and an independently derived
+ * instances -- each with its own per-bank mitigators copied from the
+ * same mitigation::Mitigator prototype and an independently derived
  * RNG stream -- and replays every core's pre-decoded activation trace
  * (workload::TraceEvent carries the dram::AddressMap-routed
  * coordinates) through one merged event loop: cores issue in global
@@ -121,8 +121,10 @@ struct SystemResult
 class System
 {
   public:
+    /** Every bank of every slot starts with its own copy of
+     *  @p prototype. */
     System(const SystemConfig &config,
-           const subchannel::SubChannel::MitigatorFactory &factory);
+           const mitigation::Mitigator &prototype);
 
     /** Number of sub-channel slots (channels x ranks x subchannels). */
     uint32_t numSubchannels() const

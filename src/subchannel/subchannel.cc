@@ -4,64 +4,20 @@
 #include <cassert>
 #include <span>
 #include <string>
+#include <variant>
 
 #include "common/logging.hh"
-#include "mitigation/ideal_prc.hh"
-#include "mitigation/moat.hh"
-#include "mitigation/null.hh"
-#include "mitigation/panopticon.hh"
-#include "mitigation/panopticon_counter.hh"
 
 namespace moatsim::subchannel
 {
 
-namespace
-{
-
-using mitigation::MitigatorKind;
-
-/**
- * Sealed dispatch of one mitigator hook: invoke @p fn with the
- * mitigator downcast to its resolved concrete (final) type, so the
- * call devirtualizes into a direct call the compiler can inline.
- * Custom (and any unmatched tag) falls back to the virtual interface.
- * The kind tag is resolved once at construction; this switch is the
- * only per-call cost.
- */
-template <typename Fn>
-inline auto
-dispatchSealed(MitigatorKind kind, mitigation::IMitigator &mit, Fn &&fn)
-    -> decltype(fn(mit))
-{
-    switch (kind) {
-    case MitigatorKind::Moat:
-        return fn(static_cast<mitigation::MoatMitigator &>(mit));
-    case MitigatorKind::Panopticon:
-        return fn(static_cast<mitigation::PanopticonMitigator &>(mit));
-    case MitigatorKind::PanopticonCounter:
-        return fn(
-            static_cast<mitigation::PanopticonCounterMitigator &>(mit));
-    case MitigatorKind::IdealPrc:
-        return fn(static_cast<mitigation::IdealPrcMitigator &>(mit));
-    case MitigatorKind::Null:
-        return fn(static_cast<mitigation::NullMitigator &>(mit));
-    case MitigatorKind::Custom:
-        break;
-    }
-    return fn(mit);
-}
-
-} // namespace
-
 SubChannel::SubChannel(const SubChannelConfig &config,
-                       const MitigatorFactory &factory)
+                       const mitigation::Mitigator &prototype)
     : config_(config),
       rng_(config.seed),
       abo_(config_.timing, config.aboLevel)
 {
     config_.timing.validate();
-    if (!factory)
-        fatal("SubChannel: a mitigator factory is required");
 
     const uint32_t nb = config_.numBanks != 0
                             ? config_.numBanks
@@ -70,16 +26,13 @@ SubChannel::SubChannel(const SubChannelConfig &config,
     const size_t rows = config_.timing.rowsPerBank;
     counter_slab_.assign(static_cast<size_t>(nb) * rows, 0);
     banks_.reserve(nb);
-    mitigators_.reserve(nb);
-    kinds_.reserve(nb);
+    mitigators_.assign(nb, prototype);
     refresh_.reserve(nb);
     mitigation_stats_.reserve(nb);
     for (BankId b = 0; b < nb; ++b) {
         banks_.emplace_back(
             config_.timing, config_.counterInit, &rng_,
             std::span<ActCount>(counter_slab_.data() + b * rows, rows));
-        mitigators_.push_back(factory(b));
-        kinds_.push_back(mitigators_.back()->kind());
         refresh_.emplace_back(config_.timing, config_.maxPostponedRefs);
         mitigation_stats_.emplace_back();
     }
@@ -158,14 +111,15 @@ SubChannel::activateAt(BankId bank, RowId row, Time not_before)
         if (sec != nullptr)
             sec->onActivate(row);
         mitigation::MitigationContext ctx(bk, sec, mitigation_stats_[bank]);
-        mitigation::IMitigator &mit = *mitigators_[bank];
-        const MitigatorKind kind = kinds_[bank];
-        dispatchSealed(kind, mit,
-                       [&](auto &m) { m.onActivate(row, ctx); });
+        const bool wants = std::visit(
+            [&](auto &m) {
+                m.onActivate(row, ctx);
+                return m.wantsAlert();
+            },
+            mitigators_[bank]);
         // An ACT can only raise the activated bank's own want; the
         // sticky flag spares the per-ACT scan over every other bank.
-        if (dispatchSealed(kind, mit,
-                           [](const auto &m) { return m.wantsAlert(); }))
+        if (wants)
             alert_wanted_sticky_ = true;
         ++stats_.acts;
 
@@ -263,17 +217,17 @@ SubChannel::performOneRef()
         dram::SecurityMonitor *sec = oracle_[b];
         mitigation::MitigationContext ctx(banks_[b], sec,
                                           mitigation_stats_[b]);
-        if (config_.refreshResetsRows) {
-            if (sec != nullptr) {
-                for (RowId r = first; r <= last; ++r)
-                    sec->onRowRefreshed(r);
-            }
-            dispatchSealed(kinds_[b], *mitigators_[b], [&](auto &m) {
-                m.onAutoRefresh(first, last, ctx);
-            });
+        if (config_.refreshResetsRows && sec != nullptr) {
+            for (RowId r = first; r <= last; ++r)
+                sec->onRowRefreshed(r);
         }
-        dispatchSealed(kinds_[b], *mitigators_[b],
-                       [&](auto &m) { m.onRefCommand(ctx); });
+        std::visit(
+            [&](auto &m) {
+                if (config_.refreshResetsRows)
+                    m.onAutoRefresh(first, last, ctx);
+                m.onRefCommand(ctx);
+            },
+            mitigators_[b]);
     }
     ++stats_.refs;
 }
@@ -287,8 +241,7 @@ SubChannel::serviceRfmBlock()
         for (BankId b = 0; b < banks_.size(); ++b) {
             mitigation::MitigationContext ctx(banks_[b], oracle_[b],
                                               mitigation_stats_[b]);
-            dispatchSealed(kinds_[b], *mitigators_[b],
-                           [&](auto &m) { m.onRfm(ctx); });
+            std::visit([&](auto &m) { m.onRfm(ctx); }, mitigators_[b]);
         }
         ++stats_.rfms;
     }
@@ -318,8 +271,13 @@ SubChannel::maybeAssertAlert(Time t)
     for (BankId b = 0; b < banks_.size(); ++b) {
         mitigation::MitigationContext ctx(banks_[b], oracle_[b],
                                           mitigation_stats_[b]);
-        dispatchSealed(kinds_[b], *mitigators_[b],
-                       [&](auto &m) { m.onAlertAsserted(ctx); });
+        // Designs without the hook ignore the assertion.
+        std::visit(
+            [&](auto &m) {
+                if constexpr (requires { m.onAlertAsserted(ctx); })
+                    m.onAlertAsserted(ctx);
+            },
+            mitigators_[b]);
     }
 }
 
@@ -341,11 +299,8 @@ SubChannel::requireOracle(BankId b) const
 bool
 SubChannel::anyAlertWanted() const
 {
-    for (BankId b = 0; b < banks_.size(); ++b) {
-        const bool want = dispatchSealed(
-            kinds_[b], *mitigators_[b],
-            [](const auto &m) { return m.wantsAlert(); });
-        if (want)
+    for (const auto &mit : mitigators_) {
+        if (std::visit([](const auto &m) { return m.wantsAlert(); }, mit))
             return true;
     }
     return false;

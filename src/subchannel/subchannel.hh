@@ -23,8 +23,6 @@
 #ifndef MOATSIM_SUBCHANNEL_SUBCHANNEL_HH
 #define MOATSIM_SUBCHANNEL_SUBCHANNEL_HH
 
-#include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -36,7 +34,7 @@
 #include "dram/refresh.hh"
 #include "dram/security.hh"
 #include "dram/timing.hh"
-#include "mitigation/mitigator.hh"
+#include "mitigation/registry.hh"
 
 namespace moatsim::subchannel
 {
@@ -100,12 +98,9 @@ struct SubChannelStats
 class SubChannel
 {
   public:
-    /** Builds the per-bank mitigator instances. */
-    using MitigatorFactory =
-        std::function<std::unique_ptr<mitigation::IMitigator>(BankId)>;
-
+    /** Every bank starts with its own copy of @p prototype. */
     SubChannel(const SubChannelConfig &config,
-               const MitigatorFactory &factory);
+               const mitigation::Mitigator &prototype);
 
     /** Current simulation time (completion of the last processed op). */
     Time now() const { return now_; }
@@ -189,10 +184,10 @@ class SubChannel
     }
 
     /** Mitigator of a bank. */
-    mitigation::IMitigator &mitigator(BankId b) { return *mitigators_.at(b); }
-    const mitigation::IMitigator &mitigator(BankId b) const
+    mitigation::Mitigator &mitigator(BankId b) { return mitigators_.at(b); }
+    const mitigation::Mitigator &mitigator(BankId b) const
     {
-        return *mitigators_.at(b);
+        return mitigators_.at(b);
     }
 
     /** Refresh scheduler of a bank. */
@@ -262,9 +257,9 @@ class SubChannel
     /** Per bank: its monitor in security_, or null when untracked --
      *  the per-ACT oracle test is one load and one branch. */
     std::vector<dram::SecurityMonitor *> oracle_;
-    std::vector<std::unique_ptr<mitigation::IMitigator>> mitigators_;
-    /** Sealed dispatch tag per bank (Custom forces virtual calls). */
-    std::vector<mitigation::MitigatorKind> kinds_;
+    /** Mitigators stored by value, like the banks: each hook is one
+     *  std::visit on the bank's slot, with no pointer to chase. */
+    std::vector<mitigation::Mitigator> mitigators_;
     std::vector<dram::RefreshScheduler> refresh_;
     std::vector<mitigation::MitigationStats> mitigation_stats_;
     abo::AboEngine abo_;

@@ -24,19 +24,23 @@
  *   moatsim bound   [--ath N] [--level 1|2|4]        Appendix-A bound
  *   moatsim ratchet [--mitigator S] [--ath N] [--level 1|2|4] [--pool N]
  *   moatsim jailbreak [--mitigator S] [--queue N] [--threshold N]
+ *                   [--hammer N]     --hammer: phase-2 ACT budget
  *   moatsim feinting [--mitigator S] [--rate K]
  *   moatsim postponement [--mitigator S] [--max N]
  *   moatsim tsa     [--mitigator S] [--banks N] [--cycles N]
  *   moatsim attack  --pattern P [--mitigator S] [--device D] [--pool N]
- *                   [--acts N] [--trials N] [--jobs N] [--level 1|2|4]
- *                   generic driver. Without --jobs, --trials keeps its
- *                   pattern-internal meaning (alignment sweep). With
- *                   --jobs, --trials N instead runs N independently
- *                   seeded single-shot instances across the workers
- *                   and reports the best outcome -- identical at any
- *                   --jobs value, but a different search than the
- *                   internal sweep. --device D runs the attack under
- *                   that device grade's timings.
+ *                   [--acts N] [--trials N] [--seed N] [--jobs N]
+ *                   [--level 1|2|4]
+ *                   generic driver; --seed N seeds the pattern (the
+ *                   first seed of the --jobs trials). Without --jobs,
+ *                   --trials keeps its pattern-internal meaning
+ *                   (alignment sweep). With --jobs, --trials N
+ *                   instead runs N independently seeded single-shot
+ *                   instances across the workers and reports the best
+ *                   outcome -- identical at any --jobs value, but a
+ *                   different search than the internal sweep.
+ *                   --device D runs the attack under that device
+ *                   grade's timings.
  *   moatsim perf    [--workload NAME|all] [--mitigator S] [--ath N]
  *                   [--eth N] [--level 1|2|4] [--fraction F]
  *                   [--subchannels N] [--device D[;D...]] [--jobs N]

@@ -24,9 +24,7 @@ nullSystem(uint32_t banks)
     SystemConfig sys;
     sys.channel.numBanks = banks;
     sys.subchannels = 1;
-    return System(sys, [](BankId) {
-        return std::make_unique<mitigation::NullMitigator>();
-    });
+    return System(sys, mitigation::NullMitigator{});
 }
 
 workload::CoreTrace
@@ -211,9 +209,7 @@ TEST(System, OracleOnlyTracksOneBankOfOneSlot)
         cfg.ranks = ranks;
         const uint32_t site = 2 * ranks - 1;
         cfg.oracleOnly = SystemConfig::OracleSite{site, 3};
-        System sys(cfg, [](BankId) {
-            return std::make_unique<mitigation::NullMitigator>();
-        });
+        System sys(cfg, mitigation::NullMitigator{});
         workload::CoreTrace t;
         t.window = fromNs(40000);
         for (uint32_t i = 0; i < 400; ++i) {
@@ -237,18 +233,14 @@ TEST(System, OracleOnlyTracksOneBankOfOneSlot)
     }
     SystemConfig bad = moatSystem(2, 4);
     bad.oracleOnly = SystemConfig::OracleSite{2, 0};
-    EXPECT_EXIT(System(bad, [](BankId) {
-                    return std::make_unique<mitigation::NullMitigator>();
-                }),
+    EXPECT_EXIT(System(bad, mitigation::NullMitigator{}),
                 testing::ExitedWithCode(1),
                 "oracle slot 2 out of range \\(2 slots\\)");
 }
 
 TEST(System, EmptyTracesFinishAtWindow)
 {
-    System sys(moatSystem(2, 2), [](BankId) {
-        return std::make_unique<mitigation::NullMitigator>();
-    });
+    System sys(moatSystem(2, 2), mitigation::NullMitigator{});
     std::vector<workload::CoreTrace> traces(2);
     traces[0].window = fromNs(1000);
     traces[1].window = fromNs(1000);

@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <variant>
+
 #include "dram/bank.hh"
 #include "dram/security.hh"
 #include "mitigation/moat.hh"
+#include "mitigation/registry.hh"
 
 namespace moatsim::mitigation
 {
@@ -108,6 +111,29 @@ TEST_F(MoatFixture, ActivationsAfterAssertCannotRedirectRfm)
     EXPECT_EQ(bank.counter(10), 0u);   // 10 was mitigated
     EXPECT_NE(bank.counter(20), 0u);   // 20 was not
     EXPECT_TRUE(m.wantsAlert());       // 20 still needs an ALERT
+}
+
+TEST_F(MoatFixture, CopyIsAValueSnapshot)
+{
+    // A copied Mitigator keeps the tracker state of the moment it was
+    // taken while the original moves on through ALERT and RFM.
+    MoatConfig cfg;
+    Mitigator original = MoatMitigator(cfg);
+    act(std::get<MoatMitigator>(original), 10, cfg.ath + 1);
+    const Mitigator snapshot = original;
+
+    auto &moved = std::get<MoatMitigator>(original);
+    moved.onAlertAsserted(ctx);
+    moved.onRfm(ctx);
+    EXPECT_EQ(stats.alertMitigations, 1u);
+    EXPECT_FALSE(moved.trackerValid());
+    EXPECT_FALSE(moved.wantsAlert());
+
+    const auto &kept = std::get<MoatMitigator>(snapshot);
+    EXPECT_TRUE(kept.trackerValid());
+    EXPECT_EQ(kept.maxTrackedRow(), 10u);
+    EXPECT_EQ(kept.maxTrackedCount(), cfg.ath + 1);
+    EXPECT_TRUE(kept.wantsAlert());
 }
 
 TEST_F(MoatFixture, ProactiveMitigationAtPeriodBoundary)

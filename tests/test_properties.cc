@@ -39,9 +39,7 @@ TEST_P(TimingProperty, RandomTrafficRespectsAllTimingRules)
     SubChannelConfig sc;
     sc.numBanks = 4;
     sc.seed = GetParam();
-    SubChannel ch(sc, [](BankId) {
-        return std::make_unique<mitigation::NullMitigator>();
-    });
+    SubChannel ch(sc, mitigation::NullMitigator{});
     Rng rng(GetParam());
     const Time tRC = ch.timing().tRC;
     const Time tRRD = ch.timing().tRRD;
@@ -113,9 +111,7 @@ TEST_P(MoatRandomTraffic, HammerBoundedUnderHotSpotTraffic)
     sc.numBanks = 1;
     sc.seed = GetParam();
     mitigation::MoatConfig moat;
-    SubChannel ch(sc, [&](BankId) {
-        return std::make_unique<mitigation::MoatMitigator>(moat);
-    });
+    SubChannel ch(sc, mitigation::MoatMitigator(moat));
     Rng rng(GetParam() * 7919);
     // Hot-spot traffic: 8 hot rows get half the accesses.
     const RowId hot_base = 30000;
@@ -225,9 +221,7 @@ TEST_P(Determinism, SameSeedSameTimeline)
         sc.numBanks = 2;
         sc.seed = seed;
         mitigation::MoatConfig moat;
-        SubChannel ch(sc, [&](BankId) {
-            return std::make_unique<mitigation::MoatMitigator>(moat);
-        });
+        SubChannel ch(sc, mitigation::MoatMitigator(moat));
         Rng rng(seed);
         for (int i = 0; i < 5000; ++i) {
             ch.activate(static_cast<BankId>(rng.below(2)),

@@ -112,9 +112,7 @@ TEST(CounterQueueIntegration, JailbreakPatternIsBounded)
     subchannel::SubChannelConfig sc;
     sc.numBanks = 1;
     PanopticonCounterConfig cfg; // 64 ACTs of enqueued slack
-    subchannel::SubChannel ch(sc, [&](BankId) {
-        return std::make_unique<PanopticonCounterMitigator>(cfg);
-    });
+    subchannel::SubChannel ch(sc, PanopticonCounterMitigator(cfg));
 
     std::vector<RowId> rows;
     for (int i = 0; i < 8; ++i)

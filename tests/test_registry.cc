@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <variant>
 
 #include "attacks/attack.hh"
 #include "mitigation/registry.hh"
@@ -152,17 +153,38 @@ TEST(Registry, ExtractionAppliesOverridesAndDefaults)
     EXPECT_EQ(prc.mitigationPeriodRefis, 7u);
 }
 
-TEST(Registry, CreateYieldsTheNamedDesign)
+TEST(Registry, FactoryYieldsTheNamedDesign)
 {
-    EXPECT_EQ(Registry::parse("null").create()->name(), "none");
-    EXPECT_NE(Registry::parse("moat:ath=128").create()->name().find("ATH=128"),
+    const auto name_of = [](const Mitigator &m) {
+        return std::visit([](const auto &d) { return d.name(); }, m);
+    };
+    const auto sram_of = [](const Mitigator &m) {
+        return std::visit([](const auto &d) { return d.sramBytesPerBank(); },
+                          m);
+    };
+    // Every registered design builds a prototype of its own
+    // alternative, whose SRAM cost is the spec's.
+    for (const auto &name : Registry::names()) {
+        const MitigatorSpec spec = Registry::parse(name);
+        const Mitigator m = spec.factory();
+        ASSERT_FALSE(m.valueless_by_exception()) << name;
+        EXPECT_EQ(sram_of(m), spec.sramBytesPerBank()) << name;
+    }
+    EXPECT_TRUE(std::holds_alternative<MoatMitigator>(
+        Registry::parse("moat").factory()));
+    EXPECT_TRUE(std::holds_alternative<PanopticonMitigator>(
+        Registry::parse("panopticon").factory()));
+    EXPECT_TRUE(std::holds_alternative<PanopticonCounterMitigator>(
+        Registry::parse("panopticon-counter").factory()));
+    EXPECT_TRUE(std::holds_alternative<IdealPrcMitigator>(
+        Registry::parse("ideal-prc").factory()));
+    EXPECT_TRUE(std::holds_alternative<NullMitigator>(
+        Registry::parse("null").factory()));
+
+    EXPECT_EQ(name_of(Registry::parse("null").factory()), "none");
+    EXPECT_NE(name_of(Registry::parse("moat:ath=128").factory()).find(
+                  "ATH=128"),
               std::string::npos);
-    // factory() produces fresh instances per bank.
-    const auto factory = Registry::parse("panopticon").factory();
-    const auto a = factory(0);
-    const auto b = factory(1);
-    EXPECT_NE(a.get(), b.get());
-    EXPECT_EQ(a->name(), b->name());
 }
 
 TEST(Registry, SramCostComesFromTheImplementation)

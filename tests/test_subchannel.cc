@@ -27,17 +27,13 @@ baseConfig(uint32_t banks = 2)
 SubChannel
 nullChannel(const SubChannelConfig &sc)
 {
-    return SubChannel(sc, [](BankId) {
-        return std::make_unique<mitigation::NullMitigator>();
-    });
+    return SubChannel(sc, mitigation::NullMitigator{});
 }
 
 SubChannel
 moatChannel(const SubChannelConfig &sc, const mitigation::MoatConfig &m)
 {
-    return SubChannel(sc, [&](BankId) {
-        return std::make_unique<mitigation::MoatMitigator>(m);
-    });
+    return SubChannel(sc, mitigation::MoatMitigator(m));
 }
 
 TEST(SubChannel, SameBankActsSpacedByTrc)

@@ -514,29 +514,6 @@ rulePointerOrder(const ParsedFile &f, std::vector<Finding> &out)
 }
 
 void
-ruleMitigatorFinal(const ParsedFile &f, std::vector<Finding> &out)
-{
-    if (!inDir(f.path, "mitigation") || !endsWith(f.path, ".hh"))
-        return;
-    static const std::regex derive(
-        R"(class\s+([A-Za-z_]\w*)\s*(final\s*)?:\s*public\s+)"
-        R"((?:\w+::)*IMitigator\b)");
-    for (auto it =
-             std::sregex_iterator(f.code.begin(), f.code.end(), derive);
-         it != std::sregex_iterator(); ++it) {
-        if ((*it)[2].matched)
-            continue;
-        add(out, f, static_cast<size_t>(it->position()),
-            "mitigator-final",
-            "class " + (*it)[1].str() +
-                " derives from IMitigator but is not final; sealed "
-                "dispatch (subchannel dispatchSealed) static_casts to "
-                "the concrete type, which is only sound for a closed "
-                "set of final classes");
-    }
-}
-
-void
 ruleJsonlStability(const ParsedFile &f, std::vector<Finding> &out)
 {
     // A file is an emitter when it *formats* JSON itself (the
@@ -643,7 +620,6 @@ lintParsed(const ParsedFile &f, const std::vector<std::string> &extra)
     ruleWallClock(f, out);
     ruleUnorderedIter(f, extra, out);
     rulePointerOrder(f, out);
-    ruleMitigatorFinal(f, out);
     ruleJsonlStability(f, out);
     ruleMagicGeometry(f, out);
     ruleSingleFlight(f, out);
@@ -652,7 +628,7 @@ lintParsed(const ParsedFile &f, const std::vector<std::string> &extra)
 
 /**
  * One suppression pass over the complete finding set (textual +
- * cross-file + keylint), in three phases: (1) valid allow() comments
+ * keylint), in three phases: (1) valid allow() comments
  * cover matching findings; (2) malformed allow() comments, unknown
  * directives, and -- the stale-suppression audit -- valid allow()
  * comments whose target line no longer triggers their rule all become
@@ -737,79 +713,6 @@ applySuppressionsAll(const std::vector<ParsedFile> &files,
     findings.insert(findings.end(), extra.begin(), extra.end());
 }
 
-// --------------------------------------------------- cross-file rules
-
-/** Members of `enum class MitigatorKind`, with the enum's line. */
-std::vector<std::string>
-mitigatorKinds(const ParsedFile &f, int *enum_line)
-{
-    std::vector<std::string> kinds;
-    const size_t at = f.code.find("enum class MitigatorKind");
-    if (at == std::string::npos)
-        return kinds;
-    *enum_line = lineOf(f.lines, at);
-    const size_t open = f.code.find('{', at);
-    if (open == std::string::npos)
-        return kinds;
-    const size_t close = matchBracket(f.code, open, '{', '}');
-    if (close == std::string::npos)
-        return kinds;
-    std::string body = f.code.substr(open + 1, close - open - 2);
-    std::istringstream is(body);
-    std::string item;
-    while (std::getline(is, item, ',')) {
-        const size_t eq = item.find('=');
-        if (eq != std::string::npos)
-            item = item.substr(0, eq);
-        const size_t b = item.find_first_not_of(" \t\n");
-        if (b == std::string::npos)
-            continue;
-        const size_t e = item.find_last_not_of(" \t\n");
-        kinds.push_back(item.substr(b, e - b + 1));
-    }
-    return kinds;
-}
-
-void
-ruleSealedDispatch(const std::vector<ParsedFile> &files,
-                   std::vector<Finding> &findings)
-{
-    const ParsedFile *enum_file = nullptr;
-    for (const auto &f : files) {
-        if (endsWith(f.path, "mitigation/mitigator.hh"))
-            enum_file = &f;
-    }
-    if (!enum_file)
-        return; // fixture trees without the registry: nothing to check
-    int enum_line = 0;
-    const std::vector<std::string> kinds =
-        mitigatorKinds(*enum_file, &enum_line);
-    bool have_dispatch = false;
-    for (const auto &kind : kinds) {
-        if (kind == "Custom")
-            continue; // the virtual-fallback tag, by design
-        bool dispatched = false;
-        for (const auto &f : files) {
-            if (!inDir(f.path, "subchannel"))
-                continue;
-            have_dispatch = true;
-            if (f.code.find("case MitigatorKind::" + kind) !=
-                std::string::npos) {
-                dispatched = true;
-                break;
-            }
-        }
-        if (have_dispatch && !dispatched)
-            findings.push_back(
-                {enum_file->path, enum_line, "sealed-dispatch",
-                 "MitigatorKind::" + kind +
-                     " has no case in the sealed dispatch switch "
-                     "(src/subchannel); its hot path would silently "
-                     "decay to virtual calls",
-                 false, ""});
-    }
-}
-
 } // namespace
 
 // ------------------------------------------------------------- public
@@ -828,10 +731,6 @@ rules()
                            "unspecified order"},
         {"pointer-order", "pointer-value comparison/ordering in "
                           "replay/sweep code is ASLR-dependent"},
-        {"mitigator-final", "registry mitigators must be final for "
-                            "sealed-dispatch devirtualization"},
-        {"sealed-dispatch", "every non-Custom MitigatorKind needs a "
-                            "case in dispatchSealed"},
         {"jsonl-stability", "JSONL emitters format doubles with %.17g "
                             "only (byte-stable goldens)"},
         {"magic-geometry", "raw Table-3 geometry literals outside the "
@@ -958,7 +857,6 @@ lintFiles(const std::vector<SourceFile> &srcs)
         findings.insert(findings.end(), fs_.begin(), fs_.end());
     }
 
-    ruleSealedDispatch(files, findings);
     const std::vector<Finding> key = keylintFiles(srcs, true);
     findings.insert(findings.end(), key.begin(), key.end());
 

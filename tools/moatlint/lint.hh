@@ -1,6 +1,6 @@
 /**
  * @file
- * moatlint: repo-specific determinism and sealed-dispatch linter.
+ * moatlint: repo-specific determinism and cache-key linter.
  *
  * moatsim's headline guarantee -- bit-identical sweep results at any
  * --jobs count, on any host, with any stdlib -- rests on source-level
@@ -21,11 +21,6 @@
  *                    or comparing them in replay/sweep code
  *                    (src/{sim,subchannel,workload}) breaks replay
  *                    determinism.
- *   mitigator-final  registry mitigators must be `final` so the sealed
- *                    dispatch devirtualization stays sound.
- *   sealed-dispatch  every MitigatorKind except Custom must have a
- *                    case in dispatchSealed (src/subchannel), or the
- *                    hot path silently decays to virtual calls.
  *   jsonl-stability  JSONL emitters format doubles with "%.17g"
  *                    (byte-stable, round-trip exact); other float
  *                    conversions and std::setprecision are banned in
@@ -134,22 +129,21 @@ std::vector<SourceFile> readSourceTree(const std::string &root);
 
 /**
  * Lint a whole tree given in memory: per-file textual rules, the
- * cross-file rules (sealed-dispatch), the keylint pass, then one
- * suppression application across everything -- which is also where
- * the stale-suppression audit runs (a valid allow() that matched no
- * finding becomes a bad-suppression). lintTree() is
- * lintFiles(readSourceTree(root)); mutateCheck() feeds it mutated
- * copies.
+ * keylint pass, then one suppression application across everything
+ * -- which is also where the stale-suppression audit runs (a valid
+ * allow() that matched no finding becomes a bad-suppression).
+ * lintTree() is lintFiles(readSourceTree(root)); mutateCheck() feeds
+ * it mutated copies.
  */
 std::vector<Finding> lintFiles(const std::vector<SourceFile> &files);
 
 /**
  * Lint one file's contents. @p path scopes path-dependent rules
- * (pointer-order, mitigator-final, jsonl-stability) and labels the
- * findings. @p extra_unordered names identifiers to treat as
- * unordered containers in addition to those declared in @p content
- * (lintTree passes the paired header's declarations so a .cc
- * iterating a member declared in its .hh is still caught).
+ * (pointer-order, jsonl-stability) and labels the findings.
+ * @p extra_unordered names identifiers to treat as unordered
+ * containers in addition to those declared in @p content (lintTree
+ * passes the paired header's declarations so a .cc iterating a
+ * member declared in its .hh is still caught).
  */
 std::vector<Finding>
 lintSource(const std::string &path, const std::string &content,
@@ -157,7 +151,7 @@ lintSource(const std::string &path, const std::string &content,
 
 /**
  * Lint every .cc/.hh/.cpp/.hpp/.h under @p root (recursively), in
- * sorted path order, then run the cross-file rules (sealed-dispatch).
+ * sorted path order, then run the keylint pass across the whole set.
  * Findings report paths relative to @p root's parent directory, so
  * linting <repo>/src yields "src/..." paths.
  */

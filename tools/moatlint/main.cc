@@ -145,8 +145,8 @@ main(int argc, char **argv)
     if (dirs.empty())
         dirs = {"src", "tools", "tests"};
 
-    // One combined file set: cross-file analyses (sealed-dispatch,
-    // keylint's fold-closure reach) see every directory at once.
+    // One combined file set: keylint's cross-file fold-closure reach
+    // sees every directory at once.
     std::vector<moatlint::SourceFile> files;
     for (const auto &dir : dirs) {
         const std::filesystem::path tree =
