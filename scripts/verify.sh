@@ -99,6 +99,27 @@ grep -q "fraction" "$BUILD_DIR/perf_fraction0.err" || {
   exit 1
 }
 
+# A replayed trace is checked against the system before it replays:
+# bank 40 on a 32-bank sub-channel must be a clean fatal() naming the
+# bank, never a crash (a signal exit is status 128 + N).
+echo "validation smoke: replay of an out-of-range bank must fail"
+printf 'core 0\nwindow 40000000\n0 0 5000\n60000 40 5000\n' \
+  > "$BUILD_DIR/replay_bad_bank.txt"
+replay_status=0
+"$BUILD_DIR/moatsim" replay --trace "$BUILD_DIR/replay_bad_bank.txt" \
+  --mitigator moat > /dev/null 2> "$BUILD_DIR/replay_bad_bank.err" ||
+  replay_status=$?
+if [ "$replay_status" -eq 0 ] || [ "$replay_status" -ge 128 ]; then
+  echo "FATAL: replay of bank 40 exited with status $replay_status" >&2
+  cat "$BUILD_DIR/replay_bad_bank.err" >&2
+  exit 1
+fi
+grep -q "bank" "$BUILD_DIR/replay_bad_bank.err" || {
+  echo "FATAL: replay of bank 40 failed without naming the bank:" >&2
+  cat "$BUILD_DIR/replay_bad_bank.err" >&2
+  exit 1
+}
+
 # The result store is a pure cache of whole cells: a cold run filling
 # a shard directory and a warm re-run served entirely from it must be
 # byte-identical (table and JSONL), and the warm run must recompute

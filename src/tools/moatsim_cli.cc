@@ -666,7 +666,7 @@ cmdReplay(const Args &args)
     uint32_t nsc = 1;
     for (const auto &t : traces) {
         for (const auto &e : t.events)
-            nsc = std::max(nsc, e.subchannel + 1);
+            nsc = std::max(nsc, uint32_t{e.subchannel} + 1);
     }
     nsc = args.getPositive("subchannels", nsc);
 
@@ -675,6 +675,9 @@ cmdReplay(const Args &args)
     sys.channel.securityEnabled = true;
     sys.subchannels = nsc;
     sim::System system(sys, spec.factory());
+    // Sub-channel slots wrap onto the system; banks and rows must fit.
+    workload::checkTraceFits(traces, system.subchannel(0).numBanks(),
+                             system.subchannel(0).timing().rowsPerBank);
     // Boolean flag: replay under attacker-controlled REF postponement.
     system.setPostponeRefresh(args.getBool("postpone", false));
     const auto res = sim::runSystem(system, traces);

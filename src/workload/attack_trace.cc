@@ -19,10 +19,13 @@ struct Builder
     Time t = 0;
     /** Default pacing between attacker ACTs. */
     Time gap;
+    /** The pinned slot, range-checked by generateAttackTrace. */
+    uint16_t slot;
 
     explicit Builder(const AttackTraceConfig &config)
         : cfg(config),
-          gap(config.actGap > 0 ? config.actGap : config.timing.tRC)
+          gap(config.actGap > 0 ? config.actGap : config.timing.tRC),
+          slot(static_cast<uint16_t>(config.subchannel))
     {
         out.subchannel = config.subchannel;
         out.bank = config.bank;
@@ -32,7 +35,7 @@ struct Builder
     emit(RowId row)
     {
         out.trace.events.push_back(
-            {t, cfg.bank, row, cfg.subchannel});
+            {.at = t, .row = row, .bank = cfg.bank, .subchannel = slot});
         t += gap;
     }
 
@@ -40,7 +43,7 @@ struct Builder
     emit(RowId row, Time at)
     {
         out.trace.events.push_back(
-            {at, cfg.bank, row, cfg.subchannel});
+            {.at = at, .row = row, .bank = cfg.bank, .subchannel = slot});
         t = std::max(t, at + gap);
     }
 };
@@ -173,6 +176,11 @@ buildFeinting(Builder &b)
 AttackTrace
 generateAttackTrace(const AttackTraceConfig &config)
 {
+    if (config.subchannel > kMaxTraceSlot)
+        fatal("generateAttackTrace: subchannel " +
+              std::to_string(config.subchannel) +
+              " exceeds the trace event's slot range (max " +
+              std::to_string(kMaxTraceSlot) + ")");
     Builder b(config);
     if (config.pattern == "none") {
         // Empty stream: the attack-free co-run replays through the

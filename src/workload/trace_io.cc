@@ -1,6 +1,7 @@
 #include "workload/trace_io.hh"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -73,24 +74,38 @@ readTraces(std::istream &is)
             if (current == nullptr)
                 fatal("trace line " + std::to_string(lineno) +
                       ": event before any core");
-            TraceEvent e;
+            // Every column must fit its TraceEvent field: a bank or
+            // slot beyond 16 bits, or a row beyond 32, would wrap.
+            const auto bad_event = [&lineno](const std::string &why) {
+                fatal("trace line " + std::to_string(lineno) +
+                      ": bad event (" + why + ")");
+            };
             std::istringstream es(line);
+            Time at = 0;
             int64_t bank = 0;
             int64_t row = 0;
-            if (!(es >> e.at >> bank >> row) || e.at < 0 || bank < 0 ||
+            if (!(es >> at >> bank >> row) || at < 0 || bank < 0 ||
                 row < 0)
-                fatal("trace line " + std::to_string(lineno) +
-                      ": bad event");
+                bad_event("expected <time_ps> <bank> <row> [subchannel], "
+                          "non-negative");
             // Optional v2 fourth column: the target sub-channel.
             int64_t subchannel = 0;
-            if (es >> subchannel) {
-                if (subchannel < 0)
-                    fatal("trace line " + std::to_string(lineno) +
-                          ": bad event");
-            }
-            e.bank = static_cast<BankId>(bank);
-            e.row = static_cast<RowId>(row);
-            e.subchannel = static_cast<uint32_t>(subchannel);
+            if (es >> subchannel && subchannel < 0)
+                bad_event("negative subchannel");
+            if (bank > std::numeric_limits<BankId>::max())
+                bad_event("bank " + std::to_string(bank) + " above " +
+                          std::to_string(std::numeric_limits<BankId>::max()));
+            if (subchannel > kMaxTraceSlot)
+                bad_event("subchannel " + std::to_string(subchannel) +
+                          " above " + std::to_string(kMaxTraceSlot));
+            if (row > std::numeric_limits<RowId>::max())
+                bad_event("row " + std::to_string(row) + " above " +
+                          std::to_string(std::numeric_limits<RowId>::max()));
+            const TraceEvent e{.at = at,
+                               .row = static_cast<RowId>(row),
+                               .bank = static_cast<BankId>(bank),
+                               .subchannel =
+                                   static_cast<uint16_t>(subchannel)};
             if (!current->events.empty() &&
                 e.at < current->events.back().at)
                 fatal("trace line " + std::to_string(lineno) +
@@ -103,6 +118,31 @@ readTraces(std::istream &is)
             t.window = t.events.back().at + 1;
     }
     return traces;
+}
+
+void
+checkTraceFits(const std::vector<CoreTrace> &traces, uint32_t banks,
+               uint32_t rowsPerBank)
+{
+    for (size_t c = 0; c < traces.size(); ++c) {
+        const auto &events = traces[c].events;
+        for (size_t i = 0; i < events.size(); ++i) {
+            const TraceEvent &e = events[i];
+            if (e.bank < banks && e.row < rowsPerBank)
+                continue;
+            const std::string where = "trace core " + std::to_string(c) +
+                                      " event " + std::to_string(i) +
+                                      " (at " + std::to_string(e.at) +
+                                      " ps): ";
+            if (e.bank >= banks)
+                fatal(where + "bank " + std::to_string(e.bank) +
+                      " is not below the system's " +
+                      std::to_string(banks) + " banks");
+            fatal(where + "row " + std::to_string(e.row) +
+                  " is not below the " + std::to_string(rowsPerBank) +
+                  " rows per bank");
+        }
+    }
 }
 
 void

@@ -21,6 +21,7 @@
 #ifndef MOATSIM_WORKLOAD_TRACE_IO_HH
 #define MOATSIM_WORKLOAD_TRACE_IO_HH
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -38,6 +39,16 @@ void writeTraces(std::ostream &os, const std::vector<CoreTrace> &traces);
  * Calls fatal() on malformed input (bad numbers, unsorted times).
  */
 std::vector<CoreTrace> readTraces(std::istream &is);
+
+/**
+ * fatal() unless every event of @p traces addresses a bank below
+ * @p banks and a row below @p rowsPerBank. The replay indexes banks
+ * and per-row counters with these values unchecked, so a trace read
+ * from a file must pass this before it replays. The message names the
+ * core, the event and the bound it breaks.
+ */
+void checkTraceFits(const std::vector<CoreTrace> &traces, uint32_t banks,
+                    uint32_t rowsPerBank);
 
 /** Convenience wrappers over files. */
 void saveTraces(const std::string &path,

@@ -108,13 +108,14 @@ routeCoord(const dram::AddressMap &map, uint32_t channel, uint32_t rank,
     return map.decode(a);
 }
 
-/** Flat replay-slot index of decoded coordinates (System order). */
-uint32_t
+/** Flat replay-slot index of decoded coordinates (System order).
+ *  generateTraces checks up front that every slot fits 16 bits. */
+uint16_t
 slotOfCoord(const dram::DramCoord &c, const TraceGenConfig &config)
 {
-    return ((c.channel * ranksOf(config)) + c.rank) *
-               subchannelsOf(config) +
-           c.subchannel;
+    return static_cast<uint16_t>(((c.channel * ranksOf(config)) + c.rank) *
+                                     subchannelsOf(config) +
+                                 c.subchannel);
 }
 
 /** Invocation counter behind traceGenInvocations(). */
@@ -218,6 +219,14 @@ generateTraces(const WorkloadSpec &spec, const TraceGenConfig &config)
     const dram::TimingParams &t = config.timing;
     if (config.numCores == 0 || config.banksSimulated == 0)
         fatal("generateTraces: cores and banks must be non-zero");
+    // Every event carries its flat slot in TraceEvent's 16-bit field.
+    const uint64_t slot_count = uint64_t{channelsOf(config)} *
+                                ranksOf(config) * subchannelsOf(config);
+    if (slot_count > uint64_t{kMaxTraceSlot} + 1)
+        fatal("generateTraces: " + std::to_string(slot_count) +
+              " replay slots (channels x ranks x subchannels) exceed "
+              "the trace event's " +
+              std::to_string(uint64_t{kMaxTraceSlot} + 1) + "-slot range");
     if (config.banksSimulated * slotsOf(config) > config.systemBanks)
         fatal("generateTraces: simulated banks exceed system banks");
 
@@ -327,11 +336,13 @@ generateTraces(const WorkloadSpec &spec, const TraceGenConfig &config)
                     rng.below(static_cast<uint64_t>(window - span)));
                 const dram::DramCoord c =
                     routeCoord(map, chan, rank, sc, raw_bank, h.row);
-                const uint32_t c_slot = slotOfCoord(c, config);
+                const uint16_t c_slot = slotOfCoord(c, config);
                 for (uint32_t i = 0; i < h.count; ++i) {
                     trace.events.push_back(
-                        {start + static_cast<Time>(i) * gap, c.bank,
-                         c.row, c_slot});
+                        {.at = start + static_cast<Time>(i) * gap,
+                         .row = c.row,
+                         .bank = c.bank,
+                         .subchannel = c_slot});
                 }
             }
 
@@ -343,8 +354,10 @@ generateTraces(const WorkloadSpec &spec, const TraceGenConfig &config)
                     rng.below(static_cast<uint64_t>(window)));
                 const dram::DramCoord c =
                     routeCoord(map, chan, rank, sc, raw_bank, r);
-                trace.events.push_back(
-                    {at, c.bank, c.row, slotOfCoord(c, config)});
+                trace.events.push_back({.at = at,
+                                        .row = c.row,
+                                        .bank = c.bank,
+                                        .subchannel = slotOfCoord(c, config)});
             }
         }
 
@@ -360,12 +373,13 @@ TierCensus
 censusOf(const std::vector<CoreTrace> &traces, const TraceGenConfig &config,
          const WorkloadSpec &spec)
 {
-    // Count ACTs per (subchannel, bank, row) across all cores.
+    // Count ACTs per (slot, bank, row) across all cores. The key packs
+    // the 16-bit slot, 16-bit bank and 32-bit row exactly.
     std::unordered_map<uint64_t, uint32_t> counts;
     uint64_t total_acts = 0;
     for (const auto &trace : traces) {
         for (const auto &e : trace.events) {
-            ++counts[(static_cast<uint64_t>(e.subchannel) << 56) |
+            ++counts[(static_cast<uint64_t>(e.subchannel) << 48) |
                      (static_cast<uint64_t>(e.bank) << 32) | e.row];
             ++total_acts;
         }

@@ -25,7 +25,9 @@
 #define MOATSIM_WORKLOAD_TRACEGEN_HH
 
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.hh"
@@ -43,23 +45,38 @@ namespace moatsim::workload
  * trace build time (routed through dram::AddressMap, including the
  * XOR bank hash), so the replay hot loop never touches the address
  * mapping: it dispatches straight on (subchannel, bank, row).
+ *
+ * The fields are ordered widest first so the event packs into 16
+ * bytes with no padding; every trace the store holds is a slab of
+ * these, so the layout sets the store's footprint. Build events with
+ * designated initializers: a positional {at, bank, row} still
+ * compiles against this order but swaps bank and row.
  */
 struct TraceEvent
 {
     /** Intended time within the window (pre-back-pressure). */
     Time at = 0;
-    BankId bank = 0;
     RowId row = 0;
+    BankId bank = 0;
     /**
      * Target sub-channel replay slot (0 when the system has only
      * one). On a multi-channel/multi-rank system this is the flat
      * slot index ((channel * ranks) + rank) * subchannels +
      * subchannel, matching sim::System's construction order, so the
      * replay hot loop dispatches on one integer regardless of the
-     * topology.
+     * topology. Producers reject slots above kMaxTraceSlot.
      */
-    uint32_t subchannel = 0;
+    uint16_t subchannel = 0;
 };
+
+static_assert(sizeof(TraceEvent) == 16,
+              "TraceEvent must pack into 16 bytes (trace-store footprint)");
+static_assert(std::is_trivially_copyable_v<TraceEvent>,
+              "TraceEvent slabs are copied as plain bytes");
+
+/** Largest replay slot (and bank) a TraceEvent can carry. */
+inline constexpr uint32_t kMaxTraceSlot =
+    std::numeric_limits<uint16_t>::max();
 
 /** The activation stream of one core, sorted by intended time. */
 struct CoreTrace

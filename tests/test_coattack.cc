@@ -350,5 +350,14 @@ TEST(CoAttack, ResultRoundTripsThroughJsonl)
     EXPECT_EQ(back.attackFreeAlertsPerRefi, r.attackFreeAlertsPerRefi);
 }
 
+TEST(AttackTraceDeathTest, SlotBeyondSixteenBitsFatal)
+{
+    // The attacker's slot is stored in TraceEvent's 16-bit field.
+    workload::AttackTraceConfig attack;
+    attack.subchannel = workload::kMaxTraceSlot + 1;
+    EXPECT_EXIT(workload::generateAttackTrace(attack),
+                testing::ExitedWithCode(1), "subchannel 65536 exceeds");
+}
+
 } // namespace
 } // namespace moatsim::sim

@@ -33,7 +33,8 @@ simpleTrace(Time window, Time gap, BankId bank, RowId row, int n)
     workload::CoreTrace t;
     t.window = window;
     for (int i = 0; i < n; ++i)
-        t.events.push_back({static_cast<Time>(i) * gap, bank, row});
+        t.events.push_back(
+            {.at = static_cast<Time>(i) * gap, .row = row, .bank = bank});
     return t;
 }
 
@@ -90,7 +91,8 @@ TEST(MemSys, MlpBoundsOutstandingRequests)
     workload::CoreTrace t;
     t.window = fromNs(100000);
     for (int i = 0; i < 400; ++i)
-        t.events.push_back({0, static_cast<BankId>(i % 4), 100});
+        t.events.push_back(
+            {.at = 0, .row = 100, .bank = static_cast<BankId>(i % 4)});
     traces.push_back(t);
 
     auto sys1 = nullSystem(4);
@@ -127,13 +129,15 @@ moatSystem(uint32_t subchannels, uint32_t banks)
 
 /** A trace hammering one row on one sub-channel hard enough to ALERT. */
 workload::CoreTrace
-hammerTrace(uint32_t subchannel, int n)
+hammerTrace(uint16_t subchannel, int n)
 {
     workload::CoreTrace t;
     t.window = fromNs(static_cast<int64_t>(n) * 100);
     for (int i = 0; i < n; ++i)
-        t.events.push_back({static_cast<Time>(i) * fromNs(60), 0, 7,
-                            subchannel});
+        t.events.push_back({.at = static_cast<Time>(i) * fromNs(60),
+                            .row = 7,
+                            .bank = 0,
+                            .subchannel = subchannel});
     return t;
 }
 
@@ -213,9 +217,11 @@ TEST(System, OracleOnlyTracksOneBankOfOneSlot)
         workload::CoreTrace t;
         t.window = fromNs(40000);
         for (uint32_t i = 0; i < 400; ++i) {
-            t.events.push_back({static_cast<Time>(i) * fromNs(60),
-                                static_cast<BankId>(i % 4), 7,
-                                i / 4 % (2 * ranks)});
+            t.events.push_back(
+                {.at = static_cast<Time>(i) * fromNs(60),
+                 .row = 7,
+                 .bank = static_cast<BankId>(i % 4),
+                 .subchannel = static_cast<uint16_t>(i / 4 % (2 * ranks))});
         }
         runSystem(sys, {t});
         // Every bank of every slot saw the same 100 / slots ACTs.

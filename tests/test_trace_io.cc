@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <utility>
 
 #include "workload/trace_io.hh"
 
@@ -19,11 +20,11 @@ sampleTraces()
 {
     std::vector<CoreTrace> traces(2);
     traces[0].window = fromNs(1000);
-    traces[0].events = {{fromNs(10), 0, 100},
-                        {fromNs(20), 1, 200},
-                        {fromNs(20), 0, 100}};
+    traces[0].events = {{.at = fromNs(10), .row = 100, .bank = 0},
+                        {.at = fromNs(20), .row = 200, .bank = 1},
+                        {.at = fromNs(20), .row = 100, .bank = 0}};
     traces[1].window = fromNs(2000);
-    traces[1].events = {{fromNs(5), 3, 7}};
+    traces[1].events = {{.at = fromNs(5), .row = 7, .bank = 3}};
     return traces;
 }
 
@@ -66,9 +67,10 @@ TEST(TraceIo, MultiSubChannelRoundTrip)
     // 4-column format; the sub-channel must survive the round trip.
     std::vector<CoreTrace> in(1);
     in[0].window = fromNs(1000);
-    in[0].events = {{fromNs(10), 0, 100, 0},
-                    {fromNs(20), 1, 200, 1},
-                    {fromNs(30), 2, 300, 1}};
+    in[0].events = {
+        {.at = fromNs(10), .row = 100, .bank = 0, .subchannel = 0},
+        {.at = fromNs(20), .row = 200, .bank = 1, .subchannel = 1},
+        {.at = fromNs(30), .row = 300, .bank = 2, .subchannel = 1}};
     std::stringstream ss;
     writeTraces(ss, in);
     EXPECT_NE(ss.str().find("trace v2"), std::string::npos);
@@ -138,7 +140,7 @@ TEST(TraceIo, EmptyCoreRoundTrip)
     std::vector<CoreTrace> in(2);
     in[0].window = fromNs(500);
     in[1].window = fromNs(500);
-    in[1].events = {{fromNs(5), 0, 1}};
+    in[1].events = {{.at = fromNs(5), .row = 1, .bank = 0}};
     std::stringstream ss;
     writeTraces(ss, in);
     const auto out = readTraces(ss);
@@ -153,7 +155,8 @@ TEST(TraceIo, UnsetWindowOmittedAndRederived)
     // window == 0 is not serialized (the reader rejects "window 0");
     // it is re-derived from the last event on load.
     std::vector<CoreTrace> in(1);
-    in[0].events = {{10, 0, 1}, {50, 0, 2}};
+    in[0].events = {{.at = 10, .row = 1, .bank = 0},
+                    {.at = 50, .row = 2, .bank = 0}};
     std::stringstream ss;
     writeTraces(ss, in);
     EXPECT_EQ(ss.str().find("window"), std::string::npos);
@@ -222,6 +225,61 @@ TEST(TraceIoDeathTest, NonContiguousCoresFatal)
     std::stringstream ss;
     ss << "core 1\n";
     EXPECT_EXIT(readTraces(ss), testing::ExitedWithCode(1), "in order");
+}
+
+TEST(TraceIoDeathTest, FieldBeyondItsWidthFatal)
+{
+    // Each column must fit its TraceEvent field; 65537 would otherwise
+    // wrap to bank 1.
+    const std::pair<const char *, const char *> cases[] = {
+        {"10 65537 5", "bad event \\(bank 65537 above 65535\\)"},
+        {"10 0 5 65536", "bad event \\(subchannel 65536 above 65535\\)"},
+        {"10 0 4294967296", "bad event \\(row 4294967296 above 4294967295\\)"},
+    };
+    for (const auto &[event, message] : cases) {
+        std::stringstream ss;
+        ss << "core 0\nwindow 100\n" << event << "\n";
+        EXPECT_EXIT(readTraces(ss), testing::ExitedWithCode(1), message)
+            << event;
+    }
+}
+
+TEST(TraceIo, SixteenBitBankAndSlotEdgesRead)
+{
+    // The largest values the fields carry are accepted unchanged.
+    std::stringstream ss;
+    ss << "core 0\nwindow 100\n10 65535 4294967295 65535\n";
+    const auto out = readTraces(ss);
+    ASSERT_EQ(out.size(), 1u);
+    ASSERT_EQ(out[0].events.size(), 1u);
+    EXPECT_EQ(out[0].events[0].bank, 65535u);
+    EXPECT_EQ(out[0].events[0].row, 4294967295u);
+    EXPECT_EQ(out[0].events[0].subchannel, 65535u);
+}
+
+TEST(TraceIo, TraceThatFitsPassesTheCheck)
+{
+    checkTraceFits(sampleTraces(), 4, 201);
+    checkTraceFits({}, 1, 1);
+}
+
+TEST(TraceIoDeathTest, EventOutsideTheSystemFatal)
+{
+    // A replay indexes banks and rows unchecked: bank 40 on a 32-bank
+    // system, or row 70000000, must be refused before it replays,
+    // naming core, event and bound.
+    std::stringstream ss;
+    ss << "core 0\nwindow 1000\n0 0 5\n60 40 5\ncore 1\n0 0 70000000\n";
+    auto traces = readTraces(ss);
+    EXPECT_EXIT(checkTraceFits(traces, 32, dram::kTable3RowsPerBank),
+                testing::ExitedWithCode(1),
+                "core 0 event 1 \\(at 60 ps\\): bank 40 is not below "
+                "the system's 32 banks");
+    traces[0].events.pop_back();
+    EXPECT_EXIT(checkTraceFits(traces, 32, dram::kTable3RowsPerBank),
+                testing::ExitedWithCode(1),
+                "core 1 event 0 \\(at 0 ps\\): row 70000000 is not "
+                "below the 65536 rows per bank");
 }
 
 } // namespace

@@ -130,6 +130,18 @@ TEST(TraceStore, FlattenedSetMatchesGenerator)
     EXPECT_EQ(set->totalEvents(), total);
 }
 
+TEST(TraceStore, SetBytesAreSixteenPerEventPlusViews)
+{
+    // The store's byte bound counts the flattened slab, so the event
+    // layout sets how many events the bound holds: 16 bytes each.
+    auto tg = smallTracegen();
+    tg.subchannels = 2;
+    const TraceSet set(generateTraces(findWorkload("roms"), tg));
+    ASSERT_GT(set.totalEvents(), 0u);
+    EXPECT_EQ(set.bytes(), set.totalEvents() * 16 +
+                               set.numCores() * sizeof(CoreTraceView));
+}
+
 TEST(TraceStore, MatrixGeneratesEachDistinctTraceExactlyOnce)
 {
     // The regression the store exists for: a full matrix run --

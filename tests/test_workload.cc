@@ -208,5 +208,43 @@ TEST_F(TraceGenTest, HotMassNeverExceedsBankTime)
     }
 }
 
+TEST(TierCensus, SlotsTwoHundredFiftySixApartAreDistinctRows)
+{
+    // The census key packs slot, bank and row exactly, so the same
+    // (bank, row) on slots 0 and 256 is two rows of 64 ACTs each,
+    // not one row of 128.
+    TraceGenConfig cfg;
+    cfg.banksSimulated = 1;
+    cfg.subchannels = 512;
+    cfg.windowFraction = 1.0;
+    std::vector<CoreTrace> traces(1);
+    traces[0].window = fromNs(1000);
+    for (const uint16_t slot : {uint16_t{0}, uint16_t{256}}) {
+        for (int i = 0; i < 64; ++i) {
+            traces[0].events.push_back(
+                {.at = i, .row = 5, .bank = 3, .subchannel = slot});
+        }
+    }
+    const TierCensus census = censusOf(traces, cfg, findWorkload("roms"));
+    // Counts are rescaled by banksSimulated x slots x windowFraction.
+    const double denom = 512.0;
+    EXPECT_DOUBLE_EQ(census.act32 * denom, 2.0);
+    EXPECT_DOUBLE_EQ(census.act64 * denom, 2.0);
+    EXPECT_DOUBLE_EQ(census.act128 * denom, 0.0);
+}
+
+TEST(TraceGenDeathTest, SlotsBeyondSixteenBitsFatal)
+{
+    // 2^17 sub-channel slots cannot be carried in TraceEvent's 16-bit
+    // slot field; generation must refuse rather than wrap. systemBanks
+    // stays at its default, so without the slot check the banks check
+    // fails instead of generating 2^17 slots of traffic.
+    TraceGenConfig cfg;
+    cfg.banksSimulated = 1;
+    cfg.subchannels = uint32_t{1} << 17;
+    EXPECT_EXIT(generateTraces(findWorkload("roms"), cfg),
+                testing::ExitedWithCode(1), "131072 replay slots");
+}
+
 } // namespace
 } // namespace moatsim::workload
