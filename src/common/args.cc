@@ -1,12 +1,10 @@
 #include "common/args.hh"
 
-#include <cctype>
-#include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 
 #include "common/logging.hh"
+#include "common/number_text.hh"
 #include "common/stats.hh"
 
 namespace moatsim
@@ -58,13 +56,8 @@ uint64_t
 Args::getInt(const std::string &name, uint64_t def) const
 {
     const std::string v = get(name, std::to_string(def));
-    // strtoull would wrap a leading minus and saturate silently on
-    // overflow; insist on digits and check the range.
-    errno = 0;
-    char *end = nullptr;
-    const uint64_t out = std::strtoull(v.c_str(), &end, 10);
-    if (v.empty() || !std::isdigit(static_cast<unsigned char>(v[0])) ||
-        end == v.c_str() || *end != '\0' || errno == ERANGE)
+    uint64_t out = 0;
+    if (!parseDecimal(v, &out))
         fatal("flag --" + name + " expects an unsigned integer, got '" + v +
               "'");
     return out;
@@ -94,9 +87,8 @@ double
 Args::getDouble(const std::string &name, double def) const
 {
     const std::string v = get(name, formatFixed(def, 6));
-    char *end = nullptr;
-    const double out = std::strtod(v.c_str(), &end);
-    if (end == v.c_str() || *end != '\0')
+    double out = 0.0;
+    if (!parseDouble(v, &out))
         fatal("flag --" + name + " expects a number, got '" + v + "'");
     return out;
 }

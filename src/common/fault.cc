@@ -7,6 +7,7 @@
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/mutex.hh"
+#include "common/number_text.hh"
 
 namespace moatsim::fault
 {
@@ -110,19 +111,14 @@ tryParseSpec(const std::string &token, SiteSpec *spec, std::string *err)
         colon != std::string::npos) {
         const std::string seed_text = rate_text.substr(colon + 1);
         rate_text.resize(colon);
-        char *end = nullptr;
-        spec->seed = std::strtoull(seed_text.c_str(), &end, 10);
-        if (seed_text.empty() || end == seed_text.c_str() ||
-            *end != '\0') {
+        if (!parseDecimal(seed_text, &spec->seed)) {
             *err = "fault spec '" + token + "' has a malformed seed '" +
                    seed_text + "'";
             return false;
         }
     }
-    char *end = nullptr;
-    spec->rate = std::strtod(rate_text.c_str(), &end);
-    if (rate_text.empty() || end == rate_text.c_str() || *end != '\0' ||
-        spec->rate < 0.0 || spec->rate > 1.0) {
+    if (!parseDouble(rate_text, &spec->rate) || !(spec->rate >= 0.0) ||
+        spec->rate > 1.0) {
         *err = "fault spec '" + token + "' needs a rate in [0, 1], got '" +
                rate_text + "'";
         return false;

@@ -1,10 +1,10 @@
 #include "mitigation/registry.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 
 #include "common/logging.hh"
+#include "common/number_text.hh"
 
 namespace moatsim::mitigation
 {
@@ -16,20 +16,6 @@ std::string
 boolText(bool v)
 {
     return v ? "true" : "false";
-}
-
-/** Strict unsigned-integer parse; false on any non-digit content. */
-bool
-parseUInt(const std::string &text, uint64_t &out)
-{
-    if (text.empty())
-        return false;
-    for (char c : text) {
-        if (c < '0' || c > '9')
-            return false;
-    }
-    out = std::strtoull(text.c_str(), nullptr, 10);
-    return true;
 }
 
 /** Lenient boolean parse: true/false/1/0. */
@@ -231,7 +217,7 @@ MitigatorSpec::paramUInt(const std::string &key, uint64_t def) const
     for (const auto &[k, v] : params_) {
         if (k == key) {
             uint64_t out = 0;
-            if (!parseUInt(v, out))
+            if (!parseDecimal(v, &out))
                 panic("MitigatorSpec holds non-integer value '" + v +
                       "' for key '" + key + "'");
             return out;
@@ -346,7 +332,7 @@ Registry::tryParse(const std::string &text, std::string *error)
         }
         if (info->type == ParamType::UInt) {
             uint64_t parsed = 0;
-            if (!parseUInt(value, parsed))
+            if (!parseDecimal(value, &parsed))
                 return fail("mitigator '" + name + "': key '" + key +
                             "' expects an unsigned integer, got '" + value +
                             "'");

@@ -1,11 +1,9 @@
 #include "sim/result_io.hh"
 
 #include <cctype>
-#include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <istream>
 #include <ostream>
+#include <type_traits>
 
 #include "common/logging.hh"
 
@@ -15,12 +13,190 @@ namespace moatsim::sim
 namespace
 {
 
-/** Escape the characters JSON strings cannot carry raw. */
-std::string
-jsonEscape(const std::string &s)
+enum class Lookup
 {
-    std::string out;
-    out.reserve(s.size());
+    Found,
+    Absent,
+    Malformed
+};
+
+/**
+ * Look @p key up in the flat JSON object @p line. When found, @p out
+ * holds the value -- quotes stripped and escapes decoded for strings,
+ * brackets kept for arrays, the bare token otherwise -- and @p first
+ * the character the value starts with. A malformed value sets @p err
+ * (when non-null).
+ */
+Lookup
+lookupField(const std::string &line, std::string_view key, std::string *out,
+            char *first, std::string *err)
+{
+    const auto fail = [&line, err](const std::string &msg) {
+        if (err != nullptr)
+            *err = msg + ": " + line;
+        return Lookup::Malformed;
+    };
+    const std::string needle = "\"" + std::string(key) + "\":";
+    size_t v = line.find(needle);
+    if (v == std::string::npos)
+        return Lookup::Absent;
+    v += needle.size();
+    *first = v < line.size() ? line[v] : '\0';
+    if (*first == '[') {
+        // Numeric array (per-sub-channel breakdowns); no nesting and
+        // no strings inside, so the first ']' terminates it.
+        const size_t end = line.find(']', v);
+        if (end == std::string::npos)
+            return fail("unterminated array in result line");
+        out->assign(line, v, end - v + 1);
+        return Lookup::Found;
+    }
+    if (*first == '"') {
+        // String value. Our own escaper emits \", \\, and \u00XX for
+        // control characters; the reader additionally accepts every
+        // standard JSON escape so externally produced lines decode to
+        // the same bytes a compliant parser would see. Unknown escapes
+        // are an error, not a silently dropped backslash.
+        out->clear();
+        for (++v; v < line.size() && line[v] != '"'; ++v) {
+            if (line[v] != '\\') {
+                out->push_back(line[v]);
+                continue;
+            }
+            if (v + 1 >= line.size())
+                return fail("dangling escape in result line");
+            // Two-character escapes as (escape letter, byte) pairs.
+            static constexpr std::string_view kEscapes =
+                "\"\"\\\\//b\bf\fn\nr\rt\t";
+            const char e = line[++v];
+            if (e != 'u') {
+                const size_t at = kEscapes.find(e);
+                if (at == std::string_view::npos || at % 2 != 0)
+                    return fail(std::string("unknown escape '\\") + e +
+                                "' in result line");
+                out->push_back(kEscapes[at + 1]);
+                continue;
+            }
+            if (v + 4 >= line.size())
+                return fail("truncated \\u escape in result line");
+            // strtol alone would accept signs, whitespace, and 0x
+            // prefixes; insist on exactly four hex digits.
+            long code = 0;
+            for (size_t h = v + 1; h <= v + 4; ++h) {
+                const auto c = static_cast<unsigned char>(line[h]);
+                if (!std::isxdigit(c))
+                    return fail("bad \\u escape in result line");
+                code = code * 16 +
+                       (std::isdigit(c) ? c - '0' : std::tolower(c) - 'a' + 10);
+            }
+            if (code >= 0xd800 && code <= 0xdfff)
+                return fail("surrogate \\u escape in result line");
+            // Encode as UTF-8 so codes above 0xff round-trip: the writer
+            // passes non-ASCII bytes through raw, so the decoded bytes
+            // re-serialize to the same string.
+            if (code < 0x80) {
+                out->push_back(static_cast<char>(code));
+            } else if (code < 0x800) {
+                out->push_back(static_cast<char>(0xc0 | (code >> 6)));
+                out->push_back(static_cast<char>(0x80 | (code & 0x3f)));
+            } else {
+                out->push_back(static_cast<char>(0xe0 | (code >> 12)));
+                out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3f)));
+                out->push_back(static_cast<char>(0x80 | (code & 0x3f)));
+            }
+            v += 4;
+        }
+        if (v >= line.size())
+            return fail("unterminated string in result line");
+        return Lookup::Found;
+    }
+    size_t end = v;
+    while (end < line.size() && line[end] != ',' && line[end] != '}')
+        ++end;
+    if (end == v)
+        return fail("empty value for field '" + std::string(key) + "'");
+    out->assign(line, v, end - v);
+    return Lookup::Found;
+}
+
+/**
+ * The fields of a perf cell, in line order. Both JsonLineWriter (R is
+ * const) and JsonLineReader walk this one list.
+ */
+template <class V, class R>
+    requires std::same_as<std::remove_const_t<R>, PerfResult>
+void
+fields(V &v, R &r)
+{
+    v.tag("kind", "perf");
+    v.field("workload", r.workload);
+    v.field("mitigator", r.mitigator);
+    v.field("level", r.aboLevel);
+    v.field("norm_perf", r.normPerf);
+    v.field("alerts_per_refi", r.alertsPerRefi);
+    v.field("mitigations_per_bank_per_refw", r.mitigationsPerBankPerRefw);
+    v.field("act_overhead", r.actOverheadFraction);
+    v.field("alerts", r.alerts);
+    v.field("acts", r.acts);
+    // Per-sub-channel breakdowns as parallel arrays, one element per
+    // simulated sub-channel (empty when no breakdown was recorded).
+    // Pre-v2 lines carry none and read as an empty breakdown.
+    v.column("sc_acts", r.perSubchannel, &SubChannelPerf::acts);
+    v.column("sc_alerts", r.perSubchannel, &SubChannelPerf::alerts);
+    v.column("sc_alerts_per_refi", r.perSubchannel,
+             &SubChannelPerf::alertsPerRefi);
+    v.column("sc_mitigations_per_bank_per_refw", r.perSubchannel,
+             &SubChannelPerf::mitigationsPerBankPerRefw);
+    // Device grade at the tail, and only when one was named: default
+    // runs keep the exact pre-device byte layout (golden files).
+    v.tail("device", r.device);
+}
+
+/** The fields of a co-attack cell, in line order. */
+template <class V, class R>
+    requires std::same_as<std::remove_const_t<R>, CoAttackResult>
+void
+fields(V &v, R &r)
+{
+    v.tag("kind", "coattack");
+    v.field("workload", r.workload);
+    v.field("mitigator", r.mitigator);
+    v.field("pattern", r.pattern);
+    v.field("level", r.aboLevel);
+    v.field("attacker_max_hammer", r.attackerMaxHammer);
+    v.field("attacker_acts", r.attackerActs);
+    v.field("victim_slowdown", r.victimSlowdown);
+    v.field("victim_norm_perf", r.victimNormPerf);
+    v.field("victim_acts", r.victimActs);
+    v.field("alerts", r.alerts);
+    v.field("attack_free_alerts", r.attackFreeAlerts);
+    v.field("rfms", r.rfms);
+    v.field("attack_free_rfms", r.attackFreeRfms);
+    v.field("refs", r.refs);
+    v.field("alerts_per_refi", r.alertsPerRefi);
+    v.field("attack_free_alerts_per_refi", r.attackFreeAlertsPerRefi);
+    v.tail("device", r.device);
+}
+
+/** Result lines write every field, so a missing one is malformed. */
+template <class R>
+R
+readRecordOrDie(const std::string &line)
+{
+    R r;
+    JsonLineReader reader(line, JsonLineReader::Absent::Fail);
+    fields(reader, r);
+    if (!reader.ok())
+        fatal(reader.error());
+    return r;
+}
+
+} // namespace
+
+std::string
+jsonQuote(const std::string &s)
+{
+    std::string out = "\"";
     for (const char c : s) {
         if (c == '"' || c == '\\')
             out.push_back('\\');
@@ -32,15 +208,8 @@ jsonEscape(const std::string &s)
         }
         out.push_back(c);
     }
+    out += '"';
     return out;
-}
-
-} // namespace
-
-std::string
-jsonQuote(const std::string &s)
-{
-    return "\"" + jsonEscape(s) + "\"";
 }
 
 std::string
@@ -55,317 +224,85 @@ bool
 tryJsonField(const std::string &line, const std::string &key,
              std::string *out, std::string *err)
 {
-    const auto fail = [&line, err](const std::string &msg) {
-        if (err != nullptr)
-            *err = msg + ": " + line;
+    std::string value;
+    char first = 0;
+    const Lookup found = lookupField(line, key, &value, &first, err);
+    if (found == Lookup::Absent && err != nullptr)
+        *err = "result line is missing field '" + key + "': " + line;
+    if (found == Lookup::Found)
+        *out = value; // a copy is sized to the value, unlike the decode
+    return found == Lookup::Found;
+}
+
+bool
+JsonLineReader::find(std::string_view key, char open, bool optional)
+{
+    if (!ok_)
         return false;
-    };
-    const std::string needle = "\"" + key + "\":";
-    const size_t at = line.find(needle);
-    if (at == std::string::npos)
-        return fail("result line is missing field '" + key + "'");
-    size_t v = at + needle.size();
-    if (v < line.size() && line[v] == '[') {
-        // Numeric array (per-sub-channel breakdowns); no nesting and
-        // no strings inside, so the first ']' terminates it.
-        const size_t end = line.find(']', v);
-        if (end == std::string::npos)
-            return fail("unterminated array in result line");
-        *out = line.substr(v, end - v + 1);
-        return true;
-    }
-    if (v < line.size() && line[v] == '"') {
-        // String value. Our own escaper emits \", \\, and \u00XX for
-        // control characters; the reader additionally accepts every
-        // standard JSON escape so externally produced lines decode to
-        // the same bytes a compliant parser would see. Unknown escapes
-        // are an error, not a silently dropped backslash.
-        std::string decoded;
-        for (++v; v < line.size() && line[v] != '"'; ++v) {
-            if (line[v] != '\\') {
-                decoded.push_back(line[v]);
-                continue;
-            }
-            if (v + 1 >= line.size())
-                return fail("dangling escape in result line");
-            const char e = line[v + 1];
-            switch (e) {
-            case '"':
-            case '\\':
-            case '/':
-                decoded.push_back(e);
-                ++v;
-                continue;
-            case 'b':
-                decoded.push_back('\b');
-                ++v;
-                continue;
-            case 'f':
-                decoded.push_back('\f');
-                ++v;
-                continue;
-            case 'n':
-                decoded.push_back('\n');
-                ++v;
-                continue;
-            case 'r':
-                decoded.push_back('\r');
-                ++v;
-                continue;
-            case 't':
-                decoded.push_back('\t');
-                ++v;
-                continue;
-            case 'u': {
-                if (v + 5 >= line.size())
-                    return fail("truncated \\u escape in result line");
-                const std::string hex = line.substr(v + 2, 4);
-                // strtol alone would accept signs, whitespace, and 0x
-                // prefixes; insist on exactly four hex digits.
-                long code = 0;
-                for (const char h : hex) {
-                    if (!std::isxdigit(static_cast<unsigned char>(h)))
-                        return fail("bad \\u escape in result line");
-                    code = code * 16 +
-                           (std::isdigit(static_cast<unsigned char>(h))
-                                ? h - '0'
-                                : (std::tolower(
-                                       static_cast<unsigned char>(h)) -
-                                   'a' + 10));
-                }
-                if (code >= 0xd800 && code <= 0xdfff)
-                    return fail("surrogate \\u escape in result line");
-                // Encode as UTF-8 so codes above 0xff round-trip: the
-                // writer passes non-ASCII bytes through raw, so the
-                // decoded bytes re-serialize to the same string.
-                if (code < 0x80) {
-                    decoded.push_back(static_cast<char>(code));
-                } else if (code < 0x800) {
-                    decoded.push_back(
-                        static_cast<char>(0xc0 | (code >> 6)));
-                    decoded.push_back(
-                        static_cast<char>(0x80 | (code & 0x3f)));
-                } else {
-                    decoded.push_back(
-                        static_cast<char>(0xe0 | (code >> 12)));
-                    decoded.push_back(
-                        static_cast<char>(0x80 | ((code >> 6) & 0x3f)));
-                    decoded.push_back(
-                        static_cast<char>(0x80 | (code & 0x3f)));
-                }
-                v += 5;
-                continue;
-            }
-            default:
-                return fail(std::string("unknown escape '\\") + e +
-                            "' in result line");
-            }
-        }
-        if (v >= line.size())
-            return fail("unterminated string in result line");
-        *out = decoded;
-        return true;
-    }
-    size_t end = v;
-    while (end < line.size() && line[end] != ',' && line[end] != '}')
-        ++end;
-    if (end == v)
-        return fail("empty value for field '" + key + "'");
-    *out = line.substr(v, end - v);
-    return true;
+    char first = 0;
+    const Lookup found = lookupField(line_, key, &token_, &first, &error_);
+    if (found == Lookup::Malformed)
+        ok_ = false;
+    else if (found == Lookup::Absent && !optional && absent_ == Absent::Fail)
+        fail("result line is missing field '" + std::string(key) + "'");
+    else if (found == Lookup::Found &&
+             (first == '"' || first == '[' ? first : 0) != open)
+        fail("field '" + std::string(key) + "' has the wrong type");
+    return ok_ && found == Lookup::Found;
 }
 
-namespace
+void
+JsonLineReader::fail(const std::string &what)
 {
-
-/**
- * Pull one "key":value out of a flat one-line JSON object. Values are
- * returned as raw text (quotes stripped for strings, brackets kept for
- * arrays). fatal() when the key is absent or malformed -- the golden
- * format always writes every field.
- */
-std::string
-jsonField(const std::string &line, const std::string &key)
-{
-    std::string out;
-    std::string err;
-    if (!tryJsonField(line, key, &out, &err))
-        fatal(err);
-    return out;
+    ok_ = false;
+    error_ = what + ": " + line_;
 }
-
-uint64_t
-parseUInt(const std::string &v, const std::string &key)
-{
-    char *end = nullptr;
-    const uint64_t out = std::strtoull(v.c_str(), &end, 10);
-    if (end == v.c_str() || *end != '\0')
-        fatal("field '" + key + "' is not an integer: " + v);
-    return out;
-}
-
-double
-parseDouble(const std::string &v, const std::string &key)
-{
-    char *end = nullptr;
-    const double out = std::strtod(v.c_str(), &end);
-    if (end == v.c_str() || *end != '\0')
-        fatal("field '" + key + "' is not a number: " + v);
-    return out;
-}
-
-uint64_t
-fieldUInt(const std::string &line, const std::string &key)
-{
-    return parseUInt(jsonField(line, key), key);
-}
-
-double
-fieldDouble(const std::string &line, const std::string &key)
-{
-    return parseDouble(jsonField(line, key), key);
-}
-
-/** Split a "[a,b,c]" array field into its raw element strings. */
-std::vector<std::string>
-fieldArray(const std::string &line, const std::string &key)
-{
-    const std::string v = jsonField(line, key);
-    if (v.size() < 2 || v.front() != '[' || v.back() != ']')
-        fatal("field '" + key + "' is not an array: " + v);
-    std::vector<std::string> out;
-    size_t pos = 1;
-    while (pos < v.size() - 1) {
-        size_t comma = v.find(',', pos);
-        if (comma == std::string::npos || comma > v.size() - 1)
-            comma = v.size() - 1;
-        if (comma == pos)
-            fatal("empty element in array field '" + key + "': " + v);
-        out.push_back(v.substr(pos, comma - pos));
-        pos = comma + 1;
-    }
-    return out;
-}
-
-} // namespace
 
 std::string
 toJsonLine(const PerfResult &r)
 {
-    std::string out = "{\"kind\":\"perf\"";
-    out += ",\"workload\":\"" + jsonEscape(r.workload) + "\"";
-    out += ",\"mitigator\":\"" + jsonEscape(r.mitigator) + "\"";
-    out += ",\"level\":" + std::to_string(r.aboLevel);
-    out += ",\"norm_perf\":" + jsonDouble(r.normPerf);
-    out += ",\"alerts_per_refi\":" + jsonDouble(r.alertsPerRefi);
-    out += ",\"mitigations_per_bank_per_refw\":" +
-           jsonDouble(r.mitigationsPerBankPerRefw);
-    out += ",\"act_overhead\":" + jsonDouble(r.actOverheadFraction);
-    out += ",\"alerts\":" + std::to_string(r.alerts);
-    out += ",\"acts\":" + std::to_string(r.acts);
-    // Per-sub-channel breakdowns as parallel arrays, one element per
-    // simulated sub-channel (empty when no breakdown was recorded).
-    auto append_array = [&out](const std::string &key, const auto &fmt) {
-        out += ",\"" + key + "\":[";
-        fmt();
-        out += "]";
-    };
-    append_array("sc_acts", [&] {
-        for (size_t i = 0; i < r.perSubchannel.size(); ++i) {
-            if (i)
-                out += ',';
-            out += std::to_string(r.perSubchannel[i].acts);
-        }
-    });
-    append_array("sc_alerts", [&] {
-        for (size_t i = 0; i < r.perSubchannel.size(); ++i) {
-            if (i)
-                out += ',';
-            out += std::to_string(r.perSubchannel[i].alerts);
-        }
-    });
-    append_array("sc_alerts_per_refi", [&] {
-        for (size_t i = 0; i < r.perSubchannel.size(); ++i) {
-            if (i)
-                out += ',';
-            out += jsonDouble(r.perSubchannel[i].alertsPerRefi);
-        }
-    });
-    append_array("sc_mitigations_per_bank_per_refw", [&] {
-        for (size_t i = 0; i < r.perSubchannel.size(); ++i) {
-            if (i)
-                out += ',';
-            out += jsonDouble(r.perSubchannel[i].mitigationsPerBankPerRefw);
-        }
-    });
-    // Device grade at the tail, and only when one was named: default
-    // runs keep the exact pre-device byte layout (golden files).
-    if (!r.device.empty())
-        out += ",\"device\":\"" + jsonEscape(r.device) + "\"";
-    out += "}";
-    return out;
+    JsonLineWriter w;
+    fields(w, r);
+    return w.line();
 }
 
 std::string
 toJsonLine(const CoAttackResult &r)
 {
-    std::string out = "{\"kind\":\"coattack\"";
-    out += ",\"workload\":\"" + jsonEscape(r.workload) + "\"";
-    out += ",\"mitigator\":\"" + jsonEscape(r.mitigator) + "\"";
-    out += ",\"pattern\":\"" + jsonEscape(r.pattern) + "\"";
-    out += ",\"level\":" + std::to_string(r.aboLevel);
-    out += ",\"attacker_max_hammer\":" +
-           std::to_string(r.attackerMaxHammer);
-    out += ",\"attacker_acts\":" + std::to_string(r.attackerActs);
-    out += ",\"victim_slowdown\":" + jsonDouble(r.victimSlowdown);
-    out += ",\"victim_norm_perf\":" + jsonDouble(r.victimNormPerf);
-    out += ",\"victim_acts\":" + std::to_string(r.victimActs);
-    out += ",\"alerts\":" + std::to_string(r.alerts);
-    out += ",\"attack_free_alerts\":" +
-           std::to_string(r.attackFreeAlerts);
-    out += ",\"rfms\":" + std::to_string(r.rfms);
-    out += ",\"attack_free_rfms\":" + std::to_string(r.attackFreeRfms);
-    out += ",\"refs\":" + std::to_string(r.refs);
-    out += ",\"alerts_per_refi\":" + jsonDouble(r.alertsPerRefi);
-    out += ",\"attack_free_alerts_per_refi\":" +
-           jsonDouble(r.attackFreeAlertsPerRefi);
-    // Device grade at the tail, and only when one was named: default
-    // runs keep the exact pre-device byte layout (golden files).
-    if (!r.device.empty())
-        out += ",\"device\":\"" + jsonEscape(r.device) + "\"";
-    out += "}";
-    return out;
+    JsonLineWriter w;
+    fields(w, r);
+    return w.line();
 }
 
 std::string
 toJsonLine(const attacks::AttackResult &r, const std::string &pattern,
            const std::string &mitigator)
 {
-    std::string out = "{\"kind\":\"attack\"";
-    out += ",\"pattern\":\"" + jsonEscape(pattern) + "\"";
-    out += ",\"mitigator\":\"" + jsonEscape(mitigator) + "\"";
-    out += ",\"max_hammer\":" + std::to_string(r.maxHammer);
-    out += ",\"total_acts\":" + std::to_string(r.totalActs);
-    out += ",\"alerts\":" + std::to_string(r.alerts);
-    out += ",\"duration_ps\":" + std::to_string(r.duration);
-    out += "}";
-    return out;
+    return JsonLineWriter()
+        .field("kind", "attack")
+        .field("pattern", pattern)
+        .field("mitigator", mitigator)
+        .field("max_hammer", r.maxHammer)
+        .field("total_acts", r.totalActs)
+        .field("alerts", r.alerts)
+        .field("duration_ps", r.duration)
+        .line();
 }
 
 std::string
 toJsonLine(const attacks::ThroughputAttackResult &r,
            const std::string &pattern, const std::string &mitigator)
 {
-    std::string out = "{\"kind\":\"throughput_attack\"";
-    out += ",\"pattern\":\"" + jsonEscape(pattern) + "\"";
-    out += ",\"mitigator\":\"" + jsonEscape(mitigator) + "\"";
-    out += ",\"attack_rate\":" + jsonDouble(r.attackRate);
-    out += ",\"baseline_rate\":" + jsonDouble(r.baselineRate);
-    out += ",\"relative_throughput\":" + jsonDouble(r.relativeThroughput);
-    out += ",\"loss_fraction\":" + jsonDouble(r.lossFraction);
-    out += ",\"alerts\":" + std::to_string(r.alerts);
-    out += "}";
-    return out;
+    return JsonLineWriter()
+        .field("kind", "throughput_attack")
+        .field("pattern", pattern)
+        .field("mitigator", mitigator)
+        .field("attack_rate", r.attackRate)
+        .field("baseline_rate", r.baselineRate)
+        .field("relative_throughput", r.relativeThroughput)
+        .field("loss_fraction", r.lossFraction)
+        .field("alerts", r.alerts)
+        .line();
 }
 
 void
@@ -382,93 +319,16 @@ writeJsonLines(std::ostream &os, const std::vector<CoAttackResult> &rs)
         os << toJsonLine(r) << "\n";
 }
 
-CoAttackResult
-coAttackResultOfJsonLine(const std::string &line)
-{
-    if (jsonField(line, "kind") != "coattack")
-        fatal("not a coattack result line: " + line);
-    CoAttackResult r;
-    r.workload = jsonField(line, "workload");
-    r.mitigator = jsonField(line, "mitigator");
-    r.pattern = jsonField(line, "pattern");
-    r.aboLevel = static_cast<int>(fieldUInt(line, "level"));
-    r.attackerMaxHammer =
-        static_cast<uint32_t>(fieldUInt(line, "attacker_max_hammer"));
-    r.attackerActs = fieldUInt(line, "attacker_acts");
-    r.victimSlowdown = fieldDouble(line, "victim_slowdown");
-    r.victimNormPerf = fieldDouble(line, "victim_norm_perf");
-    r.victimActs = fieldUInt(line, "victim_acts");
-    r.alerts = fieldUInt(line, "alerts");
-    r.attackFreeAlerts = fieldUInt(line, "attack_free_alerts");
-    r.rfms = fieldUInt(line, "rfms");
-    r.attackFreeRfms = fieldUInt(line, "attack_free_rfms");
-    r.refs = fieldUInt(line, "refs");
-    r.alertsPerRefi = fieldDouble(line, "alerts_per_refi");
-    r.attackFreeAlertsPerRefi =
-        fieldDouble(line, "attack_free_alerts_per_refi");
-    // Optional: only named-device runs write it (default-device lines,
-    // and every pre-device line, omit it entirely).
-    if (line.find("\"device\":") != std::string::npos)
-        r.device = jsonField(line, "device");
-    return r;
-}
-
 PerfResult
 perfResultOfJsonLine(const std::string &line)
 {
-    if (jsonField(line, "kind") != "perf")
-        fatal("not a perf result line: " + line);
-    PerfResult r;
-    r.workload = jsonField(line, "workload");
-    r.mitigator = jsonField(line, "mitigator");
-    r.aboLevel = static_cast<int>(fieldUInt(line, "level"));
-    r.normPerf = fieldDouble(line, "norm_perf");
-    r.alertsPerRefi = fieldDouble(line, "alerts_per_refi");
-    r.mitigationsPerBankPerRefw =
-        fieldDouble(line, "mitigations_per_bank_per_refw");
-    r.actOverheadFraction = fieldDouble(line, "act_overhead");
-    r.alerts = fieldUInt(line, "alerts");
-    r.acts = fieldUInt(line, "acts");
-    // Optional: only named-device runs write it (default-device lines,
-    // and every pre-device line, omit it entirely).
-    if (line.find("\"device\":") != std::string::npos)
-        r.device = jsonField(line, "device");
-    // Pre-v2 lines carry no per-sub-channel arrays; treat their
-    // absence as an empty breakdown so old JSONL stays readable (the
-    // trace reader gives v1 files the same courtesy).
-    if (line.find("\"sc_acts\":") == std::string::npos)
-        return r;
-    const auto sc_acts = fieldArray(line, "sc_acts");
-    const auto sc_alerts = fieldArray(line, "sc_alerts");
-    const auto sc_refi = fieldArray(line, "sc_alerts_per_refi");
-    const auto sc_mit = fieldArray(line, "sc_mitigations_per_bank_per_refw");
-    if (sc_alerts.size() != sc_acts.size() ||
-        sc_refi.size() != sc_acts.size() || sc_mit.size() != sc_acts.size())
-        fatal("per-sub-channel arrays disagree in length: " + line);
-    r.perSubchannel.resize(sc_acts.size());
-    for (size_t i = 0; i < sc_acts.size(); ++i) {
-        r.perSubchannel[i].acts = parseUInt(sc_acts[i], "sc_acts");
-        r.perSubchannel[i].alerts = parseUInt(sc_alerts[i], "sc_alerts");
-        r.perSubchannel[i].alertsPerRefi =
-            parseDouble(sc_refi[i], "sc_alerts_per_refi");
-        r.perSubchannel[i].mitigationsPerBankPerRefw =
-            parseDouble(sc_mit[i], "sc_mitigations_per_bank_per_refw");
-    }
-    return r;
+    return readRecordOrDie<PerfResult>(line);
 }
 
-std::vector<PerfResult>
-readPerfJsonLines(std::istream &is)
+CoAttackResult
+coAttackResultOfJsonLine(const std::string &line)
 {
-    std::vector<PerfResult> out;
-    std::string line;
-    while (std::getline(is, line)) {
-        if (line.empty() || line[0] == '#')
-            continue;
-        if (jsonField(line, "kind") == "perf")
-            out.push_back(perfResultOfJsonLine(line));
-    }
-    return out;
+    return readRecordOrDie<CoAttackResult>(line);
 }
 
 } // namespace moatsim::sim

@@ -1,7 +1,6 @@
 #include "sim/result_store.hh"
 
-#include <cinttypes>
-#include <cstdio>
+#include <charconv>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -11,6 +10,7 @@
 #include "common/fault.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
+#include "common/number_text.hh"
 #include "sim/result_io.hh"
 
 namespace moatsim::sim
@@ -23,48 +23,20 @@ namespace
  *  enough that concurrent appends rarely contend on one file. */
 constexpr uint64_t kShards = 16;
 
-std::string
-hex16(uint64_t v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
-    return buf;
-}
-
-std::string
-hex8(uint32_t v)
-{
-    char buf[16];
-    std::snprintf(buf, sizeof buf, "%08" PRIx32, v);
-    return buf;
-}
-
 /** Exactly 16 lowercase hex digits; anything else is corrupt. */
 bool
 parseHex16(const std::string &s, uint64_t *out)
 {
-    if (s.size() != 16)
-        return false;
-    uint64_t v = 0;
-    for (const char c : s) {
-        v <<= 4;
-        if (c >= '0' && c <= '9')
-            v |= static_cast<uint64_t>(c - '0');
-        else if (c >= 'a' && c <= 'f')
-            v |= static_cast<uint64_t>(c - 'a' + 10);
-        else
-            return false;
-    }
-    *out = v;
-    return true;
+    const auto [end, ec] =
+        std::from_chars(s.data(), s.data() + s.size(), *out, 16);
+    return ec == std::errc() && end == s.data() + s.size() &&
+           s == hexText(*out, 16);
 }
 
 std::string
 shardFileOf(const std::string &dir, uint64_t shard)
 {
-    char buf[8];
-    std::snprintf(buf, sizeof buf, "%02x", static_cast<unsigned>(shard));
-    return dir + "/shard-" + buf + ".jsonl";
+    return dir + "/shard-" + hexText(shard, 2) + ".jsonl";
 }
 
 std::string
@@ -83,13 +55,15 @@ quarantineFileOf(const std::string &dir)
 std::string
 recordLineOf(uint64_t folded, const std::string &payload)
 {
-    const std::string key_text = hex16(folded);
-    const std::string sum_text = hex16(stableHash64(payload));
-    const uint32_t crc = crc32(key_text + sum_text + payload);
-    return "{\"kind\":\"result\",\"key\":\"" + key_text +
-           "\",\"sum\":\"" + sum_text +
-           "\",\"payload\":" + jsonQuote(payload) + ",\"crc\":\"" +
-           hex8(crc) + "\"}";
+    const std::string key_text = hexText(folded, 16);
+    const std::string sum_text = hexText(stableHash64(payload), 16);
+    return JsonLineWriter()
+        .field("kind", "result")
+        .field("key", key_text)
+        .field("sum", sum_text)
+        .field("payload", payload)
+        .field("crc", hexText(crc32(key_text + sum_text + payload), 8))
+        .line();
 }
 
 /**
@@ -103,24 +77,26 @@ bool
 tryParseRecord(const std::string &line, uint64_t *key,
                std::string *payload)
 {
-    std::string kind;
     std::string key_text;
     std::string sum_text;
-    uint64_t sum = 0;
-    if (!tryJsonField(line, "kind", &kind) || kind != "result" ||
-        !tryJsonField(line, "key", &key_text) ||
-        !tryJsonField(line, "sum", &sum_text) ||
-        !tryJsonField(line, "payload", payload) ||
-        !parseHex16(key_text, key) || !parseHex16(sum_text, &sum) ||
-        stableHash64(*payload) != sum)
-        return false;
     std::string crc_text;
-    if (tryJsonField(line, "crc", &crc_text))
-        return crc_text.size() == 8 &&
-               crc_text == hex8(crc32(key_text + sum_text + *payload));
+    JsonLineReader record(line, JsonLineReader::Absent::Fail);
+    record.tag("kind", "result");
+    record.field("key", key_text);
+    record.field("sum", sum_text);
+    record.field("payload", *payload);
     // Only records written before the CRC existed may rest on the sum
-    // alone; a crc token that is present but unextractable is a torn
-    // tail, not a legacy record.
+    // alone; a crc that is present but unreadable fails the reader.
+    record.tail("crc", crc_text);
+    uint64_t sum = 0;
+    if (!record.ok() || !parseHex16(key_text, key) ||
+        !parseHex16(sum_text, &sum) || stableHash64(*payload) != sum)
+        return false;
+    if (!crc_text.empty())
+        return crc_text ==
+               hexText(crc32(key_text + sum_text + *payload), 8);
+    // A tear inside the crc key itself leaves no readable field; the
+    // bare key text still marks the record as post-CRC.
     return line.find("\"crc\"") == std::string::npos;
 }
 
@@ -362,10 +338,10 @@ ResultStore::envConfig()
         cfg = configOf(s);
     // NOLINTNEXTLINE(concurrency-mt-unsafe)
     if (const char *s = std::getenv("MOATSIM_RESULT_STORE_EPOCH")) {
-        char *end = nullptr;
-        const unsigned long long v = std::strtoull(s, &end, 10);
-        if (end != s && *end == '\0')
-            cfg.epoch = v;
+        if (!parseDecimal(s, &cfg.epoch))
+            warn(std::string("MOATSIM_RESULT_STORE_EPOCH='") + s +
+                 "' is not an unsigned integer; keeping epoch " +
+                 std::to_string(cfg.epoch));
     }
     return cfg;
 }

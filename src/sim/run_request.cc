@@ -1,8 +1,8 @@
 #include "sim/run_request.hh"
 
-#include <cerrno>
+#include <concepts>
 #include <cstdint>
-#include <cstdlib>
+#include <type_traits>
 
 #include "attacks/attack.hh"
 #include "common/hash.hh"
@@ -18,118 +18,43 @@ namespace moatsim::sim
 namespace
 {
 
-/** Strict base-10 uint64 parse of a bare JSON number token. */
-bool
-parseU64(const std::string &text, uint64_t *out)
-{
-    if (text.empty() || text.size() > 20)
-        return false;
-    for (const char c : text) {
-        if (c < '0' || c > '9')
-            return false;
-    }
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (errno != 0 || end != text.c_str() + text.size())
-        return false;
-    *out = v;
-    return true;
-}
-
-/** Strict finite-double parse of a bare JSON number token. */
-bool
-parseF64(const std::string &text, double *out)
-{
-    if (text.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (errno != 0 || end != text.c_str() + text.size())
-        return false;
-    *out = v;
-    return true;
-}
-
-/** Whether @p key appears as a field name in @p line. Request lines
- *  are flat objects whose only string values are spec/workload names
- *  (no quotes or braces inside), so this literal scan is exact. */
-bool
-present(const std::string &line, const std::string &key)
-{
-    return line.find("\"" + key + "\":") != std::string::npos;
-}
-
-bool
-failField(const std::string &key, const std::string &what,
-          std::string *err)
-{
-    if (err)
-        *err = "run request field '" + key + "' " + what;
-    return false;
-}
-
-/** Decode an optional string field; absent leaves @p out unchanged. */
-bool
-optString(const std::string &line, const std::string &key,
-          std::string *out, std::string *err)
-{
-    if (!present(line, key))
-        return true;
-    return tryJsonField(line, key, out, err);
-}
-
-/** Decode an optional unsigned field; absent leaves @p out unchanged. */
-bool
-optU64(const std::string &line, const std::string &key, uint64_t *out,
-       std::string *err)
-{
-    if (!present(line, key))
-        return true;
-    std::string text;
-    if (!tryJsonField(line, key, &text, err))
-        return false;
-    if (!parseU64(text, out))
-        return failField(key, "is not an unsigned integer: " + text, err);
-    return true;
-}
-
-/** optU64 constrained to 32 bits. */
-bool
-optU32(const std::string &line, const std::string &key, uint32_t *out,
-       std::string *err)
-{
-    uint64_t v = *out;
-    if (!optU64(line, key, &v, err))
-        return false;
-    if (v > UINT32_MAX)
-        return failField(key, "does not fit in 32 bits", err);
-    *out = static_cast<uint32_t>(v);
-    return true;
-}
-
-/** Decode an optional double field; absent leaves @p out unchanged. */
-bool
-optF64(const std::string &line, const std::string &key, double *out,
-       std::string *err)
-{
-    if (!present(line, key))
-        return true;
-    std::string text;
-    if (!tryJsonField(line, key, &text, err))
-        return false;
-    if (!parseF64(text, out))
-        return failField(key, "is not a number: " + text, err);
-    return true;
-}
-
 bool
 fail(const std::string &what, std::string *err)
 {
     if (err)
         *err = what;
     return false;
+}
+
+/**
+ * The fields of a request line, in line order; JsonLineWriter and
+ * JsonLineReader both walk this list. A field absent from a line keeps
+ * its default (forward compatibility).
+ */
+template <class V, class R>
+    requires std::same_as<std::remove_const_t<R>, RunRequest>
+void
+fields(V &v, R &r)
+{
+    v.field("kind", r.kind);
+    v.field("mitigator", r.mitigator);
+    v.field("device", r.device);
+    v.field("workload", r.workload);
+    v.field("level", r.level);
+    v.field("fraction", r.fraction);
+    v.field("subchannels", r.subchannels);
+    v.field("seed", r.seed);
+    v.field("jobs", r.jobs);
+    // The attack block is written for coattack requests only (as
+    // requestKey() folds it) and read whenever present.
+    if (!v.section(r.kind == "coattack"))
+        return;
+    v.field("pattern", r.pattern);
+    v.field("pool_rows", r.poolRows);
+    v.field("budget", r.budget);
+    v.field("attack_subchannel", r.attackSubchannel);
+    v.field("attack_bank", r.attackBank);
+    v.field("attack_seed", r.attackSeed);
 }
 
 } // namespace
@@ -214,26 +139,9 @@ runRequestOfArgs(const std::string &kind, const Args &args)
 std::string
 toJsonLine(const RunRequest &req)
 {
-    std::string out = "{\"kind\":" + jsonQuote(req.kind) +
-                      ",\"mitigator\":" + jsonQuote(req.mitigator) +
-                      ",\"device\":" + jsonQuote(req.device) +
-                      ",\"workload\":" + jsonQuote(req.workload) +
-                      ",\"level\":" + std::to_string(req.level) +
-                      ",\"fraction\":" + jsonDouble(req.fraction) +
-                      ",\"subchannels\":" + std::to_string(req.subchannels) +
-                      ",\"seed\":" + std::to_string(req.seed) +
-                      ",\"jobs\":" + std::to_string(req.jobs);
-    if (req.kind == "coattack") {
-        out += ",\"pattern\":" + jsonQuote(req.pattern) +
-               ",\"pool_rows\":" + std::to_string(req.poolRows) +
-               ",\"budget\":" + std::to_string(req.budget) +
-               ",\"attack_subchannel\":" +
-               std::to_string(req.attackSubchannel) +
-               ",\"attack_bank\":" + std::to_string(req.attackBank) +
-               ",\"attack_seed\":" + std::to_string(req.attackSeed);
-    }
-    out += "}";
-    return out;
+    JsonLineWriter w;
+    fields(w, req);
+    return w.line();
 }
 
 uint64_t
@@ -264,28 +172,10 @@ tryRunRequestOfJsonLine(const std::string &line, RunRequest *req,
                         std::string *err)
 {
     RunRequest r;
-    uint64_t level = static_cast<uint64_t>(r.level);
-    const bool ok =
-        optString(line, "kind", &r.kind, err) &&
-        optString(line, "mitigator", &r.mitigator, err) &&
-        optString(line, "device", &r.device, err) &&
-        optString(line, "workload", &r.workload, err) &&
-        optU64(line, "level", &level, err) &&
-        optF64(line, "fraction", &r.fraction, err) &&
-        optU32(line, "subchannels", &r.subchannels, err) &&
-        optU64(line, "seed", &r.seed, err) &&
-        optU32(line, "jobs", &r.jobs, err) &&
-        optString(line, "pattern", &r.pattern, err) &&
-        optU32(line, "pool_rows", &r.poolRows, err) &&
-        optU64(line, "budget", &r.budget, err) &&
-        optU32(line, "attack_subchannel", &r.attackSubchannel, err) &&
-        optU32(line, "attack_bank", &r.attackBank, err) &&
-        optU64(line, "attack_seed", &r.attackSeed, err);
-    if (!ok)
-        return false;
-    if (level > INT32_MAX)
-        return failField("level", "is out of range", err);
-    r.level = static_cast<int>(level);
+    JsonLineReader reader(line, JsonLineReader::Absent::Keep);
+    fields(reader, r);
+    if (!reader.ok())
+        return fail("run request: " + reader.error(), err);
     *req = r;
     return true;
 }

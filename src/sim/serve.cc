@@ -6,12 +6,13 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include "common/fault.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
+#include "common/number_text.hh"
 #include "sim/result_io.hh"
 
 namespace moatsim::sim
@@ -71,49 +72,11 @@ serverWriteLine(int fd, const std::string &line)
 std::string
 errorLine(const std::string &message, bool retryable)
 {
-    return "{\"kind\":\"error\",\"message\":" + jsonQuote(message) +
-           (retryable ? ",\"retryable\":true}" : "}");
-}
-
-std::string
-cellLine(size_t index, const std::string &payload)
-{
-    return "{\"kind\":\"cell\",\"index\":" + std::to_string(index) +
-           ",\"payload\":" + jsonQuote(payload) + "}";
-}
-
-/** Fixed-width lowercase hex of a 64-bit key (16 digits). */
-std::string
-hex16(uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
-std::string
-doneLine(size_t cells, double cost, uint64_t request_key)
-{
-    return "{\"kind\":\"done\",\"cells\":" + std::to_string(cells) +
-           ",\"cost\":" + jsonDouble(cost) + ",\"request\":\"" +
-           hex16(request_key) + "\"}";
-}
-
-/** Strict base-10 parse of a bare JSON number token. */
-bool
-parseIndex(const std::string &text, size_t *out)
-{
-    if (text.empty() || text.size() > 18)
-        return false;
-    size_t v = 0;
-    for (const char c : text) {
-        if (c < '0' || c > '9')
-            return false;
-        v = v * 10 + static_cast<size_t>(c - '0');
-    }
-    *out = v;
-    return true;
+    JsonLineWriter w;
+    w.field("kind", "error").field("message", message);
+    if (retryable)
+        w.field("retryable", true);
+    return w.line();
 }
 
 } // namespace
@@ -299,7 +262,7 @@ Server::handleLine(int fd, const std::string &line)
     if (kind == "stats")
         return serverWriteLine(fd, statsLine());
     if (kind == "shutdown") {
-        serverWriteLine(fd, "{\"kind\":\"bye\"}");
+        serverWriteLine(fd, JsonLineWriter().field("kind", "bye").line());
         stop();
         return false;
     }
@@ -371,7 +334,11 @@ Server::runOnConnection(int fd, const RunRequest &req)
                     return;
                 }
             }
-            if (!serverWriteLine(fd, cellLine(index, payload)))
+            if (!serverWriteLine(fd, JsonLineWriter()
+                                         .field("kind", "cell")
+                                         .field("index", index)
+                                         .field("payload", payload)
+                                         .line()))
                 io_ok = false;
         };
         try {
@@ -408,7 +375,13 @@ Server::runOnConnection(int fd, const RunRequest &req)
     // The request's content-address closes the reply: clients can
     // correlate identical sweeps across sessions without re-deriving
     // the key themselves.
-    return serverWriteLine(fd, doneLine(cells, cost, requestKey(req)));
+    return serverWriteLine(fd, JsonLineWriter()
+                                   .field("kind", "done")
+                                   .field("cells", cells)
+                                   .field("cost", cost)
+                                   .field("request",
+                                          hexText(requestKey(req), 16))
+                                   .line());
 }
 
 void
@@ -447,23 +420,25 @@ Server::statsLine()
         compute_failures = compute_failures_;
         admitted = admitted_cost_;
     }
-    return "{\"kind\":\"stats\",\"entries\":" +
-           std::to_string(rs.entries) +
-           ",\"hits\":" + std::to_string(rs.hits) +
-           ",\"misses\":" + std::to_string(rs.misses) +
-           ",\"computes\":" + std::to_string(rs.computes) +
-           ",\"loaded\":" + std::to_string(rs.loaded) +
-           ",\"corrupt\":" + std::to_string(rs.corrupt) +
-           ",\"quarantined\":" + std::to_string(rs.quarantined) +
-           ",\"compactions\":" + std::to_string(rs.compactions) +
-           ",\"append_failures\":" + std::to_string(rs.appendFailures) +
-           ",\"in_flight\":" + std::to_string(rs.inFlight) +
-           ",\"trace_hits\":" + std::to_string(ts.hits) +
-           ",\"trace_misses\":" + std::to_string(ts.misses) +
-           ",\"active\":" + std::to_string(active) +
-           ",\"accept_retries\":" + std::to_string(accept_retries) +
-           ",\"compute_failures\":" + std::to_string(compute_failures) +
-           ",\"admitted_cost\":" + jsonDouble(admitted) + "}";
+    return JsonLineWriter()
+        .field("kind", "stats")
+        .field("entries", rs.entries)
+        .field("hits", rs.hits)
+        .field("misses", rs.misses)
+        .field("computes", rs.computes)
+        .field("loaded", rs.loaded)
+        .field("corrupt", rs.corrupt)
+        .field("quarantined", rs.quarantined)
+        .field("compactions", rs.compactions)
+        .field("append_failures", rs.appendFailures)
+        .field("in_flight", rs.inFlight)
+        .field("trace_hits", ts.hits)
+        .field("trace_misses", ts.misses)
+        .field("active", active)
+        .field("accept_retries", accept_retries)
+        .field("compute_failures", compute_failures)
+        .field("admitted_cost", admitted)
+        .line();
 }
 
 namespace
@@ -495,55 +470,74 @@ connectTo(const std::string &path, std::string *err)
     return fd;
 }
 
-/** Fold one server line into @p reply; sets @p finished on the
- *  terminal line (done/stats/bye/error). */
-void
-foldReplyLine(const std::string &line, ServeReply *reply,
-              bool *finished)
+/** Cells of one reply as they arrive: (index, payload) pairs. */
+using ReceivedCells = std::vector<std::pair<size_t, std::string>>;
+
+/** Put @p received into request order in @p cells; false unless the
+ *  indices are exactly 0..count-1, each once. */
+bool
+placeCells(ReceivedCells &received, size_t count,
+           std::vector<std::string> *cells)
+{
+    // Compared before anything is sized by the server's count.
+    if (received.size() != count)
+        return false;
+    std::vector<std::string> placed(count);
+    std::vector<bool> seen(count, false);
+    for (auto &[index, payload] : received) {
+        if (index >= count || seen[index])
+            return false;
+        seen[index] = true;
+        placed[index] = std::move(payload);
+    }
+    *cells = std::move(placed);
+    return true;
+}
+
+/** Fold one server line into @p reply; true on the terminal line
+ *  (done/stats/bye/error) or on a malformed one. A malformed reply is
+ *  a retryable failure: re-sending the request converges. */
+bool
+foldReplyLine(const std::string &line, ReceivedCells *received,
+              ServeReply *reply)
 {
     std::string kind;
-    std::string err;
-    if (!tryJsonField(line, "kind", &kind, &err)) {
-        reply->error = "malformed reply: " + err;
-        reply->retryable = true;
-        *finished = true;
-        return;
+    JsonLineReader fields(line, JsonLineReader::Absent::Fail);
+    fields.field("kind", kind);
+    if (fields.ok() && kind == "error") {
+        // The server tags transient failures retryable; a message-less
+        // error line reports itself.
+        JsonLineReader error(line, JsonLineReader::Absent::Keep);
+        reply->error = line;
+        error.field("message", reply->error);
+        error.field("retryable", reply->retryable);
+        return true;
     }
+    size_t number = 0; // a cell's index, or the done line's cell count
     if (kind == "cell") {
-        std::string indexText;
         std::string payload;
-        size_t index = 0;
-        if (!tryJsonField(line, "index", &indexText, &err) ||
-            !tryJsonField(line, "payload", &payload, &err) ||
-            !parseIndex(indexText, &index)) {
-            reply->error = "malformed cell line: " + line;
-            reply->retryable = true;
-            *finished = true;
-            return;
+        fields.field("index", number);
+        fields.field("payload", payload);
+        if (fields.ok()) {
+            received->emplace_back(number, std::move(payload));
+            return false;
         }
-        if (index >= reply->cells.size())
-            reply->cells.resize(index + 1);
-        reply->cells[index] = payload;
-        return;
-    }
-    if (kind == "error") {
-        std::string message;
-        if (!tryJsonField(line, "message", &message, nullptr))
-            message = line;
-        reply->error = message;
-        // The server tags transient failures; a bare token "true"
-        // comes back verbatim from the flat-JSON field scan.
-        std::string retry_text;
-        reply->retryable =
-            tryJsonField(line, "retryable", &retry_text, nullptr) &&
-            retry_text == "true";
-        *finished = true;
-        return;
+    } else if (kind == "done") {
+        fields.field("cells", number);
     }
     // done / stats / bye all terminate one request's reply.
-    reply->ok = true;
-    reply->done = line;
-    *finished = true;
+    reply->ok = fields.ok() && (kind != "done" ||
+                                placeCells(*received, number, &reply->cells));
+    if (reply->ok) {
+        reply->done = line;
+    } else {
+        reply->error = "malformed reply: " +
+                       (fields.ok() ? "the cell indices are not exactly 0.." +
+                                          std::to_string(number) + "-1: " + line
+                                    : fields.error());
+        reply->retryable = true;
+    }
+    return true;
 }
 
 } // namespace
@@ -569,6 +563,7 @@ serveRequestLine(const std::string &socketPath, const std::string &line)
 
     std::string buf;
     char chunk[4096];
+    ReceivedCells received;
     bool finished = false;
     while (!finished) {
         const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
@@ -589,7 +584,7 @@ serveRequestLine(const std::string &socketPath, const std::string &line)
             const std::string replyLine = buf.substr(0, nl);
             buf.erase(0, nl + 1);
             if (!replyLine.empty())
-                foldReplyLine(replyLine, &reply, &finished);
+                finished = foldReplyLine(replyLine, &received, &reply);
         }
     }
     ::close(fd);

@@ -202,7 +202,9 @@ struct ServeReply
     /** The server's error message, or the local connect/IO failure. */
     std::string error;
     /** Cell payload JSONL, reordered into request (index) order --
-     *  byte-identical to the direct CLI's --jsonl output. */
+     *  byte-identical to the direct CLI's --jsonl output. Filled only
+     *  when the done line's cell count matches indices 0..count-1,
+     *  each received once; any other reply is a retryable error. */
     std::vector<std::string> cells;
     /** The raw done line. */
     std::string done;

@@ -4,6 +4,8 @@
 
 #include "common/fault.hh"
 #include "common/hash.hh"
+#include "common/logging.hh"
+#include "common/number_text.hh"
 
 namespace moatsim::workload
 {
@@ -54,9 +56,12 @@ TraceStore::envConfig()
         cfg.enabled = !(s[0] == '0' && s[1] == '\0');
     // NOLINTNEXTLINE(concurrency-mt-unsafe)
     if (const char *s = std::getenv("MOATSIM_TRACE_STORE_BYTES")) {
-        const long long v = std::atoll(s);
-        if (v > 0)
-            cfg.maxBytes = static_cast<size_t>(v);
+        size_t bytes = 0;
+        if (parseDecimal(s, &bytes) && bytes > 0)
+            cfg.maxBytes = bytes;
+        else
+            warn(std::string("MOATSIM_TRACE_STORE_BYTES='") + s +
+                 "' is not a positive byte count; keeping the default");
     }
     return cfg;
 }

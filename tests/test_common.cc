@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the common utilities (rng, stats, histogram, table).
+ * Unit tests for the common utilities (rng, stats, histogram, table,
+ * and the strict number grammar of number_text).
  */
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <sstream>
 
 #include "common/histogram.hh"
+#include "common/number_text.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
@@ -17,6 +19,48 @@ namespace moatsim
 {
 namespace
 {
+
+TEST(NumberText, IntegersAreDigitsOnlyAndFitTheirType)
+{
+    uint64_t u64 = 7;
+    EXPECT_TRUE(parseDecimal("18446744073709551615", &u64));
+    EXPECT_EQ(u64, UINT64_MAX);
+    EXPECT_TRUE(parseDecimal("007", &u64));
+    EXPECT_EQ(u64, 7u);
+    for (const char *bad : {"", "-1", "+1", " 1", "1 ", "0x10", "1.0", "1e3",
+                            "18446744073709551616"}) {
+        EXPECT_FALSE(parseDecimal(bad, &u64)) << "'" << bad << "'";
+        EXPECT_EQ(u64, 7u) << "rejects leave the value untouched";
+    }
+    uint32_t u32 = 0;
+    EXPECT_TRUE(parseDecimal("4294967295", &u32));
+    EXPECT_FALSE(parseDecimal("4294967365", &u32)) << "would wrap to 69";
+    int level = 0;
+    EXPECT_TRUE(parseDecimal("2147483647", &level));
+    EXPECT_FALSE(parseDecimal("2147483648", &level));
+    EXPECT_FALSE(parseDecimal("-2", &level));
+}
+
+TEST(NumberText, DoublesAreOneWholeTokenWithoutLeadingSpace)
+{
+    double d = 0.0;
+    EXPECT_TRUE(parseDouble("0.10000000000000001", &d));
+    EXPECT_EQ(d, 0.1);
+    EXPECT_TRUE(parseDouble("-2.5e-3", &d));
+    EXPECT_EQ(d, -2.5e-3);
+    EXPECT_TRUE(parseDouble("1", &d));
+    EXPECT_EQ(d, 1.0);
+    for (const char *bad : {"", " 0.5", "\t0.5", "0.5 ", "0.5x", "x", "."}) {
+        EXPECT_FALSE(parseDouble(bad, &d)) << "'" << bad << "'";
+        EXPECT_EQ(d, 1.0);
+    }
+}
+
+TEST(NumberText, HexTextIsFixedWidthLowercase)
+{
+    EXPECT_EQ(hexText(0xabc, 8), "00000abc");
+    EXPECT_EQ(hexText(UINT64_MAX, 16), "ffffffffffffffff");
+}
 
 TEST(Time, UnitConversions)
 {

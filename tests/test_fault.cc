@@ -73,6 +73,17 @@ TEST(FaultPlan, RejectsMalformedText)
     EXPECT_FALSE(tryParsePlan("serve.send@abc", &plan, &err));
     EXPECT_FALSE(tryParsePlan("serve.send@0.5:", &plan, &err))
         << "empty seed";
+    // Seeds are digits only: strtoull used to wrap -1 to 2^64-1.
+    EXPECT_FALSE(tryParsePlan("serve.send@0.5:-1", &plan, &err))
+        << "negative seed";
+    EXPECT_NE(err.find("seed"), std::string::npos) << err;
+    EXPECT_FALSE(tryParsePlan("serve.send@0.5:18446744073709551616", &plan,
+                              &err))
+        << "seed beyond 64 bits";
+    EXPECT_FALSE(tryParsePlan("serve.send@ 0.5", &plan, &err))
+        << "leading space in the rate";
+    EXPECT_FALSE(tryParsePlan("serve.send@nan", &plan, &err))
+        << "NaN is not a rate in [0, 1]";
     EXPECT_FALSE(tryParsePlan("@0.5", &plan, &err)) << "empty site";
     EXPECT_FALSE(tryParsePlan(",", &plan, &err));
 }

@@ -241,6 +241,24 @@ TEST(MoatlintJsonlStability, FlagsLooseFloatsInEmitters)
     EXPECT_EQ(linesOf(f, "jsonl-stability"), (std::vector<int>{2, 3}));
 }
 
+TEST(MoatlintJsonlStability, DoubleFormatterFileIsAnEmitter)
+{
+    // The codec file formats every double through jsonDouble; it stays
+    // in scope by that name alone, without toJsonLine in its text.
+    const auto f = lintSource(
+        "src/sim/result_io.cc",
+        "std::string\n"
+        "jsonDouble(double d)\n"
+        "{\n"
+        "    char buf[64];\n"
+        // moatlint: allow(jsonl-stability): fixture bytes for the rule
+        // under test (this test file carries the emitter marker)
+        "    std::snprintf(buf, sizeof buf, \"%.6f\", d);\n"
+        "    return buf;\n"
+        "}\n");
+    EXPECT_EQ(linesOf(f, "jsonl-stability"), (std::vector<int>{5}));
+}
+
 TEST(MoatlintJsonlStability, QuietOffEmitters)
 {
     // Human-readable CLI summaries may format floats freely.

@@ -17,6 +17,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -119,6 +120,38 @@ TEST(ResultStore, DisabledIsAPassThrough)
     EXPECT_EQ(disabled.stats().computes, 2u);
     EXPECT_EQ(disabled.stats().hits, 0u);
     EXPECT_EQ(disabled.stats().entries, 0u);
+}
+
+TEST(ResultStore, ShardRecordFrameBytes)
+{
+    // The on-disk frame: key, FNV payload sum, the escaped payload, and
+    // a CRC-32 over all three. Shards written by older builds must keep
+    // loading, so these bytes may not drift.
+    const std::string dir = freshDir("rs_frame_bytes");
+    {
+        ResultStore store(persistentConfig(dir));
+        store.getOrCompute(0x1234, [] {
+            return std::string("{\"kind\":\"perf\",\"workload\":\"a\\\"b\"}");
+        });
+    }
+    std::vector<fs::path> files;
+    for (const auto &entry : fs::directory_iterator(dir))
+        files.push_back(entry.path());
+    ASSERT_EQ(files.size(), 1u);
+    EXPECT_EQ(files[0].filename().string(), "shard-0f.jsonl");
+    std::ifstream is(files[0]);
+    const std::string text((std::istreambuf_iterator<char>(is)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_EQ(text,
+              "{\"kind\":\"result\",\"key\":\"da3b59b60fee797f\","
+              "\"sum\":\"78c902bf6106e6c6\",\"payload\":"
+              "\"{\\\"kind\\\":\\\"perf\\\",\\\"workload\\\":"
+              "\\\"a\\\\\\\"b\\\"}\",\"crc\":\"c9756f44\"}\n");
+
+    // And the record reads back as a warm hit.
+    ResultStore warm(persistentConfig(dir));
+    EXPECT_EQ(warm.stats().loaded, 1u);
+    EXPECT_EQ(warm.stats().corrupt, 0u);
 }
 
 TEST(ResultStore, SingleFlightComputesEachKeyOnce)

@@ -14,9 +14,13 @@
  */
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -62,6 +66,70 @@ smallServeConfig(const std::string &socket)
     sc.resultStore = ResultStore::Config{};
     sc.resultStore.enabled = true;
     return sc;
+}
+
+/** A connected AF_UNIX client socket to @p socket, or -1. */
+int
+connectRaw(const std::string &socket)
+{
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, socket.c_str(), sizeof(addr.sun_path) - 1);
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd >= 0 && ::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                             sizeof(addr)) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+/** Send @p request on a fresh connection and return the raw reply
+ *  lines up to and including the first line that is not a cell. */
+std::vector<std::string>
+rawExchange(const std::string &socket, const std::string &request)
+{
+    std::vector<std::string> lines;
+    const int fd = connectRaw(socket);
+    if (fd < 0)
+        return lines;
+    const std::string out = request + "\n";
+    if (::send(fd, out.data(), out.size(), MSG_NOSIGNAL) !=
+        static_cast<ssize_t>(out.size())) {
+        ::close(fd);
+        return lines;
+    }
+    std::string buf;
+    char chunk[4096];
+    bool finished = false;
+    while (!finished) {
+        const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+        if (n <= 0)
+            break;
+        buf.append(chunk, static_cast<size_t>(n));
+        size_t nl = 0;
+        while (!finished && (nl = buf.find('\n')) != std::string::npos) {
+            lines.push_back(buf.substr(0, nl));
+            buf.erase(0, nl + 1);
+            finished = lines.back().rfind("{\"kind\":\"cell\"", 0) != 0;
+        }
+    }
+    ::close(fd);
+    return lines;
+}
+
+/** @p s as a JSON string literal; result lines hold no backslashes or
+ *  control characters, so quoting the quotes is the whole escape. */
+std::string
+quoted(const std::string &s)
+{
+    std::string out = "\"";
+    for (const char c : s) {
+        if (c == '"')
+            out += '\\';
+        out += c;
+    }
+    return out + "\"";
 }
 
 // ------------------------------------------------------- request keys
@@ -371,6 +439,171 @@ TEST(Serve, ChaosRunConvergesByteIdenticallyToACleanRun)
     const auto bye = serveRequestLine(socket, "{\"kind\":\"shutdown\"}");
     EXPECT_TRUE(bye.ok) << bye.error;
     loop.join();
+}
+
+// ---------------------------------------------------- protocol bytes
+
+TEST(ServeBytes, FreshStatsAndByeLines)
+{
+    const std::string socket = socketPathOf("moatsim_serve_bytes_stats.sock");
+    Server server(smallServeConfig(socket));
+    server.start();
+    std::thread loop([&server] { server.serveForever(); });
+
+    EXPECT_EQ(rawExchange(socket, "{\"kind\":\"stats\"}"),
+              std::vector<std::string>{
+                  "{\"kind\":\"stats\",\"entries\":0,\"hits\":0,"
+                  "\"misses\":0,\"computes\":0,\"loaded\":0,"
+                  "\"corrupt\":0,\"quarantined\":0,\"compactions\":0,"
+                  "\"append_failures\":0,\"in_flight\":0,"
+                  "\"trace_hits\":0,\"trace_misses\":0,\"active\":0,"
+                  "\"accept_retries\":0,\"compute_failures\":0,"
+                  "\"admitted_cost\":0}"});
+    EXPECT_EQ(rawExchange(socket, "{\"kind\":\"shutdown\"}"),
+              std::vector<std::string>{"{\"kind\":\"bye\"}"});
+    loop.join();
+}
+
+TEST(ServeBytes, CellDoneAndErrorLines)
+{
+    const RunRequest req = smallRequest();
+    ExperimentConfig ec = experimentConfigOf(req);
+    ec.resultStore = ResultStore::Config{};
+    Experiment direct(ec);
+    const auto results = direct.run();
+    ASSERT_EQ(results.size(), 1u);
+
+    const std::string socket = socketPathOf("moatsim_serve_bytes_cell.sock");
+    Server server(smallServeConfig(socket));
+    server.start();
+    std::thread loop([&server] { server.serveForever(); });
+
+    // One cell, then the done line with the cost and the request key.
+    EXPECT_EQ(rawExchange(socket, toJsonLine(req)),
+              (std::vector<std::string>{
+                  "{\"kind\":\"cell\",\"index\":0,\"payload\":" +
+                      quoted(toJsonLine(results[0])) + "}",
+                  "{\"kind\":\"done\",\"cells\":1,"
+                  "\"cost\":0.0093749999999999997,"
+                  "\"request\":\"20716cc4e6ec37f3\"}"}));
+
+    // A rejection carries no retryable tag; its message is escaped.
+    EXPECT_EQ(rawExchange(socket, "{\"kind\":\"frobnicate\"}"),
+              std::vector<std::string>{
+                  "{\"kind\":\"error\",\"message\":"
+                  "\"unknown request kind \\\"frobnicate\\\"\"}"});
+
+    // A failed compute is tagged retryable (a fresh seed, so the cell
+    // is not already in the store).
+    RunRequest fresh = req;
+    fresh.seed = 8;
+    fault::arm("sweep.compute@1");
+    const auto hurt = rawExchange(socket, toJsonLine(fresh));
+    fault::disarm();
+    EXPECT_EQ(hurt, std::vector<std::string>{
+                        "{\"kind\":\"error\",\"message\":\"cell compute "
+                        "failed: injected fault at site sweep.compute\","
+                        "\"retryable\":true}"});
+
+    EXPECT_EQ(rawExchange(socket, "{\"kind\":\"shutdown\"}").size(), 1u);
+    loop.join();
+}
+
+// ------------------------------------------------- client reply check
+
+/** A fake daemon: answers each of the next connections with one canned
+ *  reply (raw protocol bytes) after reading the request line. */
+class FakeServer
+{
+  public:
+    FakeServer(const std::string &socket, std::vector<std::string> replies)
+    {
+        sockaddr_un addr{};
+        addr.sun_family = AF_UNIX;
+        std::strncpy(addr.sun_path, socket.c_str(),
+                     sizeof(addr.sun_path) - 1);
+        ::unlink(socket.c_str());
+        listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+        EXPECT_EQ(::bind(listen_fd_, reinterpret_cast<const sockaddr *>(&addr),
+                         sizeof(addr)),
+                  0);
+        EXPECT_EQ(::listen(listen_fd_, 4), 0);
+        thread_ = std::thread([this, replies = std::move(replies)] {
+            for (const auto &reply : replies) {
+                const int fd = ::accept(listen_fd_, nullptr, nullptr);
+                if (fd < 0)
+                    return;
+                char c = 0;
+                while (::recv(fd, &c, 1, 0) == 1 && c != '\n') {
+                }
+                ::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL);
+                ::close(fd);
+            }
+        });
+    }
+    ~FakeServer()
+    {
+        thread_.join();
+        ::close(listen_fd_);
+    }
+    FakeServer(const FakeServer &) = delete;
+    FakeServer &operator=(const FakeServer &) = delete;
+
+  private:
+    int listen_fd_ = -1;
+    std::thread thread_;
+};
+
+/** A raw cell line and a raw done line. */
+std::string
+cell(const std::string &index, const std::string &payload)
+{
+    return "{\"kind\":\"cell\",\"index\":" + index + ",\"payload\":\"" +
+           payload + "\"}\n";
+}
+
+std::string
+done(const std::string &cells)
+{
+    return "{\"kind\":\"done\",\"cells\":" + cells +
+           ",\"cost\":1,\"request\":\"0000000000000000\"}\n";
+}
+
+TEST(ServeClient, MalformedRepliesFailRetryablyWithoutThrowing)
+{
+    const std::string socket = socketPathOf("moatsim_serve_fake.sock");
+    const std::vector<std::string> malformed = {
+        // An index far past the cell count: the client used to resize
+        // its cell vector to it and throw std::length_error.
+        cell("999999999999999999", "p") + done("1"),
+        // Cells 0 and 1 never arrive: used to return ok with two
+        // empty cells.
+        cell("2", "c") + done("3"),
+        // One index twice.
+        cell("0", "a") + cell("0", "b") + done("2"),
+        // A count the cells received cannot cover.
+        done("999999999999999999"),
+        // An index that is not a number.
+        cell("-1", "p") + done("1"),
+    };
+    std::vector<std::string> replies = malformed;
+    // The positive control: out-of-order cells are put back in order.
+    replies.push_back(cell("1", "b") + cell("0", "a") + done("2"));
+    FakeServer fake(socket, replies);
+
+    for (size_t i = 0; i < malformed.size(); ++i) {
+        ServeReply reply;
+        EXPECT_NO_THROW(reply = serveRequest(socket, smallRequest()))
+            << malformed[i];
+        EXPECT_FALSE(reply.ok) << malformed[i];
+        EXPECT_TRUE(reply.retryable) << malformed[i];
+        EXPECT_NE(reply.error.find("malformed reply"), std::string::npos)
+            << reply.error;
+        EXPECT_TRUE(reply.cells.empty()) << malformed[i];
+    }
+    const ServeReply good = serveRequest(socket, smallRequest());
+    ASSERT_TRUE(good.ok) << good.error;
+    EXPECT_EQ(good.cells, (std::vector<std::string>{"a", "b"}));
 }
 
 } // namespace

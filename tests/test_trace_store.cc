@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 
 #include "common/fault.hh"
+#include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "sim/result_io.hh"
 #include "sim/sweep.hh"
@@ -59,6 +61,22 @@ TraceStore::Config
 enabledConfig()
 {
     return TraceStore::Config{};
+}
+
+TEST(TraceStore, ByteBoundEnvTakesDigitsOnly)
+{
+    // atoll used to read "12abc" as 12 and "-5" as a no-op; a knob
+    // that is not a positive byte count now keeps the default bound.
+    const size_t def = TraceStore::Config{}.maxBytes;
+    setQuiet(true);
+    for (const char *bad : {"12abc", "-5", " 12", "0", ""}) {
+        ::setenv("MOATSIM_TRACE_STORE_BYTES", bad, 1);
+        EXPECT_EQ(TraceStore::envConfig().maxBytes, def) << "'" << bad << "'";
+    }
+    setQuiet(false);
+    ::setenv("MOATSIM_TRACE_STORE_BYTES", "4096", 1);
+    EXPECT_EQ(TraceStore::envConfig().maxBytes, 4096u);
+    ::unsetenv("MOATSIM_TRACE_STORE_BYTES");
 }
 
 TEST(TraceStore, SharedHandoutPerKey)

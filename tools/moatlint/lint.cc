@@ -517,12 +517,15 @@ void
 ruleJsonlStability(const ParsedFile &f, std::vector<Finding> &out)
 {
     // A file is an emitter when it *formats* JSON itself (the
-    // toJsonLine/jsonField helpers or the explicit MOATSIM_JSONL
-    // marker) -- merely calling writeJsonLines() delegates the
-    // formatting to result_io, which is checked on its own.
+    // toJsonLine/jsonField helpers, the line writer and its double
+    // formatter, or the explicit MOATSIM_JSONL marker) -- merely
+    // calling writeJsonLines() delegates the formatting to result_io,
+    // which is checked on its own.
     const bool emitter =
         f.raw.find("toJsonLine") != std::string::npos ||
         f.raw.find("jsonField") != std::string::npos ||
+        f.raw.find("JsonLineWriter") != std::string::npos ||
+        f.raw.find("jsonDouble") != std::string::npos ||
         f.raw.find("MOATSIM_JSONL") != std::string::npos;
     if (!emitter)
         return;

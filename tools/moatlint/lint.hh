@@ -25,8 +25,9 @@
  *                    (byte-stable, round-trip exact); other float
  *                    conversions and std::setprecision are banned in
  *                    emitting files (files that format JSON themselves
- *                    via toJsonLine/jsonField or that opt in with a
- *                    MOATSIM_JSONL marker comment).
+ *                    via toJsonLine/jsonField, JsonLineWriter or
+ *                    jsonDouble, or that opt in with a MOATSIM_JSONL
+ *                    marker comment).
  *   magic-geometry   raw Table-3 geometry literals (64 * 1024 row
  *                    counts, `banks... = 32`) outside the device
  *                    tables (dram/device.*, dram/timing.hh); geometry
