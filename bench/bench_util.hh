@@ -17,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
+#include "common/number_text.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "sim/result_io.hh"
@@ -35,14 +37,17 @@ header(const std::string &artifact, const std::string &claim)
 /**
  * Scale factor for long-running benches: MOATSIM_BENCH_SCALE in (0,1]
  * shrinks iteration counts for quick smoke runs (default 1 = full).
+ * Any other value warns and keeps the default.
  */
 inline double
 benchScale()
 {
     if (const char *s = std::getenv("MOATSIM_BENCH_SCALE")) {
-        const double v = std::atof(s);
-        if (v > 0.0 && v <= 1.0)
+        double v = 0.0;
+        if (parseDouble(s, &v) && v > 0.0 && v <= 1.0)
             return v;
+        warn(std::string("MOATSIM_BENCH_SCALE='") + s +
+             "' is not a number in (0,1]; keeping the default 1");
     }
     return 1.0;
 }
@@ -120,15 +125,18 @@ rateFields(const std::string &name, double work, const RepeatTiming &t)
 /**
  * Sweep worker threads for benches that fan out through the
  * sim::SweepEngine: MOATSIM_JOBS, default 0 (hardware concurrency).
- * Results are bit-identical at any value.
+ * Results are bit-identical at any value. A value that is not a
+ * worker count warns and keeps the default.
  */
 inline unsigned
 jobs()
 {
     if (const char *s = std::getenv("MOATSIM_JOBS")) {
-        const long v = std::atol(s);
-        if (v >= 0)
-            return static_cast<unsigned>(v);
+        unsigned v = 0;
+        if (parseDecimal(s, &v))
+            return v;
+        warn(std::string("MOATSIM_JOBS='") + s +
+             "' is not a worker count; keeping the default 0");
     }
     return 0;
 }

@@ -8,7 +8,7 @@
  * benches, and the examples all drive the same code path instead of
  * hand-assembling engine calls. The Experiment owns one SweepEngine
  * (sim/sweep.hh) for both cell kinds, so every run -- perf or
- * co-attack -- fans its cells across the engine's work-stealing pool,
+ * co-attack -- fans its cells across the engine's thread pool,
  * replays one copy of each workload's traces, fills one result store,
  * and shares the cached baselines across every design/level evaluated
  * through it. Design-space sweeps call runMatrix() or

@@ -4,6 +4,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -104,13 +105,7 @@ Server::Server(const ServeConfig &config) : config_(config)
 Server::~Server()
 {
     stop();
-    std::vector<std::thread> threads;
-    {
-        MutexLock lock(mu_);
-        threads.swap(threads_);
-    }
-    for (auto &t : threads)
-        t.join();
+    joinConnections();
     if (listen_fd_ >= 0) {
         ::close(listen_fd_);
         ::unlink(config_.socketPath.c_str());
@@ -183,22 +178,21 @@ Server::serveForever()
             break;
         }
         backoff_step = 0;
-        MutexLock lock(mu_);
-        if (stopping_) {
-            ::close(fd);
-            break;
+        std::vector<std::thread> finished;
+        {
+            MutexLock lock(mu_);
+            if (stopping_) {
+                ::close(fd);
+                break;
+            }
+            finished = takeFinishedThreads();
+            conn_fds_.push_back(fd);
+            threads_.emplace_back(&Server::handleConnection, this, fd);
         }
-        conn_fds_.push_back(fd);
-        threads_.emplace_back(&Server::handleConnection, this, fd);
+        for (auto &t : finished)
+            t.join();
     }
-
-    std::vector<std::thread> threads;
-    {
-        MutexLock lock(mu_);
-        threads.swap(threads_);
-    }
-    for (auto &t : threads)
-        t.join();
+    joinConnections();
 }
 
 void
@@ -250,6 +244,37 @@ Server::handleConnection(int fd)
     ::close(fd);
     MutexLock lock(mu_);
     std::erase(conn_fds_, fd);
+    finished_.push_back(std::this_thread::get_id());
+}
+
+std::vector<std::thread>
+Server::takeFinishedThreads()
+{
+    std::vector<std::thread> out;
+    for (const auto id : finished_) {
+        const auto it = std::find_if(
+            threads_.begin(), threads_.end(),
+            [id](const std::thread &t) { return t.get_id() == id; });
+        out.push_back(std::move(*it));
+        threads_.erase(it);
+    }
+    finished_.clear();
+    return out;
+}
+
+void
+Server::joinConnections()
+{
+    std::vector<std::thread> threads;
+    {
+        MutexLock lock(mu_);
+        threads.swap(threads_);
+    }
+    for (auto &t : threads)
+        t.join();
+    // Every joined thread recorded itself as finished on its way out.
+    MutexLock lock(mu_);
+    finished_.clear();
 }
 
 bool

@@ -48,12 +48,14 @@
  * connections (reads only), letting in-flight replies drain -- each
  * bounded by ServeConfig::drainCells -- before the sockets go away.
  *
- * Every connection gets its own thread, but all of them share one
- * ExperimentStores -- one TraceStore, one ResultStore, one
- * BaselineCache -- so concurrent clients asking for overlapping cells
- * dedupe down to a single computation per distinct cell (the stores'
- * single-flight futures), and a warm on-disk result store serves
- * repeat sweeps without recomputing anything. Admission control
+ * Every connection gets its own thread; the accept loop joins the
+ * threads of finished connections, so their stacks do not pile up in
+ * a long-lived daemon. All of them share one ExperimentStores -- one
+ * TraceStore, one ResultStore, one BaselineCache -- so concurrent
+ * clients asking for overlapping cells dedupe down to a single
+ * computation per distinct cell (the stores' single-flight futures),
+ * and a warm on-disk result store serves repeat sweeps without
+ * recomputing anything. Admission control
  * bounds the estimatedCost() of concurrently *running* requests by
  * ServeConfig::maxCost; excess requests queue on a condition
  * variable (a lone request larger than the budget still runs --
@@ -156,6 +158,11 @@ class Server
 
   private:
     void handleConnection(int fd) EXCLUDES(mu_);
+    /** Move the threads of finished connections out of threads_, to
+     *  be joined once mu_ is released. */
+    std::vector<std::thread> takeFinishedThreads() REQUIRES(mu_);
+    /** Join every connection thread (once the accept loop is over). */
+    void joinConnections() EXCLUDES(mu_);
     /** Serve one request line; false = close the connection. */
     bool handleLine(int fd, const std::string &line) EXCLUDES(mu_);
     /** Run one request; false = the reply could not be delivered and
@@ -185,6 +192,10 @@ class Server
     uint64_t compute_failures_ GUARDED_BY(mu_) = 0;
     std::vector<int> conn_fds_ GUARDED_BY(mu_);
     std::vector<std::thread> threads_ GUARDED_BY(mu_);
+    /** Connection threads (all in threads_) that have finished but
+     *  are not yet joined; the accept loop joins them before it
+     *  starts the next one. */
+    std::vector<std::thread::id> finished_ GUARDED_BY(mu_);
 };
 
 /** What one run request produced, reassembled client-side. */

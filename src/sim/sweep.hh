@@ -8,7 +8,7 @@
  * (CoAttackCell, runCoAttackCell; sim/coattack.hh) -- and the engine
  * keys, caches and fans out both the same way. Every cell is an
  * independent simulation, so run() fans the cells out with
- * parallelFor over a work-stealing thread pool
+ * parallelFor over a thread pool with one FIFO job queue
  * (common/thread_pool.hh). Determinism is by construction: each
  * cell's RNG streams are seeded from its own stable cell key
  * (sim::cellSeed), its workload traces come out of the shared

@@ -366,6 +366,49 @@ TEST(MoatlintSingleFlight, SuppressionRoundTrip)
     EXPECT_TRUE(linesOf(f, "bad-suppression").empty());
 }
 
+// ------------------------------------------------------------- fan-out
+
+TEST(MoatlintFanOut, FlagsThreadsAndAsyncInSrc)
+{
+    const auto f = lintSource("src/sim/x.cc",
+                              "std::vector<std::thread> workers;\n"
+                              "std::jthread t([] {});\n"
+                              "auto f = std::async(work);\n");
+    EXPECT_EQ(linesOf(f, "fan-out"), (std::vector<int>{1, 2, 3}));
+}
+
+TEST(MoatlintFanOut, QuietInThePoolServeAndOutsideSrc)
+{
+    const std::string body = "std::thread t(work);\n";
+    for (const char *path :
+         {"src/common/thread_pool.hh", "src/common/thread_pool.cc",
+          "src/sim/serve.hh", "src/sim/serve.cc", "tests/test_x.cc"}) {
+        EXPECT_TRUE(ofRule(lintSource(path, body), "fan-out").empty())
+            << path;
+    }
+    // Members of std::thread, comments and strings start no thread.
+    EXPECT_TRUE(
+        ofRule(lintSource("src/sim/x.cc",
+                          "unsigned n = std::thread::hardware_concurrency();\n"
+                          "std::thread::id owner;\n"
+                          "// no std::async here\n"
+                          "const char *s = \"std::jthread\";\n"
+                          "parallelFor(jobs, n, fn);\n"),
+               "fan-out")
+            .empty());
+}
+
+TEST(MoatlintFanOut, SuppressionRoundTrip)
+{
+    const auto f = lintSource(
+        "src/sim/x.cc",
+        "std::thread t(work); // moatlint: allow(fan-out): fixture\n");
+    const auto hits = ofRule(f, "fan-out");
+    ASSERT_EQ(hits.size(), 1u);
+    EXPECT_TRUE(hits[0].suppressed);
+    EXPECT_TRUE(linesOf(f, "bad-suppression").empty());
+}
+
 // -------------------------------------------------------- suppressions
 
 TEST(MoatlintSuppression, SameLineRoundTrip)

@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -368,6 +369,46 @@ TEST(Serve, InjectedComputeFaultFailsRetryablyAndDaemonSurvives)
     EXPECT_NE(stats.done.find("\"compute_failures\":1"),
               std::string::npos)
         << stats.done;
+
+    const auto bye = serveRequestLine(socket, "{\"kind\":\"shutdown\"}");
+    EXPECT_TRUE(bye.ok) << bye.error;
+    loop.join();
+}
+
+/** Lines of /proc/self/maps (one per mapping), or 0 without procfs. */
+size_t
+mappingCount()
+{
+    std::ifstream maps("/proc/self/maps");
+    size_t lines = 0;
+    for (std::string line; std::getline(maps, line);)
+        ++lines;
+    return lines;
+}
+
+TEST(Serve, FinishedConnectionThreadsAreJoined)
+{
+    // Each unjoined thread keeps its stack and guard page mapped (two
+    // mappings), so 64 connection threads left unjoined until
+    // shutdown would add about 128 mappings.
+    if (mappingCount() == 0)
+        GTEST_SKIP() << "no /proc/self/maps";
+    const std::string socket = socketPathOf("moatsim_serve_reap.sock");
+    Server server(smallServeConfig(socket));
+    server.start();
+    std::thread loop([&server] { server.serveForever(); });
+
+    // One warm-up connection maps whatever the first handler needs.
+    ASSERT_TRUE(serveRequestLine(socket, "{\"kind\":\"stats\"}").ok);
+    const size_t before = mappingCount();
+    for (int i = 0; i < 64; ++i) {
+        const auto stats =
+            serveRequestLine(socket, "{\"kind\":\"stats\"}");
+        ASSERT_TRUE(stats.ok) << "connection " << i << ": " << stats.error;
+    }
+    const size_t after = mappingCount();
+    EXPECT_LT(after, before + 16)
+        << "mappings grew from " << before << " to " << after;
 
     const auto bye = serveRequestLine(socket, "{\"kind\":\"shutdown\"}");
     EXPECT_TRUE(bye.ok) << bye.error;

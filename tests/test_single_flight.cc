@@ -10,6 +10,8 @@
 
 #include <atomic>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -257,6 +259,37 @@ TEST_P(ParallelForJobs, CleanRunWritesEverySlot)
     for (std::size_t i = 0; i < out.size(); ++i)
         EXPECT_EQ(out[i], i * i);
     parallelFor(GetParam(), 0, [](std::size_t) { FAIL(); });
+}
+
+TEST_P(ParallelForJobs, NeverRunsOnMoreThreadsThanIndices)
+{
+    // The pool has min(jobs, n) workers, so three indices run on at
+    // most three threads at any jobs count.
+    std::mutex mu;
+    std::set<std::thread::id> ids;
+    parallelFor(GetParam(), 3, [&](std::size_t) {
+        std::lock_guard<std::mutex> lock(mu);
+        ids.insert(std::this_thread::get_id());
+    });
+    EXPECT_GE(ids.size(), 1u);
+    EXPECT_LE(ids.size(), 3u);
+}
+
+TEST_P(ParallelForJobs, InlineRunsOnTheCallerInIndexOrder)
+{
+    // One worker, or one index, runs inline: no pool, no reordering.
+    const std::size_t n = GetParam() == 1 ? 16 : 1;
+    std::vector<std::size_t> order;
+    std::vector<std::thread::id> ids;
+    parallelFor(GetParam(), n, [&](std::size_t i) {
+        order.push_back(i);
+        ids.push_back(std::this_thread::get_id());
+    });
+    ASSERT_EQ(order.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(order[i], i);
+        EXPECT_EQ(ids[i], std::this_thread::get_id()) << "index " << i;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Jobs, ParallelForJobs,

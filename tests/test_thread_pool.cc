@@ -1,13 +1,12 @@
 /**
  * @file
- * Tests for the work-stealing thread pool the sweep engine runs on.
+ * Tests for the FIFO thread pool the sweep engine runs on.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <condition_variable>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -88,22 +87,19 @@ TEST(ThreadPool, MoreThreadsThanJobs)
     EXPECT_EQ(count.load(), 1);
 }
 
-TEST(ThreadPool, SubmitAllQueuesTheBatchBeforeAnyJobRuns)
+TEST(ThreadPool, OneWorkerRunsJobsInSubmissionOrder)
 {
-    // One worker, one deque: with the whole batch queued before the
-    // worker may claim a job, its LIFO pops run the batch in reverse.
-    // Submitted one by one, an early wake-up would run job 0 first.
+    // One FIFO queue: however early the worker wakes, it takes the
+    // oldest job, so jobs start in the order they were submitted.
     for (int round = 0; round < 20; ++round) {
         ThreadPool pool(1);
         std::vector<int> order;
-        std::vector<std::function<void()>> batch;
         for (int i = 0; i < 16; ++i)
-            batch.emplace_back([&order, i] { order.push_back(i); });
-        pool.submitAll(std::move(batch));
+            pool.submit([&order, i] { order.push_back(i); });
         pool.wait();
         std::vector<int> want(16);
         for (int i = 0; i < 16; ++i)
-            want[static_cast<size_t>(i)] = 15 - i;
+            want[static_cast<size_t>(i)] = i;
         ASSERT_EQ(order, want) << "round " << round;
     }
 }

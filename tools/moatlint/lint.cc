@@ -613,6 +613,35 @@ ruleSingleFlight(const ParsedFile &f, std::vector<Finding> &out)
     }
 }
 
+void
+ruleFanOut(const ParsedFile &f, std::vector<Finding> &out)
+{
+    // The pool is the one fan-out; serve's per-connection threads are
+    // blocking socket readers, not cell work.
+    if (!inDir(f.path, "src"))
+        return;
+    for (const char *home :
+         {"common/thread_pool.hh", "common/thread_pool.cc", "sim/serve.hh",
+          "sim/serve.cc"}) {
+        if (endsWith(f.path, home))
+            return;
+    }
+    for (const char *name : {"std::thread", "std::jthread", "std::async"}) {
+        const size_t len = std::string(name).size();
+        for (size_t at : tokenRefs(f.code, name)) {
+            // std::thread::hardware_concurrency() and std::thread::id
+            // name a member; they start no thread.
+            if (f.code.compare(at + len, 2, "::") == 0)
+                continue;
+            add(out, f, at, "fan-out",
+                std::string(name) +
+                    " in src/ outside common/thread_pool and sim/serve; "
+                    "fan cells out through parallelFor (one pool, one "
+                    "place that captures per-index exceptions)");
+        }
+    }
+}
+
 /** Per-file rule driver (everything except the cross-file checks). */
 std::vector<Finding>
 lintParsed(const ParsedFile &f, const std::vector<std::string> &extra)
@@ -626,6 +655,7 @@ lintParsed(const ParsedFile &f, const std::vector<std::string> &extra)
     ruleJsonlStability(f, out);
     ruleMagicGeometry(f, out);
     ruleSingleFlight(f, out);
+    ruleFanOut(f, out);
     return out;
 }
 
@@ -740,6 +770,8 @@ rules()
                            "device tables; derive from DeviceModel"},
         {"single-flight", "std::promise/std::shared_future in src/ "
                           "outside common/single_flight.hh"},
+        {"fan-out", "std::thread/std::jthread/std::async in src/ "
+                    "outside common/thread_pool and sim/serve"},
         {"key-coverage", "every field of a key-source struct must be "
                          "reachable in its key function's fold"},
         {"key-exempt-leak", "key-exempt fields must be absent from the "

@@ -33,6 +33,14 @@
  *                    tables (dram/device.*, dram/timing.hh); geometry
  *                    derives from the DeviceModel single source of
  *                    truth.
+ *   single-flight    std::promise / std::shared_future in src/
+ *                    outside common/single_flight.hh; compute-once
+ *                    caches are SingleFlight fronts.
+ *   fan-out          std::thread / std::jthread / std::async in src/
+ *                    outside common/thread_pool.{hh,cc} and
+ *                    sim/serve.{hh,cc}; cells fan out through
+ *                    parallelFor, and serve's per-connection threads
+ *                    are blocking readers, not cell work.
  *   key-coverage     a field of a `// moatlint: key-source(fn)` struct
  *                    is not reachable in fn's fold closure (keylint.hh
  *                    -- the semantic layer on tools/moatlint/cxx_scan).
