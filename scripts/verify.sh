@@ -85,6 +85,20 @@ MOATSIM_TRACE_STORE=0 "$BUILD_DIR/moatsim" perf --workload all \
   > "$BUILD_DIR/perf_store_env_off.txt"
 diff "$BUILD_DIR/perf_jobs8.txt" "$BUILD_DIR/perf_store_env_off.txt"
 
+# One design, one key: a mitigator spec written with non-canonical
+# values (a leading zero, 1 for true) is stored in canonical text, so
+# it runs as the same cell as the canonical spelling, down to the
+# "mitigator" field of every JSONL line.
+echo "spec smoke: non-canonical vs canonical mitigator spec text"
+rm -f "$BUILD_DIR/perf_spec_odd.jsonl" "$BUILD_DIR/perf_spec_canon.jsonl"
+"$BUILD_DIR/moatsim" perf --workload xz --fraction 0.015625 \
+  --result-store 0 --mitigator "moat:ath=064,safe-reset=1" \
+  --jsonl "$BUILD_DIR/perf_spec_odd.jsonl" > /dev/null
+"$BUILD_DIR/moatsim" perf --workload xz --fraction 0.015625 \
+  --result-store 0 --mitigator "moat:ath=64,safe-reset=true" \
+  --jsonl "$BUILD_DIR/perf_spec_canon.jsonl" > /dev/null
+diff "$BUILD_DIR/perf_spec_odd.jsonl" "$BUILD_DIR/perf_spec_canon.jsonl"
+
 # The CLI rejects what the serve daemon rejects: an out-of-range
 # request must fail loudly rather than print NaN and exit 0.
 echo "validation smoke: perf --fraction 0 must fail"

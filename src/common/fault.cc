@@ -8,6 +8,7 @@
 #include "common/logging.hh"
 #include "common/mutex.hh"
 #include "common/number_text.hh"
+#include "common/spec_text.hh"
 
 namespace moatsim::fault
 {
@@ -137,13 +138,7 @@ bool
 tryParsePlan(const std::string &text, Plan *plan, std::string *err)
 {
     plan->specs.clear();
-    size_t start = 0;
-    while (start <= text.size()) {
-        size_t comma = text.find(',', start);
-        if (comma == std::string::npos)
-            comma = text.size();
-        const std::string token = text.substr(start, comma - start);
-        start = comma + 1;
+    for (const std::string &token : splitList(text, ',')) {
         if (token.empty()) {
             *err = "fault plan has an empty spec";
             return false;
@@ -152,8 +147,6 @@ tryParsePlan(const std::string &text, Plan *plan, std::string *err)
         if (!tryParseSpec(token, &spec, err))
             return false;
         plan->specs.push_back(spec);
-        if (comma == text.size())
-            break;
     }
     if (plan->specs.empty()) {
         *err = "fault plan is empty";

@@ -1,6 +1,5 @@
 #include "dram/device.hh"
 
-#include <algorithm>
 #include <bit>
 
 #include "common/logging.hh"
@@ -15,90 +14,46 @@ namespace
  * Organization presets (the ramulator org_map). Capacities assume 8 KB
  * rows: capacity = rows x banks x sub-channels x ranks x channels x
  * 8 KB. Every DDR5 channel has 2 sub-channels; grades vary rows per
- * bank (per-die density) and the rank/channel population.
+ * bank (per-die density) and the rank/channel population. The first
+ * preset is the default org.
  */
 std::vector<DeviceOrg>
 buildOrgs()
 {
-    std::vector<DeviceOrg> orgs;
-
-    {
+    // Every grade keeps the Table-3 bank array (8 bank groups x 4
+    // banks) and DDR5's 2 sub-channels per channel.
+    const auto org = [](const char *name, const char *summary,
+                        uint32_t rows, uint32_t ranks, uint32_t channels) {
         DeviceOrg o;
-        o.name = "32gb";
-        o.summary = "Table-3 baseline: 64K rows, 8 bank groups x 4 "
-                    "banks, 1 rank, 1 channel (32 GB)";
-        o.rowsPerBank = kTable3RowsPerBank;
+        o.name = name;
+        o.summary = summary;
+        o.rowsPerBank = rows;
         o.banksPerGroup = 4;
         o.bankGroups = 8;
-        o.ranks = 1;
-        o.channels = 1;
+        o.ranks = ranks;
+        o.channels = channels;
         o.subchannelsPerChannel = kTable3SubchannelsPerChannel;
-        orgs.push_back(std::move(o));
-    }
-    {
-        DeviceOrg o;
-        o.name = "8gb";
-        o.summary = "low-density die: 16K rows per bank (8 GB)";
-        o.rowsPerBank = kTable3RowsPerBank / 4;
-        o.banksPerGroup = 4;
-        o.bankGroups = 8;
-        o.ranks = 1;
-        o.channels = 1;
-        o.subchannelsPerChannel = kTable3SubchannelsPerChannel;
-        orgs.push_back(std::move(o));
-    }
-    {
-        DeviceOrg o;
-        o.name = "16gb";
-        o.summary = "mid-density die: 32K rows per bank (16 GB)";
-        o.rowsPerBank = kTable3RowsPerBank / 2;
-        o.banksPerGroup = 4;
-        o.bankGroups = 8;
-        o.ranks = 1;
-        o.channels = 1;
-        o.subchannelsPerChannel = kTable3SubchannelsPerChannel;
-        orgs.push_back(std::move(o));
-    }
-    {
-        DeviceOrg o;
-        o.name = "64gb-2r";
-        o.summary = "dual-rank DIMM: Table-3 die x 2 ranks (64 GB)";
-        o.rowsPerBank = kTable3RowsPerBank;
-        o.banksPerGroup = 4;
-        o.bankGroups = 8;
-        o.ranks = 2;
-        o.channels = 1;
-        o.subchannelsPerChannel = kTable3SubchannelsPerChannel;
-        orgs.push_back(std::move(o));
-    }
-    {
-        DeviceOrg o;
-        o.name = "64gb-2ch";
-        o.summary = "dual-channel system: Table-3 DIMM x 2 channels "
-                    "(64 GB)";
-        o.rowsPerBank = kTable3RowsPerBank;
-        o.banksPerGroup = 4;
-        o.bankGroups = 8;
-        o.ranks = 1;
-        o.channels = 2;
-        o.subchannelsPerChannel = kTable3SubchannelsPerChannel;
-        orgs.push_back(std::move(o));
-    }
-    {
-        DeviceOrg o;
-        o.name = "128gb-2r2ch";
-        o.summary = "dual-rank, dual-channel: Table-3 die x 2 ranks "
-                    "x 2 channels (128 GB)";
-        o.rowsPerBank = kTable3RowsPerBank;
-        o.banksPerGroup = 4;
-        o.bankGroups = 8;
-        o.ranks = 2;
-        o.channels = 2;
-        o.subchannelsPerChannel = kTable3SubchannelsPerChannel;
-        orgs.push_back(std::move(o));
-    }
-
-    return orgs;
+        return o;
+    };
+    return {
+        org("32gb",
+            "Table-3 baseline: 64K rows, 8 bank groups x 4 banks, 1 rank, "
+            "1 channel (32 GB)",
+            kTable3RowsPerBank, 1, 1),
+        org("8gb", "low-density die: 16K rows per bank (8 GB)",
+            kTable3RowsPerBank / 4, 1, 1),
+        org("16gb", "mid-density die: 32K rows per bank (16 GB)",
+            kTable3RowsPerBank / 2, 1, 1),
+        org("64gb-2r", "dual-rank DIMM: Table-3 die x 2 ranks (64 GB)",
+            kTable3RowsPerBank, 2, 1),
+        org("64gb-2ch",
+            "dual-channel system: Table-3 DIMM x 2 channels (64 GB)",
+            kTable3RowsPerBank, 1, 2),
+        org("128gb-2r2ch",
+            "dual-rank, dual-channel: Table-3 die x 2 ranks x 2 channels "
+            "(128 GB)",
+            kTable3RowsPerBank, 2, 2),
+    };
 }
 
 /**
@@ -106,7 +61,8 @@ buildOrgs()
  * the paper (revised DDR5 with PRAC) and must stay byte-equal to the
  * TimingParams defaults; the fast/slow bins bracket it, with the PRAC
  * counter read-modify-write (pracIncrement = tPRE - tACT) scaling with
- * the core timings per JEDEC's per-bin tPRE.
+ * the core timings per JEDEC's per-bin tPRE. The first grade is the
+ * default speed.
  */
 std::vector<DeviceSpeed>
 buildSpeeds()
@@ -175,48 +131,40 @@ buildSpeeds()
     return speeds;
 }
 
-const DeviceOrg *
-findOrg(const std::string &name)
+/** The preset of @p presets named @p name, or nullptr. */
+template <class Presets>
+const typename Presets::value_type *
+findPreset(const Presets &presets, const std::string &name)
 {
-    for (const auto &o : deviceOrgs()) {
-        if (o.name == name)
-            return &o;
+    for (const auto &p : presets) {
+        if (p.name == name)
+            return &p;
     }
     return nullptr;
 }
 
-const DeviceSpeed *
-findSpeed(const std::string &name)
+/** The spec key @p key whose value names one of @p presets. */
+template <class Presets>
+SpecKey
+presetKey(const std::string &key, const Presets &presets)
 {
-    for (const auto &s : deviceSpeeds()) {
-        if (s.name == name)
-            return &s;
-    }
-    return nullptr;
+    return {key, [key, &presets](const std::string &value) -> std::string {
+                if (findPreset(presets, value) != nullptr)
+                    return "";
+                return "unknown " + key + " '" + value + "' (known: " +
+                       joinNames(presets, &Presets::value_type::name) + ")";
+            }};
 }
 
-std::string
-knownOrgsText()
+/** The device spec's keys, in canonical order. */
+const std::vector<SpecKey> &
+deviceKeys()
 {
-    std::string out;
-    for (const auto &o : deviceOrgs()) {
-        if (!out.empty())
-            out += ", ";
-        out += o.name;
-    }
-    return out;
-}
-
-std::string
-knownSpeedsText()
-{
-    std::string out;
-    for (const auto &s : deviceSpeeds()) {
-        if (!out.empty())
-            out += ", ";
-        out += s.name;
-    }
-    return out;
+    static const std::vector<SpecKey> keys = {
+        presetKey("org", deviceOrgs()),
+        presetKey("speed", deviceSpeeds()),
+    };
+    return keys;
 }
 
 /** log2 of @p value, or fatal naming @p field on a non-power-of-two. */
@@ -248,13 +196,13 @@ deviceSpeeds()
 std::string
 defaultDeviceOrg()
 {
-    return DeviceSpec{}.org();
+    return deviceOrgs().front().name;
 }
 
 std::string
 defaultDeviceSpeed()
 {
-    return DeviceSpec{}.speed();
+    return deviceSpeeds().front().name;
 }
 
 DeviceSpec
@@ -270,105 +218,56 @@ DeviceSpec::parse(const std::string &text)
 std::optional<DeviceSpec>
 DeviceSpec::tryParse(const std::string &text, std::string *error)
 {
-    const auto fail =
-        [&](const std::string &msg) -> std::optional<DeviceSpec> {
-        if (error != nullptr)
-            *error = msg;
+    const std::string name = specName(text);
+    if (name != "device") {
+        const std::string what =
+            name.empty() ? "empty device name in '" + text + "'"
+                         : "unknown device spec '" + name + "'";
+        return specError(error,
+                         what + " (expected device:org=...,speed=...)");
+    }
+    auto params = parseSpecParams(text, deviceKeys(), "device: ", error);
+    if (!params)
         return std::nullopt;
-    };
-
-    const size_t colon = text.find(':');
-    const std::string name = text.substr(0, colon);
-    if (name.empty())
-        return fail("empty device name in '" + text +
-                    "' (expected device:org=...,speed=...)");
-    if (name != "device")
-        return fail("unknown device spec '" + name +
-                    "' (expected device:org=...,speed=...)");
-
     DeviceSpec spec;
-    if (colon == std::string::npos)
-        return spec;
-
-    // Split the "k=v,k=v" tail and validate each pair.
-    std::vector<std::pair<std::string, std::string>> given;
-    const std::string tail = text.substr(colon + 1);
-    size_t pos = 0;
-    while (pos <= tail.size()) {
-        size_t comma = tail.find(',', pos);
-        if (comma == std::string::npos)
-            comma = tail.size();
-        const std::string item = tail.substr(pos, comma - pos);
-        pos = comma + 1;
-
-        const size_t eq = item.find('=');
-        if (item.empty() || eq == std::string::npos || eq == 0 ||
-            eq + 1 == item.size()) {
-            return fail("device: malformed parameter '" + item +
-                        "' (expected key=value)");
-        }
-        const std::string key = item.substr(0, eq);
-        const std::string value = item.substr(eq + 1);
-
-        if (key != "org" && key != "speed")
-            return fail("device: unknown key '" + key +
-                        "' (known keys: org, speed)");
-        for (const auto &[k, v] : given) {
-            if (k == key)
-                return fail("device: duplicate key '" + key + "'");
-        }
-        if (key == "org" && findOrg(value) == nullptr)
-            return fail("device: unknown org '" + value + "' (known: " +
-                        knownOrgsText() + ")");
-        if (key == "speed" && findSpeed(value) == nullptr)
-            return fail("device: unknown speed '" + value +
-                        "' (known: " + knownSpeedsText() + ")");
-        given.emplace_back(key, value);
-    }
-
-    // Canonical order: org before speed, regardless of input order.
-    for (const std::string key : {"org", "speed"}) {
-        for (const auto &[k, v] : given) {
-            if (k != key)
-                continue;
-            spec.given_.push_back(k);
-            (key == "org" ? spec.org_ : spec.speed_) = v;
-        }
-    }
+    spec.params_ = std::move(*params);
     return spec;
 }
 
 std::string
 DeviceSpec::describe() const
 {
-    std::string out = "device";
-    bool first = true;
-    for (const auto &k : given_) {
-        out += first ? ":" : ",";
-        out += k + "=" + (k == "org" ? org_ : speed_);
-        first = false;
-    }
-    return out;
+    return describeSpec("device", params_);
+}
+
+const std::string &
+DeviceSpec::org() const
+{
+    const std::string *org = findSpecParam(params_, "org");
+    return org != nullptr ? *org : deviceOrgs().front().name;
+}
+
+const std::string &
+DeviceSpec::speed() const
+{
+    const std::string *speed = findSpecParam(params_, "speed");
+    return speed != nullptr ? *speed : deviceSpeeds().front().name;
 }
 
 bool
 DeviceSpec::isDefault() const
 {
-    return org_ == DeviceSpec{}.org_ && speed_ == DeviceSpec{}.speed_;
+    return org() == defaultDeviceOrg() && speed() == defaultDeviceSpeed();
 }
 
 DeviceModel
 DeviceSpec::resolve() const
 {
-    const DeviceOrg *org = findOrg(org_);
-    if (org == nullptr)
-        fatal("device: unknown org '" + org_ + "' (known: " +
-              knownOrgsText() + ")");
-    const DeviceSpeed *speed = findSpeed(speed_);
-    if (speed == nullptr)
-        fatal("device: unknown speed '" + speed_ + "' (known: " +
-              knownSpeedsText() + ")");
-    return DeviceModel(*this, *org, *speed);
+    const DeviceOrg *o = findPreset(deviceOrgs(), org());
+    const DeviceSpeed *s = findPreset(deviceSpeeds(), speed());
+    if (o == nullptr || s == nullptr)
+        panic("DeviceSpec holds an unknown preset: " + describe());
+    return DeviceModel(*this, *o, *s);
 }
 
 DeviceModel::DeviceModel()

@@ -13,14 +13,15 @@
  * dram::AddressMap::Config bit widths, sim::System topology, and the
  * SRAM-cost accounting in analysis/storage_model.
  *
- * A device is selected by a spec string, parsed and round-tripped
- * exactly like mitigation::MitigatorSpec:
+ * A device is selected by a spec string in the one spec grammar of
+ * common/spec_text.hh, the one mitigation::MitigatorSpec uses:
  *
  *     device:org=32gb,speed=ddr5-prac
  *
  * DeviceSpec::describe() reproduces the given parameters in canonical
  * order; DeviceSpec::resolve() yields the DeviceModel. The default
- * spec ("device") resolves to the paper's Table-3 system bit-exactly:
+ * spec ("device") resolves to the first preset of each list, the
+ * paper's Table-3 system, bit-exactly:
  * TimingParams{} timing, 64K rows x 32 banks per sub-channel, 2
  * sub-channels, 1 rank, 1 channel.
  */
@@ -33,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "common/spec_text.hh"
 #include "common/time.hh"
 #include "dram/address_map.hh"
 #include "dram/timing.hh"
@@ -145,10 +147,10 @@ class DeviceSpec
     std::string describe() const;
 
     /** Resolved organization preset name. */
-    const std::string &org() const { return org_; }
+    const std::string &org() const;
 
     /** Resolved speed-grade name. */
-    const std::string &speed() const { return speed_; }
+    const std::string &speed() const;
 
     /** Whether this is the default device grade. */
     bool isDefault() const;
@@ -157,10 +159,8 @@ class DeviceSpec
     DeviceModel resolve() const;
 
   private:
-    std::string org_ = "32gb";
-    std::string speed_ = "ddr5-prac";
-    /** Keys given in the spec text, canonical order (for describe()). */
-    std::vector<std::string> given_;
+    /** The parameters given in the spec text, in canonical order. */
+    std::vector<SpecParam> params_;
 };
 
 /**

@@ -1,7 +1,9 @@
 #include "mitigation/registry.hh"
 
 #include <algorithm>
+#include <concepts>
 #include <limits>
+#include <type_traits>
 
 #include "common/logging.hh"
 #include "common/number_text.hh"
@@ -12,153 +14,271 @@ namespace moatsim::mitigation
 namespace
 {
 
+/** "null" takes no parameters. */
+struct NullConfig
+{
+};
+
+constexpr const char *kBlastDoc =
+    "victim rows refreshed on each side of an aggressor";
+
+// Each design is listed once, in one params() list per config: its
+// name and summary, then one line per parameter -- key, config member,
+// doc. The parameter type follows the member (bool: Bool, else UInt);
+// the order is the canonical order of describe(). Visitors walk the
+// lists: Lister (the descriptor and the spec grammar's key table),
+// Reader (spec -> config), Writer (config -> full spec) and KeyFinder
+// (the key of one config member).
+
+template <class V, class C>
+    requires std::same_as<std::remove_const_t<C>, MoatConfig>
+void
+params(V &v, C &c)
+{
+    v.design("moat", "MOAT dual-threshold tracker (Section 4): proactive "
+                     "mitigation above ETH, ALERT above ATH");
+    v.param("ath", c.ath, "ALERT threshold");
+    v.param("eth", c.eth, "eligibility threshold for proactive mitigation");
+    v.param("entries", c.trackerEntries,
+            "tracker entries (MOAT-L: equals the ABO level)");
+    v.param("period", c.mitigationPeriodRefis,
+            "mitigation period in tREFI (0 = ALERT-only)");
+    v.param("reset-on-refresh", c.resetOnRefresh,
+            "reset PRAC counters on auto-refresh (Section 4.3)");
+    v.param("safe-reset", c.safeReset,
+            "SRAM replicas for the last two refreshed rows");
+    v.param("blast", c.blastRadius, kBlastDoc);
+}
+
+template <class V, class C>
+    requires std::same_as<std::remove_const_t<C>, PanopticonConfig>
+void
+params(V &v, C &c)
+{
+    v.design("panopticon", "Panopticon address-only FIFO queue (Section "
+                           "3); ALERT when an insertion finds the queue "
+                           "full");
+    v.param("threshold", c.queueThreshold,
+            "queue insertion on crossing multiples of this count");
+    v.param("entries", c.queueEntries, "FIFO entries per bank");
+    v.param("drain-all", c.drainAllOnRef,
+            "Appendix-B Drain-All-Entries-on-REF policy");
+    v.param("drain-per-ref", c.drainPerRef,
+            "aggressors a drain-all REF fully mitigates");
+    v.param("blast", c.blastRadius, kBlastDoc);
+}
+
+template <class V, class C>
+    requires std::same_as<std::remove_const_t<C>, PanopticonCounterConfig>
+void
+params(V &v, C &c)
+{
+    v.design("panopticon-counter", "Panopticon repaired per Section 9: "
+                                   "queue entries carry counters, served "
+                                   "max-first");
+    v.param("threshold", c.queueThreshold,
+            "queue insertion on crossing multiples of this count");
+    v.param("entries", c.queueEntries, "queue entries per bank");
+    v.param("slack", c.alertSlack,
+            "in-queue activations tolerated before an ALERT");
+    v.param("blast", c.blastRadius, kBlastDoc);
+}
+
+template <class V, class C>
+    requires std::same_as<std::remove_const_t<C>, IdealPrcConfig>
+void
+params(V &v, C &c)
+{
+    v.design("ideal-prc", "idealized per-row-counter tracker without "
+                          "ALERT (Section 2.5); mitigates the global "
+                          "argmax");
+    v.param("period", c.mitigationPeriodRefis,
+            "one aggressor mitigated per this many tREFI");
+    v.param("min-count", c.minCount, "ignore rows below this counter value");
+    v.param("blast", c.blastRadius, kBlastDoc);
+}
+
+template <class V, class C>
+    requires std::same_as<std::remove_const_t<C>, NullConfig>
+void
+params(V &v, C &)
+{
+    v.design("null", "PRAC counters with no mitigation logic; the "
+                     "no-ALERT normalization baseline");
+}
+
+/** Canonical value text: decimal for integers, true/false for bools. */
+template <class T>
 std::string
-boolText(bool v)
+valueText(T value)
 {
-    return v ? "true" : "false";
+    if constexpr (std::same_as<T, bool>)
+        return value ? "true" : "false";
+    else
+        return std::to_string(value);
 }
 
-/** Lenient boolean parse: true/false/1/0. */
-bool
-parseBool(const std::string &text, bool &out)
+/**
+ * Checks one spec value for a config member of type @p T and rewrites
+ * it to valueText(): booleans accept true/false/1/0, integers are
+ * decimal and must fit the member (rejected instead of wrapping).
+ */
+template <class T>
+std::string
+checkValue(const std::string &key, std::string &value)
 {
-    if (text == "true" || text == "1") {
-        out = true;
-        return true;
+    T parsed{};
+    if constexpr (std::same_as<T, bool>) {
+        if (value == "true" || value == "1")
+            parsed = true;
+        else if (value != "false" && value != "0")
+            return "key '" + key + "' expects true/false, got '" + value +
+                   "'";
+    } else {
+        uint64_t wide = 0;
+        if (!parseDecimal(value, &wide))
+            return "key '" + key + "' expects an unsigned integer, got '" +
+                   value + "'";
+        if (wide > std::numeric_limits<T>::max())
+            return "key '" + key + "' value " + value +
+                   " is out of range (max " +
+                   valueText(std::numeric_limits<T>::max()) + ")";
+        parsed = static_cast<T>(wide);
     }
-    if (text == "false" || text == "0") {
-        out = false;
-        return true;
-    }
-    return false;
+    value = valueText(parsed);
+    return "";
 }
 
-std::vector<MitigatorDescriptor>
-buildDescriptors()
+/** A registered design. */
+struct Design
 {
-    std::vector<MitigatorDescriptor> d;
+    MitigatorDescriptor desc;
+    /** The spec grammar's key table: desc.params with value checks. */
+    std::vector<SpecKey> keys;
+    /** The prototype mitigator of a spec of this design. */
+    Mitigator (*make)(const MitigatorSpec &) = nullptr;
+};
 
+/** Lists a design from its params(): descriptor and key table. */
+struct Lister
+{
+    Design &d;
+
+    void design(const char *name, const char *summary)
     {
-        const MoatConfig def;
-        MitigatorDescriptor moat;
-        moat.name = "moat";
-        moat.summary = "MOAT dual-threshold tracker (Section 4): proactive "
-                       "mitigation above ETH, ALERT above ATH";
-        moat.params = {
-            {"ath", ParamType::UInt, std::to_string(def.ath),
-             "ALERT threshold"},
-            {"eth", ParamType::UInt, std::to_string(def.eth),
-             "eligibility threshold for proactive mitigation"},
-            {"entries", ParamType::UInt, std::to_string(def.trackerEntries),
-             "tracker entries (MOAT-L: equals the ABO level)"},
-            {"period", ParamType::UInt,
-             std::to_string(def.mitigationPeriodRefis),
-             "mitigation period in tREFI (0 = ALERT-only)"},
-            {"reset-on-refresh", ParamType::Bool,
-             boolText(def.resetOnRefresh),
-             "reset PRAC counters on auto-refresh (Section 4.3)"},
-            {"safe-reset", ParamType::Bool, boolText(def.safeReset),
-             "SRAM replicas for the last two refreshed rows"},
-            {"blast", ParamType::UInt, std::to_string(def.blastRadius),
-             "victim rows refreshed on each side of an aggressor"},
-        };
-        d.push_back(std::move(moat));
+        d.desc.name = name;
+        d.desc.summary = summary;
     }
-
+    template <class T>
+    void param(const char *key, const T &def, const char *doc)
     {
-        const PanopticonConfig def;
-        MitigatorDescriptor pano;
-        pano.name = "panopticon";
-        pano.summary = "Panopticon address-only FIFO queue (Section 3); "
-                       "ALERT when an insertion finds the queue full";
-        pano.params = {
-            {"threshold", ParamType::UInt, std::to_string(def.queueThreshold),
-             "queue insertion on crossing multiples of this count"},
-            {"entries", ParamType::UInt, std::to_string(def.queueEntries),
-             "FIFO entries per bank"},
-            {"drain-all", ParamType::Bool, boolText(def.drainAllOnRef),
-             "Appendix-B Drain-All-Entries-on-REF policy"},
-            {"drain-per-ref", ParamType::UInt,
-             std::to_string(def.drainPerRef),
-             "aggressors a drain-all REF fully mitigates"},
-            {"blast", ParamType::UInt, std::to_string(def.blastRadius),
-             "victim rows refreshed on each side of an aggressor"},
-        };
-        d.push_back(std::move(pano));
+        d.desc.params.push_back(
+            {key, std::same_as<T, bool> ? ParamType::Bool : ParamType::UInt,
+             valueText(def), doc});
+        d.keys.push_back({key, [key = std::string(key)](std::string &v) {
+                              return checkValue<T>(key, v);
+                          }});
     }
+};
 
+/** Reads a config from a spec: given parameters override defaults. */
+struct Reader
+{
+    const MitigatorSpec &spec;
+
+    void design(const char *name, const char *)
     {
-        const PanopticonCounterConfig def;
-        MitigatorDescriptor repaired;
-        repaired.name = "panopticon-counter";
-        repaired.summary = "Panopticon repaired per Section 9: queue entries "
-                           "carry counters, served max-first";
-        repaired.params = {
-            {"threshold", ParamType::UInt, std::to_string(def.queueThreshold),
-             "queue insertion on crossing multiples of this count"},
-            {"entries", ParamType::UInt, std::to_string(def.queueEntries),
-             "queue entries per bank"},
-            {"slack", ParamType::UInt, std::to_string(def.alertSlack),
-             "in-queue activations tolerated before an ALERT"},
-            {"blast", ParamType::UInt, std::to_string(def.blastRadius),
-             "victim rows refreshed on each side of an aggressor"},
-        };
-        d.push_back(std::move(repaired));
+        if (spec.name() != name)
+            fatal("expected a spec of design '" + std::string(name) +
+                  "', got '" + spec.describe() + "'");
     }
-
+    template <class T>
+    void param(const char *key, T &member, const char *)
     {
-        const IdealPrcConfig def;
-        MitigatorDescriptor prc;
-        prc.name = "ideal-prc";
-        prc.summary = "idealized per-row-counter tracker without ALERT "
-                      "(Section 2.5); mitigates the global argmax";
-        prc.params = {
-            {"period", ParamType::UInt,
-             std::to_string(def.mitigationPeriodRefis),
-             "one aggressor mitigated per this many tREFI"},
-            {"min-count", ParamType::UInt, std::to_string(def.minCount),
-             "ignore rows below this counter value"},
-            {"blast", ParamType::UInt, std::to_string(def.blastRadius),
-             "victim rows refreshed on each side of an aggressor"},
-        };
-        d.push_back(std::move(prc));
+        if constexpr (std::same_as<T, bool>)
+            member = spec.paramBool(key, member);
+        else
+            member = static_cast<T>(spec.paramUInt(key, member));
     }
+};
 
+/** Writes every parameter of a config as canonical spec items. */
+struct Writer
+{
+    std::string name;
+    std::vector<SpecParam> items;
+
+    void design(const char *n, const char *) { name = n; }
+    template <class T>
+    void param(const char *key, const T &value, const char *)
     {
-        MitigatorDescriptor none;
-        none.name = "null";
-        none.summary = "PRAC counters with no mitigation logic; the "
-                       "no-ALERT normalization baseline";
-        none.params = {};
-        d.push_back(std::move(none));
+        items.emplace_back(key, valueText(value));
     }
+};
 
+/** Finds a config's design name and the key of one of its members. */
+struct KeyFinder
+{
+    const void *member;
+    std::string name;
+    std::string key;
+
+    void design(const char *n, const char *) { name = n; }
+    template <class T>
+    void param(const char *k, const T &value, const char *)
+    {
+        if (&value == member)
+            key = k;
+    }
+};
+
+template <class C>
+C
+configOf(const MitigatorSpec &spec)
+{
+    C cfg;
+    Reader reader{spec};
+    params(reader, cfg);
+    return cfg;
+}
+
+template <class M, class C>
+Design
+makeDesign()
+{
+    Design d;
+    Lister lister{d};
+    const C def;
+    params(lister, def);
+    d.make = [](const MitigatorSpec &spec) -> Mitigator {
+        if constexpr (std::is_constructible_v<M, C>)
+            return M(configOf<C>(spec));
+        else
+            return M();
+    };
     return d;
 }
 
-const std::vector<MitigatorDescriptor> &
-descriptors()
+/** The registered designs, in listing order. */
+const std::vector<Design> &
+designs()
 {
-    static const std::vector<MitigatorDescriptor> all = buildDescriptors();
+    static const std::vector<Design> all = {
+        makeDesign<MoatMitigator, MoatConfig>(),
+        makeDesign<PanopticonMitigator, PanopticonConfig>(),
+        makeDesign<PanopticonCounterMitigator, PanopticonCounterConfig>(),
+        makeDesign<IdealPrcMitigator, IdealPrcConfig>(),
+        makeDesign<NullMitigator, NullConfig>(),
+    };
     return all;
 }
 
-const MitigatorDescriptor *
-findDescriptor(const std::string &name)
+const Design *
+findDesign(const std::string &name)
 {
-    for (const auto &d : descriptors()) {
-        if (d.name == name)
+    for (const auto &d : designs()) {
+        if (d.desc.name == name)
             return &d;
-    }
-    return nullptr;
-}
-
-const ParamInfo *
-findParam(const MitigatorDescriptor &desc, const std::string &key)
-{
-    for (const auto &p : desc.params) {
-        if (p.key == key)
-            return &p;
     }
     return nullptr;
 }
@@ -166,27 +286,7 @@ findParam(const MitigatorDescriptor &desc, const std::string &key)
 std::string
 knownNamesText()
 {
-    std::string out;
-    for (const auto &d : descriptors()) {
-        if (!out.empty())
-            out += ", ";
-        out += d.name;
-    }
-    return out;
-}
-
-std::string
-knownKeysText(const MitigatorDescriptor &desc)
-{
-    if (desc.params.empty())
-        return "(none)";
-    std::string out;
-    for (const auto &p : desc.params) {
-        if (!out.empty())
-            out += ", ";
-        out += p.key;
-    }
-    return out;
+    return joinNames(designs(), [](const Design &d) { return d.desc.name; });
 }
 
 } // namespace
@@ -194,67 +294,41 @@ knownKeysText(const MitigatorDescriptor &desc)
 std::string
 MitigatorSpec::describe() const
 {
-    std::string out = name_;
-    bool first = true;
-    for (const auto &[k, v] : params_) {
-        out += first ? ":" : ",";
-        out += k + "=" + v;
-        first = false;
-    }
-    return out;
+    return describeSpec(name_, params_);
 }
 
 bool
 MitigatorSpec::hasParam(const std::string &key) const
 {
-    return std::any_of(params_.begin(), params_.end(),
-                       [&](const auto &kv) { return kv.first == key; });
+    return findSpecParam(params_, key) != nullptr;
 }
 
 uint64_t
 MitigatorSpec::paramUInt(const std::string &key, uint64_t def) const
 {
-    for (const auto &[k, v] : params_) {
-        if (k == key) {
-            uint64_t out = 0;
-            if (!parseDecimal(v, &out))
-                panic("MitigatorSpec holds non-integer value '" + v +
-                      "' for key '" + key + "'");
-            return out;
-        }
-    }
-    return def;
+    const std::string *v = findSpecParam(params_, key);
+    uint64_t out = def;
+    if (v != nullptr && !parseDecimal(*v, &out))
+        panic("MitigatorSpec holds non-integer value '" + *v +
+              "' for key '" + key + "'");
+    return out;
 }
 
 bool
 MitigatorSpec::paramBool(const std::string &key, bool def) const
 {
-    for (const auto &[k, v] : params_) {
-        if (k == key) {
-            bool out = false;
-            if (!parseBool(v, out))
-                panic("MitigatorSpec holds non-boolean value '" + v +
-                      "' for key '" + key + "'");
-            return out;
-        }
-    }
-    return def;
+    // Parsing stored the value as canonical true/false.
+    const std::string *v = findSpecParam(params_, key);
+    return v == nullptr ? def : *v == "true";
 }
 
 Mitigator
 MitigatorSpec::factory() const
 {
-    if (name_ == "moat")
-        return MoatMitigator(moatConfigOf(*this));
-    if (name_ == "panopticon")
-        return PanopticonMitigator(panopticonConfigOf(*this));
-    if (name_ == "panopticon-counter")
-        return PanopticonCounterMitigator(panopticonCounterConfigOf(*this));
-    if (name_ == "ideal-prc")
-        return IdealPrcMitigator(idealPrcConfigOf(*this));
-    if (name_ == "null")
-        return NullMitigator();
-    panic("MitigatorSpec holds unregistered design '" + name_ + "'");
+    const Design *d = findDesign(name_);
+    if (d == nullptr)
+        panic("MitigatorSpec holds unregistered design '" + name_ + "'");
+    return d->make(*this);
 }
 
 uint32_t
@@ -277,185 +351,100 @@ Registry::parse(const std::string &text)
 std::optional<MitigatorSpec>
 Registry::tryParse(const std::string &text, std::string *error)
 {
-    const auto fail =
-        [&](const std::string &msg) -> std::optional<MitigatorSpec> {
-        if (error != nullptr)
-            *error = msg;
+    const std::string name = specName(text);
+    const Design *d = findDesign(name);
+    if (d == nullptr) {
+        const std::string what =
+            name.empty() ? "empty mitigator name in '" + text + "'"
+                         : "unknown mitigator '" + name + "'";
+        return specError(error,
+                         what + " (known: " + knownNamesText() + ")");
+    }
+    auto params = parseSpecParams(text, d->keys,
+                                  "mitigator '" + name + "': ", error);
+    if (!params)
         return std::nullopt;
-    };
-
-    const size_t colon = text.find(':');
-    const std::string name = text.substr(0, colon);
-    if (name.empty())
-        return fail("empty mitigator name in '" + text + "' (known: " +
-                    knownNamesText() + ")");
-
-    const MitigatorDescriptor *desc = findDescriptor(name);
-    if (desc == nullptr)
-        return fail("unknown mitigator '" + name + "' (known: " +
-                    knownNamesText() + ")");
-
     MitigatorSpec spec;
     spec.name_ = name;
-    spec.params_.clear();
-    if (colon == std::string::npos)
-        return spec;
-
-    // Split the "k=v,k=v" tail and validate each pair.
-    std::vector<std::pair<std::string, std::string>> given;
-    const std::string tail = text.substr(colon + 1);
-    size_t pos = 0;
-    while (pos <= tail.size()) {
-        size_t comma = tail.find(',', pos);
-        if (comma == std::string::npos)
-            comma = tail.size();
-        const std::string item = tail.substr(pos, comma - pos);
-        pos = comma + 1;
-
-        const size_t eq = item.find('=');
-        if (item.empty() || eq == std::string::npos || eq == 0 ||
-            eq + 1 == item.size()) {
-            return fail("mitigator '" + name + "': malformed parameter '" +
-                        item + "' (expected key=value)");
-        }
-        const std::string key = item.substr(0, eq);
-        const std::string value = item.substr(eq + 1);
-
-        const ParamInfo *info = findParam(*desc, key);
-        if (info == nullptr)
-            return fail("mitigator '" + name + "': unknown key '" + key +
-                        "' (known keys: " + knownKeysText(*desc) + ")");
-        for (const auto &[k, v] : given) {
-            if (k == key)
-                return fail("mitigator '" + name + "': duplicate key '" +
-                            key + "'");
-        }
-        if (info->type == ParamType::UInt) {
-            uint64_t parsed = 0;
-            if (!parseDecimal(value, &parsed))
-                return fail("mitigator '" + name + "': key '" + key +
-                            "' expects an unsigned integer, got '" + value +
-                            "'");
-            // Every config field is 32-bit; reject instead of wrapping.
-            if (parsed > std::numeric_limits<uint32_t>::max())
-                return fail("mitigator '" + name + "': key '" + key +
-                            "' value " + value + " is out of range (max " +
-                            std::to_string(
-                                std::numeric_limits<uint32_t>::max()) +
-                            ")");
-        } else {
-            bool parsed = false;
-            if (!parseBool(value, parsed))
-                return fail("mitigator '" + name + "': key '" + key +
-                            "' expects true/false, got '" + value + "'");
-        }
-        given.emplace_back(key, value);
-    }
-
-    // Canonical order: the descriptor's parameter order.
-    for (const auto &p : desc->params) {
-        for (const auto &[k, v] : given) {
-            if (k == p.key)
-                spec.params_.emplace_back(k, v);
-        }
-    }
+    spec.params_ = std::move(*params);
     return spec;
 }
 
 bool
 Registry::known(const std::string &name)
 {
-    return findDescriptor(name) != nullptr;
+    return findDesign(name) != nullptr;
 }
 
 std::vector<std::string>
 Registry::names()
 {
     std::vector<std::string> out;
-    for (const auto &d : descriptors())
-        out.push_back(d.name);
+    for (const auto &d : designs())
+        out.push_back(d.desc.name);
     return out;
 }
 
 const MitigatorDescriptor &
 Registry::descriptor(const std::string &name)
 {
-    const MitigatorDescriptor *desc = findDescriptor(name);
-    if (desc == nullptr)
+    const Design *d = findDesign(name);
+    if (d == nullptr)
         fatal("unknown mitigator '" + name + "' (known: " +
               knownNamesText() + ")");
-    return *desc;
+    return d->desc;
+}
+
+MitigatorSpec
+Registry::specOf(const MoatConfig &cfg)
+{
+    Writer writer;
+    params(writer, cfg);
+    MitigatorSpec spec;
+    spec.name_ = writer.name;
+    spec.params_ = std::move(writer.items);
+    return spec;
+}
+
+MitigatorSpec
+Registry::withMoatEntries(const MitigatorSpec &spec, uint32_t entries)
+{
+    MoatConfig cfg;
+    KeyFinder finder{&cfg.trackerEntries, "", ""};
+    params(finder, cfg);
+    if (spec.name() != finder.name || spec.hasParam(finder.key))
+        return spec;
+    cfg = moatConfigOf(spec);
+    cfg.trackerEntries = entries;
+    MitigatorSpec out = specOf(cfg);
+    std::erase_if(out.params_, [&](const SpecParam &p) {
+        return p.first != finder.key && !spec.hasParam(p.first);
+    });
+    return out;
 }
 
 MoatConfig
 moatConfigOf(const MitigatorSpec &spec)
 {
-    if (spec.name() != "moat")
-        fatal("expected a 'moat' spec, got '" + spec.describe() + "'");
-    MoatConfig cfg;
-    cfg.ath = static_cast<ActCount>(spec.paramUInt("ath", cfg.ath));
-    cfg.eth = static_cast<ActCount>(spec.paramUInt("eth", cfg.eth));
-    cfg.trackerEntries =
-        static_cast<uint32_t>(spec.paramUInt("entries", cfg.trackerEntries));
-    cfg.mitigationPeriodRefis = static_cast<uint32_t>(
-        spec.paramUInt("period", cfg.mitigationPeriodRefis));
-    cfg.resetOnRefresh =
-        spec.paramBool("reset-on-refresh", cfg.resetOnRefresh);
-    cfg.safeReset = spec.paramBool("safe-reset", cfg.safeReset);
-    cfg.blastRadius =
-        static_cast<uint32_t>(spec.paramUInt("blast", cfg.blastRadius));
-    return cfg;
+    return configOf<MoatConfig>(spec);
 }
 
 PanopticonConfig
 panopticonConfigOf(const MitigatorSpec &spec)
 {
-    if (spec.name() != "panopticon")
-        fatal("expected a 'panopticon' spec, got '" + spec.describe() + "'");
-    PanopticonConfig cfg;
-    cfg.queueThreshold =
-        static_cast<ActCount>(spec.paramUInt("threshold", cfg.queueThreshold));
-    cfg.queueEntries =
-        static_cast<uint32_t>(spec.paramUInt("entries", cfg.queueEntries));
-    cfg.drainAllOnRef = spec.paramBool("drain-all", cfg.drainAllOnRef);
-    cfg.drainPerRef = static_cast<uint32_t>(
-        spec.paramUInt("drain-per-ref", cfg.drainPerRef));
-    cfg.blastRadius =
-        static_cast<uint32_t>(spec.paramUInt("blast", cfg.blastRadius));
-    return cfg;
+    return configOf<PanopticonConfig>(spec);
 }
 
 PanopticonCounterConfig
 panopticonCounterConfigOf(const MitigatorSpec &spec)
 {
-    if (spec.name() != "panopticon-counter")
-        fatal("expected a 'panopticon-counter' spec, got '" +
-              spec.describe() + "'");
-    PanopticonCounterConfig cfg;
-    cfg.queueThreshold =
-        static_cast<ActCount>(spec.paramUInt("threshold", cfg.queueThreshold));
-    cfg.queueEntries =
-        static_cast<uint32_t>(spec.paramUInt("entries", cfg.queueEntries));
-    cfg.alertSlack =
-        static_cast<ActCount>(spec.paramUInt("slack", cfg.alertSlack));
-    cfg.blastRadius =
-        static_cast<uint32_t>(spec.paramUInt("blast", cfg.blastRadius));
-    return cfg;
+    return configOf<PanopticonCounterConfig>(spec);
 }
 
 IdealPrcConfig
 idealPrcConfigOf(const MitigatorSpec &spec)
 {
-    if (spec.name() != "ideal-prc")
-        fatal("expected an 'ideal-prc' spec, got '" + spec.describe() + "'");
-    IdealPrcConfig cfg;
-    cfg.mitigationPeriodRefis = static_cast<uint32_t>(
-        spec.paramUInt("period", cfg.mitigationPeriodRefis));
-    cfg.minCount =
-        static_cast<ActCount>(spec.paramUInt("min-count", cfg.minCount));
-    cfg.blastRadius =
-        static_cast<uint32_t>(spec.paramUInt("blast", cfg.blastRadius));
-    return cfg;
+    return configOf<IdealPrcConfig>(spec);
 }
 
 } // namespace moatsim::mitigation

@@ -10,12 +10,17 @@
  *
  *     name[:key=value,...]        e.g.  "moat:ath=128,eth=64"
  *
- * which parses into a MitigatorSpec: a validated, canonical,
- * round-trippable (parse -> describe -> parse) selection whose
- * factory() builds the prototype Mitigator a SubChannel copies into
- * every bank. The registry is the single source of truth for parameter
- * names, defaults, and the Section-6.5 SRAM cost reported by `moatsim
- * list-mitigators` and the storage bench.
+ * in the one spec grammar of common/spec_text.hh, which parses into a
+ * MitigatorSpec: a validated, canonical, round-trippable (parse ->
+ * describe -> parse) selection whose factory() builds the prototype
+ * Mitigator a SubChannel copies into every bank. Values are canonical
+ * too: an integer is stored as the decimal text of its number and a
+ * boolean as true/false, so "moat:ath=064,safe-reset=1" describes as
+ * "moat:ath=64,safe-reset=true". Each design lists its parameters once
+ * (registry.cc), and that list is the single source of truth for
+ * parameter names, defaults, config extraction and `moatsim
+ * list-mitigators`; the Section-6.5 SRAM cost comes from the design's
+ * own implementation.
  *
  * Registered designs: "moat", "panopticon", "panopticon-counter",
  * "ideal-prc", "null". They are a closed set: Mitigator is a
@@ -27,10 +32,10 @@
 
 #include <optional>
 #include <string>
-#include <utility>
 #include <variant>
 #include <vector>
 
+#include "common/spec_text.hh"
 #include "mitigation/ideal_prc.hh"
 #include "mitigation/mitigator.hh"
 #include "mitigation/moat.hh"
@@ -77,7 +82,12 @@ struct ParamInfo
  * (or default-construct for the paper's default MOAT) and hand it to
  * SweepEngine, Experiment, or runAttack; factory() builds the
  * mitigator the SubChannel constructor takes.
+ *
+ * describe() is a key input (cellSeed, perfCellKey, the co-attack
+ * baseline key and every result line fold the canonical spec text), so
+ * every member below must reach it -- keylint checks it on every build.
  */
+// moatlint: key-source(MitigatorSpec::describe)
 class MitigatorSpec
 {
   public:
@@ -122,7 +132,7 @@ class MitigatorSpec
 
     std::string name_ = "moat";
     /** Explicit overrides, in the descriptor's parameter order. */
-    std::vector<std::pair<std::string, std::string>> params_;
+    std::vector<SpecParam> params_;
 };
 
 /** Registration record of one mitigator design. */
@@ -160,6 +170,21 @@ class Registry
 
     /** Descriptor of a registered design; fatal() when unknown. */
     static const MitigatorDescriptor &descriptor(const std::string &name);
+
+    /**
+     * The MOAT spec of @p cfg with every parameter explicit, so its
+     * text -- and every key built from it -- is the same however the
+     * config was assembled.
+     */
+    static MitigatorSpec specOf(const MoatConfig &cfg);
+
+    /**
+     * @p spec with the MOAT tracker sized to @p entries (MOAT-L: the
+     * ABO level) when it is a MOAT spec that leaves the tracker entries
+     * unset; any other spec comes back unchanged.
+     */
+    static MitigatorSpec withMoatEntries(const MitigatorSpec &spec,
+                                         uint32_t entries);
 };
 
 /**
@@ -167,8 +192,9 @@ class Registry
  * Single parsing point shared by factory() and the attack drivers
  * (which genuinely consume typed configs). Each fatal()s when the
  * spec names a different design. Code *constructing* a request goes
- * the other way: build the spec text and Registry::parse() it --
- * MitigatorSpec is the one request type (see sim::RunRequest).
+ * the other way -- Registry::parse() of spec text, or
+ * Registry::specOf() of a MoatConfig -- so MitigatorSpec stays the one
+ * request type (see sim::RunRequest).
  */
 MoatConfig moatConfigOf(const MitigatorSpec &spec);
 PanopticonConfig panopticonConfigOf(const MitigatorSpec &spec);

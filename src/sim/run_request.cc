@@ -63,45 +63,39 @@ mitigation::MitigatorSpec
 withMoatLevelEntries(const mitigation::MitigatorSpec &spec,
                      abo::Level level)
 {
-    if (spec.name() != "moat" || spec.hasParam("entries"))
-        return spec;
-    const std::string desc = spec.describe();
-    const char sep = desc.find(':') == std::string::npos ? ':' : ',';
-    return mitigation::Registry::parse(
-        desc + sep + "entries=" +
-        std::to_string(abo::levelValue(level)));
+    return mitigation::Registry::withMoatEntries(
+        spec, static_cast<uint32_t>(abo::levelValue(level)));
+}
+
+void
+rejectLegacyWithSpec(const Args &args,
+                     std::initializer_list<const char *> legacy)
+{
+    if (!args.has("mitigator"))
+        return;
+    for (const char *flag : legacy) {
+        if (args.has(flag))
+            fatal(std::string("--") + flag + " conflicts with --mitigator; "
+                  "put the parameter in the spec (see list-mitigators)");
+    }
 }
 
 mitigation::MitigatorSpec
 mitigatorOfArgs(const Args &args, abo::Level level)
 {
-    if (args.has("mitigator")) {
-        for (const char *flag : {"ath", "eth"}) {
-            if (args.has(flag))
-                fatal(std::string("--") + flag +
-                      " conflicts with --mitigator; put the parameter "
-                      "in the spec (see list-mitigators)");
-        }
+    rejectLegacyWithSpec(args, {"ath", "eth"});
+    if (args.has("mitigator"))
         return withMoatLevelEntries(
-            mitigation::Registry::parse(args.get("mitigator", "moat")),
-            level);
-    }
+            mitigation::Registry::parse(args.get("mitigator", "")), level);
     // Legacy MOAT flags: spell out the whole configuration so the spec
     // text -- the result-store key and every describe() the CLI prints
     // -- is identical whether the design came from --ath/--eth or from
     // an equivalent --mitigator string.
     mitigation::MoatConfig moat;
-    moat.ath = args.getUint32("ath", 64);
+    moat.ath = args.getUint32("ath", moat.ath);
     moat.eth = args.getUint32("eth", moat.ath / 2);
     moat.trackerEntries = static_cast<uint32_t>(abo::levelValue(level));
-    return mitigation::Registry::parse(
-        "moat:ath=" + std::to_string(moat.ath) +
-        ",eth=" + std::to_string(moat.eth) +
-        ",entries=" + std::to_string(moat.trackerEntries) +
-        ",period=" + std::to_string(moat.mitigationPeriodRefis) +
-        ",reset-on-refresh=" + (moat.resetOnRefresh ? "true" : "false") +
-        ",safe-reset=" + (moat.safeReset ? "true" : "false") +
-        ",blast=" + std::to_string(moat.blastRadius));
+    return mitigation::Registry::specOf(moat);
 }
 
 abo::Level

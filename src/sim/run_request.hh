@@ -22,6 +22,7 @@
 #define MOATSIM_SIM_RUN_REQUEST_HH
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 
 #include "abo/abo.hh"
@@ -90,6 +91,13 @@ abo::Level levelOf(uint64_t level);
 mitigation::MitigatorSpec
 withMoatLevelEntries(const mitigation::MitigatorSpec &spec,
                      abo::Level level);
+
+/**
+ * fatal()s when --mitigator comes with one of the @p legacy design
+ * flags, which would silently fight the spec (CLI codec).
+ */
+void rejectLegacyWithSpec(const Args &args,
+                          std::initializer_list<const char *> legacy);
 
 /**
  * The mitigator of a request being assembled from CLI flags: the

@@ -136,6 +136,7 @@
 #include "common/args.hh"
 #include "common/fault.hh"
 #include "common/logging.hh"
+#include "common/spec_text.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "attacks/attack.hh"
@@ -174,16 +175,10 @@ deviceListArg(const Args &args)
     if (text.empty())
         return {""};
     std::vector<std::string> out;
-    size_t pos = 0;
-    while (pos <= text.size()) {
-        size_t semi = text.find(';', pos);
-        if (semi == std::string::npos)
-            semi = text.size();
-        const std::string item = text.substr(pos, semi - pos);
+    for (const std::string &item : splitList(text, ';')) {
         if (item.empty())
             fatal("--device: empty spec in list '" + text + "'");
         out.push_back(dram::DeviceSpec::parse(item).describe());
-        pos = semi + 1;
     }
     return out;
 }
@@ -196,20 +191,6 @@ deviceArg(const Args &args)
     if (text.empty())
         return "";
     return dram::DeviceSpec::parse(text).describe();
-}
-
-/** Reject legacy design flags that would silently fight --mitigator. */
-void
-rejectLegacyWithSpec(const Args &args,
-                     std::initializer_list<const char *> legacy)
-{
-    if (!args.has("mitigator"))
-        return;
-    for (const char *flag : legacy) {
-        if (args.has(flag))
-            fatal(std::string("--") + flag + " conflicts with --mitigator; "
-                  "put the parameter in the spec (see list-mitigators)");
-    }
 }
 
 int
@@ -230,7 +211,7 @@ cmdBound(const Args &args)
 int
 cmdRatchet(const Args &args)
 {
-    rejectLegacyWithSpec(args, {"ath", "eth"});
+    sim::rejectLegacyWithSpec(args, {"ath", "eth"});
     attacks::RatchetConfig cfg;
     cfg.aboLevel = sim::levelOf(args.getInt("level", 1));
     cfg.moat = mitigation::moatConfigOf(sim::withMoatLevelEntries(
@@ -256,7 +237,7 @@ cmdRatchet(const Args &args)
 int
 cmdJailbreak(const Args &args)
 {
-    rejectLegacyWithSpec(args, {"queue", "threshold"});
+    sim::rejectLegacyWithSpec(args, {"queue", "threshold"});
     attacks::JailbreakConfig cfg;
     cfg.panopticon =
         mitigation::panopticonConfigOf(mitigatorArg(args, "panopticon"));
@@ -281,7 +262,7 @@ cmdJailbreak(const Args &args)
 int
 cmdFeinting(const Args &args)
 {
-    rejectLegacyWithSpec(args, {"rate"});
+    sim::rejectLegacyWithSpec(args, {"rate"});
     attacks::FeintingConfig cfg;
     const auto prc =
         mitigation::idealPrcConfigOf(mitigatorArg(args, "ideal-prc"));
@@ -404,6 +385,24 @@ printResultStoreStats(const sim::ResultStore &store)
                  st.entries);
 }
 
+/**
+ * Hands @p write the --jsonl file opened for append, or returns false
+ * when --jsonl is absent; fatal()s when the file cannot be opened.
+ */
+template <class Write>
+bool
+appendJsonl(const Args &args, const Write &write)
+{
+    const std::string path = args.get("jsonl", "");
+    if (path.empty())
+        return false;
+    std::ofstream os(path, std::ios::app);
+    if (!os)
+        fatal("cannot open --jsonl file " + path);
+    write(os);
+    return true;
+}
+
 /** "a / b / c" column joining one value per sub-channel. */
 std::string
 perSubchannelColumn(const std::vector<sim::SubChannelPerf> &per,
@@ -435,7 +434,6 @@ cmdPerf(const Args &args)
     // The device axis: each named grade is its own experiment (its
     // timings and topology reshape every trace), all results landing in
     // one table sequence and one --jsonl file.
-    const std::string jsonl = args.get("jsonl", "");
     for (const std::string &device : deviceListArg(args)) {
         sim::RunRequest req = base;
         req.device = device;
@@ -486,13 +484,9 @@ cmdPerf(const Args &args)
             t.addRow(row);
         }
         t.print(std::cout);
-
-        if (!jsonl.empty()) {
-            std::ofstream os(jsonl, std::ios::app);
-            if (!os)
-                fatal("cannot open --jsonl file " + jsonl);
+        appendJsonl(args, [&](std::ostream &os) {
             sim::writeJsonLines(os, results);
-        }
+        });
     }
     printResultStoreStats(*stores.results);
     return 0;
@@ -535,14 +529,9 @@ cmdCoattack(const Args &args)
                       std::to_string(r.attackFreeRfms) + ")"});
     }
     t.print(std::cout);
-
-    const std::string jsonl = args.get("jsonl", "");
-    if (!jsonl.empty()) {
-        std::ofstream os(jsonl, std::ios::app);
-        if (!os)
-            fatal("cannot open --jsonl file " + jsonl);
+    appendJsonl(args, [&](std::ostream &os) {
         sim::writeJsonLines(os, results);
-    }
+    });
     printResultStoreStats(*stores.results);
     return 0;
 }
@@ -609,14 +598,11 @@ cmdClient(const Args &args)
 
     // The cells come back in request order, so this stream is
     // byte-identical to what the direct CLI's --jsonl would append.
-    const std::string jsonl = args.get("jsonl", "");
-    if (!jsonl.empty()) {
-        std::ofstream os(jsonl, std::ios::app);
-        if (!os)
-            fatal("cannot open --jsonl file " + jsonl);
+    const bool appended = appendJsonl(args, [&](std::ostream &os) {
         for (const auto &cell : reply.cells)
             os << cell << "\n";
-    } else {
+    });
+    if (!appended) {
         for (const auto &cell : reply.cells)
             std::printf("%s\n", cell.c_str());
     }
@@ -715,12 +701,10 @@ cmdListMitigators()
                     "parameters (default)"});
     for (const auto &name : mitigation::Registry::names()) {
         const auto &desc = mitigation::Registry::descriptor(name);
-        std::string params;
-        for (const auto &p : desc.params) {
-            if (!params.empty())
-                params += ", ";
-            params += p.key + "=" + p.defaultValue;
-        }
+        std::string params =
+            joinNames(desc.params, [](const mitigation::ParamInfo &p) {
+                return p.key + "=" + p.defaultValue;
+            });
         if (params.empty())
             params = "(none)";
         const auto spec = mitigation::Registry::parse(name);

@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/histogram.hh"
 #include "common/number_text.hh"
 #include "common/rng.hh"
+#include "common/spec_text.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "common/time.hh"
@@ -60,6 +63,52 @@ TEST(NumberText, HexTextIsFixedWidthLowercase)
 {
     EXPECT_EQ(hexText(0xabc, 8), "00000abc");
     EXPECT_EQ(hexText(UINT64_MAX, 16), "ffffffffffffffff");
+}
+
+TEST(SpecText, SplitListKeepsEveryItem)
+{
+    EXPECT_EQ(splitList("a,b", ','), (std::vector<std::string>{"a", "b"}));
+    EXPECT_EQ(splitList("a,,b", ','),
+              (std::vector<std::string>{"a", "", "b"}));
+    EXPECT_EQ(splitList("a;", ';'), (std::vector<std::string>{"a", ""}));
+    EXPECT_EQ(splitList("", ','), (std::vector<std::string>{""}));
+}
+
+TEST(SpecText, ParamsComeBackCheckedInKeyTableOrder)
+{
+    // A toy grammar: "size" must be even and is canonicalized.
+    const std::vector<SpecKey> keys = {
+        {"size",
+         [](std::string &v) -> std::string {
+             if (v.size() % 2 != 0)
+                 return "odd '" + v + "'";
+             v = "<" + v + ">";
+             return "";
+         }},
+        {"mode", [](std::string &) { return std::string(); }},
+    };
+    const auto params =
+        parseSpecParams("toy:mode=fast,size=ab", keys, "toy: ", nullptr);
+    ASSERT_TRUE(params.has_value());
+    EXPECT_EQ(*params, (std::vector<SpecParam>{{"size", "<ab>"},
+                                               {"mode", "fast"}}));
+    EXPECT_EQ(describeSpec("toy", *params), "toy:size=<ab>,mode=fast");
+    EXPECT_EQ(describeSpec("toy", {}), "toy");
+    EXPECT_EQ(specName("toy:mode=fast"), "toy");
+    EXPECT_TRUE(parseSpecParams("toy", keys, "toy: ", nullptr)->empty());
+
+    std::string error;
+    EXPECT_FALSE(parseSpecParams("toy:size=abc", keys, "toy: ", &error));
+    EXPECT_EQ(error, "toy: odd 'abc'");
+    EXPECT_FALSE(parseSpecParams("toy:speed=1", keys, "toy: ", &error));
+    EXPECT_EQ(error, "toy: unknown key 'speed' (known keys: size, mode)");
+    EXPECT_FALSE(
+        parseSpecParams("toy:mode=a,mode=b", keys, "toy: ", &error));
+    EXPECT_EQ(error, "toy: duplicate key 'mode'");
+    EXPECT_FALSE(parseSpecParams("toy:mode=a,", keys, "toy: ", &error));
+    EXPECT_EQ(error, "toy: malformed parameter '' (expected key=value)");
+    EXPECT_FALSE(parseSpecParams("toy:x=1", {}, "toy: ", &error));
+    EXPECT_EQ(error, "toy: unknown key 'x' (known keys: (none))");
 }
 
 TEST(Time, UnitConversions)

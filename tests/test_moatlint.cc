@@ -758,6 +758,40 @@ TEST(MoatlintKeylint, NestedKeySourceDelegates)
               std::string::npos);
 }
 
+TEST(MoatlintKeylint, NestedMemberKeyFunctionDelegatesByMemberCall)
+{
+    // MitigatorSpec::describe() is the live example: a cell key folds
+    // its spec field as cell.spec.describe(), a member call.
+    const std::string common =
+        "// moatlint: key-source(Inner::key)\n"
+        "class Inner {\n"
+        "  public:\n"
+        "    uint64_t key() const { return a_; }\n"
+        "  private:\n"
+        "    uint64_t a_ = 0;\n"
+        "};\n"
+        "// moatlint: key-source(outerKey)\n"
+        "struct Outer {\n"
+        "    Inner in;\n"
+        "    uint64_t b = 0;\n"
+        "};\n";
+    const auto good = lintFiles(
+        {{"src/sim/k.hh",
+          common + "uint64_t outerKey(const Outer &o)\n"
+                   "{ return hashCombine(o.in.key(), o.b); }\n"}});
+    EXPECT_TRUE(ofRule(good, "key-coverage").empty());
+    EXPECT_TRUE(ofRule(good, "key-source-drift").empty());
+    // Folding the field without its key fn still bypasses it.
+    const auto bypass = lintFiles(
+        {{"src/sim/k.hh",
+          common + "uint64_t outerKey(const Outer &o)\n"
+                   "{ return hashCombine(hashOf(o.in), o.b); }\n"}});
+    const auto hits = ofRule(bypass, "key-source-drift");
+    ASSERT_EQ(hits.size(), 1u);
+    EXPECT_NE(hits[0].message.find("nested key is bypassed"),
+              std::string::npos);
+}
+
 TEST(MoatlintKeylint, MemberFoldCountsBareFieldMentions)
 {
     // DeviceSpec::describe() is the live example: a member key fn
@@ -950,10 +984,19 @@ TEST(MoatlintCleanTree, RealTreeMutantsAreAllCaught)
 {
     const auto rep = mutateCheck(realTree());
     EXPECT_TRUE(rep.baseline.empty());
-    // The five annotated contracts carry well over 30 fields between
+    // The six annotated contracts carry well over 30 fields between
     // them; a collapse of the mutant count means annotations were
     // dropped or the scanner stopped seeing the structs.
     EXPECT_GE(rep.mutants.size(), 30u);
+    // The mitigator spec text feeds every cell key and seed: both of
+    // MitigatorSpec's members are seeded as mutants.
+    std::vector<std::string> spec_fields;
+    for (const auto &m : rep.mutants) {
+        if (m.structName.ends_with("MitigatorSpec"))
+            spec_fields.push_back(m.field);
+    }
+    std::sort(spec_fields.begin(), spec_fields.end());
+    EXPECT_EQ(spec_fields, (std::vector<std::string>{"name_", "params_"}));
     for (const auto &m : rep.mutants) {
         EXPECT_TRUE(m.caught)
             << m.structName << "::" << m.field << " via " << m.keyFn

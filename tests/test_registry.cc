@@ -10,11 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <variant>
+#include <vector>
 
 #include "attacks/attack.hh"
 #include "mitigation/registry.hh"
 #include "sim/experiment.hh"
+#include "sim/perf.hh"
 #include "sim/sweep.hh"
 
 namespace moatsim::mitigation
@@ -118,7 +121,86 @@ TEST(Registry, RejectsMalformedValues)
 
 // --------------------------------------------------- config extraction
 
-TEST(Registry, MoatConfigRoundTripsThroughSpec)
+/** One design's parameters, read back through its config extraction. */
+struct DesignParams
+{
+    /** Every key set to a value differing from its default. */
+    std::string fullSpec;
+    /** The values fullSpec sets, in descriptor order (bools as 0/1). */
+    std::vector<uint64_t> values;
+    /** The config fields of a spec, in descriptor order (bools 0/1). */
+    std::vector<uint64_t> (*fields)(const MitigatorSpec &spec);
+};
+
+const DesignParams kDesignParams[] = {
+    // The MOAT case is the text sim::mitigatorOfArgs emits for the
+    // legacy --ath/--eth path.
+    {"moat:ath=96,eth=24,entries=4,period=10,reset-on-refresh=false,"
+     "safe-reset=false,blast=1",
+     {96, 24, 4, 10, 0, 0, 1},
+     [](const MitigatorSpec &s) -> std::vector<uint64_t> {
+         const MoatConfig c = moatConfigOf(s);
+         return {c.ath,           c.eth,
+                 c.trackerEntries, c.mitigationPeriodRefis,
+                 c.resetOnRefresh, c.safeReset,
+                 c.blastRadius};
+     }},
+    {"panopticon:threshold=256,entries=4,drain-all=true,drain-per-ref=3,"
+     "blast=1",
+     {256, 4, 1, 3, 1},
+     [](const MitigatorSpec &s) -> std::vector<uint64_t> {
+         const PanopticonConfig c = panopticonConfigOf(s);
+         return {c.queueThreshold, c.queueEntries, c.drainAllOnRef,
+                 c.drainPerRef, c.blastRadius};
+     }},
+    {"panopticon-counter:threshold=64,entries=16,slack=32,blast=3",
+     {64, 16, 32, 3},
+     [](const MitigatorSpec &s) -> std::vector<uint64_t> {
+         const PanopticonCounterConfig c = panopticonCounterConfigOf(s);
+         return {c.queueThreshold, c.queueEntries, c.alertSlack,
+                 c.blastRadius};
+     }},
+    {"ideal-prc:period=8,min-count=2,blast=1",
+     {8, 2, 1},
+     [](const MitigatorSpec &s) -> std::vector<uint64_t> {
+         const IdealPrcConfig c = idealPrcConfigOf(s);
+         return {c.mitigationPeriodRefis, c.minCount, c.blastRadius};
+     }},
+};
+
+TEST(Registry, EveryParameterRoundTripsThroughItsConfig)
+{
+    for (const auto &d : kDesignParams) {
+        const MitigatorSpec full = Registry::parse(d.fullSpec);
+        const MitigatorDescriptor &desc = Registry::descriptor(full.name());
+        const std::vector<uint64_t> defaults =
+            d.fields(Registry::parse(full.name()));
+        const std::vector<uint64_t> set = d.fields(full);
+        ASSERT_EQ(desc.params.size(), d.values.size()) << d.fullSpec;
+        ASSERT_EQ(defaults.size(), d.values.size()) << d.fullSpec;
+
+        // (a) Every key reaches its own field, away from the default,
+        // and the spec re-describes to the same text.
+        EXPECT_EQ(set, d.values) << d.fullSpec;
+        EXPECT_EQ(full.describe(), d.fullSpec);
+        for (size_t i = 0; i < defaults.size(); ++i)
+            EXPECT_NE(set[i], defaults[i])
+                << d.fullSpec << " leaves '" << desc.params[i].key
+                << "' at its default";
+
+        // (b) The listed default of each key is the default config's.
+        for (size_t i = 0; i < defaults.size(); ++i) {
+            const ParamInfo &p = desc.params[i];
+            const std::string text =
+                p.type == ParamType::Bool
+                    ? (defaults[i] != 0 ? "true" : "false")
+                    : std::to_string(defaults[i]);
+            EXPECT_EQ(p.defaultValue, text) << full.name() << " " << p.key;
+        }
+    }
+}
+
+TEST(Registry, MoatSpecOfConfigSpellsOutEveryParameter)
 {
     MoatConfig cfg;
     cfg.ath = 96;
@@ -128,18 +210,50 @@ TEST(Registry, MoatConfigRoundTripsThroughSpec)
     cfg.resetOnRefresh = false;
     cfg.safeReset = false;
     cfg.blastRadius = 1;
-    // A fully explicit spec -- the text sim::mitigatorOfArgs emits for
-    // the legacy --ath/--eth path -- extracts back to the same config.
-    const MoatConfig back = moatConfigOf(Registry::parse(
-        "moat:ath=96,eth=24,entries=4,period=10,"
-        "reset-on-refresh=false,safe-reset=false,blast=1"));
-    EXPECT_EQ(back.ath, cfg.ath);
-    EXPECT_EQ(back.eth, cfg.eth);
-    EXPECT_EQ(back.trackerEntries, cfg.trackerEntries);
-    EXPECT_EQ(back.mitigationPeriodRefis, cfg.mitigationPeriodRefis);
-    EXPECT_EQ(back.resetOnRefresh, cfg.resetOnRefresh);
-    EXPECT_EQ(back.safeReset, cfg.safeReset);
-    EXPECT_EQ(back.blastRadius, cfg.blastRadius);
+    const MitigatorSpec spec = Registry::specOf(cfg);
+    EXPECT_EQ(spec.describe(), kDesignParams[0].fullSpec);
+    EXPECT_EQ(spec, Registry::parse(spec.describe()));
+    EXPECT_EQ(Registry::specOf(MoatConfig{}).describe(),
+              "moat:ath=64,eth=32,entries=1,period=5,reset-on-refresh=true,"
+              "safe-reset=true,blast=2");
+}
+
+TEST(Registry, WithMoatEntriesFillsOnlyAnUnsetMoatTracker)
+{
+    EXPECT_EQ(Registry::withMoatEntries(Registry::parse("moat"), 4)
+                  .describe(),
+              "moat:entries=4");
+    // The entries key lands in canonical order among the given keys.
+    EXPECT_EQ(Registry::withMoatEntries(
+                  Registry::parse("moat:blast=1,ath=128"), 2)
+                  .describe(),
+              "moat:ath=128,entries=2,blast=1");
+    // A pinned tracker and the other designs pass through.
+    EXPECT_EQ(Registry::withMoatEntries(Registry::parse("moat:entries=2"), 4)
+                  .describe(),
+              "moat:entries=2");
+    EXPECT_EQ(Registry::withMoatEntries(Registry::parse("panopticon"), 4)
+                  .describe(),
+              "panopticon");
+}
+
+TEST(Registry, ValuesAreStoredInCanonicalText)
+{
+    // One design, one text: leading zeros and 1/0 booleans are
+    // rewritten, so both spellings key the same cell.
+    const MitigatorSpec odd = Registry::parse("moat:ath=064,safe-reset=1");
+    const MitigatorSpec canon =
+        Registry::parse("moat:ath=64,safe-reset=true");
+    EXPECT_EQ(odd.describe(), "moat:ath=64,safe-reset=true");
+    EXPECT_EQ(odd, canon);
+    EXPECT_EQ(Registry::parse("panopticon:drain-all=0").describe(),
+              "panopticon:drain-all=false");
+
+    const workload::TraceGenConfig config;
+    const sim::CoreModel core;
+    const auto &xz = workload::findWorkload("xz");
+    EXPECT_EQ(sim::perfCellKey(config, core, xz, odd, abo::Level::L1),
+              sim::perfCellKey(config, core, xz, canon, abo::Level::L1));
 }
 
 TEST(Registry, ExtractionAppliesOverridesAndDefaults)

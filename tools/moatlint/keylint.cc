@@ -453,6 +453,18 @@ fieldCovered(const Analysis &a, const Contract &c,
     return false;
 }
 
+/** Whether any body of @p c's fold closure references `.name`. */
+bool
+closureRefsMember(const Analysis &a, const Contract &c,
+                  const std::string &name)
+{
+    for (const auto &b : c.closure) {
+        if (!cxx::memberRefs(bodyText(a, b), name).empty())
+            return true;
+    }
+    return false;
+}
+
 bool
 fieldInDirectFold(const Analysis &a, const Contract &c,
                   const std::string &name)
@@ -515,7 +527,11 @@ checkContracts(Analysis &a)
                     continue;
                 bool delegated = false;
                 for (const auto &fn : c2.fns) {
-                    if (c.called.count(lastComp(fn)))
+                    // A member key function is called as x.fn(), which
+                    // calledNames() skips: its member reference counts.
+                    if (c.called.count(lastComp(fn)) ||
+                        (fn.find("::") != std::string::npos &&
+                         closureRefsMember(a, c, lastComp(fn))))
                         delegated = true;
                 }
                 if (!delegated)

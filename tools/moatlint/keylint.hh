@@ -41,7 +41,9 @@
  *                    field, a key-exempt names a function that is not
  *                    a key-source of its struct, or a field of a
  *                    key-source type never calls that type's key
- *                    functions (nested key bypassed).
+ *                    functions (nested key bypassed; a member key
+ *                    function such as MitigatorSpec::describe is
+ *                    called as x.describe()).
  *
  * The pass ships its own regression oracle: mutateCheck() deletes one
  * field's fold mentions (or re-inserts an exempt field) in an
