@@ -180,13 +180,16 @@ emitJsonl(const std::vector<sim::CoAttackResult> &results)
         sim::writeJsonLines(*os, results);
 }
 
-/** Append one attack outcome to the MOATSIM_JSONL sink. */
+/** Append one attack outcome, named by @p pattern and @p mitigator,
+ *  to the MOATSIM_JSONL sink. */
 inline void
-emitJsonl(const attacks::AttackResult &result, const std::string &pattern,
+emitJsonl(attacks::AttackResult result, const std::string &pattern,
           const std::string &mitigator)
 {
+    result.pattern = pattern;
+    result.mitigator = mitigator;
     if (std::ostream *os = jsonlStream())
-        *os << sim::toJsonLine(result, pattern, mitigator) << "\n";
+        *os << sim::toJsonLine(result) << "\n";
 }
 
 /** Append one throughput-attack outcome to the MOATSIM_JSONL sink. */

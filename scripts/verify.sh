@@ -63,6 +63,18 @@ done
 diff "$BUILD_DIR/coattack_offslot_jobs1.txt" \
   "$BUILD_DIR/coattack_offslot_jobs8.txt"
 
+# An isolated attack is one cell: --jobs only schedules cells, so it
+# must not change the result, and --trials keeps its one meaning (the
+# postponement phase sweep) with or without --jobs.
+echo "determinism smoke: attack --trials 8 without --jobs, at 1 and 8"
+"$BUILD_DIR/moatsim" attack --pattern postponement --trials 8 \
+  > "$BUILD_DIR/attack_trials.txt"
+for jobs in 1 8; do
+  "$BUILD_DIR/moatsim" attack --pattern postponement --trials 8 \
+    --jobs "$jobs" > "$BUILD_DIR/attack_trials_jobs$jobs.txt"
+  diff "$BUILD_DIR/attack_trials.txt" "$BUILD_DIR/attack_trials_jobs$jobs.txt"
+done
+
 # The device axis carries the same guarantee at every topology: a
 # named multi-rank, multi-channel grade fans its slots out across
 # channels x ranks x sub-channels with per-level derived seeds, and a

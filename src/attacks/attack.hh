@@ -12,8 +12,10 @@
  * mitigation::MitigatorSpec naming any registered defence. Generic
  * patterns ("hammer", "round-robin") run against every design; the
  * paper's specialized patterns ("ratchet", "jailbreak", "feinting",
- * "postponement") validate that the spec names the design they are
- * tailored to and reject others with a clear error.
+ * "postponement") target one design each. One table,
+ * attackPatterns(), lists every pattern with its design and the spec
+ * settings its driver cannot honor, and checkAttack() reads it, so a
+ * request is rejected with a message before anything runs.
  */
 
 #ifndef MOATSIM_ATTACKS_ATTACK_HH
@@ -38,6 +40,10 @@ namespace moatsim::attacks
 /** Outcome of a security attack run. */
 struct AttackResult
 {
+    /** Pattern and canonical mitigator spec of the run; runAttack()
+     *  fills them in, the tuned drivers leave them empty. */
+    std::string pattern;
+    std::string mitigator;
     /** Maximum activations any row received without intervening
      *  mitigation or refresh (the paper's success metric). */
     uint32_t maxHammer = 0;
@@ -64,7 +70,11 @@ struct ThroughputAttackResult
     uint64_t alerts = 0;
 };
 
-/** Configuration of the common runAttack() entry point. */
+/** Configuration of the common runAttack() entry point. Every field
+ *  shapes the result, so every field must be folded into
+ *  sim::attackCellKey() -- the ResultStore serves cached attack lines
+ *  by that key; keylint proves it on every build. */
+// moatlint: key-source(attackCellKey)
 struct AttackConfig
 {
     dram::TimingParams timing{};
@@ -78,32 +88,51 @@ struct AttackConfig
     uint64_t budget = 0;
     /** Alignment trials for phase-sweeping patterns (0 = default). */
     uint32_t trials = 0;
-    uint64_t seed = 1;
 };
 
-/** Names of the patterns runAttack() understands. */
-std::vector<std::string> attackPatterns();
+/** One row of the pattern table. */
+struct AttackPattern
+{
+    std::string name;
+    /** The one design the pattern targets; empty for a generic
+     *  pattern, which runs against any design. */
+    std::string design;
+    /** Spec settings the pattern's driver cannot honor: `key` rejects
+     *  any explicit value, `key=value` that canonical value. */
+    std::vector<std::string> rejects;
+    /** The driver, called once checkAttack() has passed. */
+    AttackResult (*run)(const AttackConfig &,
+                        const mitigation::MitigatorSpec &) = nullptr;
+
+    /** The design the pattern runs against when none is named. */
+    std::string defaultDesign() const
+    {
+        return design.empty() ? "moat" : design;
+    }
+};
+
+/** Every pattern runAttack() understands, in table order. */
+const std::vector<AttackPattern> &attackPatterns();
+
+/** The row of @p name, or null when no pattern has that name. */
+const AttackPattern *findAttackPattern(const std::string &name);
+
+/**
+ * Whether runAttack() can run @p pattern against @p mitigator: the
+ * pattern exists, targets the design, and the spec sets nothing the
+ * driver rejects. Returns false with a diagnostic in @p err when
+ * non-null; never fatal()s.
+ */
+bool checkAttack(const std::string &pattern,
+                 const mitigation::MitigatorSpec &mitigator,
+                 std::string *err = nullptr);
 
 /**
  * Run a named attack pattern against any registered mitigator design.
- * fatal()s on an unknown pattern, or when a design-specific pattern
- * is pointed at a design it cannot target.
+ * fatal()s with checkAttack()'s message on a request it rejects.
  */
 AttackResult runAttack(const AttackConfig &config,
                        const mitigation::MitigatorSpec &mitigator);
-
-/**
- * Run @p trials independently seeded instances of the configured
- * pattern (seeds config.seed, config.seed+1, ...) across @p jobs
- * worker threads and return the strongest outcome: highest maxHammer,
- * lowest seed on ties. Each trial runs with config.trials forced to 1
- * (the driver owns the trial loop), so patterns with internal
- * alignment sweeps parallelize instead of nesting. Deterministic in
- * (config, trials) regardless of @p jobs.
- */
-AttackResult runAttackTrials(const AttackConfig &config,
-                             const mitigation::MitigatorSpec &mitigator,
-                             uint32_t trials, unsigned jobs = 0);
 
 } // namespace moatsim::attacks
 

@@ -4,8 +4,8 @@
  *
  * The generic patterns drive the defence purely through the SubChannel
  * command interface, so they run against any registered design; the
- * specialized patterns re-dispatch to the paper's tuned drivers after
- * validating that the spec names the design they exploit.
+ * specialized patterns re-dispatch to the paper's tuned drivers once
+ * checkAttack() has matched the spec against the pattern table.
  */
 
 #include "attacks/attack.hh"
@@ -18,7 +18,7 @@
 #include "attacks/postponement.hh"
 #include "attacks/ratchet.hh"
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
+#include "common/spec_text.hh"
 #include "mitigation/registry.hh"
 #include "subchannel/subchannel.hh"
 #include "workload/attack_trace.hh"
@@ -40,7 +40,6 @@ makeChannel(const AttackConfig &config,
     sc.timing = config.timing;
     sc.numBanks = 1;
     sc.aboLevel = config.aboLevel;
-    sc.seed = config.seed;
     return SubChannel(sc, mitigator.factory());
 }
 
@@ -110,7 +109,6 @@ runRatchetSpec(const AttackConfig &config,
     cfg.moat = mitigation::moatConfigOf(mitigator);
     cfg.aboLevel = config.aboLevel;
     cfg.poolRows = config.poolRows;
-    cfg.seed = config.seed;
     return runRatchet(cfg);
 }
 
@@ -128,7 +126,6 @@ runJailbreakSpec(const AttackConfig &config,
                   (cfg.panopticon.queueEntries + 2);
     cfg.hammerActs = static_cast<uint32_t>(std::min<uint64_t>(
         budget, std::numeric_limits<uint32_t>::max()));
-    cfg.seed = config.seed;
     return runDeterministicJailbreak(cfg);
 }
 
@@ -136,22 +133,12 @@ AttackResult
 runFeintingSpec(const AttackConfig &config,
                 const mitigation::MitigatorSpec &mitigator)
 {
-    // The tuned driver models the default defender; reject parameters
-    // it would otherwise silently ignore.
-    for (const char *key : {"min-count", "blast"}) {
-        if (mitigator.hasParam(key)) {
-            fatal(std::string("the feinting pattern does not honor '") +
-                  key + "'; only 'period' is supported (got '" +
-                  mitigator.describe() + "')");
-        }
-    }
     const mitigation::IdealPrcConfig prc =
         mitigation::idealPrcConfigOf(mitigator);
     FeintingConfig cfg;
     cfg.timing = config.timing;
     cfg.mitigationPeriodRefis = prc.mitigationPeriodRefis;
     cfg.poolRows = config.poolRows;
-    cfg.seed = config.seed;
     return runFeinting(cfg);
 }
 
@@ -162,100 +149,94 @@ runPostponementSpec(const AttackConfig &config,
     PostponementConfig cfg;
     cfg.timing = config.timing;
     cfg.panopticon = mitigation::panopticonConfigOf(mitigator);
-    // The attack only bites the Appendix-B drain-all policy; reject an
-    // explicit gradual-policy spec rather than silently overriding it.
-    if (mitigator.hasParam("drain-all") &&
-        !mitigator.paramBool("drain-all", true)) {
-        fatal("the postponement pattern requires the drain-all policy; "
-              "got '" + mitigator.describe() + "'");
-    }
+    // The attack only bites the Appendix-B drain-all policy (the
+    // table rejects an explicit drain-all=false).
     cfg.panopticon.drainAllOnRef = true;
     if (config.trials != 0)
         cfg.trials = config.trials;
-    cfg.seed = config.seed;
     return runRefreshPostponement(cfg);
 }
 
-void
-requireDesign(const AttackConfig &config,
-              const mitigation::MitigatorSpec &mitigator,
-              const std::string &design)
+/** Whether @p spec sets @p setting: `key` (any explicit value) or
+ *  `key=value` (that canonical value). */
+bool
+setsParam(const mitigation::MitigatorSpec &spec, const std::string &setting)
 {
-    if (mitigator.name() != design) {
-        fatal("attack pattern '" + config.pattern + "' targets the '" +
-              design + "' design, got '" + mitigator.describe() +
-              "' (generic patterns: hammer, round-robin)");
-    }
+    if (setting.find('=') == std::string::npos)
+        return spec.hasParam(setting);
+    const std::string text = spec.describe();
+    const auto items = splitList(text.substr(text.find(':') + 1), ',');
+    return std::find(items.begin(), items.end(), setting) != items.end();
 }
 
 } // namespace
 
-std::vector<std::string>
+const std::vector<AttackPattern> &
 attackPatterns()
 {
-    return {"hammer", "round-robin", "ratchet", "jailbreak", "feinting",
-            "postponement"};
+    static const std::vector<AttackPattern> table = {
+        {"hammer", "", {}, runHammer},
+        {"round-robin", "", {}, runRoundRobin},
+        {"ratchet", "moat", {}, runRatchetSpec},
+        {"jailbreak", "panopticon", {}, runJailbreakSpec},
+        // The tuned driver models the default defender; only the
+        // mitigation period is honored.
+        {"feinting", "ideal-prc", {"min-count", "blast"}, runFeintingSpec},
+        {"postponement", "panopticon", {"drain-all=false"},
+         runPostponementSpec},
+    };
+    return table;
+}
+
+const AttackPattern *
+findAttackPattern(const std::string &name)
+{
+    for (const AttackPattern &p : attackPatterns()) {
+        if (p.name == name)
+            return &p;
+    }
+    return nullptr;
+}
+
+bool
+checkAttack(const std::string &pattern,
+            const mitigation::MitigatorSpec &mitigator, std::string *err)
+{
+    const auto fail = [err](const std::string &what) {
+        if (err != nullptr)
+            *err = what;
+        return false;
+    };
+    const AttackPattern *p = findAttackPattern(pattern);
+    if (p == nullptr) {
+        return fail("unknown attack pattern '" + pattern + "' (known: " +
+                    joinNames(attackPatterns(), &AttackPattern::name) +
+                    ")");
+    }
+    if (!p->design.empty() && mitigator.name() != p->design) {
+        return fail("attack pattern '" + pattern + "' targets the '" +
+                    p->design + "' design, got '" + mitigator.describe() +
+                    "' (generic patterns: hammer, round-robin)");
+    }
+    for (const std::string &setting : p->rejects) {
+        if (setsParam(mitigator, setting))
+            return fail("the " + pattern + " pattern does not honor '" +
+                        setting + "' (got '" + mitigator.describe() + "')");
+    }
+    return true;
 }
 
 AttackResult
 runAttack(const AttackConfig &config,
           const mitigation::MitigatorSpec &mitigator)
 {
-    if (!mitigation::Registry::known(mitigator.name()))
-        fatal("runAttack: unknown mitigator '" + mitigator.name() + "'");
-
-    if (config.pattern == "hammer")
-        return runHammer(config, mitigator);
-    if (config.pattern == "round-robin")
-        return runRoundRobin(config, mitigator);
-    if (config.pattern == "ratchet") {
-        requireDesign(config, mitigator, "moat");
-        return runRatchetSpec(config, mitigator);
-    }
-    if (config.pattern == "jailbreak") {
-        requireDesign(config, mitigator, "panopticon");
-        return runJailbreakSpec(config, mitigator);
-    }
-    if (config.pattern == "feinting") {
-        requireDesign(config, mitigator, "ideal-prc");
-        return runFeintingSpec(config, mitigator);
-    }
-    if (config.pattern == "postponement") {
-        requireDesign(config, mitigator, "panopticon");
-        return runPostponementSpec(config, mitigator);
-    }
-
-    std::string known;
-    for (const auto &p : attackPatterns())
-        known += (known.empty() ? "" : ", ") + p;
-    fatal("unknown attack pattern '" + config.pattern + "' (known: " +
-          known + ")");
-}
-
-AttackResult
-runAttackTrials(const AttackConfig &config,
-                const mitigation::MitigatorSpec &mitigator, uint32_t trials,
-                unsigned jobs)
-{
-    if (trials <= 1)
-        return runAttack(config, mitigator);
-
-    std::vector<AttackResult> results(trials);
-    parallelFor(jobs, trials, [&](size_t i) {
-        AttackConfig c = config;
-        c.trials = 1;
-        c.seed = config.seed + i;
-        results[i] = runAttack(c, mitigator);
-    });
-
-    // Strongest outcome; index order breaks ties, so the winner does
-    // not depend on the completion schedule.
-    size_t best = 0;
-    for (size_t i = 1; i < results.size(); ++i) {
-        if (results[i].maxHammer > results[best].maxHammer)
-            best = i;
-    }
-    return results[best];
+    std::string err;
+    if (!checkAttack(config.pattern, mitigator, &err))
+        fatal(err);
+    AttackResult r = findAttackPattern(config.pattern)->run(config, mitigator);
+    r.pattern = config.pattern;
+    r.mitigator = mitigator.describe();
+    return r;
 }
 
 } // namespace moatsim::attacks

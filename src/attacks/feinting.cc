@@ -35,7 +35,6 @@ runFeinting(const FeintingConfig &config)
     // The attacker aligns the pattern with the refresh schedule so the
     // pool is never refreshed mid-attack (threat model, Section 2.1).
     sc.refreshResetsRows = false;
-    sc.seed = config.seed;
 
     mitigation::IdealPrcConfig prc;
     prc.mitigationPeriodRefis = k;

@@ -34,7 +34,6 @@ struct FeintingConfig
      * period in the refresh window).
      */
     uint32_t poolRows = 0;
-    uint64_t seed = 1;
 };
 
 /** Run the feinting attack; maxHammer approximates Table 2's bound. */

@@ -17,7 +17,6 @@ runRefreshPostponement(const PostponementConfig &config)
     sc.timing = config.timing;
     sc.numBanks = 1;
     sc.maxPostponedRefs = config.maxPostponed;
-    sc.seed = config.seed;
     SubChannel ch(sc, mitigation::PanopticonMitigator(config.panopticon));
     ch.setPostponeRefresh(true);
 

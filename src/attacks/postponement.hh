@@ -33,7 +33,6 @@ struct PostponementConfig
     uint32_t maxPostponed = 2;
     /** Phase trials; insertion alignment is swept across them. */
     uint32_t trials = 256;
-    uint64_t seed = 1;
 
     PostponementConfig() { panopticon.drainAllOnRef = true; }
 };

@@ -97,7 +97,6 @@ runRatchet(const RatchetConfig &config)
     sc.numBanks = 1;
     sc.aboLevel = config.aboLevel;
     sc.refreshResetsRows = false; // attacker dodges the refresh sweep
-    sc.seed = config.seed;
     SubChannel ch(sc, mitigation::MoatMitigator(config.moat));
     const auto &moat = std::get<mitigation::MoatMitigator>(ch.mitigator(0));
 

@@ -40,7 +40,6 @@ struct RatchetConfig
     uint32_t poolRows = 0;
     /** Priming top-up sweeps to counter proactive mitigation. */
     uint32_t topUpSweeps = 4;
-    uint64_t seed = 1;
 };
 
 /** Run the Ratchet attack; maxHammer approximates TRH_safe. */

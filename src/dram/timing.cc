@@ -3,6 +3,7 @@
 #include <string>
 #include <utility>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 
 namespace moatsim::dram
@@ -80,6 +81,18 @@ TimingParams::validate() const
         fatal("TimingParams: rowsPerBank must be a multiple of refreshGroups");
     if (blastRadius == 0)
         fatal("TimingParams: blastRadius must be at least 1");
+}
+
+uint64_t
+foldTiming(uint64_t h, const TimingParams &t)
+{
+    for (const Time v : {t.tACT, t.tPRE, t.tRAS, t.tRC, t.tREFW, t.tREFI,
+                         t.tRFC, t.tRRD, t.tFAW, t.tRFM, t.tAlertNormal})
+        h = hashCombine(h, static_cast<uint64_t>(v));
+    for (const uint32_t v :
+         {t.rowsPerBank, t.banksPerSubchannel, t.refreshGroups, t.blastRadius})
+        h = hashCombine(h, v);
+    return h;
 }
 
 } // namespace moatsim::dram

@@ -85,6 +85,10 @@ struct TimingParams
     void validate() const;
 };
 
+/** @p h with every field of @p t folded in by hashCombine: the timing
+ *  part of the trace and attack cache keys. */
+uint64_t foldTiming(uint64_t h, const TimingParams &t);
+
 } // namespace moatsim::dram
 
 #endif // MOATSIM_DRAM_TIMING_HH

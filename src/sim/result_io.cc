@@ -178,6 +178,21 @@ fields(V &v, R &r)
     v.tail("device", r.device);
 }
 
+/** The fields of an isolated attack cell, in line order. */
+template <class V, class R>
+    requires std::same_as<std::remove_const_t<R>, attacks::AttackResult>
+void
+fields(V &v, R &r)
+{
+    v.tag("kind", "attack");
+    v.field("pattern", r.pattern);
+    v.field("mitigator", r.mitigator);
+    v.field("max_hammer", r.maxHammer);
+    v.field("total_acts", r.totalActs);
+    v.field("alerts", r.alerts);
+    v.field("duration_ps", r.duration);
+}
+
 /** Result lines write every field, so a missing one is malformed. */
 template <class R>
 R
@@ -275,18 +290,11 @@ toJsonLine(const CoAttackResult &r)
 }
 
 std::string
-toJsonLine(const attacks::AttackResult &r, const std::string &pattern,
-           const std::string &mitigator)
+toJsonLine(const attacks::AttackResult &r)
 {
-    return JsonLineWriter()
-        .field("kind", "attack")
-        .field("pattern", pattern)
-        .field("mitigator", mitigator)
-        .field("max_hammer", r.maxHammer)
-        .field("total_acts", r.totalActs)
-        .field("alerts", r.alerts)
-        .field("duration_ps", r.duration)
-        .line();
+    JsonLineWriter w;
+    fields(w, r);
+    return w.line();
 }
 
 std::string
@@ -329,6 +337,12 @@ CoAttackResult
 coAttackResultOfJsonLine(const std::string &line)
 {
     return readRecordOrDie<CoAttackResult>(line);
+}
+
+attacks::AttackResult
+attackResultOfJsonLine(const std::string &line)
+{
+    return readRecordOrDie<attacks::AttackResult>(line);
 }
 
 } // namespace moatsim::sim

@@ -256,14 +256,10 @@ std::string toJsonLine(const PerfResult &r);
 /** One adversary-under-load cell ("kind":"coattack") as a JSON line. */
 std::string toJsonLine(const CoAttackResult &r);
 
-/**
- * One AttackResult as a byte-stable JSON line; @p pattern and
- * @p mitigator name the attack cell the way PerfResult lines name
- * their (workload, mitigator) cell.
- */
-std::string toJsonLine(const attacks::AttackResult &r,
-                       const std::string &pattern,
-                       const std::string &mitigator);
+/** One isolated attack cell ("kind":"attack") as a JSON line; its
+ *  pattern and mitigator name the cell the way PerfResult lines name
+ *  their (workload, mitigator) cell. */
+std::string toJsonLine(const attacks::AttackResult &r);
 
 /** One ThroughputAttackResult (TSA / kernel losses) as a JSON line. */
 std::string toJsonLine(const attacks::ThroughputAttackResult &r,
@@ -281,6 +277,9 @@ PerfResult perfResultOfJsonLine(const std::string &line);
 
 /** Parse a toJsonLine(CoAttackResult) line back; fatal() on malformed. */
 CoAttackResult coAttackResultOfJsonLine(const std::string &line);
+
+/** Parse a toJsonLine(AttackResult) line back; fatal() on malformed. */
+attacks::AttackResult attackResultOfJsonLine(const std::string &line);
 
 } // namespace moatsim::sim
 

@@ -9,7 +9,9 @@
  * generator configuration (device, seed, and timing included), the
  * core model, the workload, the mitigator's canonical describe() text,
  * the ABO level, and for co-attack cells the full attack scenario (see
- * sim::perfCellKey / sim::coAttackCellKey) -- so equal keys mean
+ * sim::perfCellKey / sim::coAttackCellKey; an isolated attack cell
+ * folds its timing, design and attack shape, sim::attackCellKey) --
+ * so equal keys mean
  * bit-identical result lines, and a warm re-run of a full matrix is
  * O(changed cells).
  *

@@ -45,13 +45,17 @@ fields(V &v, R &r)
     v.field("subchannels", r.subchannels);
     v.field("seed", r.seed);
     v.field("jobs", r.jobs);
-    // The attack block is written for coattack requests only (as
-    // requestKey() folds it) and read whenever present.
-    if (!v.section(r.kind == "coattack"))
+    // The attack fields are written for the kinds that read them (as
+    // requestKey() folds them) and read whenever present.
+    if (!v.section(r.kind != "perf"))
         return;
     v.field("pattern", r.pattern);
     v.field("pool_rows", r.poolRows);
     v.field("budget", r.budget);
+    if (v.section(r.kind == "attack"))
+        v.field("trials", r.trials);
+    if (!v.section(r.kind == "coattack"))
+        return;
     v.field("attack_subchannel", r.attackSubchannel);
     v.field("attack_bank", r.attackBank);
     v.field("attack_seed", r.attackSeed);
@@ -67,26 +71,19 @@ withMoatLevelEntries(const mitigation::MitigatorSpec &spec,
         spec, static_cast<uint32_t>(abo::levelValue(level)));
 }
 
-void
-rejectLegacyWithSpec(const Args &args,
-                     std::initializer_list<const char *> legacy)
-{
-    if (!args.has("mitigator"))
-        return;
-    for (const char *flag : legacy) {
-        if (args.has(flag))
-            fatal(std::string("--") + flag + " conflicts with --mitigator; "
-                  "put the parameter in the spec (see list-mitigators)");
-    }
-}
-
 mitigation::MitigatorSpec
 mitigatorOfArgs(const Args &args, abo::Level level)
 {
-    rejectLegacyWithSpec(args, {"ath", "eth"});
-    if (args.has("mitigator"))
+    if (args.has("mitigator")) {
+        for (const char *flag : {"ath", "eth"}) {
+            if (args.has(flag))
+                fatal(std::string("--") + flag +
+                      " conflicts with --mitigator; put the parameter in "
+                      "the spec (see list-mitigators)");
+        }
         return withMoatLevelEntries(
             mitigation::Registry::parse(args.get("mitigator", "")), level);
+    }
     // Legacy MOAT flags: spell out the whole configuration so the spec
     // text -- the result-store key and every describe() the CLI prints
     // -- is identical whether the design came from --ath/--eth or from
@@ -113,16 +110,34 @@ runRequestOfArgs(const std::string &kind, const Args &args)
     req.kind = kind;
     const abo::Level level = levelOf(args.getInt("level", 1));
     req.level = abo::levelValue(level);
-    req.mitigator = mitigatorOfArgs(args, level).describe();
-    req.workload = args.get("workload", "all");
-    req.fraction = args.getDouble("fraction", 0.0625);
-    req.subchannels = args.getPositive("subchannels", 2);
-    req.seed = args.getInt("trace-seed", 7);
+    req.pattern = args.get("pattern", "hammer");
+    // An attack runs against its pattern's own design unless the
+    // flags name one.
+    const attacks::AttackPattern *pattern =
+        kind == "attack" ? attacks::findAttackPattern(req.pattern) : nullptr;
+    if (pattern != nullptr && !args.has("mitigator") && !args.has("ath") &&
+        !args.has("eth"))
+        req.mitigator = withMoatLevelEntries(mitigation::Registry::parse(
+                                                 pattern->defaultDesign()),
+                                             level)
+                            .describe();
+    else
+        req.mitigator = mitigatorOfArgs(args, level).describe();
+    // An attack replays no workload traces.
+    if (kind != "attack") {
+        req.workload = args.get("workload", "all");
+        req.fraction = args.getDouble("fraction", 0.0625);
+        req.subchannels = args.getPositive("subchannels", 2);
+        req.seed = args.getInt("trace-seed", 7);
+    }
     req.jobs = args.getUint32("jobs", 0);
-    if (kind == "coattack") {
-        req.pattern = args.get("pattern", "hammer");
+    if (kind != "perf") {
         req.poolRows = args.getUint32("pool", 0);
         req.budget = args.getInt("acts", 0);
+    }
+    if (kind == "attack")
+        req.trials = args.getUint32("trials", 0);
+    if (kind == "coattack") {
         req.attackSubchannel = args.getUint32("attack-subchannel", 0);
         req.attackBank = args.getUint32("attack-bank", 0);
         req.attackSeed = args.getInt("seed", 1);
@@ -150,10 +165,14 @@ requestKey(const RunRequest &req)
     h = hashCombine(h, hashDouble(req.fraction));
     h = hashCombine(h, static_cast<uint64_t>(req.subchannels));
     h = hashCombine(h, req.seed);
-    if (req.kind == "coattack") {
+    if (req.kind != "perf") {
         h = hashCombine(h, stableHash64(req.pattern));
         h = hashCombine(h, static_cast<uint64_t>(req.poolRows));
         h = hashCombine(h, req.budget);
+    }
+    if (req.kind == "attack")
+        h = hashCombine(h, static_cast<uint64_t>(req.trials));
+    if (req.kind == "coattack") {
         h = hashCombine(h, static_cast<uint64_t>(req.attackSubchannel));
         h = hashCombine(h, static_cast<uint64_t>(req.attackBank));
         h = hashCombine(h, req.attackSeed);
@@ -177,9 +196,9 @@ tryRunRequestOfJsonLine(const std::string &line, RunRequest *req,
 bool
 validateRunRequest(const RunRequest &req, std::string *err)
 {
-    if (req.kind != "perf" && req.kind != "coattack")
-        return fail("run request kind must be \"perf\" or \"coattack\", "
-                    "got \"" + req.kind + "\"", err);
+    if (req.kind != "perf" && req.kind != "coattack" && req.kind != "attack")
+        return fail("run request kind must be \"perf\", \"coattack\" or "
+                    "\"attack\", got \"" + req.kind + "\"", err);
     if (req.level != 1 && req.level != 2 && req.level != 4)
         return fail("run request level must be 1, 2, or 4", err);
     if (!(req.fraction > 0.0) || req.fraction > 1.0)
@@ -188,7 +207,9 @@ validateRunRequest(const RunRequest &req, std::string *err)
         return fail("run request subchannels must be positive", err);
 
     std::string detail;
-    if (!mitigation::Registry::tryParse(req.mitigator, &detail))
+    const auto mitigator = mitigation::Registry::tryParse(req.mitigator,
+                                                          &detail);
+    if (!mitigator)
         return fail("run request mitigator: " + detail, err);
     dram::DeviceModel device{};
     if (!req.device.empty()) {
@@ -202,16 +223,15 @@ validateRunRequest(const RunRequest &req, std::string *err)
         return fail("run request workload \"" + req.workload +
                     "\" is not a Table-4 name (or \"all\")", err);
 
+    if (req.kind == "attack" &&
+        !attacks::checkAttack(req.pattern, *mitigator, &detail))
+        return fail("run request: " + detail, err);
     if (req.kind == "coattack") {
-        if (req.pattern != "none") {
-            bool known = false;
-            for (const auto &p : attacks::attackPatterns())
-                known = known || p == req.pattern;
-            if (!known)
-                return fail("run request pattern \"" + req.pattern +
-                            "\" is not a registered attack (or "
-                            "\"none\")", err);
-        }
+        if (req.pattern != "none" &&
+            attacks::findAttackPattern(req.pattern) == nullptr)
+            return fail("run request pattern \"" + req.pattern +
+                        "\" is not a registered attack (or \"none\")",
+                        err);
         const uint32_t slots = slotCountOf(req);
         if (req.attackSubchannel >= slots)
             return fail("run request attack_subchannel must be below "
@@ -243,6 +263,8 @@ slotCountOf(const RunRequest &req)
 double
 estimatedCost(const RunRequest &req)
 {
+    if (req.kind == "attack")
+        return 1.0;
     double actSum = 0.0;
     if (req.workload == "all") {
         for (const auto &w : workload::table4Workloads())
@@ -283,6 +305,22 @@ coAttackScenarioOf(const RunRequest &req)
     attack.bank = req.attackBank;
     attack.seed = req.attackSeed;
     return attack;
+}
+
+AttackCell
+attackCellOf(const RunRequest &req)
+{
+    AttackCell cell;
+    if (!req.device.empty())
+        cell.attack.timing =
+            dram::DeviceSpec::parse(req.device).resolve().timing();
+    cell.attack.aboLevel = levelOf(static_cast<uint64_t>(req.level));
+    cell.attack.pattern = req.pattern;
+    cell.attack.poolRows = req.poolRows;
+    cell.attack.budget = req.budget;
+    cell.attack.trials = req.trials;
+    cell.mitigator = mitigation::Registry::parse(req.mitigator);
+    return cell;
 }
 
 } // namespace moatsim::sim

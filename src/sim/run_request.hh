@@ -2,15 +2,15 @@
  * @file
  * The one parsed request type every sweep entry point shares.
  *
- * The CLI subcommands (`perf`, `coattack`), the in-process API
- * (sim::Experiment), and the `moatsim serve` socket protocol all
- * denote a run the same way: the spec strings the registry and the
- * device model already parse, plus the handful of scalar knobs of an
- * ExperimentConfig. RunRequest is that denotation as one struct with
- * two codecs -- CLI flags (runRequestOfArgs) and a byte-stable JSON
- * line (toJsonLine / tryRunRequestOfJsonLine) -- so the socket API
- * and the in-process API are literally the same parsed object and
- * serve.cc contains no third parsing path.
+ * The CLI subcommands (`perf`, `coattack`, `attack`), the in-process
+ * API (sim::Experiment, sim::SweepEngine), and the `moatsim serve`
+ * socket protocol all denote a run the same way: the spec strings the
+ * registry and the device model already parse, plus the handful of
+ * scalar knobs of an ExperimentConfig. RunRequest is that denotation
+ * as one struct with two codecs -- CLI flags (runRequestOfArgs) and a
+ * byte-stable JSON line (toJsonLine / tryRunRequestOfJsonLine) -- so
+ * the socket API and the in-process API are literally the same parsed
+ * object and serve.cc contains no third parsing path.
  *
  * Validation is split from parsing: tryRunRequestOfJsonLine() only
  * decodes, validateRunRequest() checks every field against the
@@ -22,7 +22,6 @@
 #define MOATSIM_SIM_RUN_REQUEST_HH
 
 #include <cstdint>
-#include <initializer_list>
 #include <string>
 
 #include "abo/abo.hh"
@@ -33,15 +32,16 @@
 namespace moatsim::sim
 {
 
-/** One sweep request: everything a perf or co-attack run needs.
- *  Every result-shaping field must be folded into requestKey() (the
- *  serve protocol's dedupe identity); scheduling knobs that must NOT
- *  perturb results are key-exempt. keylint proves both directions on
+/** One sweep request: everything a perf, co-attack or attack run
+ *  needs. Every result-shaping field must be folded into requestKey()
+ *  (the serve protocol's dedupe identity); scheduling knobs that must
+ *  NOT perturb results are key-exempt. keylint proves both directions on
  *  every build (see tools/moatlint/keylint.hh). */
 // moatlint: key-source(requestKey)
 struct RunRequest
 {
-    /** "perf" or "coattack". */
+    /** "perf", "coattack" or "attack" (one isolated attack cell;
+     *  reads mitigator, device, level and the attack fields below). */
     std::string kind = "perf";
     /** Mitigator spec text (mitigation::Registry grammar). */
     std::string mitigator = "moat";
@@ -63,13 +63,21 @@ struct RunRequest
     // differing only here must dedupe to one computation
     unsigned jobs = 0;
 
-    // ----- coattack only -------------------------------------------
-    /** Attack pattern (attacks::attackPatterns()), or "none". */
+    // ----- coattack and attack --------------------------------------
+    /** Attack pattern (attacks::attackPatterns()), or "none" (coattack
+     *  only). */
     std::string pattern = "hammer";
     /** Rows in the attack pool (0 = pattern default). */
     uint32_t poolRows = 0;
-    /** Attacker activation budget (0 = span the window). */
+    /** Attacker activation budget (0 = the pattern's default; a
+     *  co-attack spans the window). */
     uint64_t budget = 0;
+
+    // ----- attack only ---------------------------------------------
+    /** Phase trials of a phase-sweeping pattern (0 = its default). */
+    uint32_t trials = 0;
+
+    // ----- coattack only -------------------------------------------
     /** Sub-channel replay slot the attacker pins. */
     uint32_t attackSubchannel = 0;
     /** Bank (within that slot) the attacker pins. */
@@ -93,13 +101,6 @@ withMoatLevelEntries(const mitigation::MitigatorSpec &spec,
                      abo::Level level);
 
 /**
- * fatal()s when --mitigator comes with one of the @p legacy design
- * flags, which would silently fight the spec (CLI codec).
- */
-void rejectLegacyWithSpec(const Args &args,
-                          std::initializer_list<const char *> legacy);
-
-/**
  * The mitigator of a request being assembled from CLI flags: the
  * --mitigator spec when present (legacy --ath/--eth then conflict),
  * otherwise a fully explicit MOAT spec built from --ath/--eth and
@@ -110,10 +111,12 @@ mitigation::MitigatorSpec mitigatorOfArgs(const Args &args,
                                           abo::Level level);
 
 /**
- * Decode @p kind ("perf"/"coattack") plus the shared CLI flags into a
- * request. The --device flag is left to the caller (the perf CLI
- * sweeps a semicolon-separated device list, one request per grade).
- * fatal()s on malformed input (CLI codec).
+ * Decode @p kind ("perf"/"coattack"/"attack") plus the shared CLI
+ * flags into a request; each kind reads only the flags it uses. An
+ * attack request without --mitigator (or --ath/--eth) runs against
+ * its pattern's own design. The --device flag is left to the caller
+ * (the perf CLI sweeps a semicolon-separated device list, one request
+ * per grade). fatal()s on malformed input (CLI codec).
  */
 RunRequest runRequestOfArgs(const std::string &kind, const Args &args);
 
@@ -126,7 +129,7 @@ std::string toJsonLine(const RunRequest &req);
  * common/hash.hh) of every result-shaping field. Two requests with
  * equal keys produce byte-identical result lines; the scheduling knob
  * (jobs) is deliberately absent so requests differing only there
- * dedupe. The coattack-only fields fold only for coattack requests,
+ * dedupe. The attack fields fold only for the kinds that read them,
  * mirroring toJsonLine(). The serve daemon reports it in the done line and
  * clients can use it to correlate sweeps across sessions.
  */
@@ -144,7 +147,8 @@ bool tryRunRequestOfJsonLine(const std::string &line, RunRequest *req,
 /**
  * Check every field against the registries (mitigator and device
  * specs, workload name, attack pattern, level, fraction, attack slot
- * and bank bounds) without fatal()ing. Returns false with a
+ * and bank bounds) and an attack request against the pattern table
+ * (attacks::checkAttack) without fatal()ing. Returns false with a
  * diagnostic in @p err when non-null.
  */
 bool validateRunRequest(const RunRequest &req, std::string *err = nullptr);
@@ -159,7 +163,8 @@ uint32_t slotCountOf(const RunRequest &req);
  * slot count (co-attack runs count double for the attack-free
  * baseline). Proportional to replayed events, cheap to compute, and
  * deliberately unitless -- `moatsim serve --max-cost` budgets against
- * it.
+ * it. An attack request costs 1: one cell replaying one bank, far
+ * fewer events than a workload sweep.
  */
 double estimatedCost(const RunRequest &req);
 
@@ -169,6 +174,10 @@ ExperimentConfig experimentConfigOf(const RunRequest &req);
 
 /** The attack side of a "coattack" request. */
 CoAttackScenario coAttackScenarioOf(const RunRequest &req);
+
+/** The one cell of an "attack" request, on its device grade's timing.
+ *  fatal()s on malformed spec text -- validate first. */
+AttackCell attackCellOf(const RunRequest &req);
 
 } // namespace moatsim::sim
 

@@ -291,7 +291,7 @@ Server::handleLine(int fd, const std::string &line)
         stop();
         return false;
     }
-    if (kind == "perf" || kind == "coattack") {
+    if (kind == "perf" || kind == "coattack" || kind == "attack") {
         RunRequest req;
         if (!tryRunRequestOfJsonLine(line, &req, &err))
             return serverWriteLine(fd, errorLine(err, false));
@@ -367,17 +367,15 @@ Server::runOnConnection(int fd, const RunRequest &req)
                 io_ok = false;
         };
         try {
-            if (req.kind == "perf") {
-                exp.run([&](size_t index, const PerfResult &r) {
-                    emit(index, toJsonLine(r));
-                });
-            } else {
-                exp.runCoAttack(
-                    coAttackScenarioOf(req),
-                    [&](size_t index, const CoAttackResult &r) {
-                        emit(index, toJsonLine(r));
-                    });
-            }
+            const auto send = [&](size_t index, const auto &r) {
+                emit(index, toJsonLine(r));
+            };
+            if (req.kind == "perf")
+                exp.run(send);
+            else if (req.kind == "coattack")
+                exp.runCoAttack(coAttackScenarioOf(req), send);
+            else
+                exp.engine().run(std::vector{attackCellOf(req)}, send);
         } catch (const std::exception &e) {
             // A failed cell compute fails this request, not the
             // daemon: tag it retryable -- the stores cached every

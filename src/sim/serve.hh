@@ -11,6 +11,7 @@
  *   client -> server, one JSON object per line:
  *     {"kind":"perf",...}       run a perf sweep (RunRequest codec)
  *     {"kind":"coattack",...}   run a co-attack sweep
+ *     {"kind":"attack",...}     run one isolated attack cell
  *     {"kind":"stats"}          report store / admission counters
  *     {"kind":"shutdown"}       stop accepting and drain
  *

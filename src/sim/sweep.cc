@@ -26,6 +26,12 @@ cellKey(const SweepConfig &config, const CoAttackCell &cell)
     return coAttackCellKey(config.tracegen, config.core, cell);
 }
 
+uint64_t
+cellKey(const SweepConfig &, const AttackCell &cell)
+{
+    return attackCellKey(cell);
+}
+
 /** Key of the attack-free co-run every attacked cell of one
  *  (workload, mitigator, level) tuple compares against. */
 uint64_t
@@ -40,6 +46,22 @@ coBaselineKey(const SweepConfig &config, const CoAttackCell &cell)
 }
 
 } // namespace
+
+uint64_t
+attackCellKey(const AttackCell &cell)
+{
+    // The timing stands in for the device grade it came from: two
+    // grades with equal timings run the same attack.
+    uint64_t h = dram::foldTiming(stableHash64("attack-cell"),
+                                  cell.attack.timing);
+    h = hashCombine(h, stableHash64(cell.mitigator.describe()));
+    h = hashCombine(
+        h, static_cast<uint64_t>(abo::levelValue(cell.attack.aboLevel)));
+    h = hashCombine(h, stableHash64(cell.attack.pattern));
+    h = hashCombine(h, static_cast<uint64_t>(cell.attack.poolRows));
+    h = hashCombine(h, cell.attack.budget);
+    return hashCombine(h, static_cast<uint64_t>(cell.attack.trials));
+}
 
 SweepEngine::SweepEngine(const SweepConfig &config,
                          std::shared_ptr<BaselineCache> baselines)
@@ -92,6 +114,12 @@ SweepEngine::runCell(const CoAttackCell &cell)
     return storeFirst(cell, coAttackResultOfJsonLine);
 }
 
+attacks::AttackResult
+SweepEngine::runCell(const AttackCell &cell)
+{
+    return storeFirst(cell, attackResultOfJsonLine);
+}
+
 PerfResult
 SweepEngine::computeCell(const SweepCell &cell)
 {
@@ -122,6 +150,12 @@ SweepEngine::computeCell(const CoAttackCell &cell)
                            *base.value, *benign);
 }
 
+attacks::AttackResult
+SweepEngine::computeCell(const AttackCell &cell)
+{
+    return attacks::runAttack(cell.attack, cell.mitigator);
+}
+
 template <typename Cell, typename Result>
 std::vector<Result>
 SweepEngine::fanOut(const std::vector<Cell> &cells,
@@ -149,6 +183,13 @@ SweepEngine::run(const std::vector<SweepCell> &cells,
 std::vector<CoAttackResult>
 SweepEngine::run(const std::vector<CoAttackCell> &cells,
                  const CellSink<CoAttackResult> &sink)
+{
+    return fanOut(cells, sink);
+}
+
+std::vector<attacks::AttackResult>
+SweepEngine::run(const std::vector<AttackCell> &cells,
+                 const CellSink<attacks::AttackResult> &sink)
 {
     return fanOut(cells, sink);
 }

@@ -3,10 +3,11 @@
  * The one cell engine: parallel sweeps of (workload x mitigator x
  * level[ x attack]) grids.
  *
- * The paper measures two kinds of cell -- performance (SweepCell,
- * runPerfCell) and a design under attack with benign co-runners
- * (CoAttackCell, runCoAttackCell; sim/coattack.hh) -- and the engine
- * keys, caches and fans out both the same way. Every cell is an
+ * The paper measures three kinds of cell -- performance (SweepCell,
+ * runPerfCell), a design under attack with benign co-runners
+ * (CoAttackCell, runCoAttackCell; sim/coattack.hh), and an isolated
+ * attack on one bank (AttackCell, attacks::runAttack) -- and the
+ * engine keys, caches and fans out all three the same way. Every cell is an
  * independent simulation, so run() fans the cells out with
  * parallelFor over a thread pool with one FIFO job queue
  * (common/thread_pool.hh). Determinism is by construction: each
@@ -38,6 +39,7 @@
 #include <vector>
 
 #include "abo/abo.hh"
+#include "attacks/attack.hh"
 #include "common/single_flight.hh"
 #include "mitigation/registry.hh"
 #include "sim/coattack.hh"
@@ -56,6 +58,21 @@ struct SweepCell
     mitigation::MitigatorSpec mitigator;
     abo::Level level = abo::Level::L1;
 };
+
+/** One isolated attack: a pattern against one design on a single-bank
+ *  sub-channel (attacks::runAttack). Folded into attackCellKey() in
+ *  full (the attack side delegates to AttackConfig's own key-source
+ *  contract). */
+// moatlint: key-source(attackCellKey)
+struct AttackCell
+{
+    attacks::AttackConfig attack;
+    mitigation::MitigatorSpec mitigator;
+};
+
+/** Content address of one attack cell for the sim::ResultStore. Equal
+ *  keys produce byte-identical toJsonLine(AttackResult) payloads. */
+uint64_t attackCellKey(const AttackCell &cell);
 
 /** Engine configuration. */
 struct SweepConfig
@@ -78,10 +95,11 @@ struct SweepConfig
      */
     std::shared_ptr<workload::TraceStore> traceStore;
     /**
-     * Shared result store: every cell is keyed by perfCellKey /
-     * coAttackCellKey and its JSONL payload cached across runs,
-     * engines, and (when the store is persistent) processes, so a
-     * warm matrix re-run recomputes only changed cells. Null = the
+     * Shared result store: every cell is keyed by perfCellKey,
+     * coAttackCellKey or attackCellKey and its JSONL payload cached
+     * across runs, engines, and (when the store is persistent)
+     * processes, so a warm matrix re-run recomputes only changed
+     * cells. Null = the
      * engine creates an env-configured store of its own
      * (MOATSIM_RESULT_STORE unset yields a disabled pass-through);
      * pass an explicit store to share it -- `moatsim serve` shares
@@ -90,8 +108,8 @@ struct SweepConfig
     std::shared_ptr<ResultStore> resultStore;
 };
 
-/** Runs perf and co-attack cells in parallel with bit-identical-to-serial
- *  results. */
+/** Runs perf, co-attack and attack cells in parallel with
+ *  bit-identical-to-serial results. */
 class SweepEngine
 {
   public:
@@ -121,10 +139,14 @@ class SweepEngine
     std::vector<CoAttackResult>
     run(const std::vector<CoAttackCell> &cells,
         const CellSink<CoAttackResult> &sink = {});
+    std::vector<attacks::AttackResult>
+    run(const std::vector<AttackCell> &cells,
+        const CellSink<attacks::AttackResult> &sink = {});
 
     /** Run one cell inline (shares the baseline caches and stores). */
     PerfResult runCell(const SweepCell &cell);
     CoAttackResult runCell(const CoAttackCell &cell);
+    attacks::AttackResult runCell(const AttackCell &cell);
 
     /** Resolved worker count (after the 0 -> hardware default). */
     unsigned jobs() const { return jobs_; }
@@ -156,6 +178,7 @@ class SweepEngine
     /** Simulate one cell (the result store's compute path). */
     PerfResult computeCell(const SweepCell &cell);
     CoAttackResult computeCell(const CoAttackCell &cell);
+    attacks::AttackResult computeCell(const AttackCell &cell);
 
     SweepConfig config_;
     unsigned jobs_;

@@ -16,31 +16,29 @@
  * README.md "Failure model") -- the chaos knob behind the serve/client
  * convergence smoke.
  *
- * `perf` and `coattack` decode their flags into a sim::RunRequest and
- * check it with sim::validateRunRequest -- the serve daemon's own
- * check -- so a request the socket API rejects (say `--fraction 0`)
- * fails here too, by fatal() with the validator's message.
+ * `perf`, `coattack` and `attack` decode their flags into a
+ * sim::RunRequest and check it with sim::validateRunRequest -- the
+ * serve daemon's own check -- so a request the socket API rejects (say
+ * `--fraction 0`, or `--pattern ratchet --mitigator panopticon`) fails
+ * here too, by fatal() with the validator's message.
  *
  *   moatsim bound   [--ath N] [--level 1|2|4]        Appendix-A bound
- *   moatsim ratchet [--mitigator S] [--ath N] [--level 1|2|4] [--pool N]
- *   moatsim jailbreak [--mitigator S] [--queue N] [--threshold N]
- *                   [--hammer N]     --hammer: phase-2 ACT budget
- *   moatsim feinting [--mitigator S] [--rate K]
- *   moatsim postponement [--mitigator S] [--max N]
  *   moatsim tsa     [--mitigator S] [--banks N] [--cycles N]
- *   moatsim attack  --pattern P [--mitigator S] [--device D] [--pool N]
- *                   [--acts N] [--trials N] [--seed N] [--jobs N]
- *                   [--level 1|2|4]
- *                   generic driver; --seed N seeds the pattern (the
- *                   first seed of the --jobs trials). Without --jobs,
- *                   --trials keeps its pattern-internal meaning
- *                   (alignment sweep). With --jobs, --trials N
- *                   instead runs N independently seeded single-shot
- *                   instances across the workers and reports the best
- *                   outcome -- identical at any --jobs value, but a
- *                   different search than the internal sweep.
- *                   --device D runs the attack under that device
- *                   grade's timings.
+ *                   throughput attack (its own command: it measures
+ *                   ACT throughput, not a hammer count)
+ *   moatsim attack  [--pattern P] [--mitigator S] [--ath N] [--eth N]
+ *                   [--device D] [--level 1|2|4] [--pool N] [--acts N]
+ *                   [--trials N]
+ *                   one isolated attack cell: P is hammer (default),
+ *                   round-robin, ratchet, jailbreak, feinting or
+ *                   postponement. Without --mitigator (or --ath/--eth)
+ *                   a pattern runs against the design it targets
+ *                   (moat for the generic ones); design knobs are spec
+ *                   keys, e.g. panopticon:entries=16,threshold=64 or
+ *                   ideal-prc:period=8. --acts N is the activation
+ *                   budget, --trials N the phase trials of
+ *                   postponement, and --device D runs under that
+ *                   device grade's timings.
  *   moatsim perf    [--workload NAME|all] [--mitigator S] [--ath N]
  *                   [--eth N] [--level 1|2|4] [--fraction F]
  *                   [--subchannels N] [--device D[;D...]] [--jobs N]
@@ -89,9 +87,9 @@
  *                   --drain-cells N bounds how many more cells each
  *                   in-flight reply may stream after a shutdown
  *                   begins (0 = drain fully)
- *   moatsim client  --socket PATH [--kind perf|coattack] [--stats]
- *                   [--shutdown] [--retries N] [--retry-seed S]
- *                   [--jsonl FILE] [perf/coattack flags]
+ *   moatsim client  --socket PATH [--kind perf|coattack|attack]
+ *                   [--stats] [--shutdown] [--retries N]
+ *                   [--retry-seed S] [--jsonl FILE] [request flags]
  *                   thin client: sends one request to a serve daemon
  *                   and prints the per-cell result JSONL in request
  *                   order (byte-identical to the direct CLI's --jsonl
@@ -128,10 +126,6 @@
 #include <string>
 
 #include "analysis/ratchet_model.hh"
-#include "attacks/feinting.hh"
-#include "attacks/jailbreak.hh"
-#include "attacks/postponement.hh"
-#include "attacks/ratchet.hh"
 #include "attacks/tsa.hh"
 #include "common/args.hh"
 #include "common/fault.hh"
@@ -139,7 +133,6 @@
 #include "common/spec_text.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
-#include "attacks/attack.hh"
 #include "dram/device.hh"
 #include "mitigation/registry.hh"
 #include "sim/experiment.hh"
@@ -153,13 +146,6 @@ using namespace moatsim;
 
 namespace
 {
-
-/** The --mitigator spec, or the parsed @p def when absent. */
-mitigation::MitigatorSpec
-mitigatorArg(const Args &args, const std::string &def)
-{
-    return mitigation::Registry::parse(args.get("mitigator", def));
-}
 
 /**
  * The --device grades to run: canonicalized DeviceSpec texts, one per
@@ -209,97 +195,11 @@ cmdBound(const Args &args)
 }
 
 int
-cmdRatchet(const Args &args)
-{
-    sim::rejectLegacyWithSpec(args, {"ath", "eth"});
-    attacks::RatchetConfig cfg;
-    cfg.aboLevel = sim::levelOf(args.getInt("level", 1));
-    cfg.moat = mitigation::moatConfigOf(sim::withMoatLevelEntries(
-        mitigatorArg(args, "moat"), cfg.aboLevel));
-    if (args.has("ath")) {
-        cfg.moat.ath = args.getUint32("ath", 64);
-        cfg.moat.eth = cfg.moat.ath / 2;
-    }
-    if (args.has("eth"))
-        cfg.moat.eth = args.getUint32("eth", 0);
-    cfg.poolRows = args.getUint32("pool", 0);
-    const auto r = attacks::runRatchet(cfg);
-    const auto bound = analysis::ratchetBound(
-        cfg.timing, cfg.moat.ath, abo::levelValue(cfg.aboLevel));
-    std::printf("Ratchet vs MOAT-L%d ATH=%u: max ACTs=%u (model bound "
-                "%.1f), %lu ALERTs, %.2f ms\n",
-                abo::levelValue(cfg.aboLevel), cfg.moat.ath, r.maxHammer,
-                bound.safeTrh, static_cast<unsigned long>(r.alerts),
-                toMs(r.duration));
-    return 0;
-}
-
-int
-cmdJailbreak(const Args &args)
-{
-    sim::rejectLegacyWithSpec(args, {"queue", "threshold"});
-    attacks::JailbreakConfig cfg;
-    cfg.panopticon =
-        mitigation::panopticonConfigOf(mitigatorArg(args, "panopticon"));
-    cfg.panopticon.queueEntries =
-        args.getPositive("queue", cfg.panopticon.queueEntries);
-    cfg.panopticon.queueThreshold =
-        args.getPositive("threshold", cfg.panopticon.queueThreshold);
-    cfg.hammerActs = args.getUint32(
-        "hammer", cfg.panopticon.queueThreshold *
-                      (cfg.panopticon.queueEntries + 2));
-    const auto r = attacks::runDeterministicJailbreak(cfg);
-    std::printf("Jailbreak vs Panopticon(T=%u,Q=%u): max ACTs=%u "
-                "(%.1fx threshold), %lu ALERTs\n",
-                cfg.panopticon.queueThreshold,
-                cfg.panopticon.queueEntries, r.maxHammer,
-                static_cast<double>(r.maxHammer) /
-                    cfg.panopticon.queueThreshold,
-                static_cast<unsigned long>(r.alerts));
-    return 0;
-}
-
-int
-cmdFeinting(const Args &args)
-{
-    sim::rejectLegacyWithSpec(args, {"rate"});
-    attacks::FeintingConfig cfg;
-    const auto prc =
-        mitigation::idealPrcConfigOf(mitigatorArg(args, "ideal-prc"));
-    cfg.mitigationPeriodRefis =
-        args.getPositive("rate", prc.mitigationPeriodRefis);
-    const auto r = attacks::runFeinting(cfg);
-    std::printf("Feinting vs IdealPRC (1 aggressor per %u tREFI): "
-                "max ACTs=%u\n",
-                cfg.mitigationPeriodRefis, r.maxHammer);
-    return 0;
-}
-
-int
-cmdPostponement(const Args &args)
-{
-    const auto spec = mitigatorArg(args, "panopticon");
-    if (spec.hasParam("drain-all") && !spec.paramBool("drain-all", true))
-        fatal("postponement requires the drain-all policy; got '" +
-              spec.describe() + "'");
-    attacks::PostponementConfig cfg;
-    cfg.panopticon = mitigation::panopticonConfigOf(spec);
-    cfg.panopticon.drainAllOnRef = true;
-    cfg.maxPostponed = args.getUint32("max", 2);
-    const auto r = attacks::runRefreshPostponement(cfg);
-    std::printf("REF postponement (max %u) vs drain-all Panopticon: "
-                "max ACTs=%u (%.1fx threshold)\n",
-                cfg.maxPostponed, r.maxHammer,
-                static_cast<double>(r.maxHammer) /
-                    cfg.panopticon.queueThreshold);
-    return 0;
-}
-
-int
 cmdTsa(const Args &args)
 {
     attacks::PerfAttackConfig cfg;
-    cfg.moat = mitigation::moatConfigOf(mitigatorArg(args, "moat"));
+    cfg.moat = mitigation::moatConfigOf(
+        mitigation::Registry::parse(args.get("mitigator", "moat")));
     cfg.numBanks = args.getPositive("banks", 17);
     cfg.cycles = args.getPositive("cycles", 20);
     const auto r = attacks::runTsa(cfg);
@@ -309,47 +209,21 @@ cmdTsa(const Args &args)
     return 0;
 }
 
-/** Natural target design of a pattern (what it runs against bare). */
-std::string
-defaultDesignOf(const std::string &pattern)
-{
-    if (pattern == "jailbreak" || pattern == "postponement")
-        return "panopticon";
-    if (pattern == "feinting")
-        return "ideal-prc";
-    return "moat";
-}
-
 int
 cmdAttack(const Args &args)
 {
-    attacks::AttackConfig cfg;
-    cfg.pattern = args.get("pattern", "hammer");
-    cfg.aboLevel = sim::levelOf(args.getInt("level", 1));
-    // A named device grade swaps in that grade's timings (geometry
-    // included); attacks keep hammering one bank either way.
-    const std::string device = deviceArg(args);
-    if (!device.empty())
-        cfg.timing = dram::DeviceSpec::parse(device).resolve().timing();
-    cfg.poolRows = args.getUint32("pool", 0);
-    cfg.budget = args.getInt("acts", 0);
-    cfg.trials = args.getUint32("trials", 0);
-    cfg.seed = args.getInt("seed", 1);
-    const auto spec = sim::withMoatLevelEntries(
-        mitigatorArg(args, defaultDesignOf(cfg.pattern)), cfg.aboLevel);
-    // --trials N with --jobs: N independently seeded instances across
-    // the pool, best outcome wins; identical at any --jobs value.
-    const auto r =
-        args.has("jobs")
-            ? attacks::runAttackTrials(
-                  cfg, spec, cfg.trials > 0 ? cfg.trials : 1,
-                  args.getUint32("jobs", 0))
-            : attacks::runAttack(cfg, spec);
+    sim::RunRequest req = sim::runRequestOfArgs("attack", args);
+    req.device = deviceArg(args);
+    std::string err;
+    if (!sim::validateRunRequest(req, &err))
+        fatal(err);
+    sim::SweepEngine engine(sim::SweepConfig{});
+    const auto r = engine.runCell(sim::attackCellOf(req));
     std::printf("%s vs %s%s%s: max ACTs=%u, %lu total ACTs, %lu ALERTs, "
                 "%.2f ms\n",
-                cfg.pattern.c_str(), spec.describe().c_str(),
-                device.empty() ? "" : " on ", device.c_str(), r.maxHammer,
-                static_cast<unsigned long>(r.totalActs),
+                r.pattern.c_str(), r.mitigator.c_str(),
+                req.device.empty() ? "" : " on ", req.device.c_str(),
+                r.maxHammer, static_cast<unsigned long>(r.totalActs),
                 static_cast<unsigned long>(r.alerts), toMs(r.duration));
     return 0;
 }
@@ -780,18 +654,18 @@ usage()
     std::fprintf(
         stderr,
         "usage: moatsim <command> [--flag [value] ...]\n"
-        "commands: bound ratchet jailbreak feinting postponement tsa\n"
-        "          attack coattack perf serve client store replay\n"
-        "          list-mitigators list-devices list-workloads\n"
-        "perf, coattack, and attack accept --jobs N (parallel sweep /\n"
-        "trials; 0 = hardware concurrency, results bit-identical at\n"
-        "any value) and --device D naming a DDR5 device grade (run\n"
+        "commands: bound tsa attack coattack perf serve client store\n"
+        "          replay list-mitigators list-devices list-workloads\n"
+        "attack runs one isolated pattern (--pattern P); perf and\n"
+        "coattack accept --jobs N (parallel sweep; 0 = hardware\n"
+        "concurrency, results bit-identical at any value); all three\n"
+        "accept --device D naming a DDR5 device grade (run\n"
         "'moatsim list-devices'; perf takes a semicolon-separated\n"
         "list to sweep the device axis); perf and coattack accept\n"
         "--jsonl FILE for structured results and --subchannels N\n"
         "(default 2) for the full-system simulation\n"
         "(MOATSIM_TRACE_STORE=0 disables the shared trace cache --\n"
-        "results are bit-identical); both reject the same requests\n"
+        "results are bit-identical); all three reject the same requests\n"
         "the serve daemon rejects; coattack\n"
         "co-schedules an attack pattern with the workload's cores and\n"
         "reports attacker maxHammer plus victim slowdown;\n"
@@ -843,14 +717,6 @@ main(int argc, char **argv)
         fault::arm(args.get("faults", ""));
     if (cmd == "bound")
         return cmdBound(args);
-    if (cmd == "ratchet")
-        return cmdRatchet(args);
-    if (cmd == "jailbreak")
-        return cmdJailbreak(args);
-    if (cmd == "feinting")
-        return cmdFeinting(args);
-    if (cmd == "postponement")
-        return cmdPostponement(args);
     if (cmd == "tsa")
         return cmdTsa(args);
     if (cmd == "attack")

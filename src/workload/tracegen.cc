@@ -132,20 +132,12 @@ traceGenInvocations()
 uint64_t
 configKey(const TraceGenConfig &config)
 {
-    const dram::TimingParams &t = config.timing;
     // v2: sub-channel-aware emission (events routed through the
     // address map and pre-decoded).
-    uint64_t h = stableHash64("moatsim.tracegen.v2");
-    for (const Time v :
-         {t.tACT, t.tPRE, t.tRAS, t.tRC, t.tREFW, t.tREFI, t.tRFC, t.tRRD,
-          t.tFAW, t.tRFM, t.tAlertNormal})
-        h = hashCombine(h, static_cast<uint64_t>(v));
+    uint64_t h =
+        dram::foldTiming(stableHash64("moatsim.tracegen.v2"), config.timing);
     for (const uint64_t v :
-         {static_cast<uint64_t>(t.rowsPerBank),
-          static_cast<uint64_t>(t.banksPerSubchannel),
-          static_cast<uint64_t>(t.refreshGroups),
-          static_cast<uint64_t>(t.blastRadius),
-          static_cast<uint64_t>(config.numCores),
+         {static_cast<uint64_t>(config.numCores),
           static_cast<uint64_t>(config.banksSimulated),
           static_cast<uint64_t>(subchannelsOf(config)),
           static_cast<uint64_t>(config.systemBanks),

@@ -47,7 +47,6 @@ TEST(AttackDriver, DrainsToQuiescenceAtEveryAboLevel)
             sc.timing = cfg.timing;
             sc.numBanks = 1;
             sc.aboLevel = level;
-            sc.seed = cfg.seed;
             subchannel::SubChannel ch(sc, spec.factory());
             const RowId target = cfg.timing.rowsPerBank / 2;
             for (uint64_t i = 0; i < cfg.budget; ++i)
@@ -83,7 +82,6 @@ TEST(AttackDriver, DurationIsTheTrueEndOfRecoveryNotAFixedWindow)
     subchannel::SubChannelConfig sc;
     sc.timing = cfg.timing;
     sc.numBanks = 1;
-    sc.seed = cfg.seed;
     subchannel::SubChannel ch(sc,
                               mitigation::Registry::parse("null").factory());
     const RowId target = cfg.timing.rowsPerBank / 2;
@@ -139,6 +137,73 @@ TEST(AttackDriver, HighestLevelRecoveryInFlightAtStreamEndIsServiced)
     EXPECT_GT(r.duration, last_act);
     EXPECT_EQ(r.duration, ch.now());
     EXPECT_EQ(r.alerts, ch.abo().alertCount());
+}
+
+TEST(AttackPatterns, TableGivesEachPatternItsDesign)
+{
+    const std::pair<const char *, const char *> targets[] = {
+        {"ratchet", "moat"},
+        {"jailbreak", "panopticon"},
+        {"feinting", "ideal-prc"},
+        {"postponement", "panopticon"}};
+    for (const auto &[pattern, design] : targets) {
+        const AttackPattern *p = findAttackPattern(pattern);
+        ASSERT_NE(p, nullptr) << pattern;
+        EXPECT_EQ(p->defaultDesign(), design);
+        EXPECT_TRUE(checkAttack(pattern, mitigation::Registry::parse(design)));
+    }
+    // The generic patterns run against every design, moat by default.
+    for (const char *pattern : {"hammer", "round-robin"}) {
+        ASSERT_NE(findAttackPattern(pattern), nullptr);
+        EXPECT_EQ(findAttackPattern(pattern)->defaultDesign(), "moat");
+        for (const auto &name : mitigation::Registry::names()) {
+            EXPECT_TRUE(
+                checkAttack(pattern, mitigation::Registry::parse(name)))
+                << pattern << " vs " << name;
+        }
+    }
+    EXPECT_EQ(findAttackPattern("rowpress"), nullptr);
+    EXPECT_EQ(attackPatterns().size(), 6u);
+}
+
+TEST(AttackPatterns, CheckRejectsWhatTheDriversCannotHonor)
+{
+    const auto rejects = [](const char *pattern, const char *spec,
+                            const std::string &needle) {
+        std::string err;
+        EXPECT_FALSE(
+            checkAttack(pattern, mitigation::Registry::parse(spec), &err))
+            << pattern << " vs " << spec;
+        EXPECT_NE(err.find(needle), std::string::npos) << err;
+    };
+    rejects("ratchet", "panopticon", "targets the 'moat' design");
+    rejects("jailbreak", "moat", "targets the 'panopticon' design");
+    rejects("feinting", "ideal-prc:min-count=4", "'min-count'");
+    rejects("feinting", "ideal-prc:blast=1", "'blast'");
+    rejects("postponement", "panopticon:drain-all=false", "'drain-all=false'");
+    rejects("rowpress", "moat", "unknown attack pattern 'rowpress'");
+    // The settings a driver does honor pass: feinting's period, and the
+    // drain-all policy the postponement driver forces anyway.
+    EXPECT_TRUE(checkAttack(
+        "feinting", mitigation::Registry::parse("ideal-prc:period=8")));
+    EXPECT_TRUE(checkAttack(
+        "postponement",
+        mitigation::Registry::parse("panopticon:drain-all=true")));
+    // runAttack() itself refuses with the same message.
+    AttackConfig cfg;
+    cfg.pattern = "ratchet";
+    EXPECT_EXIT(runAttack(cfg, mitigation::Registry::parse("panopticon")),
+                testing::ExitedWithCode(1), "targets the 'moat' design");
+}
+
+TEST(AttackDriver, ResultNamesItsPatternAndDesign)
+{
+    AttackConfig cfg;
+    cfg.budget = 64;
+    const auto spec = mitigation::Registry::parse("moat:ath=32");
+    const AttackResult r = runAttack(cfg, spec);
+    EXPECT_EQ(r.pattern, "hammer");
+    EXPECT_EQ(r.mitigator, spec.describe());
 }
 
 TEST(Jailbreak, DeterministicReaches1152)

@@ -9,8 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "attacks/attack.hh"
 #include "sim/result_io.hh"
+#include "sim/run_request.hh"
 #include "sim/sweep.hh"
 #include "workload/trace_store.hh"
 
@@ -335,16 +338,42 @@ TEST(ResultIo, PreSubChannelLinesStayParseable)
     EXPECT_TRUE(r.perSubchannel.empty());
 }
 
-TEST(AttackTrials, DeterministicAcrossJobCounts)
+TEST(AttackCell, EngineRunMatchesDirectRunAtAnyJobCount)
 {
-    attacks::AttackConfig cfg;
-    cfg.pattern = "round-robin";
-    cfg.budget = 512;
-    const auto m = mitigation::Registry::parse("moat");
-    const auto serial = attacks::runAttackTrials(cfg, m, 4, 1);
-    const auto parallel = attacks::runAttackTrials(cfg, m, 4, 8);
-    EXPECT_EQ(toJsonLine(serial, cfg.pattern, m.describe()),
-              toJsonLine(parallel, cfg.pattern, m.describe()));
+    // An isolated attack is a cell on the one request path: fanned out
+    // by the engine at 1 and at 8 workers, through a live result store
+    // (so every line round-trips), each cell must equal a direct
+    // runAttack() byte for byte.
+    std::vector<AttackCell> cells;
+    for (const auto &[pattern, mitigator, trials] :
+         {std::tuple{"postponement", "panopticon", 8u},
+          std::tuple{"round-robin", "moat", 0u},
+          std::tuple{"hammer", "null", 0u}}) {
+        RunRequest req;
+        req.kind = "attack";
+        req.pattern = pattern;
+        req.mitigator = mitigator;
+        req.budget = 512;
+        req.trials = trials;
+        ASSERT_TRUE(validateRunRequest(req));
+        cells.push_back(attackCellOf(req));
+    }
+    for (const unsigned jobs : {1u, 8u}) {
+        SweepConfig sc;
+        sc.jobs = jobs;
+        ResultStore::Config store;
+        store.enabled = true;
+        sc.resultStore = std::make_shared<ResultStore>(store);
+        SweepEngine engine(sc);
+        const auto results = engine.run(cells);
+        ASSERT_EQ(results.size(), cells.size());
+        for (size_t i = 0; i < cells.size(); ++i) {
+            EXPECT_EQ(toJsonLine(results[i]),
+                      toJsonLine(attacks::runAttack(cells[i].attack,
+                                                    cells[i].mitigator)))
+                << cells[i].attack.pattern << " at jobs=" << jobs;
+        }
+    }
 }
 
 } // namespace

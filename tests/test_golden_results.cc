@@ -147,8 +147,7 @@ attackLines()
         cfg.budget = cell.budget;
         cfg.trials = cell.trials;
         const auto spec = mitigation::Registry::parse(cell.mitigator);
-        const auto r = attacks::runAttack(cfg, spec);
-        lines.push_back(toJsonLine(r, cell.pattern, spec.describe()));
+        lines.push_back(toJsonLine(attacks::runAttack(cfg, spec)));
     }
     return lines;
 }

@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -392,20 +393,60 @@ TEST(MoatlintFanOut, QuietInThePoolServeAndOutsideSrc)
                           "unsigned n = std::thread::hardware_concurrency();\n"
                           "std::thread::id owner;\n"
                           "// no std::async here\n"
-                          "const char *s = \"std::jthread\";\n"
-                          "parallelFor(jobs, n, fn);\n"),
+                          "const char *s = \"std::jthread\";\n"),
                "fan-out")
             .empty());
+}
+
+TEST(MoatlintFanOut, FlagsParallelForOutsideThePoolAndTheSweepEngine)
+{
+    // The isolated-attack driver once ran its own trial fan-out; cells
+    // now go through the engine. serve may start threads, not fan out.
+    const std::string body =
+        "parallelFor(jobs, trials, [&](size_t i) { run(i); });\n";
+    for (const char *path : {"src/attacks/driver.cc", "src/sim/serve.cc",
+                             "src/sim/experiment.cc"}) {
+        EXPECT_EQ(linesOf(lintSource(path, body), "fan-out"),
+                  (std::vector<int>{1}))
+            << path;
+    }
+    // The sweep engine's home sanctions parallelFor, not raw threads.
+    EXPECT_EQ(linesOf(lintSource("src/sim/sweep.cc",
+                                 "parallelFor(jobs_, n, fn);\n"
+                                 "std::thread t(work);\n"),
+                      "fan-out"),
+              (std::vector<int>{2}));
+}
+
+TEST(MoatlintFanOut, ParallelForQuietInThePoolTheEngineAndOutsideSrc)
+{
+    const std::string body = "parallelFor(jobs, n, fn);\n";
+    for (const char *path :
+         {"src/common/thread_pool.hh", "src/common/thread_pool.cc",
+          "src/sim/sweep.cc", "tests/test_x.cc", "bench/bench_x.cc"}) {
+        EXPECT_TRUE(ofRule(lintSource(path, body), "fan-out").empty())
+            << path;
+    }
+    // Members, longer names, comments and strings fan nothing out.
+    EXPECT_TRUE(ofRule(lintSource("src/sim/x.cc",
+                                  "pool.parallelFor(n);\n"
+                                  "parallelForEach(n);\n"
+                                  "// parallelFor(jobs, n, fn)\n"
+                                  "const char *s = \"parallelFor\";\n"),
+                       "fan-out")
+                    .empty());
 }
 
 TEST(MoatlintFanOut, SuppressionRoundTrip)
 {
     const auto f = lintSource(
         "src/sim/x.cc",
-        "std::thread t(work); // moatlint: allow(fan-out): fixture\n");
+        "std::thread t(work); // moatlint: allow(fan-out): fixture\n"
+        "parallelFor(jobs, n, fn); // moatlint: allow(fan-out): fixture\n");
     const auto hits = ofRule(f, "fan-out");
-    ASSERT_EQ(hits.size(), 1u);
+    ASSERT_EQ(hits.size(), 2u);
     EXPECT_TRUE(hits[0].suppressed);
+    EXPECT_TRUE(hits[1].suppressed);
     EXPECT_TRUE(linesOf(f, "bad-suppression").empty());
 }
 
@@ -978,16 +1019,33 @@ TEST(MoatlintCleanTree, KeyContractsHold)
 
 /** The oracle: the pass is only trustworthy if deleting any single
  *  fold from a real key function is detected. Covers configKey,
- *  requestKey, coAttackCellKey, ResultStore::foldKey, and
- *  DeviceSpec::describe. */
+ *  requestKey, coAttackCellKey, attackCellKey, ResultStore::foldKey,
+ *  DeviceSpec::describe and MitigatorSpec::describe. */
 TEST(MoatlintCleanTree, RealTreeMutantsAreAllCaught)
 {
     const auto rep = mutateCheck(realTree());
     EXPECT_TRUE(rep.baseline.empty());
-    // The six annotated contracts carry well over 30 fields between
+    // The seven annotated contracts carry well over 30 fields between
     // them; a collapse of the mutant count means annotations were
     // dropped or the scanner stopped seeing the structs.
     EXPECT_GE(rep.mutants.size(), 30u);
+    std::set<std::string> contracts;
+    for (const auto &m : rep.mutants)
+        contracts.insert(m.keyFn);
+    EXPECT_EQ(contracts.size(), 7u);
+    // The isolated attack cell is one of them, its config included.
+    std::vector<std::string> attack_fields;
+    for (const auto &m : rep.mutants) {
+        if (m.keyFn == "attackCellKey")
+            attack_fields.push_back(m.structName + "::" + m.field);
+    }
+    std::sort(attack_fields.begin(), attack_fields.end());
+    EXPECT_EQ(attack_fields,
+              (std::vector<std::string>{
+                  "AttackCell::attack", "AttackCell::mitigator",
+                  "AttackConfig::aboLevel", "AttackConfig::budget",
+                  "AttackConfig::pattern", "AttackConfig::poolRows",
+                  "AttackConfig::timing", "AttackConfig::trials"}));
     // The mitigator spec text feeds every cell key and seed: both of
     // MitigatorSpec's members are seeded as mutants.
     std::vector<std::string> spec_fields;

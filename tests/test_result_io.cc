@@ -71,6 +71,19 @@ coattackRequest()
     return req;
 }
 
+/** An attack request with every field it carries off its default. */
+RunRequest
+attackRequest()
+{
+    RunRequest req = perfRequest();
+    req.kind = "attack";
+    req.pattern = "postponement";
+    req.poolRows = 5;
+    req.budget = 1000;
+    req.trials = 8;
+    return req;
+}
+
 void
 expectSameRequest(const RunRequest &a, const RunRequest &b)
 {
@@ -86,6 +99,7 @@ expectSameRequest(const RunRequest &a, const RunRequest &b)
     EXPECT_EQ(a.pattern, b.pattern);
     EXPECT_EQ(a.poolRows, b.poolRows);
     EXPECT_EQ(a.budget, b.budget);
+    EXPECT_EQ(a.trials, b.trials);
     EXPECT_EQ(a.attackSubchannel, b.attackSubchannel);
     EXPECT_EQ(a.attackBank, b.attackBank);
     EXPECT_EQ(a.attackSeed, b.attackSeed);
@@ -122,6 +136,26 @@ TEST(RunRequestCodec, CoattackLineBytesAndRoundTrip)
               "\"jobs\":3,\"pattern\":\"feinting\",\"pool_rows\":5,"
               "\"budget\":1000,\"attack_subchannel\":1,"
               "\"attack_bank\":31,\"attack_seed\":99}");
+    RunRequest back;
+    std::string err;
+    ASSERT_TRUE(tryRunRequestOfJsonLine(line, &back, &err)) << err;
+    expectSameRequest(back, req);
+    EXPECT_EQ(toJsonLine(back), line);
+}
+
+TEST(RunRequestCodec, AttackLineBytesAndRoundTrip)
+{
+    const RunRequest req = attackRequest();
+    const std::string line = toJsonLine(req);
+    // The attack fields, then the phase trials; no co-attack placement.
+    EXPECT_EQ(line,
+              "{\"kind\":\"attack\","
+              "\"mitigator\":\"moat:ath=96,eth=\\\"q\\\"\","
+              "\"device\":\"device:org=8gb\",\"workload\":\"roms\","
+              "\"level\":2,\"fraction\":0.10000000000000001,"
+              "\"subchannels\":4,\"seed\":18446744073709551615,"
+              "\"jobs\":3,\"pattern\":\"postponement\",\"pool_rows\":5,"
+              "\"budget\":1000,\"trials\":8}");
     RunRequest back;
     std::string err;
     ASSERT_TRUE(tryRunRequestOfJsonLine(line, &back, &err)) << err;
@@ -183,6 +217,34 @@ TEST(ResultIoDeathTest, ResultLinesRejectLenientNumbers)
                     co_line, "\"attacker_max_hammer\":4294967295",
                     "\"attacker_max_hammer\":4294967365")),
                 testing::ExitedWithCode(1), "attacker_max_hammer");
+}
+
+TEST(ResultIoDeathTest, AttackLineBytesAndRoundTrip)
+{
+    attacks::AttackResult r;
+    r.pattern = "ratchet";
+    r.mitigator = "moat:ath=96";
+    r.maxHammer = 131;
+    r.totalActs = 710665;
+    r.alerts = 5130;
+    r.duration = 43512345000;
+    const std::string line = toJsonLine(r);
+    EXPECT_EQ(line,
+              "{\"kind\":\"attack\",\"pattern\":\"ratchet\","
+              "\"mitigator\":\"moat:ath=96\",\"max_hammer\":131,"
+              "\"total_acts\":710665,\"alerts\":5130,"
+              "\"duration_ps\":43512345000}");
+    const attacks::AttackResult back = attackResultOfJsonLine(line);
+    EXPECT_EQ(back.pattern, r.pattern);
+    EXPECT_EQ(back.maxHammer, r.maxHammer);
+    EXPECT_EQ(back.duration, r.duration);
+    EXPECT_EQ(toJsonLine(back), line);
+    EXPECT_EXIT(attackResultOfJsonLine(
+                    replaced(line, ",\"alerts\":5130", "")),
+                testing::ExitedWithCode(1), "alerts");
+    EXPECT_EXIT(attackResultOfJsonLine(replaced(
+                    line, "\"kind\":\"attack\"", "\"kind\":\"perf\"")),
+                testing::ExitedWithCode(1), "not a attack line");
 }
 
 TEST(ResultIoDeathTest, ResultLinesRejectWrongShapes)

@@ -27,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "attacks/attack.hh"
 #include "common/fault.hh"
 #include "sim/experiment.hh"
 #include "sim/result_io.hh"
@@ -185,6 +186,32 @@ TEST(RequestKey, AttackFieldsCountOnlyForCoattack)
     EXPECT_NE(requestKey(ca), requestKey(base));
 }
 
+TEST(RequestKey, AttackRequestsFoldTheirOwnFields)
+{
+    RunRequest a = smallRequest();
+    a.kind = "attack";
+    a.pattern = "postponement";
+    RunRequest b = a;
+    b.trials = 8;
+    EXPECT_NE(requestKey(a), requestKey(b));
+    // Placement belongs to co-attacks; an attack ignores it...
+    b = a;
+    b.attackBank = 3;
+    EXPECT_EQ(requestKey(a), requestKey(b));
+    // ...and a co-attack ignores the phase trials.
+    RunRequest ca = smallRequest();
+    ca.kind = "coattack";
+    RunRequest ca2 = ca;
+    ca2.trials = 8;
+    EXPECT_EQ(requestKey(ca), requestKey(ca2));
+    // The line carries the attack fields and decodes back to them.
+    RunRequest back;
+    ASSERT_TRUE(tryRunRequestOfJsonLine(toJsonLine(b), &back));
+    EXPECT_EQ(toJsonLine(back), toJsonLine(b));
+    EXPECT_EQ(back.trials, b.trials);
+    EXPECT_EQ(back.pattern, "postponement");
+}
+
 TEST(Serve, RoundTripMatchesDirectRun)
 {
     const std::string socket = socketPathOf("moatsim_serve_rt.sock");
@@ -293,6 +320,112 @@ TEST(Serve, RejectsBadRequestsWithoutDying)
     const auto bye = serveRequestLine(socket, "{\"kind\":\"shutdown\"}");
     EXPECT_TRUE(bye.ok) << bye.error;
     loop.join();
+}
+
+TEST(Serve, MismatchedAttackIsRejectedAndTheDaemonStaysUp)
+{
+    const std::string socket = socketPathOf("moatsim_serve_attack_bad.sock");
+    Server server(smallServeConfig(socket));
+    server.start();
+    std::thread loop([&server] { server.serveForever(); });
+
+    // The pattern table rejects the request before anything runs: an
+    // error line, not a fatal() that would take the daemon down.
+    const auto bad = serveRequestLine(
+        socket,
+        "{\"kind\":\"attack\",\"pattern\":\"ratchet\","
+        "\"mitigator\":\"panopticon\"}");
+    EXPECT_FALSE(bad.ok);
+    EXPECT_FALSE(bad.retryable);
+    EXPECT_NE(bad.error.find("targets the 'moat' design"), std::string::npos)
+        << bad.error;
+
+    const auto stats = serveRequestLine(socket, "{\"kind\":\"stats\"}");
+    ASSERT_TRUE(stats.ok) << stats.error;
+    EXPECT_NE(stats.done.find("\"computes\":0"), std::string::npos);
+
+    const auto bye = serveRequestLine(socket, "{\"kind\":\"shutdown\"}");
+    EXPECT_TRUE(bye.ok) << bye.error;
+    loop.join();
+}
+
+/** A small Figure-10-style point: ratchet against MOAT at @p ath. */
+RunRequest
+ratchetRequest(uint32_t ath)
+{
+    RunRequest req;
+    req.kind = "attack";
+    req.pattern = "ratchet";
+    req.mitigator = "moat:ath=" + std::to_string(ath) +
+                    ",eth=" + std::to_string(ath / 2);
+    req.poolRows = 32;
+    return req;
+}
+
+TEST(Serve, AttackCellMatchesDirectRun)
+{
+    const std::string socket = socketPathOf("moatsim_serve_attack.sock");
+    Server server(smallServeConfig(socket));
+    server.start();
+    std::thread loop([&server] { server.serveForever(); });
+
+    const RunRequest req = ratchetRequest(64);
+    const ServeReply reply = serveRequest(socket, req);
+    ASSERT_TRUE(reply.ok) << reply.error;
+    ASSERT_EQ(reply.cells.size(), 1u);
+    const AttackCell cell = attackCellOf(req);
+    EXPECT_EQ(reply.cells[0],
+              toJsonLine(attacks::runAttack(cell.attack, cell.mitigator)));
+
+    const auto bye = serveRequestLine(socket, "{\"kind\":\"shutdown\"}");
+    EXPECT_TRUE(bye.ok) << bye.error;
+    loop.join();
+}
+
+TEST(Serve, WarmAttackSweepIsServedFromTheStore)
+{
+    // An attack costs one unit, so a budget of two admits the sweep
+    // one request at a time.
+    for (const uint32_t ath : {32u, 64u, 128u})
+        EXPECT_GT(estimatedCost(ratchetRequest(ath)), 0.0);
+
+    const auto dir = std::filesystem::path(::testing::TempDir()) /
+                     "moatsim_serve_attack_store";
+    std::filesystem::remove_all(dir);
+    std::vector<std::string> cold;
+    for (const bool warm : {false, true}) {
+        const std::string socket = socketPathOf("moatsim_serve_fig10.sock");
+        ServeConfig sc = smallServeConfig(socket);
+        sc.resultStore.dir = dir.string();
+        sc.maxCost = 2.0;
+        Server server(sc);
+        server.start();
+        std::thread loop([&server] { server.serveForever(); });
+
+        std::vector<std::string> lines;
+        for (const uint32_t ath : {32u, 64u, 128u}) {
+            const ServeReply reply = serveRequest(socket, ratchetRequest(ath));
+            ASSERT_TRUE(reply.ok) << reply.error;
+            ASSERT_EQ(reply.cells.size(), 1u);
+            lines.push_back(reply.cells[0]);
+        }
+        const auto stats = serveRequestLine(socket, "{\"kind\":\"stats\"}");
+        ASSERT_TRUE(stats.ok) << stats.error;
+        EXPECT_NE(stats.done.find(warm ? "\"computes\":0"
+                                       : "\"computes\":3"),
+                  std::string::npos)
+            << stats.done;
+        if (warm)
+            EXPECT_EQ(lines, cold);
+        else
+            cold = lines;
+
+        const auto bye =
+            serveRequestLine(socket, "{\"kind\":\"shutdown\"}");
+        EXPECT_TRUE(bye.ok) << bye.error;
+        loop.join();
+    }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Serve, OversizeRequestIsStillAdmittedAndMaxRequestsStops)

@@ -616,29 +616,41 @@ ruleSingleFlight(const ParsedFile &f, std::vector<Finding> &out)
 void
 ruleFanOut(const ParsedFile &f, std::vector<Finding> &out)
 {
-    // The pool is the one fan-out; serve's per-connection threads are
-    // blocking socket readers, not cell work.
     if (!inDir(f.path, "src"))
         return;
-    for (const char *home :
-         {"common/thread_pool.hh", "common/thread_pool.cc", "sim/serve.hh",
-          "sim/serve.cc"}) {
-        if (endsWith(f.path, home))
-            return;
-    }
-    for (const char *name : {"std::thread", "std::jthread", "std::async"}) {
-        const size_t len = std::string(name).size();
-        for (size_t at : tokenRefs(f.code, name)) {
-            // std::thread::hardware_concurrency() and std::thread::id
-            // name a member; they start no thread.
-            if (f.code.compare(at + len, 2, "::") == 0)
-                continue;
-            add(out, f, at, "fan-out",
-                std::string(name) +
-                    " in src/ outside common/thread_pool and sim/serve; "
-                    "fan cells out through parallelFor (one pool, one "
-                    "place that captures per-index exceptions)");
+    const auto in = [&f](std::initializer_list<const char *> homes) {
+        return std::any_of(homes.begin(), homes.end(), [&f](const char *h) {
+            return endsWith(f.path, h);
+        });
+    };
+    // The pool is the one fan-out; serve's per-connection threads are
+    // blocking socket readers, not cell work.
+    const bool pool = in({"common/thread_pool.hh", "common/thread_pool.cc"});
+    if (!pool && !in({"sim/serve.hh", "sim/serve.cc"})) {
+        for (const char *name :
+             {"std::thread", "std::jthread", "std::async"}) {
+            const size_t len = std::string(name).size();
+            for (size_t at : tokenRefs(f.code, name)) {
+                // std::thread::hardware_concurrency() and
+                // std::thread::id name a member; they start no thread.
+                if (f.code.compare(at + len, 2, "::") == 0)
+                    continue;
+                add(out, f, at, "fan-out",
+                    std::string(name) +
+                        " in src/ outside common/thread_pool and "
+                        "sim/serve; fan cells out through parallelFor "
+                        "(one pool, one place that captures per-index "
+                        "exceptions)");
+            }
         }
+    }
+    // ...and the sweep engine is its one caller.
+    if (!pool && !in({"sim/sweep.cc"})) {
+        for (size_t at : tokenRefs(f.code, "parallelFor"))
+            add(out, f, at, "fan-out",
+                "parallelFor in src/ outside common/thread_pool and "
+                "sim/sweep.cc; run cells through sim::SweepEngine (one "
+                "fan-out, store-first, one sweep.compute fault site)");
     }
 }
 
@@ -771,7 +783,8 @@ rules()
         {"single-flight", "std::promise/std::shared_future in src/ "
                           "outside common/single_flight.hh"},
         {"fan-out", "std::thread/std::jthread/std::async in src/ "
-                    "outside common/thread_pool and sim/serve"},
+                    "outside common/thread_pool and sim/serve, and "
+                    "parallelFor outside the pool and sim/sweep.cc"},
         {"key-coverage", "every field of a key-source struct must be "
                          "reachable in its key function's fold"},
         {"key-exempt-leak", "key-exempt fields must be absent from the "

@@ -38,9 +38,11 @@
  *                    caches are SingleFlight fronts.
  *   fan-out          std::thread / std::jthread / std::async in src/
  *                    outside common/thread_pool.{hh,cc} and
- *                    sim/serve.{hh,cc}; cells fan out through
- *                    parallelFor, and serve's per-connection threads
- *                    are blocking readers, not cell work.
+ *                    sim/serve.{hh,cc}, and parallelFor outside
+ *                    common/thread_pool.{hh,cc} and sim/sweep.cc;
+ *                    cells fan out through SweepEngine's parallelFor,
+ *                    and serve's per-connection threads are blocking
+ *                    readers, not cell work.
  *   key-coverage     a field of a `// moatlint: key-source(fn)` struct
  *                    is not reachable in fn's fold closure (keylint.hh
  *                    -- the semantic layer on tools/moatlint/cxx_scan).
