@@ -1,8 +1,12 @@
 /**
  * @file
- * Shared helpers for the reproduction benches. Every bench prints a
- * banner naming the paper artifact it regenerates, then a table with
- * the paper's value and moatsim's measured value side by side.
+ * Shared helpers for the benches. The paper numbers a RunRequest can
+ * produce are checked claims (tests/claims/paper.jsonl, run by
+ * `moatsim reproduce`); the benches left here drive harnesses that are
+ * not requests -- the ABO timing probe, TSA and the kernels, the
+ * Table-4 calibration, the two ablations -- or time the host (core
+ * loop, sweep scale, micro ops). Each prints a banner naming what it
+ * measures, then a table.
  */
 
 #ifndef MOATSIM_BENCH_BENCH_UTIL_HH
@@ -162,22 +166,6 @@ jsonlStream()
         }
     }
     return stream.is_open() ? &stream : nullptr;
-}
-
-/** Append perf results to the MOATSIM_JSONL sink, if configured. */
-inline void
-emitJsonl(const std::vector<sim::PerfResult> &results)
-{
-    if (std::ostream *os = jsonlStream())
-        sim::writeJsonLines(*os, results);
-}
-
-/** Append co-attack results to the MOATSIM_JSONL sink, if configured. */
-inline void
-emitJsonl(const std::vector<sim::CoAttackResult> &results)
-{
-    if (std::ostream *os = jsonlStream())
-        sim::writeJsonLines(*os, results);
 }
 
 /** Append one attack outcome, named by @p pattern and @p mitigator,

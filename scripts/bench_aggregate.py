@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Aggregate a bench-smoke JSONL stream into one BENCH_<date>.json.
 
-Reads the MOATSIM_JSONL lines every bench emitted (perf cells, attack
-outcomes, throughput-attack outcomes, the core-loop acts/sec record,
-and the matrix-sweep throughput record) plus the per-bench wall times,
-and writes a single JSON document: the perf-trajectory snapshot CI
+Reads the result lines `moatsim reproduce --jsonl` wrote for the
+claims table (perf, attack and co-attack cells), the MOATSIM_JSONL lines
+every bench emitted (attack and throughput-attack outcomes, the
+core-loop acts/sec record, and the matrix-sweep throughput record) plus
+the per-run wall times, and writes a single JSON document: the perf-trajectory snapshot CI
 archives on every push. Throughput is recorded, not gated; compare it
 against earlier snapshots, or measure a change with perfbench/run.py.
 Stdlib only.

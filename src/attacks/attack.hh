@@ -13,9 +13,10 @@
  * patterns ("hammer", "round-robin") run against every design; the
  * paper's specialized patterns ("ratchet", "jailbreak", "feinting",
  * "postponement") target one design each. One table,
- * attackPatterns(), lists every pattern with its design and the spec
- * settings its driver cannot honor, and checkAttack() reads it, so a
- * request is rejected with a message before anything runs.
+ * attackPatterns(), lists every pattern with its design, the spec
+ * settings its driver cannot honor and the AttackConfig knobs it
+ * reads, and checkAttack() reads it, so a request is rejected with a
+ * message before anything runs.
  */
 
 #ifndef MOATSIM_ATTACKS_ATTACK_HH
@@ -100,6 +101,9 @@ struct AttackPattern
     /** Spec settings the pattern's driver cannot honor: `key` rejects
      *  any explicit value, `key=value` that canonical value. */
     std::vector<std::string> rejects;
+    /** The knobs of AttackConfig the driver reads, by request field
+     *  name ("pool_rows", "budget", "trials"); any other must be 0. */
+    std::vector<std::string> reads;
     /** The driver, called once checkAttack() has passed. */
     AttackResult (*run)(const AttackConfig &,
                         const mitigation::MitigatorSpec &) = nullptr;
@@ -118,12 +122,14 @@ const std::vector<AttackPattern> &attackPatterns();
 const AttackPattern *findAttackPattern(const std::string &name);
 
 /**
- * Whether runAttack() can run @p pattern against @p mitigator: the
- * pattern exists, targets the design, and the spec sets nothing the
- * driver rejects. Returns false with a diagnostic in @p err when
- * non-null; never fatal()s.
+ * Whether runAttack() can run @p config against @p mitigator: the
+ * pattern exists, targets the design, the spec sets nothing the
+ * driver rejects, and every knob the driver does not read is 0 (a
+ * knob that changes nothing would only key a duplicate cell).
+ * Returns false with a diagnostic in @p err when non-null; never
+ * fatal()s.
  */
-bool checkAttack(const std::string &pattern,
+bool checkAttack(const AttackConfig &config,
                  const mitigation::MitigatorSpec &mitigator,
                  std::string *err = nullptr);
 

@@ -11,6 +11,7 @@
 #include "attacks/attack.hh"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 
 #include "attacks/feinting.hh"
@@ -175,14 +176,15 @@ const std::vector<AttackPattern> &
 attackPatterns()
 {
     static const std::vector<AttackPattern> table = {
-        {"hammer", "", {}, runHammer},
-        {"round-robin", "", {}, runRoundRobin},
-        {"ratchet", "moat", {}, runRatchetSpec},
-        {"jailbreak", "panopticon", {}, runJailbreakSpec},
+        {"hammer", "", {}, {"budget"}, runHammer},
+        {"round-robin", "", {}, {"pool_rows", "budget"}, runRoundRobin},
+        {"ratchet", "moat", {}, {"pool_rows"}, runRatchetSpec},
+        {"jailbreak", "panopticon", {}, {"budget"}, runJailbreakSpec},
         // The tuned driver models the default defender; only the
         // mitigation period is honored.
-        {"feinting", "ideal-prc", {"min-count", "blast"}, runFeintingSpec},
-        {"postponement", "panopticon", {"drain-all=false"},
+        {"feinting", "ideal-prc", {"min-count", "blast"}, {"pool_rows"},
+         runFeintingSpec},
+        {"postponement", "panopticon", {"drain-all=false"}, {"trials"},
          runPostponementSpec},
     };
     return table;
@@ -199,7 +201,7 @@ findAttackPattern(const std::string &name)
 }
 
 bool
-checkAttack(const std::string &pattern,
+checkAttack(const AttackConfig &config,
             const mitigation::MitigatorSpec &mitigator, std::string *err)
 {
     const auto fail = [err](const std::string &what) {
@@ -207,6 +209,7 @@ checkAttack(const std::string &pattern,
             *err = what;
         return false;
     };
+    const std::string &pattern = config.pattern;
     const AttackPattern *p = findAttackPattern(pattern);
     if (p == nullptr) {
         return fail("unknown attack pattern '" + pattern + "' (known: " +
@@ -223,6 +226,19 @@ checkAttack(const std::string &pattern,
             return fail("the " + pattern + " pattern does not honor '" +
                         setting + "' (got '" + mitigator.describe() + "')");
     }
+    const std::pair<const char *, uint64_t> knobs[] = {
+        {"pool_rows", config.poolRows},
+        {"budget", config.budget},
+        {"trials", config.trials}};
+    for (const auto &[knob, value] : knobs) {
+        if (value != 0 &&
+            std::find(p->reads.begin(), p->reads.end(), knob) ==
+                p->reads.end())
+            return fail("the " + pattern + " pattern does not read '" +
+                        knob + "' (got " + std::to_string(value) +
+                        "; it reads " + joinNames(p->reads, std::identity{}) +
+                        ")");
+    }
     return true;
 }
 
@@ -231,7 +247,7 @@ runAttack(const AttackConfig &config,
           const mitigation::MitigatorSpec &mitigator)
 {
     std::string err;
-    if (!checkAttack(config.pattern, mitigator, &err))
+    if (!checkAttack(config, mitigator, &err))
         fatal(err);
     AttackResult r = findAttackPattern(config.pattern)->run(config, mitigator);
     r.pattern = config.pattern;

@@ -224,7 +224,7 @@ validateRunRequest(const RunRequest &req, std::string *err)
                     "\" is not a Table-4 name (or \"all\")", err);
 
     if (req.kind == "attack" &&
-        !attacks::checkAttack(req.pattern, *mitigator, &detail))
+        !attacks::checkAttack(attackCellOf(req).attack, *mitigator, &detail))
         return fail("run request: " + detail, err);
     if (req.kind == "coattack") {
         if (req.pattern != "none" &&
@@ -321,6 +321,24 @@ attackCellOf(const RunRequest &req)
     cell.attack.trials = req.trials;
     cell.mitigator = mitigation::Registry::parse(req.mitigator);
     return cell;
+}
+
+void
+runRequest(const RunRequest &req, const ExperimentStores &stores,
+           const PayloadSink &sink)
+{
+    // The experiment is per-request (its own worker pool, sized by the
+    // request's jobs field); the stores do the cross-request dedupe.
+    Experiment exp(experimentConfigOf(req), stores);
+    const auto send = [&sink](size_t index, const auto &r) {
+        sink(index, toJsonLine(r));
+    };
+    if (req.kind == "perf")
+        exp.run(send);
+    else if (req.kind == "coattack")
+        exp.runCoAttack(coAttackScenarioOf(req), send);
+    else
+        exp.engine().run(std::vector{attackCellOf(req)}, send);
 }
 
 } // namespace moatsim::sim

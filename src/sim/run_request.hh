@@ -22,6 +22,7 @@
 #define MOATSIM_SIM_RUN_REQUEST_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "abo/abo.hh"
@@ -178,6 +179,20 @@ CoAttackScenario coAttackScenarioOf(const RunRequest &req);
 /** The one cell of an "attack" request, on its device grade's timing.
  *  fatal()s on malformed spec text -- validate first. */
 AttackCell attackCellOf(const RunRequest &req);
+
+/** Per-cell callback of runRequest(): (cell index, result line). */
+using PayloadSink = std::function<void(size_t, const std::string &)>;
+
+/**
+ * Run a validated request of any kind on @p stores (null members =
+ * the experiment's own), streaming each finished cell's result line
+ * to @p sink from worker threads, in completion order; the sink must
+ * be thread-safe. The one dispatch over request kinds: the serve
+ * daemon and the claims runner (sim/claims.hh) both call it. Throws
+ * what a cell compute throws.
+ */
+void runRequest(const RunRequest &req, const ExperimentStores &stores,
+                const PayloadSink &sink);
 
 } // namespace moatsim::sim
 

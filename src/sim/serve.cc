@@ -323,10 +323,6 @@ Server::runOnConnection(int fd, const RunRequest &req)
     const double cost = estimatedCost(req);
     admit(cost);
 
-    // The shared stores do the cross-request deduplication; the
-    // experiment itself is per-request (its own worker pool, sized by
-    // the request's jobs field).
-    Experiment exp(experimentConfigOf(req), stores_);
     size_t cells = 0;
     bool io_ok = true;
     uint64_t drained_after_stop = 0;
@@ -367,15 +363,7 @@ Server::runOnConnection(int fd, const RunRequest &req)
                 io_ok = false;
         };
         try {
-            const auto send = [&](size_t index, const auto &r) {
-                emit(index, toJsonLine(r));
-            };
-            if (req.kind == "perf")
-                exp.run(send);
-            else if (req.kind == "coattack")
-                exp.runCoAttack(coAttackScenarioOf(req), send);
-            else
-                exp.engine().run(std::vector{attackCellOf(req)}, send);
+            runRequest(req, stores_, emit);
         } catch (const std::exception &e) {
             // A failed cell compute fails this request, not the
             // daemon: tag it retryable -- the stores cached every

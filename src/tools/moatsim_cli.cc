@@ -99,6 +99,18 @@
  *                   deterministic seeded backoff, converging
  *                   byte-identically (the daemon's result store makes
  *                   replayed cells free)
+ *   moatsim reproduce [--claims FILE] [--jobs N] [--jsonl FILE]
+ *                   [--result-store 0|1|DIR]
+ *                   check the paper's claims: run every row of the
+ *                   claims table (default tests/claims/paper.jsonl;
+ *                   format in sim/claims.hh) through the serve
+ *                   daemon's request path, sharing one set of stores
+ *                   (in memory unless --result-store says otherwise),
+ *                   and print each row's paper value, measured value,
+ *                   band and outcome; --jsonl appends every result
+ *                   line. Exit 1 when a row comes out other than the
+ *                   table records: a "holds" row outside its band, or a
+ *                   "deviates" row now inside it.
  *   moatsim store fsck --dir DIR [--repair]
  *                   scan a persistent result-store shard directory:
  *                   every record must decode and match its checksums;
@@ -120,9 +132,12 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <map>
+#include <sstream>
 #include <string>
 
 #include "analysis/ratchet_model.hh"
@@ -135,6 +150,7 @@
 #include "common/table.hh"
 #include "dram/device.hh"
 #include "mitigation/registry.hh"
+#include "sim/claims.hh"
 #include "sim/experiment.hh"
 #include "sim/result_io.hh"
 #include "sim/run_request.hh"
@@ -410,6 +426,76 @@ cmdCoattack(const Args &args)
     return 0;
 }
 
+/** A claims-table number: six significant digits, "-" for none. */
+std::string
+claimNumber(double v)
+{
+    if (std::isnan(v))
+        return "-";
+    std::ostringstream os;
+    os << v;
+    return os.str();
+}
+
+int
+cmdReproduce(const Args &args)
+{
+    const std::string path = args.get("claims", "tests/claims/paper.jsonl");
+    std::ifstream in(path);
+    if (!in)
+        fatal("cannot open --claims file " + path);
+    std::vector<sim::Claim> claims;
+    std::string err;
+    if (!sim::tryParseClaims(in, &claims, &err))
+        fatal(path + ": " + err);
+
+    // Rows share cells, so without --result-store they are still
+    // cached in memory.
+    sim::ResultStore::Config store = resultStoreArg(args);
+    if (!args.has("result-store"))
+        store.enabled = true;
+    sim::ExperimentStores stores;
+    stores.traces = std::make_shared<workload::TraceStore>();
+    stores.results = std::make_shared<sim::ResultStore>(store);
+    stores.baselines = std::make_shared<sim::BaselineCache>();
+    const unsigned jobs = args.getUint32("jobs", 0);
+    std::vector<sim::ClaimOutcome> outcomes;
+    if (!appendJsonl(args, [&](std::ostream &os) {
+            outcomes = sim::runClaims(claims, stores, jobs, &os);
+        }))
+        outcomes = sim::runClaims(claims, stores, jobs);
+
+    TablePrinter t({"claim", "paper", "measured", "band", "outcome"});
+    std::map<std::string, size_t> counts;
+    size_t unexpected = 0;
+    for (size_t i = 0; i < claims.size(); ++i) {
+        const sim::Claim &c = claims[i];
+        const sim::ClaimOutcome &o = outcomes[i];
+        std::string band = "[" + claimNumber(c.lo) + ", " +
+                           claimNumber(c.hi) + "]";
+        if (std::isinf(c.lo))
+            band = "<= " + claimNumber(c.hi);
+        else if (std::isinf(c.hi))
+            band = ">= " + claimNumber(c.lo);
+        std::string outcome =
+            o.outcome == "error" ? "error: " + o.error : o.outcome;
+        ++counts[o.outcome];
+        if (o.outcome != c.expect) {
+            ++unexpected;
+            outcome += " (table expects " + c.expect + ")";
+        }
+        t.addRow({c.id, claimNumber(c.paper), claimNumber(o.measured), band,
+                  outcome});
+    }
+    t.print(std::cout);
+    std::printf("%zu claims: %zu hold, %zu deviate, %zu errors; %zu not "
+                "as the table records\n",
+                claims.size(), counts["holds"], counts["deviates"],
+                counts["error"], unexpected);
+    printResultStoreStats(*stores.results);
+    return unexpected == 0 ? 0 : 1;
+}
+
 int
 cmdServe(const Args &args)
 {
@@ -654,8 +740,12 @@ usage()
     std::fprintf(
         stderr,
         "usage: moatsim <command> [--flag [value] ...]\n"
-        "commands: bound tsa attack coattack perf serve client store\n"
-        "          replay list-mitigators list-devices list-workloads\n"
+        "commands: bound tsa attack coattack perf reproduce serve\n"
+        "          client store replay list-mitigators list-devices\n"
+        "          list-workloads\n"
+        "reproduce checks the paper's claims table (--claims FILE,\n"
+        "default tests/claims/paper.jsonl) and exits 1 when a row\n"
+        "comes out other than the table records;\n"
         "attack runs one isolated pattern (--pattern P); perf and\n"
         "coattack accept --jobs N (parallel sweep; 0 = hardware\n"
         "concurrency, results bit-identical at any value); all three\n"
@@ -725,6 +815,8 @@ main(int argc, char **argv)
         return cmdCoattack(args);
     if (cmd == "perf")
         return cmdPerf(args);
+    if (cmd == "reproduce")
+        return cmdReproduce(args);
     if (cmd == "serve")
         return cmdServe(args);
     if (cmd == "client")

@@ -139,6 +139,15 @@ TEST(AttackDriver, HighestLevelRecoveryInFlightAtStreamEndIsServiced)
     EXPECT_EQ(r.alerts, ch.abo().alertCount());
 }
 
+/** An attack of @p pattern with every knob at its default. */
+AttackConfig
+patternConfig(const char *pattern)
+{
+    AttackConfig cfg;
+    cfg.pattern = pattern;
+    return cfg;
+}
+
 TEST(AttackPatterns, TableGivesEachPatternItsDesign)
 {
     const std::pair<const char *, const char *> targets[] = {
@@ -150,15 +159,16 @@ TEST(AttackPatterns, TableGivesEachPatternItsDesign)
         const AttackPattern *p = findAttackPattern(pattern);
         ASSERT_NE(p, nullptr) << pattern;
         EXPECT_EQ(p->defaultDesign(), design);
-        EXPECT_TRUE(checkAttack(pattern, mitigation::Registry::parse(design)));
+        EXPECT_TRUE(checkAttack(patternConfig(pattern),
+                                mitigation::Registry::parse(design)));
     }
     // The generic patterns run against every design, moat by default.
     for (const char *pattern : {"hammer", "round-robin"}) {
         ASSERT_NE(findAttackPattern(pattern), nullptr);
         EXPECT_EQ(findAttackPattern(pattern)->defaultDesign(), "moat");
         for (const auto &name : mitigation::Registry::names()) {
-            EXPECT_TRUE(
-                checkAttack(pattern, mitigation::Registry::parse(name)))
+            EXPECT_TRUE(checkAttack(patternConfig(pattern),
+                                    mitigation::Registry::parse(name)))
                 << pattern << " vs " << name;
         }
     }
@@ -168,32 +178,81 @@ TEST(AttackPatterns, TableGivesEachPatternItsDesign)
 
 TEST(AttackPatterns, CheckRejectsWhatTheDriversCannotHonor)
 {
-    const auto rejects = [](const char *pattern, const char *spec,
+    const auto rejects = [](const AttackConfig &cfg, const char *spec,
                             const std::string &needle) {
         std::string err;
         EXPECT_FALSE(
-            checkAttack(pattern, mitigation::Registry::parse(spec), &err))
-            << pattern << " vs " << spec;
+            checkAttack(cfg, mitigation::Registry::parse(spec), &err))
+            << cfg.pattern << " vs " << spec;
         EXPECT_NE(err.find(needle), std::string::npos) << err;
     };
-    rejects("ratchet", "panopticon", "targets the 'moat' design");
-    rejects("jailbreak", "moat", "targets the 'panopticon' design");
-    rejects("feinting", "ideal-prc:min-count=4", "'min-count'");
-    rejects("feinting", "ideal-prc:blast=1", "'blast'");
-    rejects("postponement", "panopticon:drain-all=false", "'drain-all=false'");
-    rejects("rowpress", "moat", "unknown attack pattern 'rowpress'");
+    rejects(patternConfig("ratchet"), "panopticon",
+            "targets the 'moat' design");
+    rejects(patternConfig("jailbreak"), "moat",
+            "targets the 'panopticon' design");
+    rejects(patternConfig("feinting"), "ideal-prc:min-count=4",
+            "'min-count'");
+    rejects(patternConfig("feinting"), "ideal-prc:blast=1", "'blast'");
+    rejects(patternConfig("postponement"), "panopticon:drain-all=false",
+            "'drain-all=false'");
+    rejects(patternConfig("rowpress"), "moat",
+            "unknown attack pattern 'rowpress'");
     // The settings a driver does honor pass: feinting's period, and the
     // drain-all policy the postponement driver forces anyway.
+    EXPECT_TRUE(checkAttack(patternConfig("feinting"),
+                            mitigation::Registry::parse("ideal-prc:period=8")));
     EXPECT_TRUE(checkAttack(
-        "feinting", mitigation::Registry::parse("ideal-prc:period=8")));
-    EXPECT_TRUE(checkAttack(
-        "postponement",
+        patternConfig("postponement"),
         mitigation::Registry::parse("panopticon:drain-all=true")));
     // runAttack() itself refuses with the same message.
-    AttackConfig cfg;
-    cfg.pattern = "ratchet";
-    EXPECT_EXIT(runAttack(cfg, mitigation::Registry::parse("panopticon")),
+    EXPECT_EXIT(runAttack(patternConfig("ratchet"),
+                          mitigation::Registry::parse("panopticon")),
                 testing::ExitedWithCode(1), "targets the 'moat' design");
+}
+
+TEST(AttackPatterns, CheckRejectsKnobsTheDriverNeverReads)
+{
+    // Each driver reads only the knobs its table row lists; a non-zero
+    // other knob would change nothing but the cell key.
+    const auto with = [](const char *pattern, uint32_t pool,
+                         uint64_t budget, uint32_t trials) {
+        AttackConfig cfg = patternConfig(pattern);
+        cfg.poolRows = pool;
+        cfg.budget = budget;
+        cfg.trials = trials;
+        return cfg;
+    };
+    const auto rejects = [](const AttackConfig &cfg,
+                            const std::string &needle) {
+        const auto spec = mitigation::Registry::parse(
+            findAttackPattern(cfg.pattern)->defaultDesign());
+        std::string err;
+        EXPECT_FALSE(checkAttack(cfg, spec, &err)) << cfg.pattern;
+        EXPECT_NE(err.find(needle), std::string::npos) << err;
+    };
+    rejects(with("ratchet", 0, 100, 0), "does not read 'budget' (got 100");
+    rejects(with("ratchet", 0, 0, 8), "does not read 'trials'");
+    rejects(with("feinting", 0, 100, 0), "does not read 'budget'");
+    rejects(with("hammer", 0, 0, 8), "does not read 'trials'");
+    rejects(with("hammer", 4, 0, 0), "does not read 'pool_rows'");
+    rejects(with("jailbreak", 16, 0, 0), "does not read 'pool_rows'");
+    rejects(with("postponement", 16, 0, 0), "does not read 'pool_rows'");
+    rejects(with("postponement", 0, 100, 0),
+            "does not read 'budget' (got 100; it reads trials)");
+    rejects(with("round-robin", 8, 64, 2), "does not read 'trials'");
+    // The knobs a driver does read pass.
+    for (const AttackConfig &cfg :
+         {with("hammer", 0, 100, 0), with("round-robin", 8, 64, 0),
+          with("ratchet", 32, 0, 0), with("jailbreak", 0, 1024, 0),
+          with("feinting", 64, 0, 0), with("postponement", 0, 0, 8)}) {
+        std::string err;
+        EXPECT_TRUE(checkAttack(
+            cfg,
+            mitigation::Registry::parse(
+                findAttackPattern(cfg.pattern)->defaultDesign()),
+            &err))
+            << err;
+    }
 }
 
 TEST(AttackDriver, ResultNamesItsPatternAndDesign)
@@ -248,7 +307,7 @@ TEST(Jailbreak, RandomizedPartialFillsStillOvershoot)
 TEST(Ratchet, MicroExampleMatchesFigure9)
 {
     // Four rows, ABO level 4: the last row reaches exactly ATH + 15.
-    for (uint32_t ath : {32u, 64u}) {
+    for (uint32_t ath : {32u, 64u, 128u}) {
         const AttackResult r = runRatchetMicroExample(kT, ath);
         EXPECT_EQ(r.maxHammer, ath + 15) << "ATH=" << ath;
     }

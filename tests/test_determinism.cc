@@ -353,7 +353,8 @@ TEST(AttackCell, EngineRunMatchesDirectRunAtAnyJobCount)
         req.kind = "attack";
         req.pattern = pattern;
         req.mitigator = mitigator;
-        req.budget = 512;
+        // Each pattern gets only the knob its driver reads.
+        req.budget = trials == 0 ? 512 : 0;
         req.trials = trials;
         ASSERT_TRUE(validateRunRequest(req));
         cells.push_back(attackCellOf(req));

@@ -339,6 +339,16 @@ TEST(Serve, MismatchedAttackIsRejectedAndTheDaemonStaysUp)
     EXPECT_FALSE(bad.retryable);
     EXPECT_NE(bad.error.find("targets the 'moat' design"), std::string::npos)
         << bad.error;
+    // So is a knob the pattern's driver never reads: it would only key
+    // a duplicate of the default cell.
+    const auto unread = serveRequestLine(
+        socket,
+        "{\"kind\":\"attack\",\"pattern\":\"ratchet\","
+        "\"mitigator\":\"moat\",\"budget\":100}");
+    EXPECT_FALSE(unread.ok);
+    EXPECT_FALSE(unread.retryable);
+    EXPECT_NE(unread.error.find("does not read 'budget'"), std::string::npos)
+        << unread.error;
 
     const auto stats = serveRequestLine(socket, "{\"kind\":\"stats\"}");
     ASSERT_TRUE(stats.ok) << stats.error;
