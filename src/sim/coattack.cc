@@ -92,7 +92,7 @@ runCoSystem(const workload::TraceGenConfig &config, const CoreModel &core,
     // Benign traffic: the shared (store-cached) set when provided, a
     // locally generated one otherwise. The attacker core rides along
     // as one more borrowed view, so appending it never copies the
-    // benign slab.
+    // benign events.
     std::unique_ptr<const workload::TraceSet> local;
     if (benign == nullptr) {
         local = std::make_unique<const workload::TraceSet>(

@@ -72,9 +72,10 @@ namespace moatsim::sim
  * what a stored result means for an unchanged key: result fields added
  * or reinterpreted, metric definitions recalibrated, cell-key inputs
  * added (see CONTRIBUTING.md). Old entries then miss instead of
- * serving stale bytes.
+ * serving stale bytes. Epoch 2: trace events replay in the total
+ * order (at, subchannel, bank, row), not std::sort's tie order.
  */
-inline constexpr uint64_t kResultStoreEpoch = 1;
+inline constexpr uint64_t kResultStoreEpoch = 2;
 
 /** Shared, persistent cache of computed result lines. */
 class ResultStore

@@ -176,8 +176,8 @@ class System
  * system's sub-channel slots, reduced modulo their count, so a smaller
  * system accepts any trace (`moatsim replay --subchannels` relies on
  * it). Views borrow their event storage (typically a shared
- * workload::TraceSet slab out of the TraceStore, or a CoreTrace owned
- * by the caller), so a whole sweep matrix replays one immutable copy
+ * workload::TraceSet out of the TraceStore, or a CoreTrace owned by
+ * the caller), so a whole sweep matrix replays one immutable copy
  * of each workload's trace.
  */
 SystemResult runSystem(System &system,

@@ -1,8 +1,10 @@
 #include "workload/attack_trace.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hh"
+#include "workload/event_order.hh"
 
 namespace moatsim::workload
 {
@@ -181,6 +183,11 @@ generateAttackTrace(const AttackTraceConfig &config)
               std::to_string(config.subchannel) +
               " exceeds the trace event's slot range (max " +
               std::to_string(kMaxTraceSlot) + ")");
+    if (config.window >= kEventTimeLimit)
+        fatal("generateAttackTrace: window of " +
+              std::to_string(config.window) +
+              " ps reaches the trace sort's 2^" +
+              std::to_string(kEventTimeBits) + " ps range");
     Builder b(config);
     if (config.pattern == "none") {
         // Empty stream: the attack-free co-run replays through the
@@ -204,10 +211,7 @@ generateAttackTrace(const AttackTraceConfig &config)
               "'");
     }
 
-    std::sort(b.out.trace.events.begin(), b.out.trace.events.end(),
-              [](const TraceEvent &x, const TraceEvent &y) {
-                  return x.at < y.at;
-              });
+    b.out.trace.events = sortedEvents(std::move(b.out.trace.events));
     b.out.trace.window =
         std::max(config.window,
                  b.out.trace.events.empty()

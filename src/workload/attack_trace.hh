@@ -72,7 +72,9 @@ struct AttackTrace
  * Synthesize the configured pattern. Pattern "none" (or an explicit
  * budget of 0 events) yields an empty trace: the attack-free co-run
  * replays through exactly the same code path as an attacked one.
- * fatal()s on an unknown pattern or a pool that does not fit the bank.
+ * Events come in the total order of workload/event_order.hh. fatal()s
+ * on an unknown pattern, a pool that does not fit the bank, or a
+ * window that reaches kEventTimeLimit.
  */
 AttackTrace generateAttackTrace(const AttackTraceConfig &config);
 

@@ -1,6 +1,7 @@
 #include "workload/trace_store.hh"
 
 #include <cstdlib>
+#include <utility>
 
 #include "common/fault.hh"
 #include "common/hash.hh"
@@ -10,19 +11,15 @@
 namespace moatsim::workload
 {
 
-TraceSet::TraceSet(std::vector<CoreTrace> cores)
+TraceSet::TraceSet(std::vector<CoreTrace> cores) : cores_(std::move(cores))
 {
-    size_t total = 0;
-    for (const auto &c : cores)
-        total += c.events.size();
-    events_.reserve(total);
-    views_.reserve(cores.size());
-    for (const auto &c : cores) {
-        const size_t offset = events_.size();
-        events_.insert(events_.end(), c.events.begin(), c.events.end());
-        views_.push_back(
-            {events_.data() + offset, c.events.size(), c.window});
+    views_.reserve(cores_.size());
+    for (const auto &c : cores_) {
+        views_.push_back(viewOf(c));
+        events_ += c.events.size();
+        bytes_ += c.events.capacity() * sizeof(TraceEvent);
     }
+    bytes_ += views_.capacity() * sizeof(CoreTraceView);
 }
 
 TraceStore::TraceStore() : TraceStore(envConfig())

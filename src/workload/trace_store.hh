@@ -12,10 +12,11 @@
  * out std::shared_ptr<const TraceSet> values that sweep cells share
  * across the ThreadPool.
  *
- * A TraceSet is immutable and flattened: every core's events live in
- * one contiguous slab, pre-decoded once through dram::AddressMap at
- * generation time, and the replay loops (sim/system.hh) consume
- * CoreTraceView spans straight out of the slab.
+ * A TraceSet is immutable: it adopts the per-core event vectors
+ * generateTraces sorted straight into their exact-size storage
+ * (coordinates pre-decoded once through dram::AddressMap), with no
+ * flatten copy, and the replay loops (sim/system.hh) consume
+ * CoreTraceView spans straight out of that storage.
  *
  * Keys are content addresses: hashCombine(traceSeed(spec, config),
  * configKey(config)) covers everything that shapes a generated trace,
@@ -49,16 +50,16 @@ namespace moatsim::workload
 {
 
 /**
- * One immutable, shareable set of per-core traces: the events of all
- * cores flattened into a single slab (coordinates pre-decoded at
- * generation time), plus per-core spans. Always held behind
- * std::shared_ptr<const TraceSet>; non-copyable and non-movable so the
- * views into the slab stay valid for every holder.
+ * One immutable, shareable set of per-core traces: each core's events
+ * (coordinates pre-decoded at generation time) in the storage
+ * generateTraces sorted them into, plus per-core spans. Always held
+ * behind std::shared_ptr<const TraceSet>; non-copyable and non-movable
+ * so the views into the storage stay valid for every holder.
  */
 class TraceSet
 {
   public:
-    /** Flatten @p cores (as returned by generateTraces). */
+    /** Adopt @p cores (as returned by generateTraces); no copy. */
     explicit TraceSet(std::vector<CoreTrace> cores);
 
     TraceSet(const TraceSet &) = delete;
@@ -67,22 +68,20 @@ class TraceSet
     /** Number of cores. */
     size_t numCores() const { return views_.size(); }
 
-    /** Per-core spans into the shared event slab. */
+    /** Per-core spans into the shared event storage. */
     const std::vector<CoreTraceView> &views() const { return views_; }
 
     /** Events across all cores. */
-    uint64_t totalEvents() const { return events_.size(); }
+    uint64_t totalEvents() const { return events_; }
 
     /** Approximate heap footprint (for the store's size bound). */
-    size_t bytes() const
-    {
-        return events_.capacity() * sizeof(TraceEvent) +
-               views_.capacity() * sizeof(CoreTraceView);
-    }
+    size_t bytes() const { return bytes_; }
 
   private:
-    std::vector<TraceEvent> events_;
+    std::vector<CoreTrace> cores_;
     std::vector<CoreTraceView> views_;
+    uint64_t events_ = 0;
+    size_t bytes_ = 0;
 };
 
 /** Shared, bounded cache of generated TraceSets: a front over a

@@ -10,6 +10,7 @@
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "dram/address_map.hh"
+#include "workload/event_order.hh"
 
 namespace moatsim::workload
 {
@@ -133,9 +134,10 @@ uint64_t
 configKey(const TraceGenConfig &config)
 {
     // v2: sub-channel-aware emission (events routed through the
-    // address map and pre-decoded).
+    // address map and pre-decoded). v3: events in the total order
+    // (at, subchannel, bank, row) of workload/event_order.hh.
     uint64_t h =
-        dram::foldTiming(stableHash64("moatsim.tracegen.v2"), config.timing);
+        dram::foldTiming(stableHash64("moatsim.tracegen.v3"), config.timing);
     for (const uint64_t v :
          {static_cast<uint64_t>(config.numCores),
           static_cast<uint64_t>(config.banksSimulated),
@@ -150,8 +152,8 @@ configKey(const TraceGenConfig &config)
         h = hashCombine(h, hashDouble(v));
     // Device-model extensions fold in only when they depart from the
     // flat single-channel, single-rank system, so every pre-device
-    // configuration keeps its v2 key (golden results, trace-store
-    // cache contract).
+    // configuration keeps its key (golden results, trace-store cache
+    // contract).
     if (channelsOf(config) != 1 || ranksOf(config) != 1) {
         h = hashCombine(h, channelsOf(config));
         h = hashCombine(h, ranksOf(config));
@@ -230,6 +232,12 @@ generateTraces(const WorkloadSpec &spec, const TraceGenConfig &config)
     const Time window =
         static_cast<Time>(static_cast<double>(t.tREFW) *
                           config.windowFraction);
+    if (window >= kEventTimeLimit)
+        fatal("generateTraces: window of " + std::to_string(window) +
+              " ps (windowFraction " +
+              std::to_string(config.windowFraction) +
+              ") reaches the trace sort's 2^" +
+              std::to_string(kEventTimeBits) + " ps range");
 
     // Exclusive tier populations (Table 4 counts are cumulative),
     // scaled to the generated window and divided across the cores.
@@ -255,10 +263,27 @@ generateTraces(const WorkloadSpec &spec, const TraceGenConfig &config)
     const dram::AddressMap map = addressMapOf(config);
     std::vector<CoreTrace> traces(config.numCores);
 
+    // Hot rows of one (core, bank): distinct rows from the core's
+    // range with per-tier target counts. Cleared per bank, allocated
+    // once per call.
+    struct HotRow
+    {
+        RowId row;
+        uint32_t count;
+    };
+    std::vector<HotRow> hot;
+    std::unordered_set<RowId> used;
+    // Every core's events are drawn into this one buffer, then sorted
+    // straight into the core's exact-size storage: the radix passes
+    // alternate between the two, so the buffer is the sort's only
+    // scratch space and its growth slack never reaches the trace.
+    std::vector<TraceEvent> drawn;
+
     for (uint32_t core = 0; core < config.numCores; ++core) {
         CoreTrace &trace = traces[core];
         trace.window = window;
         const RowId row_base = core * rows_per_core;
+        drawn.clear();
 
         // Traffic spans the whole simulated system: banksSimulated
         // banks on each replay slot (channels x ranks x
@@ -273,15 +298,8 @@ generateTraces(const WorkloadSpec &spec, const TraceGenConfig &config)
             const uint32_t sc = slot % scs;
             const uint32_t rank = (slot / scs) % ranks;
             const uint32_t chan = slot / (scs * ranks);
-            // Hot rows for this (core, bank): distinct rows from the
-            // core's range with per-tier target counts.
-            struct HotRow
-            {
-                RowId row;
-                uint32_t count;
-            };
-            std::vector<HotRow> hot;
-            std::unordered_set<RowId> used;
+            hot.clear();
+            used.clear();
             auto add_tier = [&](double rows, uint32_t lo, uint32_t hi) {
                 const uint32_t n = roundStochastic(rows, rng);
                 for (uint32_t i = 0; i < n; ++i) {
@@ -311,10 +329,9 @@ generateTraces(const WorkloadSpec &spec, const TraceGenConfig &config)
                 std::max(pki_budget, static_cast<double>(hot_acts));
             const uint64_t n_bg = static_cast<uint64_t>(
                 std::max(0.0, budget - static_cast<double>(hot_acts)));
-            const size_t need = trace.events.size() + hot_acts + n_bg;
-            if (need > trace.events.capacity())
-                trace.events.reserve(
-                    std::max(need, trace.events.capacity() * 2));
+            const size_t need = drawn.size() + hot_acts + n_bg;
+            if (need > drawn.capacity())
+                drawn.reserve(std::max(need, drawn.capacity() * 2));
 
             // Hot-row episodes: contiguous pacing from a uniform start.
             for (const auto &h : hot) {
@@ -330,7 +347,7 @@ generateTraces(const WorkloadSpec &spec, const TraceGenConfig &config)
                     routeCoord(map, chan, rank, sc, raw_bank, h.row);
                 const uint16_t c_slot = slotOfCoord(c, config);
                 for (uint32_t i = 0; i < h.count; ++i) {
-                    trace.events.push_back(
+                    drawn.push_back(
                         {.at = start + static_cast<Time>(i) * gap,
                          .row = c.row,
                          .bank = c.bank,
@@ -346,17 +363,15 @@ generateTraces(const WorkloadSpec &spec, const TraceGenConfig &config)
                     rng.below(static_cast<uint64_t>(window)));
                 const dram::DramCoord c =
                     routeCoord(map, chan, rank, sc, raw_bank, r);
-                trace.events.push_back({.at = at,
-                                        .row = c.row,
-                                        .bank = c.bank,
-                                        .subchannel = slotOfCoord(c, config)});
+                drawn.push_back({.at = at,
+                                 .row = c.row,
+                                 .bank = c.bank,
+                                 .subchannel = slotOfCoord(c, config)});
             }
         }
 
-        std::sort(trace.events.begin(), trace.events.end(),
-                  [](const TraceEvent &a, const TraceEvent &b) {
-                      return a.at < b.at;
-                  });
+        trace.events.resize(drawn.size());
+        sortEventsInto(drawn, trace.events);
     }
     return traces;
 }

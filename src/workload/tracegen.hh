@@ -78,7 +78,8 @@ static_assert(std::is_trivially_copyable_v<TraceEvent>,
 inline constexpr uint32_t kMaxTraceSlot =
     std::numeric_limits<uint16_t>::max();
 
-/** The activation stream of one core, sorted by intended time. */
+/** The activation stream of one core, in the total order
+ *  (at, subchannel, bank, row) of workload/event_order.hh. */
 struct CoreTrace
 {
     std::vector<TraceEvent> events;
@@ -88,8 +89,8 @@ struct CoreTrace
 
 /**
  * Non-owning view of one core's activation stream. The replay loops
- * consume views so that shared, immutable trace storage (one flat
- * event slab per workload::TraceSet) replays without copying; a view
+ * consume views so that shared, immutable trace storage (the per-core
+ * event vectors a workload::TraceSet holds) replays without copying; a view
  * of a CoreTrace is the same thing by construction.
  */
 struct CoreTraceView
@@ -183,7 +184,12 @@ struct TraceGenConfig
 TraceGenConfig withDevice(const TraceGenConfig &config,
                           const dram::DeviceModel &device);
 
-/** Generate the per-core traces of one workload. */
+/**
+ * Generate the per-core traces of one workload: each core's events in
+ * an exact-size vector, in the total order of workload/event_order.hh.
+ * fatal() when the window reaches kEventTimeLimit (a windowFraction
+ * past about 2.1 tREFW).
+ */
 std::vector<CoreTrace> generateTraces(const WorkloadSpec &spec,
                                       const TraceGenConfig &config);
 

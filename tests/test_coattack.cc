@@ -22,6 +22,7 @@
 #include "sim/experiment.hh"
 #include "sim/result_io.hh"
 #include "sim/system.hh"
+#include "workload/event_order.hh"
 
 namespace moatsim::sim
 {
@@ -357,6 +358,17 @@ TEST(AttackTraceDeathTest, SlotBeyondSixteenBitsFatal)
     attack.subchannel = workload::kMaxTraceSlot + 1;
     EXPECT_EXIT(workload::generateAttackTrace(attack),
                 testing::ExitedWithCode(1), "subchannel 65536 exceeds");
+}
+
+TEST(AttackTraceDeathTest, WindowPastTheSortRangeFatal)
+{
+    // A window reaching 2^36 ps is past the radix sort's range.
+    workload::AttackTraceConfig attack;
+    attack.pattern = "hammer";
+    attack.window = workload::kEventTimeLimit;
+    EXPECT_EXIT(workload::generateAttackTrace(attack),
+                testing::ExitedWithCode(1),
+                "window of 68719476736 ps reaches the trace sort's");
 }
 
 } // namespace

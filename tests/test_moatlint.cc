@@ -450,6 +450,60 @@ TEST(MoatlintFanOut, SuppressionRoundTrip)
     EXPECT_TRUE(linesOf(f, "bad-suppression").empty());
 }
 
+// -------------------------------------------------- partial-order-sort
+
+TEST(MoatlintPartialOrderSort, FlagsUnstableSortsInDeterminismDirs)
+{
+    // Each sort leaves the order of equal elements to the library.
+    const std::string body =
+        "std::sort(v.begin(), v.end(), byAt);\n"
+        "std::partial_sort(v.begin(), mid, v.end());\n"
+        "std::nth_element(v.begin(), mid, v.end());\n"
+        "std::ranges::sort(v, byAt);\n";
+    for (const char *path :
+         {"src/sim/x.cc", "src/subchannel/x.cc", "src/workload/x.cc",
+          "src/mitigation/x.hh", "src/dram/x.cc", "src/attacks/x.cc"}) {
+        EXPECT_EQ(linesOf(lintSource(path, body), "partial-order-sort"),
+                  (std::vector<int>{1, 2, 3, 4}))
+            << path;
+    }
+}
+
+TEST(MoatlintPartialOrderSort, QuietOutsideTheScopeAndOnStableSorts)
+{
+    const std::string body = "std::sort(v.begin(), v.end());\n";
+    for (const char *path :
+         {"src/common/x.cc", "src/analysis/x.cc", "src/tools/x.cc",
+          "tools/moatlint/lint.cc", "tests/test_x.cc", "bench/b.cc"}) {
+        EXPECT_TRUE(
+            ofRule(lintSource(path, body), "partial-order-sort").empty())
+            << path;
+    }
+    // The helper, a stable sort, longer names, comments and strings
+    // leave no tie to the library.
+    EXPECT_TRUE(ofRule(lintSource("src/workload/x.cc",
+                                  "sortEventsInto(drawn, out);\n"
+                                  "std::stable_sort(v.begin(), v.end());\n"
+                                  "std::partial_sort_copy(a, b, c, d);\n"
+                                  "// std::sort(v.begin(), v.end())\n"
+                                  "const char *s = \"std::sort(\";\n"),
+                       "partial-order-sort")
+                    .empty());
+}
+
+TEST(MoatlintPartialOrderSort, SuppressionRoundTrip)
+{
+    const auto f = lintSource(
+        "src/workload/x.cc",
+        "// moatlint: allow(partial-order-sort): the comparator is a\n"
+        "// total order, so equal elements are identical\n"
+        "std::sort(v.begin(), v.end(), eventBefore);\n");
+    const auto hits = ofRule(f, "partial-order-sort");
+    ASSERT_EQ(hits.size(), 1u);
+    EXPECT_TRUE(hits[0].suppressed);
+    EXPECT_TRUE(linesOf(f, "bad-suppression").empty());
+}
+
 // -------------------------------------------------------- suppressions
 
 TEST(MoatlintSuppression, SameLineRoundTrip)

@@ -126,10 +126,13 @@ TEST(ResultStore, ShardRecordFrameBytes)
 {
     // The on-disk frame: key, FNV payload sum, the escaped payload, and
     // a CRC-32 over all three. Shards written by older builds must keep
-    // loading, so these bytes may not drift.
+    // loading, so these bytes may not drift. The key folds the epoch,
+    // so the epoch is pinned: an epoch bump moves keys, not the frame.
     const std::string dir = freshDir("rs_frame_bytes");
     {
-        ResultStore store(persistentConfig(dir));
+        ResultStore::Config config = persistentConfig(dir);
+        config.epoch = 1;
+        ResultStore store(config);
         store.getOrCompute(0x1234, [] {
             return std::string("{\"kind\":\"perf\",\"workload\":\"a\\\"b\"}");
         });

@@ -246,5 +246,18 @@ TEST(TraceGenDeathTest, SlotsBeyondSixteenBitsFatal)
                 testing::ExitedWithCode(1), "131072 replay slots");
 }
 
+TEST(TraceGenDeathTest, WindowPastTheSortRangeFatal)
+{
+    // The radix sort covers times below 2^36 ps (~68.7 ms). A direct
+    // caller's windowFraction of 2.5 asks for 80 ms of a 32 ms tREFW;
+    // generation must refuse and name the window, not wrap.
+    TraceGenConfig cfg;
+    cfg.windowFraction = 2.5;
+    EXPECT_EXIT(generateTraces(findWorkload("roms"), cfg),
+                testing::ExitedWithCode(1),
+                "window of 80000000000 ps .* reaches the trace sort's "
+                "2\\^36 ps range");
+}
+
 } // namespace
 } // namespace moatsim::workload

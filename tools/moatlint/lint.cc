@@ -654,6 +654,36 @@ ruleFanOut(const ParsedFile &f, std::vector<Finding> &out)
     }
 }
 
+void
+rulePartialOrderSort(const ParsedFile &f, std::vector<Finding> &out)
+{
+    // The directories whose code shapes results (the determinism
+    // scope); elsewhere a sort's tie order reaches no result byte.
+    const auto scope = {"sim",        "subchannel", "workload",
+                        "mitigation", "dram",       "attacks"};
+    if (!inDir(f.path, "src") ||
+        std::none_of(scope.begin(), scope.end(), [&f](const char *dir) {
+            return inDir(f.path, dir);
+        }))
+        return;
+    for (const char *name :
+         {"std::sort", "std::partial_sort", "std::nth_element",
+          "std::ranges::sort", "std::ranges::partial_sort",
+          "std::ranges::nth_element"}) {
+        const size_t len = std::string(name).size();
+        for (size_t at : tokenRefs(f.code, name)) {
+            if (calledAt(f.code, at + len))
+                add(out, f, at, "partial-order-sort",
+                    std::string(name) +
+                        " leaves the order of equal elements to the "
+                        "standard library; order trace events with "
+                        "workload::sortEventsInto, or suppress with a "
+                        "justification that the comparator is a total "
+                        "order (equal elements are identical)");
+        }
+    }
+}
+
 /** Per-file rule driver (everything except the cross-file checks). */
 std::vector<Finding>
 lintParsed(const ParsedFile &f, const std::vector<std::string> &extra)
@@ -668,6 +698,7 @@ lintParsed(const ParsedFile &f, const std::vector<std::string> &extra)
     ruleMagicGeometry(f, out);
     ruleSingleFlight(f, out);
     ruleFanOut(f, out);
+    rulePartialOrderSort(f, out);
     return out;
 }
 
@@ -785,6 +816,10 @@ rules()
         {"fan-out", "std::thread/std::jthread/std::async in src/ "
                     "outside common/thread_pool and sim/serve, and "
                     "parallelFor outside the pool and sim/sweep.cc"},
+        {"partial-order-sort", "std::sort/partial_sort/nth_element in "
+                               "src/{sim,subchannel,workload,mitigation,"
+                               "dram,attacks} outside the total-order "
+                               "helper"},
         {"key-coverage", "every field of a key-source struct must be "
                          "reachable in its key function's fold"},
         {"key-exempt-leak", "key-exempt fields must be absent from the "
