@@ -9,7 +9,9 @@
 #include "common/logging.hh"
 #include "dram/device.hh"
 #include "mitigation/moat.hh"
+#include "sim/coattack.hh"
 #include "sim/result_io.hh"
+#include "workload/attack_trace.hh"
 #include "workload/spec.hh"
 
 namespace moatsim::sim
@@ -242,6 +244,16 @@ validateRunRequest(const RunRequest &req, std::string *err)
                         "banks per sub-channel (" +
                         std::to_string(device.banksPerSubchannel()) +
                         ")", err);
+        // The attacker's stream must fit the trace sort's range (the
+        // same check fatal()s inside generateAttackTrace), under the
+        // timing the experiment will resolve.
+        workload::TraceGenConfig tracegen;
+        tracegen.windowFraction = req.fraction;
+        if (!req.device.empty())
+            tracegen = workload::withDevice(tracegen, device);
+        if (!workload::checkAttackTraceRange(
+                resolveAttack(coAttackScenarioOf(req), tracegen), &detail))
+            return fail("run request: " + detail, err);
     }
     return true;
 }

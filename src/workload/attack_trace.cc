@@ -12,6 +12,36 @@ namespace moatsim::workload
 namespace
 {
 
+/** The jailbreak shape's target ACTs per tREFI. */
+constexpr uint32_t kJailbreakActsPerRefi = 32;
+
+/** Default pacing between attacker ACTs. */
+Time
+gapOf(const AttackTraceConfig &cfg)
+{
+    return cfg.actGap > 0 ? cfg.actGap : cfg.timing.tRC;
+}
+
+/** Spacing of the jailbreak shape's target ACTs. */
+Time
+jailbreakPaceOf(const dram::TimingParams &timing)
+{
+    return timing.tREFI / (kJailbreakActsPerRefi + 1);
+}
+
+/** Resolved activation budget: explicit, else sized to the window,
+ *  else a fixed default matching the isolated driver's scale. */
+uint64_t
+budgetOf(const AttackTraceConfig &cfg)
+{
+    if (cfg.budget != 0)
+        return cfg.budget;
+    if (cfg.window > 0)
+        return std::max<uint64_t>(
+            1024, static_cast<uint64_t>(cfg.window / gapOf(cfg)));
+    return 4096;
+}
+
 /** Builder state shared by the pattern synthesizers. */
 struct Builder
 {
@@ -26,7 +56,7 @@ struct Builder
 
     explicit Builder(const AttackTraceConfig &config)
         : cfg(config),
-          gap(config.actGap > 0 ? config.actGap : config.timing.tRC),
+          gap(gapOf(config)),
           slot(static_cast<uint16_t>(config.subchannel))
     {
         out.subchannel = config.subchannel;
@@ -50,24 +80,11 @@ struct Builder
     }
 };
 
-/** Resolved activation budget: explicit, else sized to the window,
- *  else a fixed default matching the isolated driver's scale. */
-uint64_t
-budgetOf(const AttackTraceConfig &cfg, const Builder &b)
-{
-    if (cfg.budget != 0)
-        return cfg.budget;
-    if (cfg.window > 0)
-        return std::max<uint64_t>(
-            1024, static_cast<uint64_t>(cfg.window / b.gap));
-    return 4096;
-}
-
 /** Single mid-bank row as fast as the pacing allows. */
 void
 buildHammer(Builder &b)
 {
-    const uint64_t budget = budgetOf(b.cfg, b);
+    const uint64_t budget = budgetOf(b.cfg);
     b.out.rows = {attackBaseRow(b.cfg.timing)};
     for (uint64_t i = 0; i < budget; ++i)
         b.emit(b.out.rows[0]);
@@ -79,7 +96,7 @@ buildRoundRobin(Builder &b)
 {
     const uint32_t pool = b.cfg.poolRows != 0 ? b.cfg.poolRows : 8;
     b.out.rows = attackRowPool(b.cfg.timing, pool);
-    const uint64_t budget = budgetOf(b.cfg, b);
+    const uint64_t budget = budgetOf(b.cfg);
     for (uint64_t i = 0; i < budget; ++i)
         b.emit(b.out.rows[i % pool]);
 }
@@ -94,7 +111,7 @@ buildRatchet(Builder &b)
 {
     const uint32_t pool = b.cfg.poolRows != 0 ? b.cfg.poolRows : 64;
     b.out.rows = attackRowPool(b.cfg.timing, pool);
-    const uint64_t budget = budgetOf(b.cfg, b);
+    const uint64_t budget = budgetOf(b.cfg);
     constexpr uint32_t kSweepsPerStage = 4;
 
     uint64_t acts = 0;
@@ -123,9 +140,8 @@ buildJailbreak(Builder &b)
     const uint32_t decoys = b.cfg.poolRows != 0 ? b.cfg.poolRows : 8;
     b.out.rows = attackRowPool(b.cfg.timing, decoys + 1);
     const RowId target = b.out.rows[0];
-    const uint64_t budget = budgetOf(b.cfg, b);
-    constexpr uint32_t kActsPerRefi = 32;
-    const Time pace = b.cfg.timing.tREFI / (kActsPerRefi + 1);
+    const uint64_t budget = budgetOf(b.cfg);
+    const Time pace = jailbreakPaceOf(b.cfg.timing);
 
     uint64_t acts = 0;
     for (uint32_t d = 0; d < decoys && acts < budget; ++d, ++acts)
@@ -134,7 +150,7 @@ buildJailbreak(Builder &b)
     uint64_t period = 0;
     while (acts < budget) {
         const Time start = b.t;
-        for (uint32_t i = 0; i < kActsPerRefi && acts < budget;
+        for (uint32_t i = 0; i < kJailbreakActsPerRefi && acts < budget;
              ++i, ++acts) {
             b.emit(target, start + static_cast<Time>(i) * pace);
         }
@@ -156,7 +172,7 @@ buildFeinting(Builder &b)
 {
     const uint32_t pool = b.cfg.poolRows != 0 ? b.cfg.poolRows : 16;
     b.out.rows = attackRowPool(b.cfg.timing, pool);
-    const uint64_t budget = budgetOf(b.cfg, b);
+    const uint64_t budget = budgetOf(b.cfg);
     const uint64_t per_period = std::max<uint64_t>(1, budget / pool);
 
     uint64_t acts = 0;
@@ -183,11 +199,9 @@ generateAttackTrace(const AttackTraceConfig &config)
               std::to_string(config.subchannel) +
               " exceeds the trace event's slot range (max " +
               std::to_string(kMaxTraceSlot) + ")");
-    if (config.window >= kEventTimeLimit)
-        fatal("generateAttackTrace: window of " +
-              std::to_string(config.window) +
-              " ps reaches the trace sort's 2^" +
-              std::to_string(kEventTimeBits) + " ps range");
+    std::string why;
+    if (!checkAttackTraceRange(config, &why))
+        fatal("generateAttackTrace: " + why);
     Builder b(config);
     if (config.pattern == "none") {
         // Empty stream: the attack-free co-run replays through the
@@ -218,6 +232,49 @@ generateAttackTrace(const AttackTraceConfig &config)
                      ? Time{0}
                      : b.out.trace.events.back().at + b.gap);
     return b.out;
+}
+
+uint64_t
+maxAttackBudget(const AttackTraceConfig &config)
+{
+    // Each event moves the cursor on by at most one step (a jailbreak
+    // period spends 31 paces and 2 gaps on 33 events), so event k
+    // (from 0) lies at or before k steps and every event of a budget
+    // of n lies below n steps.
+    Time step = std::max<Time>(gapOf(config), 1);
+    if (config.pattern == "jailbreak")
+        step = std::max(step, jailbreakPaceOf(config.timing));
+    return static_cast<uint64_t>(kEventTimeLimit / step);
+}
+
+bool
+checkAttackTraceRange(const AttackTraceConfig &config, std::string *why)
+{
+    const std::string range =
+        "the trace sort's 2^" + std::to_string(kEventTimeBits) + " ps range";
+    if (config.window >= kEventTimeLimit) {
+        if (why)
+            *why = "window of " + std::to_string(config.window) +
+                   " ps reaches " + range;
+        return false;
+    }
+    if (config.pattern == "none")
+        return true;
+    const uint64_t budget = budgetOf(config);
+    const uint64_t most = maxAttackBudget(config);
+    if (budget > most) {
+        if (why) {
+            *why = "budget of " + std::to_string(config.budget) +
+                   (config.budget == budget
+                        ? ""
+                        : " (resolving to " + std::to_string(budget) + ")") +
+                   " activations spans past " + range + " (at most " +
+                   std::to_string(most) + " for pattern '" +
+                   config.pattern + "')";
+        }
+        return false;
+    }
+    return true;
 }
 
 bool

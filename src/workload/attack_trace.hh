@@ -69,12 +69,30 @@ struct AttackTrace
 };
 
 /**
- * Synthesize the configured pattern. Pattern "none" (or an explicit
- * budget of 0 events) yields an empty trace: the attack-free co-run
- * replays through exactly the same code path as an attacked one.
+ * Largest activation budget whose events all lie below
+ * kEventTimeLimit: the limit over the pattern's widest step between
+ * events (the pacing gap, or the jailbreak pace where that is wider).
+ */
+uint64_t maxAttackBudget(const AttackTraceConfig &config);
+
+/**
+ * True when every event @p config asks for lies in the trace sort's
+ * range: the window is below kEventTimeLimit and the resolved budget
+ * (explicit, else sized to the window) is within maxAttackBudget().
+ * Otherwise @p why (when non-null) names the window or the budget.
+ * Request validation calls this up front; generateAttackTrace fatal()s
+ * on the same check.
+ */
+bool checkAttackTraceRange(const AttackTraceConfig &config,
+                           std::string *why = nullptr);
+
+/**
+ * Synthesize the configured pattern. Pattern "none" yields an empty
+ * trace: the attack-free co-run replays through exactly the same code
+ * path as an attacked one.
  * Events come in the total order of workload/event_order.hh. fatal()s
  * on an unknown pattern, a pool that does not fit the bank, or a
- * window that reaches kEventTimeLimit.
+ * config that fails checkAttackTraceRange().
  */
 AttackTrace generateAttackTrace(const AttackTraceConfig &config);
 

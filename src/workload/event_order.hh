@@ -64,7 +64,11 @@ eventBefore(const TraceEvent &a, const TraceEvent &b)
 void sortEventsInto(std::span<TraceEvent> events,
                     std::span<TraceEvent> out);
 
-/** @p events in eventBefore() order, in an exact-size vector. */
+/**
+ * @p events in eventBefore() order: the input vector itself when it is
+ * already in order, else an exact-size sorted copy. fatal()s like
+ * sortEventsInto() on a time outside [0, kEventTimeLimit).
+ */
 std::vector<TraceEvent> sortedEvents(std::vector<TraceEvent> events);
 
 } // namespace moatsim::workload

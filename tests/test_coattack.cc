@@ -371,5 +371,57 @@ TEST(AttackTraceDeathTest, WindowPastTheSortRangeFatal)
                 "window of 68719476736 ps reaches the trace sort's");
 }
 
+TEST(AttackTraceDeathTest, BudgetPastTheSortRangeFatal)
+{
+    // Event times come from the budget, not the window: 2M hammer ACTs
+    // at tRC (52 ns) span 104 ms, past the 2^36 ps (~68.7 ms) range.
+    workload::AttackTraceConfig attack;
+    attack.pattern = "hammer";
+    attack.budget = 2'000'000;
+    EXPECT_EXIT(workload::generateAttackTrace(attack),
+                testing::ExitedWithCode(1),
+                "budget of 2000000 activations spans past the trace "
+                "sort's 2\\^36 ps range \\(at most 1321528 ");
+}
+
+TEST(AttackTrace, EveryPatternFitsTheSortRangeAtItsLargestBudget)
+{
+    // maxAttackBudget() bounds every pattern's real last event: the
+    // largest budget it admits generates in range, one more is
+    // refused. Jailbreak paces its target slower than tRC, so its
+    // bound is the tighter one.
+    for (const std::string pattern :
+         {"hammer", "postponement", "round-robin", "ratchet", "jailbreak",
+          "feinting"}) {
+        workload::AttackTraceConfig attack;
+        attack.pattern = pattern;
+        attack.budget = workload::maxAttackBudget(attack);
+        ASSERT_TRUE(workload::checkAttackTraceRange(attack)) << pattern;
+        const workload::AttackTrace at = workload::generateAttackTrace(attack);
+        ASSERT_EQ(at.trace.events.size(), attack.budget) << pattern;
+        EXPECT_LT(at.trace.events.back().at, workload::kEventTimeLimit)
+            << pattern;
+        attack.budget += 1;
+        std::string why;
+        EXPECT_FALSE(workload::checkAttackTraceRange(attack, &why))
+            << pattern;
+        EXPECT_NE(why.find("budget of"), std::string::npos) << why;
+    }
+
+    // A budget of 0 sizes the stream to the window: at a full tREFW
+    // that is ~615k ACTs, which jailbreak's pace stretches past the
+    // range, and hammer's tRC pacing keeps inside it.
+    workload::AttackTraceConfig full;
+    full.window = full.timing.tREFW;
+    full.pattern = "hammer";
+    EXPECT_TRUE(workload::checkAttackTraceRange(full));
+    full.pattern = "jailbreak";
+    std::string why;
+    EXPECT_FALSE(workload::checkAttackTraceRange(full, &why));
+    EXPECT_NE(why.find("budget of 0 (resolving to 615384)"),
+              std::string::npos)
+        << why;
+}
+
 } // namespace
 } // namespace moatsim::sim

@@ -110,7 +110,27 @@ TEST(EventOrder, MatchesTheFullComparatorOnTies)
     for (const auto &[name, events] : cases) {
         EXPECT_TRUE(sameBytes(sortedEvents(events), referenceSort(events)))
             << name;
+        // The radix passes themselves, also on the in-order cases
+        // sortedEvents() hands back untouched.
+        std::vector<TraceEvent> scratch = events;
+        std::vector<TraceEvent> out(events.size());
+        sortEventsInto(scratch, out);
+        EXPECT_TRUE(sameBytes(out, referenceSort(events))) << name;
     }
+}
+
+TEST(EventOrder, InOrderInputKeepsItsVector)
+{
+    // Attack patterns emit in order: sortedEvents() returns their
+    // vector as it is, with no copy and no passes.
+    std::vector<TraceEvent> events;
+    for (Time at = 0; at < 100; ++at)
+        events.push_back({.at = at * 52'000, .row = 5});
+    events.push_back({.at = 99 * 52'000, .row = 6});
+    const TraceEvent *data = events.data();
+    const std::vector<TraceEvent> sorted = sortedEvents(std::move(events));
+    EXPECT_EQ(sorted.data(), data);
+    EXPECT_TRUE(sameBytes(sorted, referenceSort(sorted)));
 }
 
 TEST(EventOrderDeathTest, TimesOutsideTheRangeAreFatal)

@@ -311,6 +311,16 @@ TEST(Serve, RejectsBadRequestsWithoutDying)
     EXPECT_FALSE(badLevel.ok);
     EXPECT_NE(badLevel.error.find("level"), std::string::npos);
 
+    // A co-attack budget whose stream outruns the trace sort's range
+    // is refused up front, not fatal() inside the compute.
+    const auto longAttack = serveRequestLine(
+        socket, "{\"kind\":\"coattack\",\"budget\":2000000}");
+    EXPECT_FALSE(longAttack.ok);
+    EXPECT_FALSE(longAttack.retryable);
+    EXPECT_NE(longAttack.error.find("budget of 2000000 activations"),
+              std::string::npos)
+        << longAttack.error;
+
     // The daemon survived all of it.
     const auto stats = serveRequestLine(socket, "{\"kind\":\"stats\"}");
     ASSERT_TRUE(stats.ok) << stats.error;
