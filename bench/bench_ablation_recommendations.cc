@@ -12,8 +12,9 @@
  */
 
 #include <iostream>
+#include <string>
 
-#include "attacks/jailbreak.hh"
+#include "attacks/attack.hh"
 #include "bench_util.hh"
 #include "mitigation/registry.hh"
 #include "subchannel/subchannel.hh"
@@ -70,13 +71,14 @@ main()
                  "original Panopticon, threshold 128):\n";
     TablePrinter t1({"queue entries", "max ACTs", "overshoot",
                      "ALERTs"});
+    attacks::AttackConfig jailbreak;
+    jailbreak.pattern = "jailbreak";
     for (uint32_t q : {2u, 4u, 8u, 16u}) {
-        attacks::JailbreakConfig cfg;
-        cfg.panopticon.queueEntries = q;
-        // Budget scales with the queue: the accrual window is one
-        // mitigation period per resident entry.
-        cfg.hammerActs = 128 * (q + 2);
-        const auto r = attacks::runDeterministicJailbreak(cfg);
+        // The default budget scales with the queue: the accrual window
+        // is one mitigation period per resident entry.
+        const auto r = attacks::runAttack(
+            jailbreak, mitigation::Registry::parse(
+                           "panopticon:entries=" + std::to_string(q)));
         t1.addRow({std::to_string(q), std::to_string(r.maxHammer),
                    formatFixed(r.maxHammer / 128.0, 1) + "x",
                    std::to_string(r.alerts)});
@@ -87,8 +89,10 @@ main()
                  "(Jailbreak pattern vs the repaired design):\n";
     TablePrinter t2({"design", "max ACTs", "overshoot", "ALERTs"});
     {
-        attacks::JailbreakConfig cfg;
-        const auto r = attacks::runDeterministicJailbreak(cfg);
+        // The paper's 1024-ACT hammer budget.
+        jailbreak.budget = 1024;
+        const auto r = attacks::runAttack(
+            jailbreak, mitigation::Registry::parse("panopticon"));
         t2.addRow({"address-only FIFO (original)",
                    std::to_string(r.maxHammer),
                    formatFixed(r.maxHammer / 128.0, 1) + "x",

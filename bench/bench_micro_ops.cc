@@ -33,7 +33,7 @@ void
 BM_BankActivate(benchmark::State &state)
 {
     dram::TimingParams t;
-    dram::Bank bank(t, dram::CounterInit::Zero);
+    dram::Bank bank(t);
     Rng rng(2);
     for (auto _ : state)
         benchmark::DoNotOptimize(

@@ -8,11 +8,11 @@
  * defence state, attacker-chosen memory policy), and reports the
  * ground-truth security outcome measured by the SecurityMonitor.
  *
- * runAttack() is the design-agnostic shape: a named pattern plus a
- * mitigation::MitigatorSpec naming any registered defence. Generic
- * patterns ("hammer", "round-robin") run against every design; the
- * paper's specialized patterns ("ratchet", "jailbreak", "feinting",
- * "postponement") target one design each. One table,
+ * runAttack() is the one entry to a security pattern: a named pattern
+ * plus a mitigation::MitigatorSpec naming any registered defence.
+ * Generic patterns ("hammer", "round-robin") run against every design;
+ * the paper's specialized patterns ("ratchet", "jailbreak",
+ * "feinting", "postponement") target one design each. One table,
  * attackPatterns(), lists every pattern with its design, the spec
  * settings its driver cannot honor and the AttackConfig knobs it
  * reads, and checkAttack() reads it, so a request is rejected with a
@@ -42,7 +42,7 @@ namespace moatsim::attacks
 struct AttackResult
 {
     /** Pattern and canonical mitigator spec of the run; runAttack()
-     *  fills them in, the tuned drivers leave them empty. */
+     *  fills them in after the pattern's driver returns. */
     std::string pattern;
     std::string mitigator;
     /** Maximum activations any row received without intervening

@@ -4,20 +4,17 @@
  *
  * The generic patterns drive the defence purely through the SubChannel
  * command interface, so they run against any registered design; the
- * specialized patterns re-dispatch to the paper's tuned drivers once
- * checkAttack() has matched the spec against the pattern table.
+ * specialized patterns (patterns.hh) target the one design the pattern
+ * table names. checkAttack() matches a request against that table
+ * before any driver runs.
  */
 
 #include "attacks/attack.hh"
 
 #include <algorithm>
 #include <functional>
-#include <limits>
 
-#include "attacks/feinting.hh"
-#include "attacks/jailbreak.hh"
-#include "attacks/postponement.hh"
-#include "attacks/ratchet.hh"
+#include "attacks/patterns.hh"
 #include "common/logging.hh"
 #include "common/spec_text.hh"
 #include "mitigation/registry.hh"
@@ -27,22 +24,33 @@
 namespace moatsim::attacks
 {
 
-namespace
-{
-
 using subchannel::SubChannel;
-using subchannel::SubChannelConfig;
 
 SubChannel
 makeChannel(const AttackConfig &config,
-            const mitigation::MitigatorSpec &mitigator)
+            const mitigation::Mitigator &prototype, bool refreshResetsRows)
 {
-    SubChannelConfig sc;
+    subchannel::SubChannelConfig sc;
     sc.timing = config.timing;
     sc.numBanks = 1;
     sc.aboLevel = config.aboLevel;
-    return SubChannel(sc, mitigator.factory());
+    sc.refreshResetsRows = refreshResetsRows;
+    return SubChannel(sc, prototype);
 }
+
+AttackResult
+resultOf(const SubChannel &ch)
+{
+    AttackResult res;
+    res.maxHammer = ch.security(0).maxHammer();
+    res.totalActs = ch.stats().acts;
+    res.alerts = ch.abo().alertCount();
+    res.duration = ch.now();
+    return res;
+}
+
+namespace
+{
 
 /**
  * Drain to quiescence: a fixed post-attack advance (the old 2000 ns)
@@ -57,23 +65,12 @@ drain(SubChannel &ch)
     ch.drainToQuiescence(ch.timing().tREFW);
 }
 
-AttackResult
-resultOf(const SubChannel &ch)
-{
-    AttackResult res;
-    res.maxHammer = ch.security(0).maxHammer();
-    res.totalActs = ch.stats().acts;
-    res.alerts = ch.abo().alertCount();
-    res.duration = ch.now();
-    return res;
-}
-
 /** Hammer a single mid-bank row as fast as the command timing allows. */
 AttackResult
 runHammer(const AttackConfig &config,
           const mitigation::MitigatorSpec &mitigator)
 {
-    SubChannel ch = makeChannel(config, mitigator);
+    SubChannel ch = makeChannel(config, mitigator.factory());
     const uint64_t budget = config.budget != 0 ? config.budget : 4096;
     const RowId target = workload::attackBaseRow(config.timing);
     for (uint64_t i = 0; i < budget; ++i)
@@ -87,7 +84,7 @@ AttackResult
 runRoundRobin(const AttackConfig &config,
               const mitigation::MitigatorSpec &mitigator)
 {
-    SubChannel ch = makeChannel(config, mitigator);
+    SubChannel ch = makeChannel(config, mitigator.factory());
     const uint32_t pool = config.poolRows != 0 ? config.poolRows : 8;
     const uint64_t budget =
         config.budget != 0 ? config.budget : 512ULL * pool;
@@ -99,63 +96,6 @@ runRoundRobin(const AttackConfig &config,
         ch.activate(0, rows[i % pool]);
     drain(ch);
     return resultOf(ch);
-}
-
-AttackResult
-runRatchetSpec(const AttackConfig &config,
-               const mitigation::MitigatorSpec &mitigator)
-{
-    RatchetConfig cfg;
-    cfg.timing = config.timing;
-    cfg.moat = mitigation::moatConfigOf(mitigator);
-    cfg.aboLevel = config.aboLevel;
-    cfg.poolRows = config.poolRows;
-    return runRatchet(cfg);
-}
-
-AttackResult
-runJailbreakSpec(const AttackConfig &config,
-                 const mitigation::MitigatorSpec &mitigator)
-{
-    JailbreakConfig cfg;
-    cfg.timing = config.timing;
-    cfg.panopticon = mitigation::panopticonConfigOf(mitigator);
-    const uint64_t budget =
-        config.budget != 0
-            ? config.budget
-            : static_cast<uint64_t>(cfg.panopticon.queueThreshold) *
-                  (cfg.panopticon.queueEntries + 2);
-    cfg.hammerActs = static_cast<uint32_t>(std::min<uint64_t>(
-        budget, std::numeric_limits<uint32_t>::max()));
-    return runDeterministicJailbreak(cfg);
-}
-
-AttackResult
-runFeintingSpec(const AttackConfig &config,
-                const mitigation::MitigatorSpec &mitigator)
-{
-    const mitigation::IdealPrcConfig prc =
-        mitigation::idealPrcConfigOf(mitigator);
-    FeintingConfig cfg;
-    cfg.timing = config.timing;
-    cfg.mitigationPeriodRefis = prc.mitigationPeriodRefis;
-    cfg.poolRows = config.poolRows;
-    return runFeinting(cfg);
-}
-
-AttackResult
-runPostponementSpec(const AttackConfig &config,
-                    const mitigation::MitigatorSpec &mitigator)
-{
-    PostponementConfig cfg;
-    cfg.timing = config.timing;
-    cfg.panopticon = mitigation::panopticonConfigOf(mitigator);
-    // The attack only bites the Appendix-B drain-all policy (the
-    // table rejects an explicit drain-all=false).
-    cfg.panopticon.drainAllOnRef = true;
-    if (config.trials != 0)
-        cfg.trials = config.trials;
-    return runRefreshPostponement(cfg);
 }
 
 /** Whether @p spec sets @p setting: `key` (any explicit value) or
@@ -178,14 +118,14 @@ attackPatterns()
     static const std::vector<AttackPattern> table = {
         {"hammer", "", {}, {"budget"}, runHammer},
         {"round-robin", "", {}, {"pool_rows", "budget"}, runRoundRobin},
-        {"ratchet", "moat", {}, {"pool_rows"}, runRatchetSpec},
-        {"jailbreak", "panopticon", {}, {"budget"}, runJailbreakSpec},
+        {"ratchet", "moat", {}, {"pool_rows"}, runRatchet},
+        {"jailbreak", "panopticon", {}, {"budget"}, runJailbreak},
         // The tuned driver models the default defender; only the
         // mitigation period is honored.
         {"feinting", "ideal-prc", {"min-count", "blast"}, {"pool_rows"},
-         runFeintingSpec},
+         runFeinting},
         {"postponement", "panopticon", {"drain-all=false"}, {"trials"},
-         runPostponementSpec},
+         runPostponement},
     };
     return table;
 }

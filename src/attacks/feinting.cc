@@ -1,23 +1,36 @@
-#include "attacks/feinting.hh"
+/**
+ * @file
+ * Optimal feinting attack against transparent per-row-counter
+ * mitigation (Section 2.5, Table 2; attack concept from ProTRR).
+ *
+ * The defender mitigates the highest-count row once every k tREFI. The
+ * attacker keeps a pool of rows, spreads its per-period activation
+ * budget evenly over the surviving pool (so every row looks equally
+ * urgent), and sacrifices the mitigated row each period. The last
+ * surviving row accumulates B * H_N activations, far above the
+ * queueing/mitigation threshold -- the reason purely transparent
+ * schemes cannot tolerate low TRH.
+ */
 
 #include <algorithm>
 #include <vector>
 
+#include "attacks/patterns.hh"
 #include "common/logging.hh"
-#include "mitigation/ideal_prc.hh"
-#include "subchannel/subchannel.hh"
 
 namespace moatsim::attacks
 {
 
 AttackResult
-runFeinting(const FeintingConfig &config)
+runFeinting(const AttackConfig &config,
+            const mitigation::MitigatorSpec &mitigator)
 {
-    using subchannel::SubChannel;
-    using subchannel::SubChannelConfig;
-
     const dram::TimingParams &t = config.timing;
-    const uint32_t k = config.mitigationPeriodRefis;
+    // The driver models the default defender at the requested
+    // mitigation period; the pattern table rejects the other settings.
+    mitigation::IdealPrcConfig prc = mitigation::idealPrcConfigOf(mitigator);
+    prc.blastRadius = t.blastRadius;
+    const uint32_t k = prc.mitigationPeriodRefis;
     if (k == 0)
         fatal("runFeinting: mitigation period must be >= 1");
 
@@ -29,17 +42,9 @@ runFeinting(const FeintingConfig &config)
         config.poolRows != 0 ? config.poolRows
                              : static_cast<uint32_t>(rounds);
 
-    SubChannelConfig sc;
-    sc.timing = t;
-    sc.numBanks = 1;
-    // The attacker aligns the pattern with the refresh schedule so the
-    // pool is never refreshed mid-attack (threat model, Section 2.1).
-    sc.refreshResetsRows = false;
-
-    mitigation::IdealPrcConfig prc;
-    prc.mitigationPeriodRefis = k;
-    prc.blastRadius = t.blastRadius;
-    SubChannel ch(sc, mitigation::IdealPrcMitigator(prc));
+    subchannel::SubChannel ch =
+        makeChannel(config, mitigation::IdealPrcMitigator(prc),
+                    /*refreshResetsRows=*/false);
 
     // Pool rows spaced beyond the blast radius so mitigating one row
     // never refreshes another pool row's victims.
@@ -85,13 +90,7 @@ runFeinting(const FeintingConfig &config)
         live.resize(w);
         expected.resize(w);
     }
-
-    AttackResult res;
-    res.maxHammer = ch.security(0).maxHammer();
-    res.totalActs = ch.stats().acts;
-    res.alerts = ch.abo().alertCount();
-    res.duration = ch.now();
-    return res;
+    return resultOf(ch);
 }
 
 } // namespace moatsim::attacks

@@ -1,84 +1,49 @@
-#include "attacks/jailbreak.hh"
+/**
+ * @file
+ * The Jailbreak attack on Panopticon (Section 3 of the paper).
+ *
+ * Panopticon keeps no counter in its per-bank queue, so a row's
+ * activations between queue insertion and mitigation are unbounded by
+ * the queueing threshold. Jailbreak fills the 8-entry queue with eight
+ * rows and then hammers the youngest entry at a rate that re-inserts it
+ * exactly once per mitigation period, so the queue never overflows (no
+ * ALERT) while the attacked row accrues queueEntries * threshold extra
+ * activations: 1152 total for the threshold-128 configuration and the
+ * paper's 1024-ACT hammer budget.
+ */
 
 #include <algorithm>
-#include <cassert>
+#include <cstdint>
+#include <limits>
 #include <variant>
+#include <vector>
 
-#include "common/rng.hh"
-#include "subchannel/subchannel.hh"
+#include "attacks/patterns.hh"
 
 namespace moatsim::attacks
 {
 
-namespace
-{
-
-using subchannel::SubChannel;
-using subchannel::SubChannelConfig;
-
-/** Build a single-bank sub-channel running Panopticon. */
-SubChannel
-makeChannel(const JailbreakConfig &config, dram::CounterInit init)
-{
-    SubChannelConfig sc;
-    sc.timing = config.timing;
-    sc.numBanks = 1;
-    sc.counterInit = init;
-    sc.seed = config.seed;
-    return SubChannel(sc, mitigation::PanopticonMitigator(config.panopticon));
-}
-
-/** The Panopticon instance of bank 0 (the attacker knows its state). */
-const mitigation::PanopticonMitigator &
-pano(const SubChannel &ch)
-{
-    return std::get<mitigation::PanopticonMitigator>(ch.mitigator(0));
-}
-
-/**
- * Hammer @p target at the paper's pace (actsPerRefi activations per
- * tREFI, 32 by default) while dodging queue overflow: when the next
- * ACT would cross a queueing-threshold multiple with the queue full,
- * wait for the gradual mitigation to free a slot. One insertion per
- * mitigation period, no ALERT. Returns the peak hammer count reached
- * before the target's first copy is mitigated.
- */
-uint32_t
-hammerWithGuard(SubChannel &ch, RowId target, uint32_t budget,
-                const JailbreakConfig &config, Time pace,
-                bool break_on_mitigation)
-{
-    const mitigation::PanopticonConfig &pcfg = config.panopticon;
-    const Time refi = ch.timing().tREFI;
-    Time not_before = ch.now();
-    uint32_t peak = 0;
-    uint32_t prev_h = 0;
-    for (uint32_t a = 0; a < budget; ++a) {
-        uint32_t guard = 0;
-        while ((ch.bank(0).counter(target) + 1) % pcfg.queueThreshold == 0 &&
-               pano(ch).queueSize() >= pcfg.queueEntries) {
-            ch.advanceTo(ch.now() + refi);
-            if (++guard > 16 * pcfg.queueEntries)
-                break; // mitigation stalled; bail out rather than hang
-        }
-        const Time issued = ch.activateAt(0, target, not_before);
-        not_before = issued + pace;
-        const uint32_t h = ch.security(0).hammerCount(target);
-        peak = std::max(peak, h);
-        if (break_on_mitigation && h < prev_h)
-            break; // target was mitigated; the episode is over
-        prev_h = h;
-    }
-    return peak;
-}
-
-} // namespace
-
 AttackResult
-runDeterministicJailbreak(const JailbreakConfig &config)
+runJailbreak(const AttackConfig &config,
+             const mitigation::MitigatorSpec &mitigator)
 {
-    SubChannel ch = makeChannel(config, dram::CounterInit::Zero);
-    const auto &pcfg = config.panopticon;
+    const mitigation::PanopticonConfig pcfg =
+        mitigation::panopticonConfigOf(mitigator);
+    // The default budget covers one mitigation period per resident
+    // entry plus two; the driver counts it in 32 bits.
+    const uint64_t budget =
+        config.budget != 0
+            ? config.budget
+            : static_cast<uint64_t>(pcfg.queueThreshold) *
+                  (pcfg.queueEntries + 2);
+    const uint32_t hammer_acts = static_cast<uint32_t>(std::min<uint64_t>(
+        budget, std::numeric_limits<uint32_t>::max()));
+
+    subchannel::SubChannel ch =
+        makeChannel(atLevelOne(config), mitigator.factory());
+    // The attacker knows the queue state (threat model, Section 2.1).
+    const auto &pano =
+        std::get<mitigation::PanopticonMitigator>(ch.mitigator(0));
 
     // Pick queueEntries rows mid-bank (away from the refresh pointer,
     // which starts at row 0), spaced so victim windows never overlap.
@@ -95,78 +60,29 @@ runDeterministicJailbreak(const JailbreakConfig &config)
             ch.activate(0, r);
     }
 
-    // Phase 2: hammer the youngest entry with the paper's exact
-    // (H)^1024 budget at full speed; the overflow guard self-paces the
-    // queue insertions to one per mitigation period.
+    // Phase 2: hammer the youngest entry at full speed while dodging
+    // queue overflow: when the next ACT would cross a threshold
+    // multiple with the queue full, wait for the gradual mitigation to
+    // free a slot. That self-paces the insertions to one per
+    // mitigation period, so no ALERT fires.
     const RowId target = rows.back();
-    const uint32_t peak = hammerWithGuard(ch, target, config.hammerActs,
-                                          config, /*pace=*/0,
-                                          /*break_on_mitigation=*/false);
-
-    AttackResult res;
-    res.maxHammer = peak;
-    res.totalActs = ch.stats().acts;
-    res.alerts = ch.abo().alertCount();
-    res.duration = ch.now();
-    return res;
-}
-
-RandomizedJailbreakResult
-runRandomizedJailbreak(const JailbreakConfig &config, uint64_t max_iterations)
-{
-    SubChannel ch = makeChannel(config, dram::CounterInit::RandomByte);
-    const auto &pcfg = config.panopticon;
     const Time refi = ch.timing().tREFI;
-    Rng rng(config.seed ^ 0xa5a5a5a5ULL);
-
-    RandomizedJailbreakResult result;
-    uint32_t best = 0;
-    uint64_t successes = 0;
-    uint64_t next_checkpoint = 4;
-
-    const uint32_t num_rows = config.timing.rowsPerBank;
-    for (uint64_t iter = 1; iter <= max_iterations; ++iter) {
-        // Phase 1: eight random decoys, 32 ACTs each in a circular
-        // pattern. A decoy enters the queue iff its counter was within
-        // 32 of the next threshold multiple (probability 1/4).
-        RowId decoys[8];
-        for (auto &d : decoys)
-            d = static_cast<RowId>(rng.below(num_rows));
-        for (uint32_t k = 0; k < 32; ++k) {
-            for (RowId d : decoys)
-                ch.activate(0, d);
-        }
-        // A full prime counts as success; one decoy is typically
-        // already being mitigated by the time phase 1 ends (the paper
-        // notes "one row gets mitigated over this time").
-        if (pano(ch).queueSize() + 1 >= pcfg.queueEntries)
-            ++successes;
-
-        // Phase 2: hammer a fresh attack row through whatever queue
-        // depth phase 1 achieved. With a full queue the row accrues
-        // ~queueEntries * threshold extra ACTs before mitigation.
-        const RowId x = static_cast<RowId>(rng.below(num_rows));
-        const Time pace = config.actsPerRefi > 0
-                              ? refi / config.actsPerRefi
-                              : 0;
-        const uint32_t peak =
-            hammerWithGuard(ch, x, config.hammerActs + pcfg.queueThreshold,
-                            config, pace, /*break_on_mitigation=*/true);
-        best = std::max(best, peak);
-
-        // Queue reset: wait for the gradual mitigation to drain.
+    uint32_t peak = 0;
+    for (uint32_t a = 0; a < hammer_acts; ++a) {
         uint32_t guard = 0;
-        while (pano(ch).queueSize() > 0 && ++guard < 128)
-            ch.advanceTo(ch.now() + 4 * refi);
-
-        if (iter == next_checkpoint || iter == max_iterations) {
-            result.curve.push_back({iter, best, successes});
-            while (next_checkpoint <= iter)
-                next_checkpoint *= 2;
+        while ((ch.bank(0).counter(target) + 1) % pcfg.queueThreshold == 0 &&
+               pano.queueSize() >= pcfg.queueEntries) {
+            ch.advanceTo(ch.now() + refi);
+            if (++guard > 16 * pcfg.queueEntries)
+                break; // mitigation stalled; bail out rather than hang
         }
+        ch.activate(0, target);
+        peak = std::max(peak, ch.security(0).hammerCount(target));
     }
-    result.duration = ch.now();
-    return result;
+
+    AttackResult res = resultOf(ch);
+    res.maxHammer = peak;
+    return res;
 }
 
 } // namespace moatsim::attacks

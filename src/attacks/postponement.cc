@@ -1,30 +1,45 @@
-#include "attacks/postponement.hh"
+/**
+ * @file
+ * Refresh-postponement attack on Drain-All-Entries-on-REF Panopticon
+ * (Appendix B, Figure 16 of the paper).
+ *
+ * DDR5 allows the memory controller to postpone up to two REF commands
+ * and issue them later as a batch. Against the drain-all policy --
+ * which mitigates queue entries only when a REF arrives -- an attacker
+ * postpones maximally, creating windows of up to 201 activations
+ * between REF batches. A row inserted into the queue right after a
+ * batch then accrues threshold + 200 = 328 activations (2.6x the
+ * queueing threshold) before the next batch mitigates it. The driver
+ * sweeps the insertion phase over its trials (256 by default) and
+ * reports the best trial's peak.
+ */
 
 #include <algorithm>
 
-#include "subchannel/subchannel.hh"
+#include "attacks/patterns.hh"
 
 namespace moatsim::attacks
 {
 
 AttackResult
-runRefreshPostponement(const PostponementConfig &config)
+runPostponement(const AttackConfig &config,
+                const mitigation::MitigatorSpec &mitigator)
 {
-    using subchannel::SubChannel;
-    using subchannel::SubChannelConfig;
-
-    SubChannelConfig sc;
-    sc.timing = config.timing;
-    sc.numBanks = 1;
-    sc.maxPostponedRefs = config.maxPostponed;
-    SubChannel ch(sc, mitigation::PanopticonMitigator(config.panopticon));
+    mitigation::PanopticonConfig pcfg =
+        mitigation::panopticonConfigOf(mitigator);
+    // The attack only bites the Appendix-B drain-all policy (the
+    // table rejects an explicit drain-all=false).
+    pcfg.drainAllOnRef = true;
+    subchannel::SubChannel ch = makeChannel(
+        atLevelOne(config), mitigation::PanopticonMitigator(pcfg));
     ch.setPostponeRefresh(true);
 
-    const ActCount threshold = config.panopticon.queueThreshold;
+    const ActCount threshold = pcfg.queueThreshold;
+    const uint32_t trials = config.trials != 0 ? config.trials : 256;
     const RowId pad_row = 2048; // sacrificial row for phase shifting
     uint32_t best = 0;
 
-    for (uint32_t trial = 0; trial < config.trials; ++trial) {
+    for (uint32_t trial = 0; trial < trials; ++trial) {
         // Shift the pattern phase relative to the REF-batch schedule so
         // some trial's queue insertion lands right after a batch.
         const uint32_t pad = trial % 211;
@@ -47,11 +62,8 @@ runRefreshPostponement(const PostponementConfig &config)
         best = std::max(best, peak);
     }
 
-    AttackResult res;
+    AttackResult res = resultOf(ch);
     res.maxHammer = best;
-    res.totalActs = ch.stats().acts;
-    res.alerts = ch.abo().alertCount();
-    res.duration = ch.now();
     return res;
 }
 

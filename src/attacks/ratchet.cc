@@ -1,12 +1,29 @@
-#include "attacks/ratchet.hh"
+/**
+ * @file
+ * The Ratchet attack against PRAC+ABO designs (Section 5, Appendix A).
+ *
+ * JEDEC's ABO is neither stop-the-world (180 ns of normal operation
+ * after assertion) nor instantaneous (at least L activations between
+ * consecutive ALERTs), so each ALERT-to-ALERT window leaks M = 3 + L
+ * activations the attacker controls. Ratchet primes a large pool of
+ * rows to ATH, then triggers a torrent of ALERTs and spends every
+ * leaked activation raising the surviving rows, funnelling all
+ * remaining budget into the last survivor. The maximum count reached is
+ * the real TRH tolerated by the design: ATH + log_{M/3}(Nc) + M
+ * (~99 for ATH=64 at ABO level 1).
+ *
+ * Figure 9's micro example is this driver on four rows at ABO level 4
+ * against a single-entry MOAT (`moat:ath=A,eth=A/2,entries=1`, pool
+ * 4): the last row reaches exactly ATH + 15.
+ */
 
 #include <algorithm>
 #include <variant>
 #include <vector>
 
 #include "analysis/ratchet_model.hh"
+#include "attacks/patterns.hh"
 #include "common/logging.hh"
-#include "subchannel/subchannel.hh"
 
 namespace moatsim::attacks
 {
@@ -15,7 +32,9 @@ namespace
 {
 
 using subchannel::SubChannel;
-using subchannel::SubChannelConfig;
+
+/** Priming top-up sweeps to counter proactive mitigation. */
+constexpr uint32_t kTopUpSweeps = 4;
 
 /**
  * Phase 2 of Ratchet: torrent of ALERTs over the primed pool.
@@ -75,13 +94,17 @@ ratchetTorrent(SubChannel &ch, std::vector<RowId> &live,
 } // namespace
 
 AttackResult
-runRatchet(const RatchetConfig &config)
+runRatchet(const AttackConfig &config,
+           const mitigation::MitigatorSpec &mitigator)
 {
     const dram::TimingParams &t = config.timing;
-    const int level = abo::levelValue(config.aboLevel);
+    const ActCount ath = mitigation::moatConfigOf(mitigator).ath;
 
-    // Derive the Appendix-A optimal pool size, capped to the bank.
-    const auto bound = analysis::ratchetBound(t, config.moat.ath, level);
+    // The pool defaults to the Appendix-A optimum Nc (the largest pool
+    // whose priming and ALERT torrent fit the refresh window), capped
+    // to the bank.
+    const auto bound = analysis::ratchetBound(
+        t, ath, abo::levelValue(config.aboLevel));
     const uint32_t stride = 2 * t.blastRadius + 2;
     const uint32_t max_fit = t.rowsPerBank / stride - 4;
     uint32_t pool = config.poolRows != 0
@@ -92,12 +115,8 @@ runRatchet(const RatchetConfig &config)
         fatal("runRatchet: empty pool");
     pool = std::min(pool, max_fit);
 
-    SubChannelConfig sc;
-    sc.timing = t;
-    sc.numBanks = 1;
-    sc.aboLevel = config.aboLevel;
-    sc.refreshResetsRows = false; // attacker dodges the refresh sweep
-    SubChannel ch(sc, mitigation::MoatMitigator(config.moat));
+    SubChannel ch = makeChannel(config, mitigator.factory(),
+                                /*refreshResetsRows=*/false);
     const auto &moat = std::get<mitigation::MoatMitigator>(ch.mitigator(0));
 
     std::vector<RowId> rows(pool);
@@ -107,14 +126,14 @@ runRatchet(const RatchetConfig &config)
     // Phase 1: prime every row to exactly ATH (one below the ALERT
     // trigger). Proactive mitigation keeps resetting some rows, so
     // sweep again a few times to top them up.
-    for (uint32_t sweep = 0; sweep <= config.topUpSweeps; ++sweep) {
+    for (uint32_t sweep = 0; sweep <= kTopUpSweeps; ++sweep) {
         bool all_primed = true;
         for (RowId r : rows) {
             ActCount c = ch.bank(0).counter(r);
-            if (sweep > 0 && c == config.moat.ath)
+            if (sweep > 0 && c == ath)
                 continue;
             all_primed = false;
-            while (c < config.moat.ath) {
+            while (c < ath) {
                 ch.activate(0, r);
                 c = ch.bank(0).counter(r);
             }
@@ -127,33 +146,11 @@ runRatchet(const RatchetConfig &config)
     std::vector<RowId> live;
     live.reserve(rows.size());
     for (RowId r : rows) {
-        if (ch.bank(0).counter(r) == config.moat.ath)
+        if (ch.bank(0).counter(r) == ath)
             live.push_back(r);
     }
     ratchetTorrent(ch, live, moat);
-
-    AttackResult res;
-    res.maxHammer = ch.security(0).maxHammer();
-    res.totalActs = ch.stats().acts;
-    res.alerts = ch.abo().alertCount();
-    res.duration = ch.now();
-    return res;
-}
-
-AttackResult
-runRatchetMicroExample(const dram::TimingParams &timing, uint32_t ath)
-{
-    // Figure 9: four rows, ABO level 4 (7 ACTs per ALERT window) with a
-    // single-entry MOAT that mitigates one row per ALERT.
-    RatchetConfig config;
-    config.timing = timing;
-    config.moat.ath = ath;
-    config.moat.eth = ath / 2;
-    config.moat.trackerEntries = 1;
-    config.aboLevel = abo::Level::L4;
-    config.poolRows = 4;
-    config.topUpSweeps = 1;
-    return runRatchet(config);
+    return resultOf(ch);
 }
 
 } // namespace moatsim::attacks

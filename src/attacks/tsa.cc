@@ -24,7 +24,6 @@ channelConfig(const PerfAttackConfig &config)
     sc.timing = config.timing;
     sc.numBanks = config.numBanks;
     sc.aboLevel = config.aboLevel;
-    sc.seed = config.seed;
     return sc;
 }
 

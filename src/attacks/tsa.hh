@@ -42,7 +42,6 @@ struct PerfAttackConfig
     uint32_t numBanks = 1;
     /** Pattern repetitions to measure over. */
     uint32_t cycles = 50;
-    uint64_t seed = 1;
 };
 
 /**

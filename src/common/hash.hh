@@ -2,8 +2,8 @@
  * @file
  * Stable 64-bit hashing for reproducible seeding and cache keys.
  *
- * The sweep engine derives per-cell RNG seeds and baseline-cache keys
- * from workload names, mitigator specs, and configuration values.
+ * Trace seeds, cell keys and baseline-cache keys are derived from
+ * workload names, mitigator specs, and configuration values.
  * std::hash is implementation-defined, so two builds (or two stdlib
  * versions) could disagree on every derived seed; these helpers are
  * fixed algorithms (FNV-1a over bytes, the splitmix64 finalizer) whose

@@ -4,9 +4,9 @@
  *
  * moatsim uses an explicit xoshiro256** generator rather than
  * std::mt19937 so that experiments are reproducible bit-for-bit across
- * standard-library implementations. All randomized attacks and workload
- * generators take an Rng by reference; nothing in the library touches
- * global random state.
+ * standard-library implementations. Workload trace generation owns
+ * one Rng per trace; nothing in the library touches global random
+ * state.
  */
 
 #ifndef MOATSIM_COMMON_RNG_HH

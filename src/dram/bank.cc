@@ -7,35 +7,16 @@
 namespace moatsim::dram
 {
 
-namespace
-{
-
-void
-initCounters(std::span<ActCount> counters, CounterInit init, Rng *rng)
-{
-    if (init == CounterInit::RandomByte) {
-        if (rng == nullptr)
-            fatal("Bank: RandomByte counter init requires an Rng");
-        for (auto &c : counters)
-            c = static_cast<ActCount>(rng->below(256));
-    }
-}
-
-} // namespace
-
-Bank::Bank(const TimingParams &params, CounterInit init, Rng *rng)
+Bank::Bank(const TimingParams &params)
     : owned_(params.rowsPerBank, 0), counters_(owned_)
 {
-    initCounters(counters_, init, rng);
 }
 
-Bank::Bank(const TimingParams &params, CounterInit init, Rng *rng,
-           std::span<ActCount> storage)
+Bank::Bank(const TimingParams &params, std::span<ActCount> storage)
     : counters_(storage)
 {
     if (storage.size() != params.rowsPerBank)
         fatal("Bank: counter storage size does not match rowsPerBank");
-    initCounters(counters_, init, rng);
 }
 
 ActCount

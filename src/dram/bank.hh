@@ -17,36 +17,19 @@
 #include <span>
 #include <vector>
 
-#include "common/rng.hh"
 #include "common/types.hh"
 #include "dram/timing.hh"
 
 namespace moatsim::dram
 {
 
-/** How PRAC counters are initialized at power-up. */
-enum class CounterInit
-{
-    /** All counters start at zero (deterministic Panopticon / MOAT). */
-    Zero,
-    /** Counters start uniformly random in [0, 255] (randomized
-     *  Panopticon, Section 3.3). */
-    RandomByte,
-};
-
 /** One DRAM bank: PRAC counters plus open-row state. */
 class Bank
 {
   public:
-    /**
-     * Construct a bank.
-     *
-     * @param params Geometry (rowsPerBank is taken from here).
-     * @param init Counter initialization policy.
-     * @param rng Generator for randomized initialization; may be null
-     *            when init is CounterInit::Zero.
-     */
-    Bank(const TimingParams &params, CounterInit init, Rng *rng = nullptr);
+    /** Construct a bank of params.rowsPerBank rows, every PRAC
+     *  counter at zero. */
+    explicit Bank(const TimingParams &params);
 
     /**
      * Construct a bank whose counters live in caller-owned @p storage
@@ -56,8 +39,7 @@ class Bank
      * allocation (and its page faults) per bank. The storage must
      * outlive the bank.
      */
-    Bank(const TimingParams &params, CounterInit init, Rng *rng,
-         std::span<ActCount> storage);
+    Bank(const TimingParams &params, std::span<ActCount> storage);
 
     /**
      * Moves keep the counters valid (both storage flavours live on

@@ -220,7 +220,7 @@ class DeviceModel
     /**
      * Independent sub-channel replay slots: channels x ranks x
      * sub-channels per channel. Each slot is one subchannel::SubChannel
-     * (its own banks, mitigators, ABO state machine, RNG stream).
+     * (its own banks, mitigators and ABO state machine).
      */
     uint32_t totalSubchannelSlots() const
     {

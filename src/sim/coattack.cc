@@ -18,10 +18,8 @@ coAttackCellSeed(const workload::TraceGenConfig &config,
                  abo::Level level,
                  const workload::AttackTraceConfig & /*attack*/)
 {
-    // Deliberately independent of the attack: the attacked run and its
-    // attack-free baseline share one system state (seeding, counter
-    // init) and differ only in the command stream, exactly like a real
-    // co-tenant attack.
+    // Independent of the attack, like the attack-free baseline the
+    // attacked run is compared against; no sub-channel reads it.
     return hashCombine(cellSeed(config, spec, mitigator, level),
                        stableHash64("coattack"));
 }

@@ -112,10 +112,9 @@ struct CoAttackResult
 
 /**
  * Channel seed of a co-attack cell: the perf cell seed re-keyed for
- * the co-attack domain. Deliberately independent of @p attack: the
- * attacked run and its attack-free baseline share one system state
- * (seeding, counter init) and differ only in the command stream,
- * exactly like a real co-tenant attack.
+ * the co-attack domain, independent of @p attack. Like cellSeed() it
+ * shapes no result (no sub-channel reads its seed); it stays because
+ * perfbench assigns it to the system it builds.
  */
 uint64_t coAttackCellSeed(const workload::TraceGenConfig &config,
                           const workload::WorkloadSpec &spec,

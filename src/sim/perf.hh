@@ -86,9 +86,9 @@ struct PerfResult
 /**
  * The System every cell replays on -- perf cells, their no-ALERT
  * baselines and co-attack runs alike: config.subchannels sub-channels
- * per (channel, rank) at ABO @p level, seeded from @p seed. The
- * security oracle is off unless @p oracle names the one (slot, bank)
- * it tracks.
+ * per (channel, rank) at ABO @p level, with channel seed @p seed
+ * (unread by the sub-channels; see cellSeed()). The security oracle
+ * is off unless @p oracle names the one (slot, bank) it tracks.
  */
 SystemConfig
 systemConfigFor(const workload::TraceGenConfig &config, abo::Level level,
@@ -103,10 +103,12 @@ uint64_t perfConfigKey(const workload::TraceGenConfig &config,
                        const CoreModel &core);
 
 /**
- * Per-cell RNG seed: a stable function of the cell key (configuration,
- * workload, mitigator spec text, ABO level). Bit-identical results
- * regardless of thread count or schedule follow from seeding every
- * cell from its own key instead of from shared mutable state.
+ * Per-cell channel seed: a stable function of the cell key
+ * (configuration, workload, mitigator spec text, ABO level), assigned
+ * to SystemConfig::channel.seed. No sub-channel reads that seed, so it
+ * shapes no result; the only RNG on a result path is trace
+ * generation's workload::traceSeed(spec, config). Kept because
+ * perfbench derives its co-attack channel seed from it.
  */
 uint64_t cellSeed(const workload::TraceGenConfig &config,
                   const workload::WorkloadSpec &spec,
@@ -164,8 +166,8 @@ class BaselineCache
 
 /**
  * Run one sweep cell given its traces and precomputed baseline finish
- * times. Pure function of its arguments (the cell seed is derived
- * internally via cellSeed); SweepEngine::runCell is its caller.
+ * times. Pure function of its arguments; SweepEngine::runCell is its
+ * caller.
  * @p traces is the shared TraceSet of (spec, config) -- typically a
  * TraceStore handout replayed by every cell of the matrix.
  */

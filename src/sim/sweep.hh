@@ -10,11 +10,12 @@
  * engine keys, caches and fans out all three the same way. Every cell is an
  * independent simulation, so run() fans the cells out with
  * parallelFor over a thread pool with one FIFO job queue
- * (common/thread_pool.hh). Determinism is by construction: each
- * cell's RNG streams are seeded from its own stable cell key
- * (sim::cellSeed), its workload traces come out of the shared
- * content-addressed workload::TraceStore (generated exactly once per
- * distinct key, baselines included), and its baseline comes from a
+ * (common/thread_pool.hh). Determinism is by construction: the only
+ * RNG on a result path is trace generation, seeded from
+ * workload::traceSeed(spec, config); each cell's workload traces come
+ * out of the shared content-addressed workload::TraceStore (generated
+ * exactly once per distinct key, baselines included), and its
+ * baseline comes from a
  * thread-safe compute-once cache, so the result vector is
  * bit-identical at any --jobs value and under any thread schedule --
  * and identical again with the trace store disabled. The serial path

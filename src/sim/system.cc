@@ -39,15 +39,16 @@ System::System(const SystemConfig &config,
     };
     if (config_.channels == 1 && config_.ranks == 1) {
         // Flat single-channel, single-rank system: the historical
-        // seeding scheme, which the golden results are a function of.
+        // derivation. Sub-channels never read their seed, so results
+        // do not depend on it (SystemConfig::channel).
         for (uint32_t i = 0; i < config_.subchannels; ++i)
             add(hashCombine(config_.channel.seed, i));
         return;
     }
-    // Per-level derivation: fold each topology coordinate in turn so
-    // streams never collide and every slot's seed is independent of
-    // the sibling counts (slot (c, r, s) keeps its seed when the
-    // sweep changes another level's population).
+    // Per-level derivation: fold each topology coordinate in turn, so
+    // every slot's seed is independent of the sibling counts (slot
+    // (c, r, s) keeps its seed when the sweep changes another level's
+    // population).
     for (uint32_t c = 0; c < config_.channels; ++c) {
         const uint64_t chan_seed = hashCombine(config_.channel.seed, c);
         for (uint32_t r = 0; r < config_.ranks; ++r) {

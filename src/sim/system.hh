@@ -5,8 +5,8 @@
  * The paper's baseline (Table 3) is a 32 GB system with two DDR5
  * sub-channels of 32 banks each. A System instantiates N SubChannel
  * instances -- each with its own per-bank mitigators copied from the
- * same mitigation::Mitigator prototype and an independently derived
- * RNG stream -- and replays every core's pre-decoded activation trace
+ * same mitigation::Mitigator prototype -- and replays every core's
+ * pre-decoded activation trace
  * (workload::TraceEvent carries the dram::AddressMap-routed
  * coordinates) through one merged event loop: cores issue in global
  * intended-arrival order, each ACT dispatches to its event's
@@ -56,13 +56,13 @@ struct SystemConfig
 {
     /**
      * Per-sub-channel configuration; every sub-channel is built from
-     * this template with an independently derived RNG seed. On the
-     * flat single-channel, single-rank system, slot i seeds from
-     * hashCombine(channel.seed, i) (the historical scheme -- golden
-     * results depend on it); with channels or ranks above 1, slot
-     * (c, r, s) seeds from the per-level derivation
-     * hashCombine(hashCombine(hashCombine(seed, c), r), s) so streams
-     * never collide at any topology.
+     * this template. Each slot's `seed` is still derived -- slot i of
+     * the flat single-channel, single-rank system gets
+     * hashCombine(channel.seed, i), slot (c, r, s) of a larger
+     * topology hashCombine(hashCombine(hashCombine(seed, c), r), s)
+     * -- but no sub-channel reads it, so no result depends on it. The
+     * only RNG on a result path is trace generation's
+     * workload::traceSeed(spec, config).
      */
     subchannel::SubChannelConfig channel{};
     /** Sub-channels per (channel, rank) (Table 3 baseline: 2). */

@@ -14,7 +14,6 @@ namespace moatsim::subchannel
 SubChannel::SubChannel(const SubChannelConfig &config,
                        const mitigation::Mitigator &prototype)
     : config_(config),
-      rng_(config.seed),
       abo_(config_.timing, config.aboLevel)
 {
     config_.timing.validate();
@@ -31,7 +30,7 @@ SubChannel::SubChannel(const SubChannelConfig &config,
     mitigation_stats_.reserve(nb);
     for (BankId b = 0; b < nb; ++b) {
         banks_.emplace_back(
-            config_.timing, config_.counterInit, &rng_,
+            config_.timing,
             std::span<ActCount>(counter_slab_.data() + b * rows, rows));
         refresh_.emplace_back(config_.timing, config_.maxPostponedRefs);
         mitigation_stats_.emplace_back();

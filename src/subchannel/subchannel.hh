@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "abo/abo.hh"
-#include "common/rng.hh"
 #include "common/time.hh"
 #include "common/types.hh"
 #include "dram/bank.hh"
@@ -45,8 +44,6 @@ struct SubChannelConfig
     dram::TimingParams timing{};
     /** ABO mitigation level (MR71 op[1:0]). */
     abo::Level aboLevel = abo::Level::L1;
-    /** PRAC counter initialization. */
-    dram::CounterInit counterInit = dram::CounterInit::Zero;
     /**
      * Whether auto-refresh resets row damage/hammer state and invokes
      * the mitigator's counter-reset-on-refresh hook. Long-running
@@ -77,7 +74,11 @@ struct SubChannelConfig
     uint32_t numBanks = 0;
     /** Maximum REFs that postponement may owe at once (DDR5: 2). */
     uint32_t maxPostponedRefs = 2;
-    /** Seed for randomized counter initialization. */
+    /**
+     * Unread: no sub-channel draws a random number (PRAC counters
+     * start at zero). sim::System still derives one per slot, and
+     * perfbench assigns it, so the field stays until that chain goes.
+     */
     uint64_t seed = 1;
 };
 
@@ -239,7 +240,6 @@ class SubChannel
     dram::SecurityMonitor *requireOracle(BankId b) const;
 
     SubChannelConfig config_;
-    Rng rng_;
     /**
      * Flat PRAC-counter slab backing every bank: one allocation of
      * numBanks x rowsPerBank entries instead of one multi-hundred-KB

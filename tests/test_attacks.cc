@@ -7,12 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "analysis/ratchet_model.hh"
 #include "attacks/attack.hh"
-#include "attacks/feinting.hh"
-#include "attacks/jailbreak.hh"
-#include "attacks/postponement.hh"
-#include "attacks/ratchet.hh"
 #include "attacks/tsa.hh"
 #include "mitigation/registry.hh"
 #include "subchannel/subchannel.hh"
@@ -104,7 +102,6 @@ TEST(AttackDriver, HighestLevelRecoveryInFlightAtStreamEndIsServiced)
         subchannel::SubChannelConfig sc;
         sc.numBanks = 1;
         sc.aboLevel = abo::Level::L4;
-        sc.seed = 1;
         return subchannel::SubChannel(sc, spec.factory());
     };
 
@@ -265,12 +262,20 @@ TEST(AttackDriver, ResultNamesItsPatternAndDesign)
     EXPECT_EQ(r.mitigator, spec.describe());
 }
 
+/** runAttack() of @p cfg against the design @p spec names. */
+AttackResult
+runAgainst(const AttackConfig &cfg, const std::string &spec)
+{
+    return runAttack(cfg, mitigation::Registry::parse(spec));
+}
+
 TEST(Jailbreak, DeterministicReaches1152)
 {
     // Section 3.2: 128 + 8*128 = 1152 ACTs, 9x the threshold, with no
-    // ALERT ever raised.
-    JailbreakConfig cfg;
-    const AttackResult r = runDeterministicJailbreak(cfg);
+    // ALERT ever raised, at the paper's 1024-ACT hammer budget.
+    AttackConfig cfg = patternConfig("jailbreak");
+    cfg.budget = 1024;
+    const AttackResult r = runAgainst(cfg, "panopticon");
     EXPECT_EQ(r.maxHammer, 1152u);
     EXPECT_EQ(r.alerts, 0u);
 }
@@ -280,35 +285,25 @@ TEST(Jailbreak, DeterministicScalesWithQueueDepth)
     // The accrual while queued is queueEntries * threshold on top of
     // the initial threshold, plus up to one more threshold of ACTs
     // while the target's own mitigation is in flight.
-    JailbreakConfig cfg;
-    cfg.panopticon.queueEntries = 4;
-    const AttackResult r = runDeterministicJailbreak(cfg);
+    AttackConfig cfg = patternConfig("jailbreak");
+    cfg.budget = 1024;
+    const AttackResult r = runAgainst(cfg, "panopticon:entries=4");
     EXPECT_GE(r.maxHammer, 128u * 5);
     EXPECT_LE(r.maxHammer, 128u * 6 + 8);
     EXPECT_EQ(r.alerts, 0u);
 }
 
-TEST(Jailbreak, RandomizedPartialFillsStillOvershoot)
-{
-    // Even without a full queue fill, the attack row rides behind the
-    // partially-filled queue; a few hundred iterations already exceed
-    // 2x the threshold (Figure 5's early points).
-    JailbreakConfig cfg;
-    RandomizedJailbreakResult r = runRandomizedJailbreak(cfg, 256);
-    ASSERT_FALSE(r.curve.empty());
-    EXPECT_GT(r.curve.back().maxHammer, 2 * cfg.panopticon.queueThreshold);
-    // Checkpoints are cumulative and monotonic.
-    for (size_t i = 1; i < r.curve.size(); ++i) {
-        EXPECT_GE(r.curve[i].maxHammer, r.curve[i - 1].maxHammer);
-        EXPECT_GE(r.curve[i].iterations, r.curve[i - 1].iterations);
-    }
-}
-
 TEST(Ratchet, MicroExampleMatchesFigure9)
 {
-    // Four rows, ABO level 4: the last row reaches exactly ATH + 15.
+    // Four rows, ABO level 4, a single-entry MOAT that mitigates one
+    // row per ALERT: the last row reaches exactly ATH + 15.
     for (uint32_t ath : {32u, 64u, 128u}) {
-        const AttackResult r = runRatchetMicroExample(kT, ath);
+        AttackConfig cfg = patternConfig("ratchet");
+        cfg.aboLevel = abo::Level::L4;
+        cfg.poolRows = 4;
+        const AttackResult r = runAgainst(
+            cfg, "moat:ath=" + std::to_string(ath) +
+                     ",eth=" + std::to_string(ath / 2) + ",entries=1");
         EXPECT_EQ(r.maxHammer, ath + 15) << "ATH=" << ath;
     }
 }
@@ -318,9 +313,7 @@ TEST(Ratchet, FullAttackApproachesAnalyticalBound)
     // ATH=64, L1: TRH_safe = 99; the simulated attack must come within
     // a few activations of the bound (and may slightly exceed it, the
     // model is approximate in F(N)).
-    RatchetConfig cfg;
-    cfg.timing = kT;
-    const AttackResult r = runRatchet(cfg);
+    const AttackResult r = runAgainst(patternConfig("ratchet"), "moat");
     const double bound = analysis::ratchetBound(kT, 64, 1).safeTrh;
     EXPECT_GE(r.maxHammer, bound - 6);
     EXPECT_LE(r.maxHammer, bound + 6);
@@ -333,14 +326,12 @@ TEST(Ratchet, FullAttackApproachesAnalyticalBound)
 
 TEST(Ratchet, SmallerPoolYieldsFewerExtraActs)
 {
-    RatchetConfig small;
-    small.timing = kT;
+    AttackConfig small = patternConfig("ratchet");
     small.poolRows = 64;
-    RatchetConfig big;
-    big.timing = kT;
+    AttackConfig big = patternConfig("ratchet");
     big.poolRows = 2048;
-    const auto rs = runRatchet(small);
-    const auto rb = runRatchet(big);
+    const auto rs = runAgainst(small, "moat");
+    const auto rb = runAgainst(big, "moat");
     EXPECT_LT(rs.maxHammer, rb.maxHammer);
     EXPECT_GT(rs.maxHammer, 64u); // still above ATH
 }
@@ -350,10 +341,10 @@ TEST(Feinting, Table2Rates)
     // Simulated feinting lands within 5% of the analytical bound for
     // the paper's five mitigation rates (Table 2).
     const double expected[] = {638, 1188, 1702, 2195, 2669};
-    for (uint32_t k = 4; k <= 5; ++k) { // longer rates in bench; 2 here
-        FeintingConfig cfg;
-        cfg.mitigationPeriodRefis = k;
-        const AttackResult r = runFeinting(cfg);
+    for (uint32_t k = 4; k <= 5; ++k) { // all five in the claims table
+        const AttackResult r = runAgainst(
+            patternConfig("feinting"),
+            "ideal-prc:period=" + std::to_string(k));
         EXPECT_NEAR(r.maxHammer, expected[k - 1], expected[k - 1] * 0.05)
             << "k=" << k;
     }
@@ -361,30 +352,20 @@ TEST(Feinting, Table2Rates)
 
 TEST(Feinting, NoAlertsFromTransparentScheme)
 {
-    FeintingConfig cfg;
-    cfg.mitigationPeriodRefis = 4;
+    AttackConfig cfg = patternConfig("feinting");
     cfg.poolRows = 128; // quick run
-    EXPECT_EQ(runFeinting(cfg).alerts, 0u);
+    EXPECT_EQ(runAgainst(cfg, "ideal-prc:period=4").alerts, 0u);
 }
 
 TEST(Postponement, DrainAllBrokenAt328)
 {
     // Figure 16: 128 + 200 = 328 activations (2.6x the threshold).
-    PostponementConfig cfg;
-    const AttackResult r = runRefreshPostponement(cfg);
+    // The window postponement opens is pinned against its no-postpone
+    // control in SubChannel.PostponementWindowAllows201Acts.
+    const AttackResult r =
+        runAgainst(patternConfig("postponement"), "panopticon");
     EXPECT_GE(r.maxHammer, 320u);
     EXPECT_LE(r.maxHammer, 336u);
-}
-
-TEST(Postponement, WithoutPostponementStaysNearThreshold)
-{
-    // Sanity: with no postponement allowed the same pattern caps near
-    // threshold + one tREFI of activations.
-    PostponementConfig cfg;
-    cfg.maxPostponed = 0;
-    cfg.trials = 64;
-    const AttackResult r = runRefreshPostponement(cfg);
-    EXPECT_LT(r.maxHammer, 220u);
 }
 
 TEST(PerfAttack, SingleRowKernelLosesUnderTenPercent)

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
-#include "common/rng.hh"
+#include <span>
+#include <vector>
+
 #include "dram/bank.hh"
 
 namespace moatsim::dram
@@ -24,7 +26,7 @@ smallTiming()
 
 TEST(Bank, StartsClosedAndZeroed)
 {
-    Bank b(smallTiming(), CounterInit::Zero);
+    Bank b(smallTiming());
     EXPECT_EQ(b.openRow(), kInvalidRow);
     EXPECT_EQ(b.numRows(), 1024u);
     for (RowId r = 0; r < b.numRows(); r += 97)
@@ -34,7 +36,7 @@ TEST(Bank, StartsClosedAndZeroed)
 
 TEST(Bank, ActivateIncrementsCounter)
 {
-    Bank b(smallTiming(), CounterInit::Zero);
+    Bank b(smallTiming());
     EXPECT_EQ(b.activate(5), 1u);
     EXPECT_EQ(b.activate(5), 2u);
     EXPECT_EQ(b.activate(7), 1u);
@@ -45,7 +47,7 @@ TEST(Bank, ActivateIncrementsCounter)
 
 TEST(Bank, ActivateOpensRowPrechargeCloses)
 {
-    Bank b(smallTiming(), CounterInit::Zero);
+    Bank b(smallTiming());
     b.activate(11);
     EXPECT_EQ(b.openRow(), 11u);
     b.precharge();
@@ -54,7 +56,7 @@ TEST(Bank, ActivateOpensRowPrechargeCloses)
 
 TEST(Bank, ResetCounterZeroesOnlyThatRow)
 {
-    Bank b(smallTiming(), CounterInit::Zero);
+    Bank b(smallTiming());
     b.activate(3);
     b.activate(3);
     b.activate(4);
@@ -63,36 +65,16 @@ TEST(Bank, ResetCounterZeroesOnlyThatRow)
     EXPECT_EQ(b.counter(4), 1u);
 }
 
-TEST(Bank, RandomInitStaysInByteRange)
+TEST(BankDeathTest, StorageOfTheWrongSizeIsFatal)
 {
-    Rng rng(1);
-    Bank b(smallTiming(), CounterInit::RandomByte, &rng);
-    uint32_t nonzero = 0;
-    for (RowId r = 0; r < b.numRows(); ++r) {
-        EXPECT_LE(b.counter(r), 255u);
-        nonzero += (b.counter(r) != 0);
-    }
-    EXPECT_GT(nonzero, b.numRows() / 2);
-}
-
-TEST(Bank, RandomInitIsSeedDeterministic)
-{
-    Rng r1(77), r2(77);
-    Bank a(smallTiming(), CounterInit::RandomByte, &r1);
-    Bank b(smallTiming(), CounterInit::RandomByte, &r2);
-    for (RowId r = 0; r < a.numRows(); ++r)
-        EXPECT_EQ(a.counter(r), b.counter(r));
-}
-
-TEST(BankDeathTest, RandomInitWithoutRngIsFatal)
-{
-    EXPECT_EXIT(Bank(smallTiming(), CounterInit::RandomByte, nullptr),
-                testing::ExitedWithCode(1), "Rng");
+    std::vector<ActCount> slab(smallTiming().rowsPerBank - 1, 0);
+    EXPECT_EXIT(Bank(smallTiming(), std::span<ActCount>(slab)),
+                testing::ExitedWithCode(1), "storage size");
 }
 
 TEST(Bank, CounterIsFreeRunningPastThresholdBits)
 {
-    Bank b(smallTiming(), CounterInit::Zero);
+    Bank b(smallTiming());
     for (int i = 0; i < 300; ++i)
         b.activate(0);
     EXPECT_EQ(b.counter(0), 300u);

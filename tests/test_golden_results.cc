@@ -152,6 +152,71 @@ attackLines()
     return lines;
 }
 
+/**
+ * The golden knob matrix: one line per way a request's knobs reach a
+ * pattern driver beyond the defaults attackLines() pins -- pool size,
+ * budget, trials, ABO level, the mitigator's parameters and the
+ * device timing -- so a driver that drops or reinterprets one of them
+ * shows up as a changed line.
+ */
+std::vector<std::string>
+attackKnobLines()
+{
+    struct KnobCell
+    {
+        const char *pattern;
+        const char *mitigator;
+        abo::Level level;
+        uint32_t poolRows;
+        uint64_t budget;
+        uint32_t trials;
+        const char *device;
+    };
+    using abo::Level;
+    const KnobCell cells[] = {
+        {"ratchet", "moat:entries=2", Level::L2, 0, 0, 0, ""},
+        {"ratchet", "moat:entries=4", Level::L4, 0, 0, 0, ""},
+        {"ratchet", "moat", Level::L1, 64, 0, 0, ""},
+        // Figure 9's micro examples: ATH + 15 at ATH 32, 64 and 128.
+        {"ratchet", "moat:ath=32,eth=16,entries=1", Level::L4, 4, 0, 0, ""},
+        {"ratchet", "moat:ath=64,eth=32,entries=1", Level::L4, 4, 0, 0, ""},
+        {"ratchet", "moat:ath=128,eth=64,entries=1", Level::L4, 4, 0, 0,
+         ""},
+        {"ratchet", "moat", Level::L1, 64, 0, 0,
+         "device:speed=ddr5-prac-fast"},
+        {"jailbreak", "panopticon:entries=2", Level::L1, 0, 0, 0, ""},
+        {"jailbreak", "panopticon:entries=4", Level::L1, 0, 0, 0, ""},
+        {"jailbreak", "panopticon:entries=16", Level::L1, 0, 0, 0, ""},
+        {"jailbreak", "panopticon", Level::L1, 0, 1024, 0, ""},
+        {"jailbreak", "panopticon", Level::L1, 0, 0, 0, "device:org=8gb"},
+        // A configuration that ALERTs, at a level other than 1.
+        {"jailbreak", "panopticon:drain-all=true,drain-per-ref=0",
+         Level::L4, 0, 0, 0, ""},
+        {"feinting", "ideal-prc:period=2", Level::L1, 0, 0, 0, ""},
+        {"feinting", "ideal-prc", Level::L1, 128, 0, 0, ""},
+        {"feinting", "ideal-prc", Level::L1, 128, 0, 0,
+         "device:org=8gb,speed=ddr5-prac-fast"},
+        {"postponement", "panopticon", Level::L1, 0, 0, 16, ""},
+        {"postponement", "panopticon:entries=1", Level::L4, 0, 0, 16, ""},
+        {"round-robin", "moat", Level::L1, 4, 0, 0, ""},
+    };
+    std::vector<std::string> lines;
+    for (const auto &cell : cells) {
+        attacks::AttackConfig cfg;
+        if (*cell.device != '\0')
+            cfg.timing =
+                dram::DeviceSpec::parse(cell.device).resolve().timing();
+        cfg.aboLevel = cell.level;
+        cfg.pattern = cell.pattern;
+        cfg.poolRows = cell.poolRows;
+        cfg.budget = cell.budget;
+        cfg.trials = cell.trials;
+        const auto spec = mitigation::Registry::parse(cell.mitigator);
+        lines.push_back(toJsonLine(attacks::runAttack(cfg, spec)));
+    }
+    return lines;
+}
+
 void
 writeLines(const std::filesystem::path &path,
            const std::vector<std::string> &lines)
@@ -236,6 +301,11 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(GoldenAttacks, MatchCheckedInResults)
 {
     checkGolden("attack_results.jsonl", attackLines());
+}
+
+TEST(GoldenAttacks, KnobVariantsMatchCheckedInResults)
+{
+    checkGolden("attack_knobs.jsonl", attackKnobLines());
 }
 
 class GoldenCoAttack : public ::testing::TestWithParam<std::string>

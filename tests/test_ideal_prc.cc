@@ -22,7 +22,7 @@ struct PrcFixture : public ::testing::Test
         t.refreshGroups = 64;
         return t;
     }();
-    dram::Bank bank{timing, dram::CounterInit::Zero};
+    dram::Bank bank{timing};
     dram::SecurityMonitor security{512, 2};
     MitigationStats stats;
     MitigationContext ctx{bank, security, stats};

@@ -22,7 +22,7 @@ struct JobFixture : public ::testing::Test
         t.refreshGroups = 32;
         return t;
     }();
-    dram::Bank bank{timing, dram::CounterInit::Zero};
+    dram::Bank bank{timing};
     dram::SecurityMonitor security{256, 2};
     MitigationStats stats;
     MitigationContext ctx{bank, security, stats};

@@ -25,7 +25,7 @@ struct MoatFixture : public ::testing::Test
         t.refreshGroups = 32; // 8 rows per group
         return t;
     }();
-    dram::Bank bank{timing, dram::CounterInit::Zero};
+    dram::Bank bank{timing};
     dram::SecurityMonitor security{256, 2};
     MitigationStats stats;
     MitigationContext ctx{bank, security, stats};

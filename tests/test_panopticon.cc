@@ -22,7 +22,7 @@ struct PanoFixture : public ::testing::Test
         t.refreshGroups = 128;
         return t;
     }();
-    dram::Bank bank{timing, dram::CounterInit::Zero};
+    dram::Bank bank{timing};
     dram::SecurityMonitor security{1024, 2};
     MitigationStats stats;
     MitigationContext ctx{bank, security, stats};

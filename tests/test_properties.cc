@@ -6,16 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "analysis/ratchet_model.hh"
-#include "attacks/ratchet.hh"
+#include "attacks/attack.hh"
 #include "common/rng.hh"
 #include "dram/bank.hh"
 #include "dram/security.hh"
 #include "mitigation/mitigator.hh"
 #include "mitigation/moat.hh"
 #include "mitigation/null.hh"
+#include "mitigation/registry.hh"
 #include "subchannel/subchannel.hh"
 
 namespace moatsim
@@ -76,13 +78,15 @@ class MoatGuarantee
 TEST_P(MoatGuarantee, RatchetStaysWithinAnalyticalBound)
 {
     const auto [ath, level] = GetParam();
-    attacks::RatchetConfig cfg;
-    cfg.moat.ath = ath;
-    cfg.moat.eth = ath / 2;
+    attacks::AttackConfig cfg;
+    cfg.pattern = "ratchet";
     cfg.aboLevel = static_cast<abo::Level>(level);
-    cfg.moat.trackerEntries = static_cast<uint32_t>(level);
     cfg.poolRows = 512; // sub-optimal pool: must stay under the bound
-    const auto r = attacks::runRatchet(cfg);
+    const auto r = attacks::runAttack(
+        cfg, mitigation::Registry::parse(
+                 "moat:ath=" + std::to_string(ath) +
+                 ",eth=" + std::to_string(ath / 2) +
+                 ",entries=" + std::to_string(level)));
     const auto bound =
         analysis::ratchetBound(cfg.timing, ath, level);
     EXPECT_LE(r.maxHammer, bound.safeTrh + 4)
@@ -147,7 +151,7 @@ TEST_P(JobProperty, VictimSetExact)
     dram::TimingParams t;
     t.rowsPerBank = 64;
     t.refreshGroups = 8;
-    dram::Bank bank(t, dram::CounterInit::Zero);
+    dram::Bank bank(t);
     dram::SecurityMonitor security(64, radius);
     mitigation::MitigationStats stats;
     mitigation::MitigationContext ctx(bank, security, stats);

@@ -180,20 +180,28 @@ TEST(SubChannel, PostponementBatchesThreeRefs)
 
 TEST(SubChannel, PostponementWindowAllows201Acts)
 {
-    // Appendix B: up to 201 activations between REF batches.
-    auto ch = nullChannel(baseConfig(1));
-    ch.setPostponeRefresh(true);
-    ch.advanceTo(3 * ch.timing().tREFI + 1); // first batch done
-    const Time batch_end = ch.now() + 3 * ch.timing().tRFC;
-    uint32_t acts = 0;
-    for (int i = 0; i < 250; ++i) {
-        ch.activate(0, 100);
-        if (ch.stats().refs > 3)
-            break;
-        ++acts;
-    }
-    (void)batch_end;
-    EXPECT_NEAR(acts, 201, 2);
+    // Appendix B: with two REFs postponed, up to 201 activations fit
+    // between REF batches. The negative control: with no REF
+    // postponable the window collapses to one tREFI of ACTs.
+    const auto windowActs = [](uint32_t max_postponed) {
+        SubChannelConfig sc = baseConfig(1);
+        sc.maxPostponedRefs = max_postponed;
+        auto ch = nullChannel(sc);
+        ch.setPostponeRefresh(true);
+        ch.advanceTo(3 * ch.timing().tREFI + 1); // first batch done
+        uint32_t acts = 0;
+        for (int i = 0; i < 250; ++i) {
+            ch.activate(0, 100);
+            if (ch.stats().refs > 3)
+                break;
+            ++acts;
+        }
+        return acts;
+    };
+    EXPECT_NEAR(windowActs(2), 201, 2);
+    const dram::TimingParams t;
+    EXPECT_EQ(t.actsPerRefi(), 67u); // Table-1 timing
+    EXPECT_NEAR(windowActs(0), t.actsPerRefi(), 2);
 }
 
 TEST(SubChannel, StatsCountActs)

@@ -24,6 +24,7 @@ namespace
 // The comment/string state machine and line arithmetic moved to
 // cxx_scan (shared with the keylint semantic pass); the textual rules
 // keep their historical two-variant view of a file.
+using cxx::identRefs;
 using cxx::lineOf;
 using cxx::lineStartsOf;
 using cxx::Spans;
@@ -154,29 +155,6 @@ identChar(char c)
     return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
 }
 
-/**
- * Occurrences of identifier-like token @p name in @p text that start a
- * qualified-or-plain reference: the preceding character may be ':'
- * (std::rand, ::rand) but not an identifier character, '.', or '>'
- * (object.member / ptr->member are someone else's functions).
- */
-std::vector<size_t>
-tokenRefs(const std::string &text, const std::string &name)
-{
-    std::vector<size_t> hits;
-    size_t at = 0;
-    while ((at = text.find(name, at)) != std::string::npos) {
-        const char prev = at > 0 ? text[at - 1] : '\0';
-        const size_t end = at + name.size();
-        const char post = end < text.size() ? text[end] : '\0';
-        if (!identChar(prev) && prev != '.' && prev != '>' &&
-            !identChar(post))
-            hits.push_back(at);
-        at = end;
-    }
-    return hits;
-}
-
 /** First non-space offset at or after @p at. */
 size_t
 skipSpace(const std::string &text, size_t at)
@@ -273,7 +251,7 @@ add(std::vector<Finding> &out, const ParsedFile &f, size_t offset,
 void
 ruleStdHash(const ParsedFile &f, std::vector<Finding> &out)
 {
-    for (size_t at : tokenRefs(f.code, "std::hash")) {
+    for (size_t at : identRefs(f.code, "std::hash")) {
         const size_t p = skipSpace(f.code, at + 9);
         if (p < f.code.size() && f.code[p] == '<')
             add(out, f, at, "std-hash",
@@ -290,7 +268,7 @@ ruleLibcRand(const ParsedFile &f, std::vector<Finding> &out)
                                          "drand48", "lrand48", "mrand48",
                                          "random",  "srandom"};
     for (const char *name : kCalls) {
-        for (size_t at : tokenRefs(f.code, name)) {
+        for (size_t at : identRefs(f.code, name)) {
             if (calledAt(f.code, at + std::string(name).size()))
                 add(out, f, at, "libc-rand",
                     std::string(name) +
@@ -301,7 +279,7 @@ ruleLibcRand(const ParsedFile &f, std::vector<Finding> &out)
     static const char *const kTypes[] = {"std::random_device",
                                          "random_shuffle"};
     for (const char *name : kTypes) {
-        for (size_t at : tokenRefs(f.code, name))
+        for (size_t at : identRefs(f.code, name))
             add(out, f, at, "libc-rand",
                 std::string(name) +
                     " is non-reproducible; use common/rng.hh seeded "
@@ -317,7 +295,7 @@ ruleWallClock(const ParsedFile &f, std::vector<Finding> &out)
         "utc_clock",    "file_clock",   "tai_clock",
         "gps_clock"};
     for (const char *name : kClocks) {
-        for (size_t at : tokenRefs(f.code, name))
+        for (size_t at : identRefs(f.code, name))
             add(out, f, at, "wall-clock",
                 std::string(name) +
                     " reads host time; simulation time is "
@@ -329,7 +307,7 @@ ruleWallClock(const ParsedFile &f, std::vector<Finding> &out)
         "timespec_get", "localtime",    "gmtime",        "mktime",
         "ctime",        "asctime",      "ftime"};
     for (const char *name : kCalls) {
-        for (size_t at : tokenRefs(f.code, name)) {
+        for (size_t at : identRefs(f.code, name)) {
             if (calledAt(f.code, at + std::string(name).size()))
                 add(out, f, at, "wall-clock",
                     std::string(name) +
@@ -346,7 +324,7 @@ unorderedDecls(const std::string &code)
     std::vector<std::string> names;
     for (const char *token :
          {"std::unordered_map", "std::unordered_set"}) {
-        for (size_t at : tokenRefs(code, token)) {
+        for (size_t at : identRefs(code, token)) {
             size_t p = skipSpace(code, at + std::string(token).size());
             if (p >= code.size() || code[p] != '<')
                 continue;
@@ -435,7 +413,7 @@ ruleUnorderedIter(const ParsedFile &f,
 
     // Iterator-style: name.begin() / name.cbegin() / name.rbegin()
     for (const auto &name : names) {
-        for (size_t ref : tokenRefs(f.code, name)) {
+        for (size_t ref : identRefs(f.code, name)) {
             size_t p = skipSpace(f.code, ref + name.size());
             if (p >= f.code.size() || f.code[p] != '.')
                 continue;
@@ -459,7 +437,7 @@ rulePointerOrder(const ParsedFile &f, std::vector<Finding> &out)
         !inDir(f.path, "workload"))
         return;
 
-    for (size_t at : tokenRefs(f.code, "reinterpret_cast")) {
+    for (size_t at : identRefs(f.code, "reinterpret_cast")) {
         size_t p = skipSpace(f.code, at + 16);
         if (p >= f.code.size() || f.code[p] != '<')
             continue;
@@ -553,7 +531,7 @@ ruleJsonlStability(const ParsedFile &f, std::vector<Finding> &out)
         }
     }
 
-    for (size_t at : tokenRefs(f.code, "setprecision"))
+    for (size_t at : identRefs(f.code, "setprecision"))
         add(out, f, at, "jsonl-stability",
             "std::setprecision in a JSONL-emitting file; format "
             "doubles with snprintf \"%.17g\" (see sim/result_io.cc "
@@ -603,7 +581,7 @@ ruleSingleFlight(const ParsedFile &f, std::vector<Finding> &out)
     if (!inDir(f.path, "src") || endsWith(f.path, "common/single_flight.hh"))
         return;
     for (const char *name : {"std::promise", "std::shared_future"}) {
-        for (size_t at : tokenRefs(f.code, name))
+        for (size_t at : identRefs(f.code, name))
             add(out, f, at, "single-flight",
                 std::string(name) +
                     " outside common/single_flight.hh; compute-once "
@@ -630,7 +608,7 @@ ruleFanOut(const ParsedFile &f, std::vector<Finding> &out)
         for (const char *name :
              {"std::thread", "std::jthread", "std::async"}) {
             const size_t len = std::string(name).size();
-            for (size_t at : tokenRefs(f.code, name)) {
+            for (size_t at : identRefs(f.code, name)) {
                 // std::thread::hardware_concurrency() and
                 // std::thread::id name a member; they start no thread.
                 if (f.code.compare(at + len, 2, "::") == 0)
@@ -646,7 +624,7 @@ ruleFanOut(const ParsedFile &f, std::vector<Finding> &out)
     }
     // ...and the sweep engine is its one caller.
     if (!pool && !in({"sim/sweep.cc"})) {
-        for (size_t at : tokenRefs(f.code, "parallelFor"))
+        for (size_t at : identRefs(f.code, "parallelFor"))
             add(out, f, at, "fan-out",
                 "parallelFor in src/ outside common/thread_pool and "
                 "sim/sweep.cc; run cells through sim::SweepEngine (one "
@@ -671,7 +649,7 @@ rulePartialOrderSort(const ParsedFile &f, std::vector<Finding> &out)
           "std::ranges::sort", "std::ranges::partial_sort",
           "std::ranges::nth_element"}) {
         const size_t len = std::string(name).size();
-        for (size_t at : tokenRefs(f.code, name)) {
+        for (size_t at : identRefs(f.code, name)) {
             if (calledAt(f.code, at + len))
                 add(out, f, at, "partial-order-sort",
                     std::string(name) +
