@@ -9,11 +9,17 @@
  * PRAC extension, the counter read-modify-write physically happens
  * during precharge; behaviourally we increment it at activate() and the
  * sub-channel delays any resulting ALERT to the precharge point.
+ *
+ * activate(), counter() and resetCounter() are defined in this header
+ * so the per-ACT calls inline. The counters are the replay loop's
+ * dominant cache miss; the loop prefetches them through
+ * counterAddress() (see sim/system.hh).
  */
 
 #ifndef MOATSIM_DRAM_BANK_HH
 #define MOATSIM_DRAM_BANK_HH
 
+#include <cassert>
 #include <span>
 #include <vector>
 
@@ -58,7 +64,13 @@ class Bank
      * Activate a row: opens it and increments its PRAC counter.
      * @return the counter value after the increment.
      */
-    ActCount activate(RowId row);
+    ActCount activate(RowId row)
+    {
+        assert(row < counters_.size());
+        open_row_ = row;
+        ++total_acts_;
+        return ++counters_[row];
+    }
 
     /** Precharge the open row (no-op when already closed). */
     void precharge() { open_row_ = kInvalidRow; }
@@ -67,23 +79,25 @@ class Bank
     RowId openRow() const { return open_row_; }
 
     /** Current PRAC counter of a row. */
-    ActCount counter(RowId row) const;
-
-    /**
-     * Hint that @p row's counter is about to be read-modify-written.
-     * The per-ACT counter update is a random access into a multi-MB
-     * array, so the replay loop prefetches the next event's counter
-     * while earlier events are still being issued. Pure hint: no
-     * state changes.
-     */
-    void prefetchCounter(RowId row) const
+    ActCount counter(RowId row) const
     {
-        if (row < counters_.size())
-            __builtin_prefetch(&counters_[row], 1, 1);
+        assert(row < counters_.size());
+        return counters_[row];
+    }
+
+    /** Address of a row's PRAC counter, or nullptr for a row past the
+     *  bank; the replay loop prefetches through it. */
+    const ActCount *counterAddress(RowId row) const
+    {
+        return row < counters_.size() ? &counters_[row] : nullptr;
     }
 
     /** Reset a row's PRAC counter to zero (mitigation / refresh). */
-    void resetCounter(RowId row);
+    void resetCounter(RowId row)
+    {
+        assert(row < counters_.size());
+        counters_[row] = 0;
+    }
 
     /** Total activations ever issued to this bank. */
     uint64_t totalActivations() const { return total_acts_; }

@@ -5,11 +5,9 @@
 namespace moatsim::dram
 {
 
-RefreshScheduler::RefreshScheduler(const TimingParams &params,
-                                   uint32_t max_postponed)
+RefreshScheduler::RefreshScheduler(const TimingParams &params)
     : num_groups_(params.refreshGroups),
-      rows_per_group_(params.rowsPerGroup()),
-      max_postponed_(max_postponed)
+      rows_per_group_(params.rowsPerGroup())
 {
     assert(num_groups_ > 0 && rows_per_group_ > 0);
 }
@@ -27,19 +25,8 @@ RefreshScheduler::issueRef()
 {
     const uint32_t group = next_group_;
     next_group_ = (next_group_ + 1) % num_groups_;
-    if (owed_ > 0)
-        --owed_;
     ++refs_issued_;
     return group;
-}
-
-bool
-RefreshScheduler::postpone()
-{
-    if (owed_ >= max_postponed_)
-        return false;
-    ++owed_;
-    return true;
 }
 
 } // namespace moatsim::dram

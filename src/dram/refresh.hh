@@ -4,9 +4,9 @@
  *
  * DDR5 divides each bank's rows into 8192 spatially contiguous groups;
  * one REF command refreshes one group, and the group pointer wraps once
- * per tREFW (Section 2.2). The scheduler also models refresh
- * postponement (Appendix B): the memory controller may postpone up to
- * `maxPostponed` REFs and later issue them as a batch.
+ * per tREFW (Section 2.2). Refresh postponement (Appendix B) is a
+ * channel-level decision: subchannel::SubChannel owes REFs and later
+ * issues them as a batch, each through issueRef().
  */
 
 #ifndef MOATSIM_DRAM_REFRESH_HH
@@ -21,13 +21,11 @@
 namespace moatsim::dram
 {
 
-/** Per-bank auto-refresh group pointer with postponement accounting. */
+/** Per-bank auto-refresh group pointer. */
 class RefreshScheduler
 {
   public:
-    /** @param max_postponed REFs that may be owed at once (DDR5: 2). */
-    explicit RefreshScheduler(const TimingParams &params,
-                              uint32_t max_postponed = 2);
+    explicit RefreshScheduler(const TimingParams &params);
 
     /** Group that the next REF command will refresh. */
     uint32_t nextGroup() const { return next_group_; }
@@ -37,19 +35,9 @@ class RefreshScheduler
 
     /**
      * Issue one REF: refreshes the next group and advances the pointer.
-     * Clears one owed REF if any were postponed.
      * @return the group index that was refreshed.
      */
     uint32_t issueRef();
-
-    /**
-     * Postpone the REF due at this tREFI.
-     * @return true if allowed (owed count below the limit).
-     */
-    bool postpone();
-
-    /** REFs currently owed due to postponement. */
-    uint32_t owed() const { return owed_; }
 
     /** Total REFs issued. */
     uint64_t refsIssued() const { return refs_issued_; }
@@ -60,9 +48,7 @@ class RefreshScheduler
   private:
     uint32_t num_groups_;
     uint32_t rows_per_group_;
-    uint32_t max_postponed_;
     uint32_t next_group_ = 0;
-    uint32_t owed_ = 0;
     uint64_t refs_issued_ = 0;
 };
 

@@ -109,6 +109,13 @@ runOnSubChannels(const std::vector<subchannel::SubChannel *> &channels,
 {
     const size_t nsc = channels.size();
     const Time tRC = channels[0]->timing().tRC;
+    // An event's slot folds modulo the sub-channel count (so `moatsim
+    // replay --subchannels` can fold a wider trace onto fewer slots);
+    // the division runs only for an event past the last slot.
+    const auto slotOf = [nsc](const workload::TraceEvent &e) {
+        const size_t s = e.subchannel;
+        return s < nsc ? s : s % nsc;
+    };
 
     // Snapshot the per-channel counters so a reused channel reports
     // only this replay's activity.
@@ -182,15 +189,20 @@ runOnSubChannels(const std::vector<subchannel::SubChannel *> &channels,
         if (cs.ring_count >= mlp)
             ready = std::max(ready, ring[cs.ring_head]);
 
-        subchannel::SubChannel &ch = *channels[ev.subchannel % nsc];
+        subchannel::SubChannel &ch = *channels[slotOf(ev)];
         const Time issue = ch.activateAt(ev.bank, ev.row, ready);
         const Time completion = issue + tRC;
 
+        // Ring indices wrap by compare, not division: ring_head < mlp
+        // and ring_count <= mlp, so one subtraction suffices.
         if (cs.ring_count >= mlp) {
-            cs.ring_head = (cs.ring_head + 1) % mlp;
+            cs.ring_head = cs.ring_head + 1 == mlp ? 0 : cs.ring_head + 1;
             --cs.ring_count;
         }
-        ring[(cs.ring_head + cs.ring_count) % mlp] = completion;
+        uint32_t tail = cs.ring_head + cs.ring_count;
+        if (tail >= mlp)
+            tail -= mlp;
+        ring[tail] = completion;
         ++cs.ring_count;
         cs.last_completion = completion;
 
@@ -199,11 +211,14 @@ runOnSubChannels(const std::vector<subchannel::SubChannel *> &channels,
         ++cs.next;
         if (cs.next != cs.end) {
             const workload::TraceEvent &nx = *cs.next;
-            // Warm the next counter while other cores' events
-            // interleave; the random-row PRAC update is the loop's
-            // dominant cache miss.
-            channels[nx.subchannel % nsc]->prefetchActivate(nx.bank,
-                                                            nx.row);
+            // Warm this core's next counter (one event ahead) while
+            // other cores' events interleave; the random-row PRAC
+            // update is the loop's dominant cache miss. Issue the hint
+            // here, not in a void helper: GCC at -O2 deletes a call
+            // with no visible effect (scripts/check_prefetch.sh).
+            if (const ActCount *counter =
+                    channels[slotOf(nx)]->counterAddress(nx.bank, nx.row))
+                __builtin_prefetch(counter, 1, 1);
             const Time gap = nx.at - ev.at;
             cs.arrival = std::max(cs.arrival, issue) + gap;
         }

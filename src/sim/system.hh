@@ -23,10 +23,16 @@
  *
  * The replay loop is the simulator's hot path, so it is flattened:
  * per-core in-flight completions live in fixed ring buffers (no deque
- * allocation per ACT), trace events are consumed through raw pointers,
- * and each sub-channel keeps a sticky ALERT-want flag instead of
- * polling every bank per ACT (see subchannel/subchannel.hh).
- * bench_core_loop reports the resulting acts/sec.
+ * allocation per ACT, no division to wrap them), trace events are
+ * consumed through raw pointers, and each sub-channel keeps a sticky
+ * ALERT-want flag instead of polling every bank per ACT (see
+ * subchannel/subchannel.hh). Each ACT's PRAC counter update is a
+ * random access into a multi-MB slab, so after issuing a core's ACT
+ * the loop prefetches that core's next counter
+ * (SubChannel::counterAddress) with __builtin_prefetch at the loop
+ * site; the test_codegen_prefetch ctest checks the instruction
+ * survives optimization. bench_core_loop reports the resulting
+ * acts/sec.
  */
 
 #ifndef MOATSIM_SIM_SYSTEM_HH

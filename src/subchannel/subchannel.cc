@@ -32,7 +32,7 @@ SubChannel::SubChannel(const SubChannelConfig &config,
         banks_.emplace_back(
             config_.timing,
             std::span<ActCount>(counter_slab_.data() + b * rows, rows));
-        refresh_.emplace_back(config_.timing, config_.maxPostponedRefs);
+        refresh_.emplace_back(config_.timing);
         mitigation_stats_.emplace_back();
     }
 

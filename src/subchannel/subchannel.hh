@@ -161,13 +161,13 @@ class SubChannel
     const dram::Bank &bank(BankId b) const { return banks_.at(b); }
 
     /**
-     * Prefetch hint for an upcoming ACT to (bank, row); see
-     * dram::Bank::prefetchCounter. Out-of-range banks are ignored.
+     * Address of the PRAC counter an ACT to (bank, row) will update,
+     * or nullptr when the bank or row is out of range; the replay
+     * loop prefetches it (see sim/system.hh).
      */
-    void prefetchActivate(BankId b, RowId row) const
+    const ActCount *counterAddress(BankId b, RowId row) const
     {
-        if (b < banks_.size())
-            banks_[b].prefetchCounter(row);
+        return b < banks_.size() ? banks_[b].counterAddress(row) : nullptr;
     }
 
     /**

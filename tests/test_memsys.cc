@@ -185,20 +185,23 @@ TEST(System, SubChannelFieldFoldsOntoSmallerSystems)
 {
     // Events address sub-channels modulo the system's slot count (the
     // `moatsim replay --subchannels` contract): a trace routed to
-    // sub-channel 1 replays on a one-sub-channel system exactly as the
-    // same trace routed to sub-channel 0.
+    // sub-channel 1 or 5 replays on a one-sub-channel system exactly
+    // as the same trace routed to sub-channel 0.
     const auto moat = mitigation::Registry::parse("moat:ath=32,eth=16");
-    SystemResult results[2];
-    for (const uint32_t sc : {0u, 1u}) {
+    const uint16_t slots[] = {0, 1, 5};
+    SystemResult results[3];
+    for (size_t i = 0; i < 3; ++i) {
         System sys(moatSystem(1, 4), moat.factory());
         std::vector<workload::CoreTrace> traces;
-        traces.push_back(hammerTrace(sc, 500));
-        results[sc] = runSystem(sys, traces);
+        traces.push_back(hammerTrace(slots[i], 500));
+        results[i] = runSystem(sys, traces);
     }
-    EXPECT_EQ(results[0].coreFinish, results[1].coreFinish);
-    EXPECT_EQ(results[0].alerts, results[1].alerts);
-    EXPECT_EQ(results[1].perSubchannel.size(), 1u);
-    EXPECT_EQ(results[1].perSubchannel[0].acts, 500u);
+    for (size_t i = 1; i < 3; ++i) {
+        EXPECT_EQ(results[0].coreFinish, results[i].coreFinish);
+        EXPECT_EQ(results[0].alerts, results[i].alerts);
+        EXPECT_EQ(results[i].perSubchannel.size(), 1u);
+        EXPECT_EQ(results[i].perSubchannel[0].acts, 500u);
+    }
     ASSERT_GT(results[0].alerts, 0u); // the comparison must bite
 }
 

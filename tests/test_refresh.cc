@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the refresh scheduler (grouping, wrap, postponement).
+ * Unit tests for the refresh scheduler (grouping, wrap).
  */
 
 #include <gtest/gtest.h>
@@ -38,27 +38,6 @@ TEST(Refresh, IssueAdvancesAndWraps)
         EXPECT_EQ(rs.issueRef(), i);
     EXPECT_EQ(rs.issueRef(), 0u); // wrapped
     EXPECT_EQ(rs.refsIssued(), 9u);
-}
-
-TEST(Refresh, PostponeLimit)
-{
-    RefreshScheduler rs(smallTiming(), 2);
-    EXPECT_TRUE(rs.postpone());
-    EXPECT_TRUE(rs.postpone());
-    EXPECT_FALSE(rs.postpone()); // DDR5 allows at most 2 owed
-    EXPECT_EQ(rs.owed(), 2u);
-}
-
-TEST(Refresh, IssueRepaysOwed)
-{
-    RefreshScheduler rs(smallTiming(), 2);
-    rs.postpone();
-    rs.postpone();
-    rs.issueRef();
-    EXPECT_EQ(rs.owed(), 1u);
-    rs.issueRef();
-    EXPECT_EQ(rs.owed(), 0u);
-    EXPECT_TRUE(rs.postpone());
 }
 
 TEST(Refresh, FullWindowCoversEveryRowOnce)

@@ -212,6 +212,27 @@ TEST(SubChannel, StatsCountActs)
     EXPECT_EQ(ch.stats().acts, 10u);
 }
 
+TEST(SubChannel, CounterAddressIsTheCounterAnActUpdates)
+{
+    auto ch = nullChannel(baseConfig(2));
+    ch.activate(1, 300);
+    ch.activate(1, 300);
+    const ActCount *counter = ch.counterAddress(1, 300);
+    ASSERT_NE(counter, nullptr);
+    EXPECT_EQ(*counter, 2u);
+    EXPECT_EQ(counter, ch.counterAddress(1, 300));
+    // Same storage, not a copy: the bank reads through this address.
+    EXPECT_EQ(*counter, ch.bank(1).counter(300));
+    ch.activate(1, 300);
+    EXPECT_EQ(*counter, 3u);
+    EXPECT_EQ(ch.bank(1).counter(300), 3u);
+    EXPECT_NE(ch.counterAddress(0, 300), counter);
+
+    EXPECT_EQ(ch.counterAddress(ch.numBanks(), 300), nullptr);
+    EXPECT_EQ(ch.counterAddress(ch.numBanks() + 7, 0), nullptr);
+    EXPECT_EQ(ch.counterAddress(0, ch.timing().rowsPerBank), nullptr);
+}
+
 TEST(SubChannel, SecurityDisabledSkipsTracking)
 {
     // With tracking off the oracle's storage is elided entirely; the
