@@ -71,25 +71,11 @@ inline constexpr double kMinSeconds = 0.5;
 /** Least number of runs timeRepeated makes of its body. */
 inline constexpr size_t kMinRepeats = 3;
 
-/**
- * Run @p body until at least kMinSeconds of wall time and kMinRepeats
- * runs have passed, and report the median run time and the min..max
- * spread. One short pass is mostly timer and scheduler noise; the
- * median of many is a number worth comparing.
- */
-template <typename F>
-RepeatTiming
-timeRepeated(F &&body)
+/** The median and min..max spread of run times @p samples (seconds,
+ *  at least one). */
+inline RepeatTiming
+repeatTimingOf(std::vector<double> samples)
 {
-    std::vector<double> samples;
-    double total = 0.0;
-    while (total < kMinSeconds || samples.size() < kMinRepeats) {
-        const auto t0 = std::chrono::steady_clock::now();
-        body();
-        const auto t1 = std::chrono::steady_clock::now();
-        samples.push_back(std::chrono::duration<double>(t1 - t0).count());
-        total += samples.back();
-    }
     std::sort(samples.begin(), samples.end());
     const size_t n = samples.size();
     RepeatTiming out;
@@ -100,6 +86,56 @@ timeRepeated(F &&body)
     out.minSeconds = samples.front();
     out.maxSeconds = samples.back();
     return out;
+}
+
+/** Timings of a bench body and, apart, of the fresh state each run of
+ *  it consumes. */
+struct SetupTiming
+{
+    RepeatTiming setup;
+    RepeatTiming body;
+};
+
+/**
+ * Run @p body on the state @p setup returns until the body alone has
+ * taken at least kMinSeconds of wall time over at least kMinRepeats
+ * runs, and report both steps' medians and spreads. A body that needs
+ * fresh state per run (a System whose counters it dirties) is then
+ * timed without the cost of building that state. One short pass is
+ * mostly timer and scheduler noise; the median of many is a number
+ * worth comparing.
+ */
+template <typename Setup, typename Body>
+SetupTiming
+timeRepeated(Setup &&setup, Body &&body)
+{
+    using Clock = std::chrono::steady_clock;
+    const auto seconds = [](Clock::time_point a, Clock::time_point b) {
+        return std::chrono::duration<double>(b - a).count();
+    };
+    std::vector<double> setups;
+    std::vector<double> bodies;
+    double total = 0.0;
+    while (total < kMinSeconds || bodies.size() < kMinRepeats) {
+        const auto t0 = Clock::now();
+        auto state = setup();
+        const auto t1 = Clock::now();
+        body(state);
+        const auto t2 = Clock::now();
+        setups.push_back(seconds(t0, t1));
+        bodies.push_back(seconds(t1, t2));
+        total += bodies.back();
+    }
+    return {repeatTimingOf(std::move(setups)),
+            repeatTimingOf(std::move(bodies))};
+}
+
+/** timeRepeated for a body that needs no fresh state. */
+template <typename F>
+RepeatTiming
+timeRepeated(F &&body)
+{
+    return timeRepeated([] { return 0; }, [&](int) { body(); }).body;
 }
 
 /** @p work per second at the median, fastest and slowest run of @p t,

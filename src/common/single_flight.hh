@@ -69,6 +69,8 @@ class SingleFlight
         uint64_t hits = 0;
         /** get() calls that ran the compute. */
         uint64_t misses = 0;
+        /** seed() calls that installed a value (key not resident). */
+        uint64_t seeded = 0;
         /** Resolved entries dropped by the byte bound. */
         uint64_t evictions = 0;
         /** Entries resident, in-flight included. */
@@ -150,8 +152,10 @@ class SingleFlight
         e.future = promise.get_future().share();
         e.lastUse = ++tick_;
         const auto [it, inserted] = entries_.emplace(key, std::move(e));
-        if (inserted)
+        if (inserted) {
+            ++seeded_;
             resolveLocked(key, it->second, value);
+        }
     }
 
     Stats stats() const EXCLUDES(mu_)
@@ -160,6 +164,7 @@ class SingleFlight
         Stats s;
         s.hits = hits_;
         s.misses = misses_;
+        s.seeded = seeded_;
         s.evictions = evictions_;
         s.entries = entries_.size();
         s.inFlight = in_flight_;
@@ -225,6 +230,7 @@ class SingleFlight
     uint64_t tick_ GUARDED_BY(mu_) = 0;
     uint64_t hits_ GUARDED_BY(mu_) = 0;
     uint64_t misses_ GUARDED_BY(mu_) = 0;
+    uint64_t seeded_ GUARDED_BY(mu_) = 0;
     uint64_t evictions_ GUARDED_BY(mu_) = 0;
     std::size_t in_flight_ GUARDED_BY(mu_) = 0;
     std::size_t bytes_ GUARDED_BY(mu_) = 0;

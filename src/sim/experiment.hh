@@ -122,7 +122,9 @@ class Experiment
     /**
      * Run the workload selection at every sweep point as one parallel
      * batch; result [i][w] is point i on workload w. The no-ALERT
-     * baselines are shared, so sweeps only pay for the mitigated runs.
+     * baselines are shared, and an ALERT-free cell supplies its
+     * workload's, so sweeps pay for the mitigated runs and at most one
+     * null replay per workload, none when a point raises no ALERT.
      */
     std::vector<std::vector<PerfResult>>
     runMatrix(const std::vector<SweepPoint> &points);

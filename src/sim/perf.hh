@@ -2,14 +2,17 @@
  * @file
  * Workload performance-experiment driver.
  *
- * Runs a workload's synthetic traces twice -- once against the
- * mitigator under test and once against a no-ALERT baseline -- and
+ * Runs a workload's synthetic traces against the mitigator under test,
+ * compares the per-core finish times with a no-ALERT baseline, and
  * reports the paper's metrics: normalized weighted speedup (Figures 11
  * and 17), ALERTs per tREFI per sub-channel, mitigations+ALERTs per
  * bank per tREFW (Table 5), and the activation-energy overhead
- * (Section 6.5). Baseline runs are cached in a thread-safe
- * BaselineCache keyed by (configuration hash, workload), since every
- * parameter sweep shares them, and the workload traces themselves come
+ * (Section 6.5). Only an ALERT (its RFM block) ever delays an ACT
+ * beyond what REF does, so a replay that raised no ALERT *is* its
+ * baseline; the null-mitigator baseline replay runs only for a cell
+ * that ALERTed. Baselines live in a thread-safe BaselineCache keyed by
+ * (configuration hash, workload), since every parameter sweep shares
+ * them, and the workload traces themselves come
  * out of a shared workload::TraceStore so a matrix generates each
  * distinct trace exactly once; see sim/sweep.hh for the parallel sweep
  * engine that fans independent cells across a thread pool.
@@ -136,13 +139,23 @@ uint64_t perfCellKey(const workload::TraceGenConfig &config,
  * cache may serve sweeps with different trace/core configurations
  * without serving stale times (a workload name alone is NOT a valid
  * key). A front over an unbounded SingleFlight: each distinct key is
- * computed exactly once; concurrent requesters of the same key block
- * on the first computation.
+ * computed at most once, and not at all when an ALERT-free cell
+ * supplies it through offer(); concurrent requesters of the same key
+ * block on the first computation.
  */
 class BaselineCache
 {
   public:
     using Finish = std::vector<Time>;
+
+    /** Where the resident baselines came from (monotonic counts). */
+    struct Stats
+    {
+        /** Null-mitigator replays get() started. */
+        uint64_t replayed = 0;
+        /** Baselines installed by offer() from ALERT-free cells. */
+        uint64_t adopted = 0;
+    };
 
     /**
      * Finish times of @p spec under (config, core); computes on miss
@@ -157,8 +170,19 @@ class BaselineCache
                                       const workload::WorkloadSpec &spec,
                                       const workload::TraceSet &traces);
 
+    /**
+     * Install @p finish -- the per-core finish times of an ALERT-free
+     * replay of @p spec under (config, core), which equal the null
+     * baseline's -- unless the key is already resident.
+     */
+    void offer(const workload::TraceGenConfig &config, const CoreModel &core,
+               const workload::WorkloadSpec &spec, const Finish &finish);
+
     /** Number of distinct baselines resident (in-flight included). */
     std::size_t size() const;
+
+    /** Replays run and baselines adopted so far. */
+    Stats stats() const;
 
   private:
     SingleFlight<Finish> flight_;
@@ -166,8 +190,7 @@ class BaselineCache
 
 /**
  * Run one sweep cell given its traces and precomputed baseline finish
- * times. Pure function of its arguments; SweepEngine::runCell is its
- * caller.
+ * times. Pure function of its arguments.
  * @p traces is the shared TraceSet of (spec, config) -- typically a
  * TraceStore handout replayed by every cell of the matrix.
  */
@@ -178,6 +201,23 @@ PerfResult runPerfCell(const workload::TraceGenConfig &config,
                        abo::Level level,
                        const workload::TraceSet &traces,
                        const std::vector<Time> &baseline);
+
+/**
+ * Run one sweep cell, taking its baseline from @p baselines only when
+ * the replay raised an ALERT; SweepEngine::computeCell is its caller.
+ * An ALERT-free replay is its own baseline and is offered to
+ * @p baselines for the workload's later cells. The cell's System is
+ * freed before any baseline replay builds one, so a worker holds one
+ * counter slab at a time. Returns the bytes the overload above
+ * returns given the cached baseline.
+ */
+PerfResult runPerfCell(const workload::TraceGenConfig &config,
+                       const CoreModel &core,
+                       const workload::WorkloadSpec &spec,
+                       const mitigation::MitigatorSpec &mitigator,
+                       abo::Level level,
+                       const workload::TraceSet &traces,
+                       BaselineCache &baselines);
 
 /** Average normPerf across results (the paper's Gmean bar). */
 double meanNormPerf(const std::vector<PerfResult> &results);

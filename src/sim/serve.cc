@@ -420,6 +420,7 @@ Server::statsLine()
 {
     const ResultStore::Stats rs = stores_.results->stats();
     const workload::TraceStore::Stats ts = stores_.traces->stats();
+    const BaselineCache::Stats bs = stores_.baselines->stats();
     uint64_t active = 0;
     uint64_t accept_retries = 0;
     uint64_t compute_failures = 0;
@@ -445,6 +446,8 @@ Server::statsLine()
         .field("in_flight", rs.inFlight)
         .field("trace_hits", ts.hits)
         .field("trace_misses", ts.misses)
+        .field("baseline_replays", bs.replayed)
+        .field("baseline_adopted", bs.adopted)
         .field("active", active)
         .field("accept_retries", accept_retries)
         .field("compute_failures", compute_failures)

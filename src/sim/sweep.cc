@@ -123,16 +123,15 @@ SweepEngine::runCell(const AttackCell &cell)
 PerfResult
 SweepEngine::computeCell(const SweepCell &cell)
 {
-    // One store fetch serves the cell and (on first touch of this
-    // workload) its baseline: each distinct trace of a matrix is
-    // generated exactly once, and with the store disabled exactly once
-    // per cell.
+    // One store fetch serves the cell and, if the cell ALERTs and no
+    // baseline of this workload is resident yet, the null baseline
+    // replay: each distinct trace of a matrix is generated exactly
+    // once, and with the store disabled exactly once per cell. An
+    // ALERT-free cell is its own baseline and supplies it to the cache.
     const auto traces =
         config_.traceStore->get(cell.workload, config_.tracegen);
-    const auto base = baselines_->get(config_.tracegen, config_.core,
-                                      cell.workload, *traces);
     return runPerfCell(config_.tracegen, config_.core, cell.workload,
-                       cell.mitigator, cell.level, *traces, *base);
+                       cell.mitigator, cell.level, *traces, *baselines_);
 }
 
 CoAttackResult

@@ -15,8 +15,9 @@
  * workload::traceSeed(spec, config); each cell's workload traces come
  * out of the shared content-addressed workload::TraceStore (generated
  * exactly once per distinct key, baselines included), and its
- * baseline comes from a
- * thread-safe compute-once cache, so the result vector is
+ * baseline comes from a thread-safe compute-once cache (or, for an
+ * ALERT-free cell, from the cell's own replay, which equals it), so
+ * the result vector is
  * bit-identical at any --jobs value and under any thread schedule --
  * and identical again with the trace store disabled. The serial path
  * (jobs=1) runs inline on the calling thread and produces the same

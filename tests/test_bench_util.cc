@@ -1,13 +1,17 @@
 /**
  * @file
- * Tests of the bench environment knobs (bench/bench_util.hh): they
- * read numbers with the one strict grammar of common/number_text.hh,
- * and a malformed value warns and keeps the default.
+ * Tests of the bench helpers (bench/bench_util.hh): the environment
+ * knobs read numbers with the one strict grammar of
+ * common/number_text.hh, and a malformed value warns and keeps the
+ * default; timeRepeated times a body apart from its setup.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
+#include <thread>
+#include <vector>
 
 #include "bench/bench_util.hh"
 #include "common/logging.hh"
@@ -50,6 +54,31 @@ TEST(BenchKnobs, ScaleTakesAWholeNumberInTheUnitInterval)
     EXPECT_EQ(benchScale(), 1.0);
     ::unsetenv("MOATSIM_BENCH_SCALE");
     EXPECT_EQ(benchScale(), 1.0);
+}
+
+TEST(BenchTiming, SetupIsTimedApartFromTheBody)
+{
+    // Each run gets fresh state; only the body's time counts towards
+    // the half second, and each step gets its own median.
+    using std::chrono::milliseconds;
+    int built = 0;
+    std::vector<int> seen;
+    const SetupTiming t = timeRepeated(
+        [&] {
+            std::this_thread::sleep_for(milliseconds(20));
+            return ++built;
+        },
+        [&](int state) {
+            seen.push_back(state);
+            std::this_thread::sleep_for(milliseconds(200));
+        });
+    EXPECT_EQ(seen, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(t.setup.repeats, 3u);
+    EXPECT_EQ(t.body.repeats, 3u);
+    EXPECT_GE(t.setup.minSeconds, 0.02);
+    EXPECT_GE(t.body.minSeconds, 0.2);
+    EXPECT_LE(t.setup.minSeconds, t.setup.medianSeconds);
+    EXPECT_LE(t.setup.medianSeconds, t.setup.maxSeconds);
 }
 
 } // namespace

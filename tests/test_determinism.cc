@@ -4,7 +4,9 @@
  * must produce bit-identical PerfResult vectors at jobs=1, jobs=2, and
  * jobs=8 (catches RNG or schedule leaks between cells), match a serial
  * runCell loop, and the baseline cache must key on the full
- * configuration, not just the workload name.
+ * configuration, not just the workload name. An ALERT-free replay
+ * stands in for its null baseline, so the suite also checks that the
+ * two finish every core at the same time.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 #include <tuple>
 
 #include "attacks/attack.hh"
+#include "common/thread_pool.hh"
 #include "sim/result_io.hh"
 #include "sim/run_request.hh"
 #include "sim/sweep.hh"
@@ -196,6 +199,145 @@ TEST(BaselineCache, SharedAcrossEnginesGivesIdenticalResults)
                          abo::Level::L1};
     EXPECT_EQ(toJsonLine(a.runCell(cell)), toJsonLine(b.runCell(cell)));
     EXPECT_EQ(cache->size(), 1u);
+}
+
+TEST(BaselineInvariant, AlertFreeReplayFinishesLikeTheNullBaseline)
+{
+    // runPerfCell lets an ALERT-free replay stand in for its null
+    // baseline. That holds only if nothing but an ALERT's RFM block
+    // delays an ACT beyond what REF does: check it for every registry
+    // design at ABO L1 and L4 on every Table-4 workload.
+    workload::TraceGenConfig tg;
+    tg.windowFraction = 1.0 / 1024;
+    const CoreModel core{};
+    const auto specs = workload::table4Workloads();
+    workload::TraceStore store;
+    BaselineCache baselines;
+
+    struct Case
+    {
+        const workload::WorkloadSpec *spec;
+        mitigation::MitigatorSpec mitigator;
+        abo::Level level;
+        uint64_t alerts = 0;
+        std::vector<Time> finish;
+    };
+    std::vector<Case> cases;
+    for (const auto &name : mitigation::Registry::names()) {
+        for (const abo::Level level : {abo::Level::L1, abo::Level::L4}) {
+            for (const auto &spec : specs)
+                cases.push_back(
+                    {&spec, mitigation::Registry::parse(name), level, 0, {}});
+        }
+    }
+    parallelFor(4, cases.size(), [&](size_t i) {
+        Case &c = cases[i];
+        const auto traces = store.get(*c.spec, tg);
+        System sys(systemConfigFor(tg, c.level, 0), c.mitigator.factory());
+        SystemResult res = runSystem(sys, traces->views(), core);
+        c.alerts = res.alerts;
+        c.finish = std::move(res.coreFinish);
+    });
+
+    size_t alert_free = 0;
+    for (const Case &c : cases) {
+        if (c.alerts > 0)
+            continue;
+        ++alert_free;
+        const auto traces = store.get(*c.spec, tg);
+        EXPECT_EQ(c.finish, *baselines.get(tg, core, *c.spec, *traces))
+            << c.mitigator.describe() << " at L"
+            << abo::levelValue(c.level) << " on " << c.spec->name;
+    }
+    // Neither side of the branch may be vacuous.
+    EXPECT_GT(alert_free, 0u);
+    EXPECT_LT(alert_free, cases.size());
+}
+
+TEST(BaselineCache, AlertFreeMatrixReplaysNoBaseline)
+{
+    // Every cell is its own baseline, so the null design never runs.
+    std::vector<SweepCell> cells;
+    for (const char *w : {"roms", "parest", "xz"}) {
+        for (const char *m :
+             {"moat:ath=256,eth=128", "panopticon", "ideal-prc"})
+            cells.push_back({workload::findWorkload(w),
+                             mitigation::Registry::parse(m),
+                             abo::Level::L1});
+    }
+    const auto cache = std::make_shared<BaselineCache>();
+    SweepConfig sc;
+    sc.tracegen = smallTracegen();
+    sc.jobs = 4;
+    SweepEngine engine(sc, cache);
+    for (const PerfResult &r : engine.run(cells)) {
+        ASSERT_EQ(r.alerts, 0u) << r.mitigator << " on " << r.workload;
+        EXPECT_EQ(r.normPerf, 1.0);
+    }
+    EXPECT_EQ(cache->stats().replayed, 0u);
+    EXPECT_EQ(cache->stats().adopted, 3u);
+    EXPECT_EQ(cache->size(), 3u);
+}
+
+TEST(BaselineCache, AdoptedBaselinesGiveTheBytesOfReplayedOnes)
+{
+    // A mixed matrix (ALERTing and ALERT-free cells) writes the same
+    // JSONL whether its baselines come from ALERT-free cells or from
+    // null replays that get() ran before the matrix started. Serially,
+    // roms and parest adopt their baseline from an ALERT-free
+    // panopticon cell and xz replays its own for an ALERTing moat cell.
+    std::vector<SweepCell> cells;
+    for (const char *w : {"roms", "parest", "xz"}) {
+        const std::vector<const char *> designs =
+            std::string(w) == "xz"
+                ? std::vector{"moat", "panopticon", "moat:ath=32,eth=16"}
+                : std::vector{"panopticon", "moat", "moat:ath=32,eth=16"};
+        for (const char *m : designs)
+            cells.push_back({workload::findWorkload(w),
+                             mitigation::Registry::parse(m),
+                             abo::Level::L1});
+    }
+    cells.push_back({workload::findWorkload("roms"),
+                     mitigation::Registry::parse("moat:entries=2"),
+                     abo::Level::L2});
+    const auto tg = smallTracegen();
+    const auto jsonl = [](const std::vector<PerfResult> &results) {
+        std::string out;
+        for (const PerfResult &r : results)
+            out += toJsonLine(r) + "\n";
+        return out;
+    };
+    for (const unsigned jobs : {1u, 8u}) {
+        SweepConfig sc;
+        sc.tracegen = tg;
+        sc.jobs = jobs;
+
+        const auto fresh = std::make_shared<BaselineCache>();
+        const auto adopted = SweepEngine(sc, fresh).run(cells);
+
+        const auto prefilled = std::make_shared<BaselineCache>();
+        workload::TraceStore store;
+        for (const SweepCell &c : cells)
+            prefilled->get(tg, sc.core, c.workload,
+                           *store.get(c.workload, tg));
+        const auto replayed = SweepEngine(sc, prefilled).run(cells);
+
+        EXPECT_EQ(jsonl(adopted), jsonl(replayed)) << "jobs=" << jobs;
+        size_t alerting = 0;
+        for (const PerfResult &r : adopted)
+            alerting += r.alerts > 0 ? 1 : 0;
+        EXPECT_GT(alerting, 0u);
+        EXPECT_LT(alerting, cells.size());
+        const auto st = fresh->stats();
+        if (jobs == 1) {
+            EXPECT_EQ(st.adopted, 2u);
+            EXPECT_EQ(st.replayed, 1u);
+        }
+        // Each baseline is resident once, however it got there.
+        EXPECT_EQ(st.adopted + st.replayed, 3u) << "jobs=" << jobs;
+        EXPECT_EQ(prefilled->stats().replayed, 3u) << "jobs=" << jobs;
+        EXPECT_EQ(prefilled->stats().adopted, 0u) << "jobs=" << jobs;
+    }
 }
 
 TEST(SweepDeterminism, TraceSeedIgnoresMitigator)

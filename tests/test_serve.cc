@@ -279,6 +279,17 @@ TEST(Serve, ConcurrentClientsComputeEachCellOnce)
     const auto st = server.resultStore()->stats();
     EXPECT_EQ(st.computes, 1u);
     EXPECT_EQ(st.hits, static_cast<uint64_t>(kClients - 1));
+    // Its baseline came from exactly one place: a null replay if the
+    // cell ALERTed, the cell's own replay if it did not.
+    const bool alerted = perfResultOfJsonLine(replies[0].cells[0]).alerts > 0;
+    const auto stats = serveRequestLine(socket, "{\"kind\":\"stats\"}");
+    ASSERT_TRUE(stats.ok) << stats.error;
+    EXPECT_NE(stats.done.find(alerted ? "\"baseline_replays\":1,"
+                                        "\"baseline_adopted\":0"
+                                      : "\"baseline_replays\":0,"
+                                        "\"baseline_adopted\":1"),
+              std::string::npos)
+        << stats.done;
 
     const auto bye = serveRequestLine(socket, "{\"kind\":\"shutdown\"}");
     EXPECT_TRUE(bye.ok) << bye.error;
@@ -650,7 +661,9 @@ TEST(ServeBytes, FreshStatsAndByeLines)
                   "\"misses\":0,\"computes\":0,\"loaded\":0,"
                   "\"corrupt\":0,\"quarantined\":0,\"compactions\":0,"
                   "\"append_failures\":0,\"in_flight\":0,"
-                  "\"trace_hits\":0,\"trace_misses\":0,\"active\":0,"
+                  "\"trace_hits\":0,\"trace_misses\":0,"
+                  "\"baseline_replays\":0,\"baseline_adopted\":0,"
+                  "\"active\":0,"
                   "\"accept_retries\":0,\"compute_failures\":0,"
                   "\"admitted_cost\":0}"});
     EXPECT_EQ(rawExchange(socket, "{\"kind\":\"shutdown\"}"),

@@ -152,6 +152,7 @@ TEST(SingleFlight, SeededEntriesHitWithoutCompute)
     const auto s = flight.stats();
     EXPECT_EQ(s.hits, 1u);
     EXPECT_EQ(s.misses, 0u);
+    EXPECT_EQ(s.seeded, 1u) << "only the seed that installed counts";
     EXPECT_EQ(s.entries, 1u);
 }
 
