@@ -4,8 +4,10 @@
 Reads the result lines `moatsim reproduce --jsonl` wrote for the
 claims table (perf, attack and co-attack cells), the MOATSIM_JSONL lines
 every bench emitted (attack and throughput-attack outcomes, the
-core-loop record -- replay acts/sec of runSystem alone, and System
-construction ms apart -- and the matrix-sweep throughput record) plus
+core-loop record -- replay acts/sec of runSystem alone, System
+construction ms on recycled counter slabs apart, and the first, cold
+construction of each shape on its own -- and the matrix-sweep
+throughput record) plus
 the per-run wall times, and writes a single JSON document: the perf-trajectory snapshot CI
 archives on every push. Throughput is recorded, not gated; compare it
 against earlier snapshots, or measure a change with perfbench/run.py.
@@ -56,8 +58,10 @@ def main() -> int:
         "git": git_rev,
         "scale": float(scale),
         # Replay acts/sec (systemN_acts_per_sec) and System
-        # construction (systemN_construct_ms), each a median with its
-        # _min/_max spread, carried as bench_core_loop wrote them.
+        # construction on recycled slabs (systemN_construct_ms), each a
+        # median with its _min/_max spread, plus the first, cold
+        # construction of each shape (systemN_construct_cold_ms, one
+        # sample), carried as bench_core_loop wrote them.
         "core_loop": core,
         # Matrix-sweep pipeline throughput (bench_sweep_scale): the raw
         # record plus the two headline numbers tooling keys on.

@@ -14,12 +14,20 @@
  * so the per-ACT calls inline. The counters are the replay loop's
  * dominant cache miss; the loop prefetches them through
  * counterAddress() (see sim/system.hh).
+ *
+ * Beside its counters a bank records which 64-byte lines of them
+ * (kCountersPerLine counters each) activate() has written, one bit per
+ * line. A sub-channel's counter storage is recycled across systems
+ * (subchannel/counter_slab.hh), and only the marked lines are re-zeroed
+ * before the next system gets it.
  */
 
 #ifndef MOATSIM_DRAM_BANK_HH
 #define MOATSIM_DRAM_BANK_HH
 
 #include <cassert>
+#include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -28,6 +36,21 @@
 
 namespace moatsim::dram
 {
+
+/** PRAC counters per 64-byte line, the granularity of a bank's dirty
+ *  bitmap. */
+inline constexpr uint32_t kCountersPerLine = 64 / sizeof(ActCount);
+
+/** Rows one 64-bit word of a dirty bitmap covers. */
+inline constexpr uint32_t kRowsPerDirtyWord = kCountersPerLine * 64;
+
+/** Dirty-bitmap words a bank of @p rows rows needs. */
+constexpr size_t
+dirtyWordsFor(uint32_t rows)
+{
+    return (static_cast<size_t>(rows) + kRowsPerDirtyWord - 1) /
+           kRowsPerDirtyWord;
+}
 
 /** One DRAM bank: PRAC counters plus open-row state. */
 class Bank
@@ -39,13 +62,14 @@ class Bank
 
     /**
      * Construct a bank whose counters live in caller-owned @p storage
-     * (rowsPerBank zero-initialized entries). A SubChannel hands every
-     * bank a slice of one flat slab, so building a 64-bank system
-     * costs one large allocation instead of one multi-hundred-KB
-     * allocation (and its page faults) per bank. The storage must
-     * outlive the bank.
+     * (rowsPerBank zero-initialized entries) and whose dirty bitmap is
+     * @p dirty_lines (dirtyWordsFor(rowsPerBank) words). A SubChannel
+     * hands every bank a slice of one recycled CounterSlab, so
+     * building a 64-bank system costs no allocation once a slab of its
+     * shape has been released. Both must outlive the bank.
      */
-    Bank(const TimingParams &params, std::span<ActCount> storage);
+    Bank(const TimingParams &params, std::span<ActCount> storage,
+         std::span<uint64_t> dirty_lines);
 
     /**
      * Moves keep the counters valid (both storage flavours live on
@@ -61,7 +85,14 @@ class Bank
     uint32_t numRows() const { return static_cast<uint32_t>(counters_.size()); }
 
     /**
-     * Activate a row: opens it and increments its PRAC counter.
+     * Activate a row: opens it, increments its PRAC counter and marks
+     * the counter's line dirty.
+     *
+     * Invariant: this is the only write that can make a counter
+     * nonzero (resetCounter() writes 0), so the dirty bitmap names
+     * every line that can hold a nonzero count. Any new write that can
+     * make a counter nonzero must mark its line the same way, or a
+     * recycled CounterSlab hands the count to the next system.
      * @return the counter value after the increment.
      */
     ActCount activate(RowId row)
@@ -69,6 +100,8 @@ class Bank
         assert(row < counters_.size());
         open_row_ = row;
         ++total_acts_;
+        dirty_[row / kRowsPerDirtyWord] |= uint64_t{1}
+                                           << (row / kCountersPerLine % 64);
         return ++counters_[row];
     }
 
@@ -102,13 +135,21 @@ class Bank
     /** Total activations ever issued to this bank. */
     uint64_t totalActivations() const { return total_acts_; }
 
+    /** The dirty bitmap: bit (row / kCountersPerLine) % 64 of word
+     *  row / kRowsPerDirtyWord is set once activate() wrote that row's
+     *  line. */
+    std::span<const uint64_t> dirtyLines() const { return dirty_; }
+
   private:
-    /** Backing storage when the bank owns its counters (empty when a
-     *  caller-owned slab backs them). */
+    /** Backing storage when the bank owns its counters and bitmap
+     *  (empty when a caller-owned slab backs them). */
     std::vector<ActCount> owned_;
+    std::vector<uint64_t> owned_dirty_;
     /** The counters; views owned_ or the caller's slab. Stays valid
      *  across moves (both point at heap storage). */
     std::span<ActCount> counters_;
+    /** The dirty bitmap; views owned_dirty_ or the caller's slab. */
+    std::span<uint64_t> dirty_;
     RowId open_row_ = kInvalidRow;
     uint64_t total_acts_ = 0;
 };

@@ -15,6 +15,7 @@
 #include "common/logging.hh"
 #include "common/number_text.hh"
 #include "sim/result_io.hh"
+#include "subchannel/counter_slab.hh"
 
 namespace moatsim::sim
 {
@@ -421,6 +422,8 @@ Server::statsLine()
     const ResultStore::Stats rs = stores_.results->stats();
     const workload::TraceStore::Stats ts = stores_.traces->stats();
     const BaselineCache::Stats bs = stores_.baselines->stats();
+    const subchannel::CounterSlab::PoolStats slabs =
+        subchannel::CounterSlab::poolStats();
     uint64_t active = 0;
     uint64_t accept_retries = 0;
     uint64_t compute_failures = 0;
@@ -452,6 +455,9 @@ Server::statsLine()
         .field("accept_retries", accept_retries)
         .field("compute_failures", compute_failures)
         .field("admitted_cost", admitted)
+        .field("slab_pooled_bytes", slabs.pooledBytes)
+        .field("slab_reuses", slabs.reuses)
+        .field("slab_allocs", slabs.allocs)
         .line();
 }
 

@@ -12,8 +12,8 @@
  *     {"kind":"perf",...}       run a perf sweep (RunRequest codec)
  *     {"kind":"coattack",...}   run a co-attack sweep
  *     {"kind":"attack",...}     run one isolated attack cell
- *     {"kind":"stats"}          report store, baseline and admission
- *                               counters
+ *     {"kind":"stats"}          report store, baseline, admission
+ *                               and counter-slab pool counters
  *     {"kind":"shutdown"}       stop accepting and drain
  *
  *   server -> client:

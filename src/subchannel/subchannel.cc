@@ -11,27 +11,36 @@
 namespace moatsim::subchannel
 {
 
+namespace
+{
+
+/** Banks of a sub-channel built from @p config. */
+uint32_t
+banksOf(const SubChannelConfig &config)
+{
+    return config.numBanks != 0 ? config.numBanks
+                                : config.timing.banksPerSubchannel;
+}
+
+} // namespace
+
 SubChannel::SubChannel(const SubChannelConfig &config,
                        const mitigation::Mitigator &prototype)
     : config_(config),
+      // Every bank's PRAC counters live in one recycled slab.
+      counter_slab_(banksOf(config), config.timing.rowsPerBank),
       abo_(config_.timing, config.aboLevel)
 {
     config_.timing.validate();
 
-    const uint32_t nb = config_.numBanks != 0
-                            ? config_.numBanks
-                            : config_.timing.banksPerSubchannel;
-    // Every bank's PRAC counters live in one flat slab.
-    const size_t rows = config_.timing.rowsPerBank;
-    counter_slab_.assign(static_cast<size_t>(nb) * rows, 0);
+    const uint32_t nb = banksOf(config_);
     banks_.reserve(nb);
     mitigators_.assign(nb, prototype);
     refresh_.reserve(nb);
     mitigation_stats_.reserve(nb);
     for (BankId b = 0; b < nb; ++b) {
-        banks_.emplace_back(
-            config_.timing,
-            std::span<ActCount>(counter_slab_.data() + b * rows, rows));
+        banks_.emplace_back(config_.timing, counter_slab_.counters(b),
+                            counter_slab_.dirtyLines(b));
         refresh_.emplace_back(config_.timing);
         mitigation_stats_.emplace_back();
     }

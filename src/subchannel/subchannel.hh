@@ -34,6 +34,7 @@
 #include "dram/security.hh"
 #include "dram/timing.hh"
 #include "mitigation/registry.hh"
+#include "subchannel/counter_slab.hh"
 
 namespace moatsim::subchannel
 {
@@ -241,12 +242,14 @@ class SubChannel
 
     SubChannelConfig config_;
     /**
-     * Flat PRAC-counter slab backing every bank: one allocation of
-     * numBanks x rowsPerBank entries instead of one multi-hundred-KB
-     * allocation per bank. Declared before banks_ so it outlives the
-     * Bank spans into it.
+     * PRAC counters and dirty bitmaps of every bank, recycled from
+     * earlier sub-channels of the same shape (see counter_slab.hh).
+     * A recycled slab reads all zeros because only Bank::activate()
+     * makes a counter nonzero and it marks the counter's line; any new
+     * write that can make a counter nonzero must mark its line too.
+     * Declared before banks_ so it outlives the Bank spans into it.
      */
-    std::vector<ActCount> counter_slab_;
+    CounterSlab counter_slab_;
     /** Banks stored by value: the per-ACT path indexes a contiguous
      *  array instead of chasing one heap pointer per bank. */
     std::vector<dram::Bank> banks_;

@@ -65,11 +65,40 @@ TEST(Bank, ResetCounterZeroesOnlyThatRow)
     EXPECT_EQ(b.counter(4), 1u);
 }
 
+TEST(Bank, ActivateMarksOnlyItsLineDirty)
+{
+    const TimingParams t = smallTiming();
+    std::vector<ActCount> slab(t.rowsPerBank, 0);
+    std::vector<uint64_t> dirty(dirtyWordsFor(t.rowsPerBank), 0);
+    Bank b(t, slab, dirty);
+    ASSERT_EQ(b.dirtyLines().size(), 1u);
+    b.activate(0);
+    b.activate(kCountersPerLine - 1); // same line as row 0
+    b.activate(5 * kCountersPerLine + 3);
+    b.activate(t.rowsPerBank - 1); // the bank's last line
+    const uint64_t last = (t.rowsPerBank - 1) / kCountersPerLine % 64;
+    EXPECT_EQ(dirty[0], (uint64_t{1} << 0) | (uint64_t{1} << 5) |
+                            (uint64_t{1} << last));
+    b.resetCounter(0);
+    EXPECT_EQ(b.counter(0), 0u);
+    EXPECT_EQ(dirty[0] & 1u, 1u) << "a reset leaves the line marked";
+}
+
 TEST(BankDeathTest, StorageOfTheWrongSizeIsFatal)
 {
     std::vector<ActCount> slab(smallTiming().rowsPerBank - 1, 0);
-    EXPECT_EXIT(Bank(smallTiming(), std::span<ActCount>(slab)),
+    std::vector<uint64_t> dirty(dirtyWordsFor(smallTiming().rowsPerBank), 0);
+    EXPECT_EXIT(Bank(smallTiming(), slab, dirty),
                 testing::ExitedWithCode(1), "storage size");
+}
+
+TEST(BankDeathTest, BitmapOfTheWrongSizeIsFatal)
+{
+    std::vector<ActCount> slab(smallTiming().rowsPerBank, 0);
+    std::vector<uint64_t> dirty(dirtyWordsFor(smallTiming().rowsPerBank) + 1,
+                                0);
+    EXPECT_EXIT(Bank(smallTiming(), slab, dirty),
+                testing::ExitedWithCode(1), "dirty bitmap size");
 }
 
 TEST(Bank, CounterIsFreeRunningPastThresholdBits)

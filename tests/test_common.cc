@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the common utilities (rng, stats, histogram, table,
+ * Unit tests for the common utilities (rng, stats, table,
  * and the strict number grammar of number_text).
  */
 
@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "common/histogram.hh"
 #include "common/number_text.hh"
 #include "common/rng.hh"
 #include "common/spec_text.hh"
@@ -239,42 +238,6 @@ TEST(Stats, FormatHelpers)
     EXPECT_EQ(formatFixed(3.14159, 2), "3.14");
     EXPECT_EQ(formatPercent(0.0028), "0.28%");
     EXPECT_EQ(formatPercent(0.5, 0), "50%");
-}
-
-TEST(Histogram, CountsAndOverflow)
-{
-    Histogram h(10);
-    h.add(0);
-    h.add(5);
-    h.add(5);
-    h.add(12);
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.bucket(5), 2u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.total(), 4u);
-    EXPECT_EQ(h.maxValue(), 12u);
-}
-
-TEST(Histogram, CountAtLeast)
-{
-    Histogram h(100);
-    for (uint64_t v : {10, 20, 30, 150, 200})
-        h.add(v);
-    EXPECT_EQ(h.countAtLeast(0), 5u);
-    EXPECT_EQ(h.countAtLeast(20), 4u);
-    EXPECT_EQ(h.countAtLeast(100), 2u);
-    EXPECT_EQ(h.countAtLeast(151), 1u);
-}
-
-TEST(Histogram, ClearResets)
-{
-    Histogram h(10);
-    h.add(3);
-    h.add(30);
-    h.clear();
-    EXPECT_EQ(h.total(), 0u);
-    EXPECT_EQ(h.overflow(), 0u);
-    EXPECT_EQ(h.countAtLeast(0), 0u);
 }
 
 TEST(TablePrinter, AlignsColumns)

@@ -11,13 +11,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "attacks/attack.hh"
+#include "common/mutex.hh"
 #include "common/thread_pool.hh"
 #include "sim/result_io.hh"
 #include "sim/run_request.hh"
 #include "sim/sweep.hh"
+#include "subchannel/counter_slab.hh"
 #include "workload/trace_store.hh"
 
 namespace moatsim::sim
@@ -337,6 +343,58 @@ TEST(BaselineCache, AdoptedBaselinesGiveTheBytesOfReplayedOnes)
         EXPECT_EQ(st.adopted + st.replayed, 3u) << "jobs=" << jobs;
         EXPECT_EQ(prefilled->stats().replayed, 3u) << "jobs=" << jobs;
         EXPECT_EQ(prefilled->stats().adopted, 0u) << "jobs=" << jobs;
+    }
+}
+
+TEST(SweepDeterminism, RecycledSlabsGiveTheSameBytes)
+{
+    // The same perf and co-attack cell computed twice in one process:
+    // the second compute runs on counter slabs the first one dirtied
+    // and released, and must write the bytes of the first, at any
+    // jobs count.
+    const auto jsonlOf = [](const RunRequest &req) {
+        ExperimentStores stores;
+        ResultStore::Config results;
+        results.enabled = true;
+        stores.results = std::make_shared<ResultStore>(results);
+        stores.traces = std::make_shared<workload::TraceStore>();
+        stores.baselines = std::make_shared<BaselineCache>();
+        Mutex mu;
+        std::vector<std::string> lines;
+        runRequest(req, stores, [&](size_t, const std::string &line) {
+            MutexLock lock(mu);
+            lines.push_back(line);
+        });
+        std::sort(lines.begin(), lines.end());
+        std::string out;
+        for (const std::string &l : lines)
+            out += l + "\n";
+        return out;
+    };
+    for (const char *kind : {"perf", "coattack"}) {
+        RunRequest req;
+        req.kind = kind;
+        req.workload = "roms";
+        req.fraction = 1.0 / 256;
+        std::string first;
+        for (const unsigned jobs : {1u, 4u}) {
+            req.jobs = jobs;
+            for (int run = 0; run < 2; ++run) {
+                const uint64_t reused =
+                    subchannel::CounterSlab::poolStats().reuses;
+                const std::string out = jsonlOf(req);
+                ASSERT_FALSE(out.empty()) << kind;
+                if (first.empty())
+                    first = out;
+                EXPECT_EQ(out, first)
+                    << kind << " jobs=" << jobs << " run " << run;
+                if (run == 1) {
+                    EXPECT_GT(subchannel::CounterSlab::poolStats().reuses,
+                              reused)
+                        << kind << ": the second run recycles a slab";
+                }
+            }
+        }
     }
 }
 

@@ -33,6 +33,7 @@
 #include "sim/result_io.hh"
 #include "sim/run_request.hh"
 #include "sim/serve.hh"
+#include "subchannel/counter_slab.hh"
 
 namespace moatsim::sim
 {
@@ -290,6 +291,53 @@ TEST(Serve, ConcurrentClientsComputeEachCellOnce)
                                         "\"baseline_adopted\":1"),
               std::string::npos)
         << stats.done;
+
+    const auto bye = serveRequestLine(socket, "{\"kind\":\"shutdown\"}");
+    EXPECT_TRUE(bye.ok) << bye.error;
+    loop.join();
+}
+
+/** The unsigned field @p key of a stats reply; fails the test and
+ *  returns 0 when it is absent. */
+uint64_t
+statsField(const std::string &stats, const std::string &key)
+{
+    const std::string tag = "\"" + key + "\":";
+    const size_t at = stats.find(tag);
+    EXPECT_NE(at, std::string::npos) << key << " in " << stats;
+    return at == std::string::npos
+               ? 0
+               : std::stoull(stats.substr(at + tag.size()));
+}
+
+TEST(Serve, StatsReportTheCounterSlabPool)
+{
+    const std::string socket = socketPathOf("moatsim_serve_slabs.sock");
+    Server server(smallServeConfig(socket));
+    server.start();
+    std::thread loop([&server] { server.serveForever(); });
+
+    const auto before = serveRequestLine(socket, "{\"kind\":\"stats\"}");
+    ASSERT_TRUE(before.ok) << before.error;
+    // Two fresh cells, one after the other: the second sub-channel
+    // takes the slab the first one released.
+    for (const uint64_t seed : {41u, 42u}) {
+        RunRequest req = smallRequest();
+        req.seed = seed;
+        const auto reply = serveRequest(socket, req);
+        ASSERT_TRUE(reply.ok) << reply.error;
+        ASSERT_EQ(reply.cells.size(), 1u);
+    }
+    const auto after = serveRequestLine(socket, "{\"kind\":\"stats\"}");
+    ASSERT_TRUE(after.ok) << after.error;
+    EXPECT_EQ(statsField(after.done, "computes"), 2u) << after.done;
+    EXPECT_GT(statsField(after.done, "slab_reuses"),
+              statsField(before.done, "slab_reuses"))
+        << after.done;
+    // The pool is process-wide: the counters only ever grow.
+    EXPECT_GE(statsField(after.done, "slab_allocs"),
+              statsField(before.done, "slab_allocs"));
+    EXPECT_GT(statsField(after.done, "slab_pooled_bytes"), 0u) << after.done;
 
     const auto bye = serveRequestLine(socket, "{\"kind\":\"shutdown\"}");
     EXPECT_TRUE(bye.ok) << bye.error;
@@ -655,6 +703,9 @@ TEST(ServeBytes, FreshStatsAndByeLines)
     server.start();
     std::thread loop([&server] { server.serveForever(); });
 
+    // The counter-slab pool is process-wide, so its fields carry what
+    // earlier tests left; nothing computes while the line is built.
+    const auto slabs = subchannel::CounterSlab::poolStats();
     EXPECT_EQ(rawExchange(socket, "{\"kind\":\"stats\"}"),
               std::vector<std::string>{
                   "{\"kind\":\"stats\",\"entries\":0,\"hits\":0,"
@@ -665,7 +716,11 @@ TEST(ServeBytes, FreshStatsAndByeLines)
                   "\"baseline_replays\":0,\"baseline_adopted\":0,"
                   "\"active\":0,"
                   "\"accept_retries\":0,\"compute_failures\":0,"
-                  "\"admitted_cost\":0}"});
+                  "\"admitted_cost\":0,\"slab_pooled_bytes\":" +
+                  std::to_string(slabs.pooledBytes) +
+                  ",\"slab_reuses\":" + std::to_string(slabs.reuses) +
+                  ",\"slab_allocs\":" + std::to_string(slabs.allocs) +
+                  "}"});
     EXPECT_EQ(rawExchange(socket, "{\"kind\":\"shutdown\"}"),
               std::vector<std::string>{"{\"kind\":\"bye\"}"});
     loop.join();
