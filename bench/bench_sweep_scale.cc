@@ -25,6 +25,7 @@
 #include <sstream>
 
 #include "bench_util.hh"
+#include "sim/result_io.hh"
 #include "sim/sweep.hh"
 
 using namespace moatsim;

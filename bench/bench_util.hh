@@ -1,12 +1,9 @@
 /**
  * @file
- * Shared helpers for the benches. The paper numbers a RunRequest can
- * produce are checked claims (tests/claims/paper.jsonl, run by
- * `moatsim reproduce`); the benches left here drive harnesses that are
- * not requests -- the ABO timing probe, TSA and the kernels, the
- * Table-4 calibration, the two ablations -- or time the host (core
- * loop, sweep scale, micro ops). Each prints a banner naming what it
- * measures, then a table.
+ * Shared helpers for the benches. Every paper number is a checked
+ * claim (tests/claims/paper.jsonl, run by `moatsim reproduce`) or a
+ * test; the benches time the host (core loop, sweep scale, micro ops).
+ * Each prints a banner naming what it measures, then a table.
  */
 
 #ifndef MOATSIM_BENCH_BENCH_UTIL_HH
@@ -25,7 +22,6 @@
 #include "common/number_text.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
-#include "sim/result_io.hh"
 
 namespace moatsim::bench
 {
@@ -183,9 +179,9 @@ jobs()
 
 /**
  * Structured-results sink: when MOATSIM_JSONL names a file, every
- * bench appends its results there as JSON lines (sim/result_io.hh) in
- * addition to printing its table, so the golden harness and ad-hoc
- * tooling can diff runs. Returns nullptr when the env var is unset.
+ * bench appends its figures there as one JSON line in addition to
+ * printing its table (scripts/bench_aggregate.py reads them). Returns
+ * nullptr when the env var is unset.
  */
 inline std::ostream *
 jsonlStream()
@@ -202,27 +198,6 @@ jsonlStream()
         }
     }
     return stream.is_open() ? &stream : nullptr;
-}
-
-/** Append one attack outcome, named by @p pattern and @p mitigator,
- *  to the MOATSIM_JSONL sink. */
-inline void
-emitJsonl(attacks::AttackResult result, const std::string &pattern,
-          const std::string &mitigator)
-{
-    result.pattern = pattern;
-    result.mitigator = mitigator;
-    if (std::ostream *os = jsonlStream())
-        *os << sim::toJsonLine(result) << "\n";
-}
-
-/** Append one throughput-attack outcome to the MOATSIM_JSONL sink. */
-inline void
-emitJsonl(const attacks::ThroughputAttackResult &result,
-          const std::string &pattern, const std::string &mitigator)
-{
-    if (std::ostream *os = jsonlStream())
-        *os << sim::toJsonLine(result, pattern, mitigator) << "\n";
 }
 
 } // namespace moatsim::bench

@@ -9,9 +9,10 @@
 #include <iostream>
 
 #include "analysis/throughput_model.hh"
-#include "attacks/tsa.hh"
+#include "attacks/attack.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
+#include "mitigation/registry.hh"
 #include "sim/experiment.hh"
 
 using namespace moatsim;
@@ -41,10 +42,11 @@ main()
 
     // Worst-case adversarial tenant: the TSA pattern.
     std::printf("\nAdversarial tenant (Torrent-of-Staggered-ALERT):\n");
-    attacks::PerfAttackConfig atk;
-    atk.numBanks = 17; // tFAW limit
-    atk.cycles = 20;
-    const auto tsa = attacks::runTsa(atk);
+    attacks::AttackConfig atk;
+    atk.pattern = "tsa";
+    atk.banks = 17; // tFAW limit
+    const auto tsa =
+        attacks::runAttack(atk, mitigation::Registry::parse("moat"));
     const auto model =
         analysis::tsaAttack(ec.tracegen.timing, 64, 5, 17, 1);
     std::printf("  measured channel throughput loss: %s "

@@ -2,14 +2,14 @@
 """Aggregate a bench-smoke JSONL stream into one BENCH_<date>.json.
 
 Reads the result lines `moatsim reproduce --jsonl` wrote for the
-claims table (perf, attack and co-attack cells), the MOATSIM_JSONL lines
-every bench emitted (attack and throughput-attack outcomes, the
-core-loop record -- replay acts/sec of runSystem alone, System
-construction ms on recycled counter slabs apart, and the first, cold
-construction of each shape on its own -- and the matrix-sweep
-throughput record) plus
-the per-run wall times, and writes a single JSON document: the perf-trajectory snapshot CI
-archives on every push. Throughput is recorded, not gated; compare it
+claims table (perf, attack and co-attack cells; the attack lines of the
+throughput patterns carry loss_fraction), the MOATSIM_JSONL line each
+bench emitted (the core-loop record -- replay acts/sec of runSystem
+alone, System construction ms on recycled counter slabs apart, and the
+first, cold construction of each shape on its own -- and the
+matrix-sweep throughput record) plus the per-run wall times, and writes
+a single JSON document: the perf-trajectory snapshot CI archives on
+every push. Throughput is recorded, not gated; compare it
 against earlier snapshots, or measure a change with perfbench/run.py.
 Stdlib only.
 """
@@ -43,7 +43,7 @@ def main() -> int:
 
     perf = [r for r in rows if r.get("kind") == "perf"]
     attacks = [r for r in rows if r.get("kind") == "attack"]
-    tput = [r for r in rows if r.get("kind") == "throughput_attack"]
+    tput = [r for r in attacks if "loss_fraction" in r]
     coattack = [r for r in rows if r.get("kind") == "coattack"]
     core = next((r for r in rows if r.get("kind") == "core_loop"), None)
     sweep = next((r for r in rows if r.get("kind") == "sweep_scale"), None)

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Perf-trajectory smoke: check the paper's claims at full scale with
-# `moatsim reproduce`, run the remaining benches at a small scale, and
-# aggregate acts/sec and the key paper metrics into BENCH_<date>.json.
+# `moatsim reproduce`, run the benches (which time the host: core loop
+# and sweep scale) at a small scale, and aggregate acts/sec and the key
+# paper metrics into BENCH_<date>.json.
 # CI runs this on every push and uploads the file as an artifact, so
 # the repository accumulates a measured performance history instead of
 # an assumed one.

@@ -8,11 +8,13 @@
  * defence state, attacker-chosen memory policy), and reports the
  * ground-truth security outcome measured by the SecurityMonitor.
  *
- * runAttack() is the one entry to a security pattern: a named pattern
+ * runAttack() is the one entry to an attack pattern: a named pattern
  * plus a mitigation::MitigatorSpec naming any registered defence.
  * Generic patterns ("hammer", "round-robin") run against every design;
  * the paper's specialized patterns ("ratchet", "jailbreak",
- * "feinting", "postponement") target one design each. One table,
+ * "feinting", "postponement") target one design each, and so do the
+ * Section-7 throughput attacks ("kernel", "tsa"), which report the ACT
+ * throughput they cost besides the hammer count. One table,
  * attackPatterns(), lists every pattern with its design, the spec
  * settings its driver cannot honor and the AttackConfig knobs it
  * reads, and checkAttack() reads it, so a request is rejected with a
@@ -54,21 +56,10 @@ struct AttackResult
     uint64_t alerts = 0;
     /** Wall-clock (simulated) duration of the attack. */
     Time duration = 0;
-};
-
-/** Outcome of a performance (throughput) attack run. */
-struct ThroughputAttackResult
-{
-    /** ACT throughput with the defence active (ACTs per second). */
-    double attackRate = 0.0;
-    /** ACT throughput of the identical pattern with no ALERTs. */
-    double baselineRate = 0.0;
-    /** attackRate / baselineRate. */
-    double relativeThroughput = 0.0;
-    /** 1 - relativeThroughput. */
+    /** Throughput attacks only (AttackPattern::throughput): the share
+     *  of ACT throughput the ALERTs cost, 1 - (ACT rate under attack /
+     *  ACT rate of the same activations on an ALERT-free channel). */
     double lossFraction = 0.0;
-    /** ALERTs asserted during the measured window. */
-    uint64_t alerts = 0;
 };
 
 /** Configuration of the common runAttack() entry point. Every field
@@ -89,6 +80,8 @@ struct AttackConfig
     uint64_t budget = 0;
     /** Alignment trials for phase-sweeping patterns (0 = default). */
     uint32_t trials = 0;
+    /** Banks the pattern drives at once (0 = one). */
+    uint32_t banks = 0;
 };
 
 /** One row of the pattern table. */
@@ -102,11 +95,15 @@ struct AttackPattern
      *  any explicit value, `key=value` that canonical value. */
     std::vector<std::string> rejects;
     /** The knobs of AttackConfig the driver reads, by request field
-     *  name ("pool_rows", "budget", "trials"); any other must be 0. */
+     *  name ("pool_rows", "budget", "trials", "banks"); any other must
+     *  be 0. */
     std::vector<std::string> reads;
     /** The driver, called once checkAttack() has passed. */
     AttackResult (*run)(const AttackConfig &,
                         const mitigation::MitigatorSpec &) = nullptr;
+    /** Whether the driver measures throughput, so its result line
+     *  carries loss_fraction. */
+    bool throughput = false;
 
     /** The design the pattern runs against when none is named. */
     std::string defaultDesign() const

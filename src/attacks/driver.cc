@@ -4,9 +4,9 @@
  *
  * The generic patterns drive the defence purely through the SubChannel
  * command interface, so they run against any registered design; the
- * specialized patterns (patterns.hh) target the one design the pattern
- * table names. checkAttack() matches a request against that table
- * before any driver runs.
+ * specialized and throughput patterns (patterns.hh) target the one
+ * design the pattern table names. checkAttack() matches a request
+ * against that table before any driver runs.
  */
 
 #include "attacks/attack.hh"
@@ -32,7 +32,7 @@ makeChannel(const AttackConfig &config,
 {
     subchannel::SubChannelConfig sc;
     sc.timing = config.timing;
-    sc.numBanks = 1;
+    sc.numBanks = std::max(config.banks, 1u);
     sc.aboLevel = config.aboLevel;
     sc.refreshResetsRows = refreshResetsRows;
     return SubChannel(sc, prototype);
@@ -42,7 +42,8 @@ AttackResult
 resultOf(const SubChannel &ch)
 {
     AttackResult res;
-    res.maxHammer = ch.security(0).maxHammer();
+    for (BankId b = 0; b < ch.numBanks(); ++b)
+        res.maxHammer = std::max(res.maxHammer, ch.security(b).maxHammer());
     res.totalActs = ch.stats().acts;
     res.alerts = ch.abo().alertCount();
     res.duration = ch.now();
@@ -126,6 +127,10 @@ attackPatterns()
          runFeinting},
         {"postponement", "panopticon", {"drain-all=false"}, {"trials"},
          runPostponement},
+        // Section 7's throughput attacks: one driver for the Figure-13
+        // kernels and (banks > 1) the synchronized attack of Sec. 7.2.
+        {"kernel", "moat", {}, {"pool_rows", "banks"}, runKernel, true},
+        {"tsa", "moat", {}, {"pool_rows", "banks"}, runTsa, true},
     };
     return table;
 }
@@ -169,7 +174,8 @@ checkAttack(const AttackConfig &config,
     const std::pair<const char *, uint64_t> knobs[] = {
         {"pool_rows", config.poolRows},
         {"budget", config.budget},
-        {"trials", config.trials}};
+        {"trials", config.trials},
+        {"banks", config.banks}};
     for (const auto &[knob, value] : knobs) {
         if (value != 0 &&
             std::find(p->reads.begin(), p->reads.end(), knob) ==

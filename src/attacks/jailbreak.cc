@@ -39,8 +39,7 @@ runJailbreak(const AttackConfig &config,
     const uint32_t hammer_acts = static_cast<uint32_t>(std::min<uint64_t>(
         budget, std::numeric_limits<uint32_t>::max()));
 
-    subchannel::SubChannel ch =
-        makeChannel(atLevelOne(config), mitigator.factory());
+    subchannel::SubChannel ch = makeChannel(config, mitigator.factory());
     // The attacker knows the queue state (threat model, Section 2.1).
     const auto &pano =
         std::get<mitigation::PanopticonMitigator>(ch.mitigator(0));

@@ -21,33 +21,20 @@ namespace moatsim::attacks
 {
 
 /**
- * The one-bank sub-channel every pattern drives: @p config's timing
- * and ABO level, and one copy of @p prototype. With
- * @p refreshResetsRows off, auto-refresh keeps row state, which models
- * an attacker that aligns its pattern with the refresh sweep (the
- * Section 2.1 threat model lets it pick the memory policy).
+ * The sub-channel every pattern drives: @p config's timing, ABO level
+ * and bank count (one bank unless the pattern reads `banks`), and one
+ * copy of @p prototype per bank. With @p refreshResetsRows off,
+ * auto-refresh keeps row state, which models an attacker that aligns
+ * its pattern with the refresh sweep (the Section 2.1 threat model
+ * lets it pick the memory policy).
  */
 subchannel::SubChannel makeChannel(const AttackConfig &config,
                                    const mitigation::Mitigator &prototype,
                                    bool refreshResetsRows = true);
 
-/** What @p ch has seen so far: bank 0's peak hammer count, the ACTs,
- *  the ALERTs and the simulated time. */
+/** What @p ch has seen so far: the peak hammer count over its banks,
+ *  the ACTs, the ALERTs and the simulated time. */
 AttackResult resultOf(const subchannel::SubChannel &ch);
-
-/**
- * @p config at ABO level 1. Panopticon's two drivers (jailbreak and
- * postponement) have always run there, whatever level a request
- * names, and the result store holds their results under every level's
- * key; honoring the level changes those results, so it needs a
- * result-store epoch bump.
- */
-inline AttackConfig
-atLevelOne(AttackConfig config)
-{
-    config.aboLevel = abo::Level::L1;
-    return config;
-}
 
 /** Ratchet against MOAT (Section 5, Appendix A; ratchet.cc). */
 AttackResult runRatchet(const AttackConfig &config,
@@ -67,6 +54,15 @@ AttackResult runFeinting(const AttackConfig &config,
  *  postponement.cc). */
 AttackResult runPostponement(const AttackConfig &config,
                              const mitigation::MitigatorSpec &mitigator);
+
+/** The single-bank kernels of Figure 13, and at more than one bank
+ *  the synchronized multi-bank attack of Section 7.2 (tsa.cc). */
+AttackResult runKernel(const AttackConfig &config,
+                       const mitigation::MitigatorSpec &mitigator);
+
+/** Torrent-of-Staggered-ALERT against MOAT (Figure 12; tsa.cc). */
+AttackResult runTsa(const AttackConfig &config,
+                    const mitigation::MitigatorSpec &mitigator);
 
 } // namespace moatsim::attacks
 

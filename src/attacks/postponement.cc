@@ -30,8 +30,8 @@ runPostponement(const AttackConfig &config,
     // The attack only bites the Appendix-B drain-all policy (the
     // table rejects an explicit drain-all=false).
     pcfg.drainAllOnRef = true;
-    subchannel::SubChannel ch = makeChannel(
-        atLevelOne(config), mitigation::PanopticonMitigator(pcfg));
+    subchannel::SubChannel ch =
+        makeChannel(config, mitigation::PanopticonMitigator(pcfg));
     ch.setPostponeRefresh(true);
 
     const ActCount threshold = pcfg.queueThreshold;

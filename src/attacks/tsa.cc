@@ -1,12 +1,29 @@
-#include "attacks/tsa.hh"
+/**
+ * @file
+ * ALERT-based throughput attacks against MOAT (Section 7).
+ *
+ * These patterns do not break security; they abuse the fact that an
+ * ALERT stalls the whole sub-channel to degrade throughput:
+ *
+ *  - Kernels (Figure 13): hammering one row, or a pool of rows, in one
+ *    bank triggers an ALERT every ATH+1 activations per row (~10%
+ *    throughput loss). Run on several banks in lock-step, every ALERT
+ *    mitigates one row in every bank, so the synchronized attack loses
+ *    no more than one bank does (Section 7.2).
+ *  - Torrent-of-Staggered-ALERT (Figure 12): the banks prime their
+ *    pools in parallel but fire their ALERTs one bank at a time, so no
+ *    other bank has a mitigable row during any ALERT and every stall
+ *    is wasted (24% loss at 4 banks, 52% at the 17-bank tFAW limit).
+ *
+ * Each run measures activations per second against the same number
+ * of activations issued bank-parallel on an ALERT-free channel.
+ */
 
 #include <algorithm>
-#include <functional>
 #include <vector>
 
-#include "common/logging.hh"
+#include "attacks/patterns.hh"
 #include "mitigation/null.hh"
-#include "subchannel/subchannel.hh"
 
 namespace moatsim::attacks
 {
@@ -15,27 +32,33 @@ namespace
 {
 
 using subchannel::SubChannel;
-using subchannel::SubChannelConfig;
 
-SubChannelConfig
-channelConfig(const PerfAttackConfig &config)
-{
-    SubChannelConfig sc;
-    sc.timing = config.timing;
-    sc.numBanks = config.numBanks;
-    sc.aboLevel = config.aboLevel;
-    return sc;
-}
+/** Pattern repetitions measured per run. */
+constexpr uint32_t kCycles = 20;
 
-/** Pool rows of a bank, spaced so victim windows never overlap. */
-std::vector<RowId>
-poolOf(const PerfAttackConfig &config, BankId bank)
+/** Spacing of a bank's pool rows, so victim windows never overlap. */
+constexpr uint32_t kRowStride = 8;
+
+/** Every bank's pool of rows. */
+using Pools = std::vector<std::vector<RowId>>;
+
+/** The pool of every bank: @p config's pool_rows (5 by default,
+ *  capped to what fits the bank) from row 1024 + 64 * bank, away from
+ *  the refresh pointer. */
+Pools
+poolsOf(const AttackConfig &config, uint32_t banks)
 {
-    std::vector<RowId> rows(config.poolRows);
-    const RowId base = 1024 + bank * 64; // away from the refresh pointer
-    for (uint32_t i = 0; i < config.poolRows; ++i)
-        rows[i] = base + i * 8;
-    return rows;
+    const RowId base = 1024;
+    const uint32_t fit =
+        (config.timing.rowsPerBank - base - 64 * banks) / kRowStride;
+    const uint32_t rows =
+        std::min(config.poolRows != 0 ? config.poolRows : 5, fit);
+    Pools pools(banks, std::vector<RowId>(rows));
+    for (BankId b = 0; b < banks; ++b) {
+        for (uint32_t i = 0; i < rows; ++i)
+            pools[b][i] = base + b * 64 + i * kRowStride;
+    }
+    return pools;
 }
 
 /** ACT rate in activations per second over the channel's lifetime. */
@@ -48,132 +71,125 @@ actRate(const SubChannel &ch)
            (toNs(ch.now()) * 1e-9);
 }
 
-/**
- * Run @p pattern against MOAT, then replay the same number of
- * activations as an ideal bank-parallel stream on a no-ALERT channel
- * to obtain the baseline rate.
- */
-ThroughputAttackResult
-measure(const PerfAttackConfig &config,
-        const std::function<void(SubChannel &)> &pattern)
-{
-    SubChannel attacked(channelConfig(config),
-                        mitigation::MoatMitigator(config.moat));
-    pattern(attacked);
+/** A pattern body: drives the channel under attack over the banks'
+ *  pools, knowing the design's ALERT threshold. */
+using Pattern = void (*)(SubChannel &, const Pools &, ActCount ath);
 
-    SubChannel baseline(channelConfig(config), mitigation::NullMitigator{});
+/**
+ * Run @p pattern against the design, then issue the same number of
+ * activations round-robin over the banks' pools on an ALERT-free
+ * channel for the baseline rate.
+ */
+AttackResult
+measure(const AttackConfig &config,
+        const mitigation::MitigatorSpec &mitigator, Pattern pattern)
+{
+    SubChannel attacked = makeChannel(config, mitigator.factory());
+    const uint32_t k = attacked.numBanks();
+    const Pools pools = poolsOf(config, k);
+    pattern(attacked, pools, mitigation::moatConfigOf(mitigator).ath);
+
+    SubChannel baseline = makeChannel(config, mitigation::NullMitigator{});
     const uint64_t total = attacked.stats().acts;
-    const uint32_t k = baseline.numBanks();
     for (uint64_t i = 0; i < total; ++i) {
-        const BankId b = static_cast<BankId>(i % k);
-        const auto pool = poolOf(config, b);
-        baseline.activate(b, pool[(i / k) % pool.size()]);
+        const auto &pool = pools[i % k];
+        baseline.activate(static_cast<BankId>(i % k),
+                          pool[(i / k) % pool.size()]);
     }
 
-    ThroughputAttackResult r;
-    r.attackRate = actRate(attacked);
-    r.baselineRate = actRate(baseline);
-    r.relativeThroughput =
-        r.baselineRate > 0 ? r.attackRate / r.baselineRate : 0.0;
-    r.lossFraction = 1.0 - r.relativeThroughput;
-    r.alerts = attacked.abo().alertCount();
+    AttackResult r = resultOf(attacked);
+    const double attack_rate = actRate(attacked);
+    const double baseline_rate = actRate(baseline);
+    r.lossFraction =
+        1.0 - (baseline_rate > 0 ? attack_rate / baseline_rate : 0.0);
     return r;
+}
+
+/** Every bank cycles its pool in lock-step, ATH + 1 ACTs per row per
+ *  cycle. */
+void
+kernel(SubChannel &ch, const Pools &pools, ActCount ath)
+{
+    const size_t n = pools[0].size();
+    const uint64_t per_bank =
+        static_cast<uint64_t>(kCycles) * n * (ath + 1);
+    for (uint64_t i = 0; i < per_bank; ++i) {
+        for (BankId b = 0; b < ch.numBanks(); ++b)
+            ch.activate(b, pools[b][i % n]);
+    }
+}
+
+/** Parallel priming, then one bank at a time fires its ALERTs. */
+void
+torrent(SubChannel &ch, const Pools &pools, ActCount ath)
+{
+    for (uint32_t cycle = 0; cycle < kCycles; ++cycle) {
+        // Parallel priming (Figure 12: all banks run (ABCDE)^64
+        // simultaneously): interleave banks so every bank primes at
+        // its full tRC cadence. Rows mitigated by a foreign ALERT's RFM
+        // in the previous torrent get topped up.
+        bool all_primed = false;
+        while (!all_primed) {
+            all_primed = true;
+            for (size_t i = 0; i < pools[0].size(); ++i) {
+                for (BankId b = 0; b < ch.numBanks(); ++b) {
+                    const RowId r = pools[b][i];
+                    if (ch.bank(b).counter(r) < ath) {
+                        ch.activate(b, r);
+                        all_primed = false;
+                    }
+                }
+            }
+        }
+        // Staggered torrent: one bank at a time cycles its rows over
+        // ATH until each has been mitigated by its ALERT; the other
+        // banks issue nothing, so after their first (sacrificed)
+        // tracker entry a foreign RFM finds nothing to mitigate and the
+        // stall is pure waste. A row retires when its hammer count
+        // drops (its RFM ran inside some activation call).
+        for (BankId b = 0; b < ch.numBanks(); ++b) {
+            const size_t n = pools[b].size();
+            std::vector<bool> done(n, false);
+            std::vector<uint32_t> last(n);
+            for (size_t i = 0; i < n; ++i)
+                last[i] = ch.security(b).hammerCount(pools[b][i]);
+            bool any_live = true;
+            uint32_t guard = 0;
+            while (any_live && ++guard < 4096) {
+                any_live = false;
+                for (size_t i = 0; i < n; ++i) {
+                    if (done[i])
+                        continue;
+                    ch.activate(b, pools[b][i]);
+                    for (size_t j = 0; j < n; ++j) {
+                        const uint32_t h =
+                            ch.security(b).hammerCount(pools[b][j]);
+                        if (h < last[j])
+                            done[j] = true;
+                        last[j] = h;
+                    }
+                    if (!done[i])
+                        any_live = true;
+                }
+            }
+        }
+    }
 }
 
 } // namespace
 
-ThroughputAttackResult
-runSingleBankKernel(const PerfAttackConfig &config)
+AttackResult
+runKernel(const AttackConfig &config,
+          const mitigation::MitigatorSpec &mitigator)
 {
-    PerfAttackConfig cfg = config;
-    cfg.numBanks = 1;
-    return measure(cfg, [&](SubChannel &ch) {
-        const auto pool = poolOf(cfg, 0);
-        const uint64_t total = static_cast<uint64_t>(cfg.cycles) *
-                               cfg.poolRows * (cfg.moat.ath + 1);
-        for (uint64_t i = 0; i < total; ++i)
-            ch.activate(0, pool[i % pool.size()]);
-    });
+    return measure(config, mitigator, kernel);
 }
 
-ThroughputAttackResult
-runSynchronizedMultiBank(const PerfAttackConfig &config)
+AttackResult
+runTsa(const AttackConfig &config,
+       const mitigation::MitigatorSpec &mitigator)
 {
-    return measure(config, [&](SubChannel &ch) {
-        std::vector<std::vector<RowId>> pools;
-        for (BankId b = 0; b < ch.numBanks(); ++b)
-            pools.push_back(poolOf(config, b));
-        const uint64_t per_bank = static_cast<uint64_t>(config.cycles) *
-                                  config.poolRows * (config.moat.ath + 1);
-        for (uint64_t i = 0; i < per_bank; ++i) {
-            for (BankId b = 0; b < ch.numBanks(); ++b)
-                ch.activate(b, pools[b][i % config.poolRows]);
-        }
-    });
-}
-
-ThroughputAttackResult
-runTsa(const PerfAttackConfig &config)
-{
-    return measure(config, [&](SubChannel &ch) {
-        std::vector<std::vector<RowId>> pools;
-        for (BankId b = 0; b < ch.numBanks(); ++b)
-            pools.push_back(poolOf(config, b));
-        const ActCount ath = config.moat.ath;
-
-        for (uint32_t cycle = 0; cycle < config.cycles; ++cycle) {
-            // Parallel priming (Figure 12: all banks run (ABCDE)^64
-            // simultaneously): interleave banks so every bank primes
-            // at its full tRC cadence. Rows mitigated by a foreign
-            // ALERT's RFM in the previous torrent get topped up.
-            bool all_primed = false;
-            while (!all_primed) {
-                all_primed = true;
-                for (uint32_t i = 0; i < config.poolRows; ++i) {
-                    for (BankId b = 0; b < ch.numBanks(); ++b) {
-                        const RowId r = pools[b][i];
-                        if (ch.bank(b).counter(r) < ath) {
-                            ch.activate(b, r);
-                            all_primed = false;
-                        }
-                    }
-                }
-            }
-            // Staggered torrent: one bank at a time cycles its rows
-            // over ATH until each has been mitigated by its ALERT;
-            // the other banks issue nothing, so after their first
-            // (sacrificed) tracker entry a foreign RFM finds nothing
-            // to mitigate and the stall is pure waste. A row retires
-            // when its hammer count drops (its RFM ran inside some
-            // activation call).
-            for (BankId b = 0; b < ch.numBanks(); ++b) {
-                const size_t n = pools[b].size();
-                std::vector<bool> done(n, false);
-                std::vector<uint32_t> last(n);
-                for (size_t i = 0; i < n; ++i)
-                    last[i] = ch.security(b).hammerCount(pools[b][i]);
-                bool any_live = true;
-                uint32_t guard = 0;
-                while (any_live && ++guard < 4096) {
-                    any_live = false;
-                    for (size_t i = 0; i < n; ++i) {
-                        if (done[i])
-                            continue;
-                        ch.activate(b, pools[b][i]);
-                        for (size_t j = 0; j < n; ++j) {
-                            const uint32_t h =
-                                ch.security(b).hammerCount(pools[b][j]);
-                            if (h < last[j])
-                                done[j] = true;
-                            last[j] = h;
-                        }
-                        if (!done[i])
-                            any_live = true;
-                    }
-                }
-            }
-        }
-    });
+    return measure(config, mitigator, torrent);
 }
 
 } // namespace moatsim::attacks

@@ -191,6 +191,11 @@ fields(V &v, R &r)
     v.field("total_acts", r.totalActs);
     v.field("alerts", r.alerts);
     v.field("duration_ps", r.duration);
+    // Only a throughput pattern's line carries its loss, so every
+    // other attack line keeps its bytes.
+    const attacks::AttackPattern *p = attacks::findAttackPattern(r.pattern);
+    if (v.section(p != nullptr && p->throughput))
+        v.field("loss_fraction", r.lossFraction);
 }
 
 /** Result lines write every field, so a missing one is malformed. */
@@ -295,22 +300,6 @@ toJsonLine(const attacks::AttackResult &r)
     JsonLineWriter w;
     fields(w, r);
     return w.line();
-}
-
-std::string
-toJsonLine(const attacks::ThroughputAttackResult &r,
-           const std::string &pattern, const std::string &mitigator)
-{
-    return JsonLineWriter()
-        .field("kind", "throughput_attack")
-        .field("pattern", pattern)
-        .field("mitigator", mitigator)
-        .field("attack_rate", r.attackRate)
-        .field("baseline_rate", r.baselineRate)
-        .field("relative_throughput", r.relativeThroughput)
-        .field("loss_fraction", r.lossFraction)
-        .field("alerts", r.alerts)
-        .line();
 }
 
 void

@@ -94,8 +94,9 @@ class JsonLineWriter
         if (!value.empty())
             field(key, value);
     }
-    /** Whether to visit a group: the writer writes it when @p written. */
-    bool section(bool written) const { return written; }
+    /** Whether to visit a group of fields: when @p present, which a
+     *  fields() list computes from the fields it visited before. */
+    bool section(bool present) const { return present; }
 
     /** The finished line (no trailing newline); call once. */
     std::string line()
@@ -208,8 +209,10 @@ class JsonLineReader
         if (find(key, '"', true))
             value = token_;
     }
-    /** Every group is read; absent fields follow the Absent policy. */
-    bool section(bool) const { return true; }
+    /** A group is read when @p present, computed from the fields read
+     *  before it, so a line without the group is well formed; within
+     *  it, absent fields follow the Absent policy. */
+    bool section(bool present) const { return present; }
 
     bool ok() const { return ok_; }
     /** The first failure, with the line it was found in. */
@@ -260,11 +263,6 @@ std::string toJsonLine(const CoAttackResult &r);
  *  pattern and mitigator name the cell the way PerfResult lines name
  *  their (workload, mitigator) cell. */
 std::string toJsonLine(const attacks::AttackResult &r);
-
-/** One ThroughputAttackResult (TSA / kernel losses) as a JSON line. */
-std::string toJsonLine(const attacks::ThroughputAttackResult &r,
-                       const std::string &pattern,
-                       const std::string &mitigator);
 
 /** Write one line per result. */
 void writeJsonLines(std::ostream &os, const std::vector<PerfResult> &rs);

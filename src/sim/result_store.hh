@@ -73,9 +73,11 @@ namespace moatsim::sim
  * or reinterpreted, metric definitions recalibrated, cell-key inputs
  * added (see CONTRIBUTING.md). Old entries then miss instead of
  * serving stale bytes. Epoch 2: trace events replay in the total
- * order (at, subchannel, bank, row), not std::sort's tie order.
+ * order (at, subchannel, bank, row), not std::sort's tie order. Epoch
+ * 3: the jailbreak and postponement attacks run at the ABO level their
+ * key names, not always at level 1.
  */
-inline constexpr uint64_t kResultStoreEpoch = 2;
+inline constexpr uint64_t kResultStoreEpoch = 3;
 
 /** Shared, persistent cache of computed result lines. */
 class ResultStore

@@ -47,15 +47,17 @@ fields(V &v, R &r)
     v.field("subchannels", r.subchannels);
     v.field("seed", r.seed);
     v.field("jobs", r.jobs);
-    // The attack fields are written for the kinds that read them (as
-    // requestKey() folds them) and read whenever present.
+    // The attack fields are written and read for the kinds that read
+    // them, as requestKey() folds them.
     if (!v.section(r.kind != "perf"))
         return;
     v.field("pattern", r.pattern);
     v.field("pool_rows", r.poolRows);
     v.field("budget", r.budget);
-    if (v.section(r.kind == "attack"))
+    if (v.section(r.kind == "attack")) {
         v.field("trials", r.trials);
+        v.field("banks", r.banks);
+    }
     if (!v.section(r.kind == "coattack"))
         return;
     v.field("attack_subchannel", r.attackSubchannel);
@@ -137,8 +139,10 @@ runRequestOfArgs(const std::string &kind, const Args &args)
         req.poolRows = args.getUint32("pool", 0);
         req.budget = args.getInt("acts", 0);
     }
-    if (kind == "attack")
+    if (kind == "attack") {
         req.trials = args.getUint32("trials", 0);
+        req.banks = args.getUint32("banks", 0);
+    }
     if (kind == "coattack") {
         req.attackSubchannel = args.getUint32("attack-subchannel", 0);
         req.attackBank = args.getUint32("attack-bank", 0);
@@ -172,8 +176,10 @@ requestKey(const RunRequest &req)
         h = hashCombine(h, static_cast<uint64_t>(req.poolRows));
         h = hashCombine(h, req.budget);
     }
-    if (req.kind == "attack")
+    if (req.kind == "attack") {
         h = hashCombine(h, static_cast<uint64_t>(req.trials));
+        h = hashCombine(h, static_cast<uint64_t>(req.banks));
+    }
     if (req.kind == "coattack") {
         h = hashCombine(h, static_cast<uint64_t>(req.attackSubchannel));
         h = hashCombine(h, static_cast<uint64_t>(req.attackBank));
@@ -225,9 +231,16 @@ validateRunRequest(const RunRequest &req, std::string *err)
         return fail("run request workload \"" + req.workload +
                     "\" is not a Table-4 name (or \"all\")", err);
 
-    if (req.kind == "attack" &&
-        !attacks::checkAttack(attackCellOf(req).attack, *mitigator, &detail))
-        return fail("run request: " + detail, err);
+    if (req.kind == "attack") {
+        if (!attacks::checkAttack(attackCellOf(req).attack, *mitigator,
+                                  &detail))
+            return fail("run request: " + detail, err);
+        if (req.banks > device.banksPerSubchannel())
+            return fail("run request banks must be at most the banks per "
+                        "sub-channel (" +
+                        std::to_string(device.banksPerSubchannel()) + ")",
+                        err);
+    }
     if (req.kind == "coattack") {
         if (req.pattern != "none" &&
             attacks::findAttackPattern(req.pattern) == nullptr)
@@ -331,6 +344,7 @@ attackCellOf(const RunRequest &req)
     cell.attack.poolRows = req.poolRows;
     cell.attack.budget = req.budget;
     cell.attack.trials = req.trials;
+    cell.attack.banks = req.banks;
     cell.mitigator = mitigation::Registry::parse(req.mitigator);
     return cell;
 }

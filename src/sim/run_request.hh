@@ -77,6 +77,8 @@ struct RunRequest
     // ----- attack only ---------------------------------------------
     /** Phase trials of a phase-sweeping pattern (0 = its default). */
     uint32_t trials = 0;
+    /** Banks a throughput pattern drives at once (0 = one). */
+    uint32_t banks = 0;
 
     // ----- coattack only -------------------------------------------
     /** Sub-channel replay slot the attacker pins. */
@@ -149,8 +151,8 @@ bool tryRunRequestOfJsonLine(const std::string &line, RunRequest *req,
  * Check every field against the registries (mitigator and device
  * specs, workload name, attack pattern, level, fraction, attack slot
  * and bank bounds) and an attack request against the pattern table
- * (attacks::checkAttack) without fatal()ing. Returns false with a
- * diagnostic in @p err when non-null.
+ * (attacks::checkAttack) and its device's bank count without
+ * fatal()ing. Returns false with a diagnostic in @p err when non-null.
  */
 bool validateRunRequest(const RunRequest &req, std::string *err = nullptr);
 

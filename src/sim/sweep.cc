@@ -60,7 +60,8 @@ attackCellKey(const AttackCell &cell)
     h = hashCombine(h, stableHash64(cell.attack.pattern));
     h = hashCombine(h, static_cast<uint64_t>(cell.attack.poolRows));
     h = hashCombine(h, cell.attack.budget);
-    return hashCombine(h, static_cast<uint64_t>(cell.attack.trials));
+    h = hashCombine(h, static_cast<uint64_t>(cell.attack.trials));
+    return hashCombine(h, static_cast<uint64_t>(cell.attack.banks));
 }
 
 SweepEngine::SweepEngine(const SweepConfig &config,

@@ -23,21 +23,23 @@
  * here too, by fatal() with the validator's message.
  *
  *   moatsim bound   [--ath N] [--level 1|2|4]        Appendix-A bound
- *   moatsim tsa     [--mitigator S] [--banks N] [--cycles N]
- *                   throughput attack (its own command: it measures
- *                   ACT throughput, not a hammer count)
  *   moatsim attack  [--pattern P] [--mitigator S] [--ath N] [--eth N]
  *                   [--device D] [--level 1|2|4] [--pool N] [--acts N]
- *                   [--trials N]
+ *                   [--trials N] [--banks N]
  *                   one isolated attack cell: P is hammer (default),
- *                   round-robin, ratchet, jailbreak, feinting or
- *                   postponement. Without --mitigator (or --ath/--eth)
- *                   a pattern runs against the design it targets
- *                   (moat for the generic ones); design knobs are spec
- *                   keys, e.g. panopticon:entries=16,threshold=64 or
+ *                   round-robin, ratchet, jailbreak, feinting,
+ *                   postponement, or one of the throughput attacks
+ *                   kernel and tsa, which also report the share of ACT
+ *                   throughput their ALERTs cost. Without --mitigator
+ *                   (or --ath/--eth) a pattern runs against the design
+ *                   it targets (moat for the generic ones); design
+ *                   knobs are spec keys, e.g.
+ *                   panopticon:entries=16,threshold=64 or
  *                   ideal-prc:period=8. --acts N is the activation
  *                   budget, --trials N the phase trials of
- *                   postponement, and --device D runs under that
+ *                   postponement, --banks N the banks kernel and tsa
+ *                   drive at once (e.g. `--pattern tsa --banks 17`,
+ *                   the tFAW limit), and --device D runs under that
  *                   device grade's timings.
  *   moatsim perf    [--workload NAME|all] [--mitigator S] [--ath N]
  *                   [--eth N] [--level 1|2|4] [--fraction F]
@@ -141,7 +143,6 @@
 #include <string>
 
 #include "analysis/ratchet_model.hh"
-#include "attacks/tsa.hh"
 #include "common/args.hh"
 #include "common/fault.hh"
 #include "common/logging.hh"
@@ -211,21 +212,6 @@ cmdBound(const Args &args)
 }
 
 int
-cmdTsa(const Args &args)
-{
-    attacks::PerfAttackConfig cfg;
-    cfg.moat = mitigation::moatConfigOf(
-        mitigation::Registry::parse(args.get("mitigator", "moat")));
-    cfg.numBanks = args.getPositive("banks", 17);
-    cfg.cycles = args.getPositive("cycles", 20);
-    const auto r = attacks::runTsa(cfg);
-    std::printf("TSA on %u banks: throughput loss %s (%lu ALERTs)\n",
-                cfg.numBanks, formatPercent(r.lossFraction, 1).c_str(),
-                static_cast<unsigned long>(r.alerts));
-    return 0;
-}
-
-int
 cmdAttack(const Args &args)
 {
     sim::RunRequest req = sim::runRequestOfArgs("attack", args);
@@ -241,6 +227,9 @@ cmdAttack(const Args &args)
                 req.device.empty() ? "" : " on ", req.device.c_str(),
                 r.maxHammer, static_cast<unsigned long>(r.totalActs),
                 static_cast<unsigned long>(r.alerts), toMs(r.duration));
+    if (attacks::findAttackPattern(r.pattern)->throughput)
+        std::printf("throughput loss %s\n",
+                    formatPercent(r.lossFraction, 1).c_str());
     return 0;
 }
 
@@ -740,7 +729,7 @@ usage()
     std::fprintf(
         stderr,
         "usage: moatsim <command> [--flag [value] ...]\n"
-        "commands: bound tsa attack coattack perf reproduce serve\n"
+        "commands: bound attack coattack perf reproduce serve\n"
         "          client store replay list-mitigators list-devices\n"
         "          list-workloads\n"
         "reproduce checks the paper's claims table (--claims FILE,\n"
@@ -807,8 +796,6 @@ main(int argc, char **argv)
         fault::arm(args.get("faults", ""));
     if (cmd == "bound")
         return cmdBound(args);
-    if (cmd == "tsa")
-        return cmdTsa(args);
     if (cmd == "attack")
         return cmdAttack(args);
     if (cmd == "coattack")

@@ -9,8 +9,9 @@
  * (ACT-PKI) and the number of rows per bank per tREFW that receive at
  * least 32 / 64 / 128 activations. Those marginals are exactly what
  * determines MOAT's mitigation and ALERT behaviour, so reproducing
- * them reproduces the shape of the performance results (DESIGN.md
- * records this substitution).
+ * them reproduces the shape of the performance results.
+ * TraceGenTest.CensusMatchesTable4Tiers checks the tier counts of
+ * every workload against this table.
  */
 
 #ifndef MOATSIM_WORKLOAD_SPEC_HH

@@ -155,7 +155,8 @@ struct TraceGenConfig
      * Gap between activations within a hot-row episode. The default
      * (1.5 activations per tREFI) is calibrated so that the suite
      * reproduces the paper's average slowdown and ALERT rate at
-     * ATH=64 (see EXPERIMENTS.md, calibration note).
+     * ATH=64; the claims rows fig11.slowdown.ath64 and
+     * fig11.alerts.ath64 (tests/claims/paper.jsonl) check both.
      */
     Time intraEpisodeGap = fromNs(2600);
     uint64_t seed = 7;

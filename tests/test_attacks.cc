@@ -11,7 +11,6 @@
 
 #include "analysis/ratchet_model.hh"
 #include "attacks/attack.hh"
-#include "attacks/tsa.hh"
 #include "mitigation/registry.hh"
 #include "subchannel/subchannel.hh"
 
@@ -151,7 +150,9 @@ TEST(AttackPatterns, TableGivesEachPatternItsDesign)
         {"ratchet", "moat"},
         {"jailbreak", "panopticon"},
         {"feinting", "ideal-prc"},
-        {"postponement", "panopticon"}};
+        {"postponement", "panopticon"},
+        {"kernel", "moat"},
+        {"tsa", "moat"}};
     for (const auto &[pattern, design] : targets) {
         const AttackPattern *p = findAttackPattern(pattern);
         ASSERT_NE(p, nullptr) << pattern;
@@ -170,7 +171,7 @@ TEST(AttackPatterns, TableGivesEachPatternItsDesign)
         }
     }
     EXPECT_EQ(findAttackPattern("rowpress"), nullptr);
-    EXPECT_EQ(attackPatterns().size(), 6u);
+    EXPECT_EQ(attackPatterns().size(), 8u);
 }
 
 TEST(AttackPatterns, CheckRejectsWhatTheDriversCannotHonor)
@@ -192,6 +193,7 @@ TEST(AttackPatterns, CheckRejectsWhatTheDriversCannotHonor)
     rejects(patternConfig("feinting"), "ideal-prc:blast=1", "'blast'");
     rejects(patternConfig("postponement"), "panopticon:drain-all=false",
             "'drain-all=false'");
+    rejects(patternConfig("tsa"), "panopticon", "targets the 'moat' design");
     rejects(patternConfig("rowpress"), "moat",
             "unknown attack pattern 'rowpress'");
     // The settings a driver does honor pass: feinting's period, and the
@@ -212,11 +214,13 @@ TEST(AttackPatterns, CheckRejectsKnobsTheDriverNeverReads)
     // Each driver reads only the knobs its table row lists; a non-zero
     // other knob would change nothing but the cell key.
     const auto with = [](const char *pattern, uint32_t pool,
-                         uint64_t budget, uint32_t trials) {
+                         uint64_t budget, uint32_t trials,
+                         uint32_t banks = 0) {
         AttackConfig cfg = patternConfig(pattern);
         cfg.poolRows = pool;
         cfg.budget = budget;
         cfg.trials = trials;
+        cfg.banks = banks;
         return cfg;
     };
     const auto rejects = [](const AttackConfig &cfg,
@@ -237,11 +241,19 @@ TEST(AttackPatterns, CheckRejectsKnobsTheDriverNeverReads)
     rejects(with("postponement", 0, 100, 0),
             "does not read 'budget' (got 100; it reads trials)");
     rejects(with("round-robin", 8, 64, 2), "does not read 'trials'");
+    // Only the throughput attacks drive more than one bank.
+    for (const char *pattern :
+         {"hammer", "round-robin", "ratchet", "jailbreak", "feinting",
+          "postponement"})
+        rejects(with(pattern, 0, 0, 0, 4), "does not read 'banks' (got 4");
+    rejects(with("tsa", 0, 100, 0, 4), "does not read 'budget'");
+    rejects(with("kernel", 0, 0, 8), "does not read 'trials'");
     // The knobs a driver does read pass.
     for (const AttackConfig &cfg :
          {with("hammer", 0, 100, 0), with("round-robin", 8, 64, 0),
           with("ratchet", 32, 0, 0), with("jailbreak", 0, 1024, 0),
-          with("feinting", 64, 0, 0), with("postponement", 0, 0, 8)}) {
+          with("feinting", 64, 0, 0), with("postponement", 0, 0, 8),
+          with("kernel", 1, 0, 0, 4), with("tsa", 5, 0, 0, 17)}) {
         std::string err;
         EXPECT_TRUE(checkAttack(
             cfg,
@@ -368,53 +380,49 @@ TEST(Postponement, DrainAllBrokenAt328)
     EXPECT_LE(r.maxHammer, 336u);
 }
 
+/** The throughput attack @p pattern on @p banks banks of @p pool rows
+ *  each, against the default MOAT. */
+AttackResult
+throughputAttack(const char *pattern, uint32_t banks, uint32_t pool = 0)
+{
+    AttackConfig cfg = patternConfig(pattern);
+    cfg.banks = banks;
+    cfg.poolRows = pool;
+    return runAgainst(cfg, "moat");
+}
+
 TEST(PerfAttack, SingleRowKernelLosesUnderTenPercent)
 {
-    PerfAttackConfig cfg;
-    cfg.cycles = 30;
-    cfg.poolRows = 1;
-    const auto r = runSingleBankKernel(cfg);
+    const auto r = throughputAttack("kernel", 1, 1);
     EXPECT_GT(r.lossFraction, 0.02);
     EXPECT_LT(r.lossFraction, 0.12);
 }
 
 TEST(PerfAttack, FiveRowKernelLosesTenPercent)
 {
-    PerfAttackConfig cfg;
-    cfg.cycles = 30;
-    cfg.poolRows = 5;
-    const auto r = runSingleBankKernel(cfg);
+    const auto r = throughputAttack("kernel", 1, 5);
     EXPECT_NEAR(r.lossFraction, 0.10, 0.03);
 }
 
 TEST(PerfAttack, SynchronizedMultiBankSameAsSingle)
 {
     // Section 7.2: synchronized multi-bank attacks gain nothing.
-    PerfAttackConfig cfg;
-    cfg.cycles = 20;
-    cfg.numBanks = 4;
-    const auto r = runSynchronizedMultiBank(cfg);
+    const auto r = throughputAttack("kernel", 4);
     EXPECT_LT(r.lossFraction, 0.2);
 }
 
 TEST(PerfAttack, TsaStaggeringBeatsSynchronized)
 {
-    PerfAttackConfig cfg;
-    cfg.cycles = 10;
-    cfg.numBanks = 4;
-    const auto sync = runSynchronizedMultiBank(cfg);
-    const auto tsa = runTsa(cfg);
+    const auto sync = throughputAttack("kernel", 4);
+    const auto tsa = throughputAttack("tsa", 4);
     EXPECT_GT(tsa.lossFraction, 2 * sync.lossFraction);
 }
 
 TEST(PerfAttack, TsaLossGrowsWithBanks)
 {
-    PerfAttackConfig cfg;
-    cfg.cycles = 10;
     double prev = 0;
     for (uint32_t k : {1u, 4u, 17u}) {
-        cfg.numBanks = k;
-        const double loss = runTsa(cfg).lossFraction;
+        const double loss = throughputAttack("tsa", k).lossFraction;
         EXPECT_GT(loss, prev);
         prev = loss;
     }

@@ -116,8 +116,10 @@ coattackLinesFor(const std::string &mitigator, uint32_t subchannel = 0,
     return lines;
 }
 
-/** The golden attack matrix: the generic pattern against every design
- *  plus each specialized pattern against its natural target. */
+/** The golden attack matrix: the generic pattern against every design,
+ *  each specialized pattern against its natural target, and the
+ *  throughput attacks at the pools and banks of Figures 12 and 13 and
+ *  Section 7.2. */
 std::vector<std::string>
 attackLines()
 {
@@ -127,18 +129,25 @@ attackLines()
         const char *mitigator;
         uint64_t budget;
         uint32_t trials;
+        uint32_t poolRows;
+        uint32_t banks;
     };
     const AttackCell cells[] = {
-        {"hammer", "null", 2048, 0},
-        {"hammer", "moat", 2048, 0},
-        {"hammer", "panopticon", 2048, 0},
-        {"hammer", "panopticon-counter", 2048, 0},
-        {"hammer", "ideal-prc", 2048, 0},
-        {"round-robin", "moat", 1024, 0},
-        {"ratchet", "moat", 0, 0},
-        {"jailbreak", "panopticon", 0, 0},
-        {"feinting", "ideal-prc", 0, 0},
-        {"postponement", "panopticon", 0, 8},
+        {"hammer", "null", 2048, 0, 0, 0},
+        {"hammer", "moat", 2048, 0, 0, 0},
+        {"hammer", "panopticon", 2048, 0, 0, 0},
+        {"hammer", "panopticon-counter", 2048, 0, 0, 0},
+        {"hammer", "ideal-prc", 2048, 0, 0, 0},
+        {"round-robin", "moat", 1024, 0, 0, 0},
+        {"ratchet", "moat", 0, 0, 0, 0},
+        {"jailbreak", "panopticon", 0, 0, 0, 0},
+        {"feinting", "ideal-prc", 0, 0, 0, 0},
+        {"postponement", "panopticon", 0, 8, 0, 0},
+        {"kernel", "moat", 0, 0, 1, 1},
+        {"kernel", "moat", 0, 0, 5, 1},
+        {"kernel", "moat", 0, 0, 5, 4},
+        {"tsa", "moat", 0, 0, 5, 4},
+        {"tsa", "moat", 0, 0, 5, 17},
     };
     std::vector<std::string> lines;
     for (const auto &cell : cells) {
@@ -146,6 +155,8 @@ attackLines()
         cfg.pattern = cell.pattern;
         cfg.budget = cell.budget;
         cfg.trials = cell.trials;
+        cfg.poolRows = cell.poolRows;
+        cfg.banks = cell.banks;
         const auto spec = mitigation::Registry::parse(cell.mitigator);
         lines.push_back(toJsonLine(attacks::runAttack(cfg, spec)));
     }

@@ -187,14 +187,19 @@ TEST_F(MoatFixture, SafeResetKeepsLastTwoRowCounts)
 
 TEST_F(MoatFixture, SafeResetReplicaTriggersAlert)
 {
-    MoatConfig cfg; // ATH 64
-    MoatMitigator m(cfg);
-    act(m, 7, 60);
-    m.onAutoRefresh(0, 7, ctx);
-    act(m, 7, 4); // replica now at 64
-    EXPECT_FALSE(m.wantsAlert());
-    act(m, 7, 1); // replica 65 > ATH
-    EXPECT_TRUE(m.wantsAlert());
+    // T ACTs before the last row's group refresh and 65 - T after it
+    // ALERT, at T = 60 and at T = ATH (groups 0 and 1).
+    for (const auto &[group, t] : {std::pair{0u, 60u}, std::pair{1u, 64u}}) {
+        MoatConfig cfg; // ATH 64
+        MoatMitigator m(cfg);
+        const RowId last = group * 8 + 7;
+        act(m, last, t);
+        m.onAutoRefresh(group * 8, last, ctx);
+        act(m, last, 64 - t); // replica now at 64
+        EXPECT_FALSE(m.wantsAlert()) << "T " << t;
+        act(m, last, 1); // replica 65 > ATH
+        EXPECT_TRUE(m.wantsAlert()) << "T " << t;
+    }
 }
 
 TEST_F(MoatFixture, ReplicasDroppedAtNextGroupRefresh)
@@ -215,13 +220,18 @@ TEST_F(MoatFixture, UnsafeResetLosesCounts)
     MoatConfig cfg;
     cfg.safeReset = false;
     MoatMitigator m(cfg);
-    act(m, 7, 60);
-    m.onAutoRefresh(0, 7, ctx);
-    // Figure 7(a): the count vanishes; 60 more ACTs only reach 60.
-    act(m, 7, 60);
-    EXPECT_FALSE(m.wantsAlert());
-    // But the ground truth shows the victim accumulated 120 of damage.
-    EXPECT_EQ(security.damage(8), 120u);
+    // Figure 7(a), at T = 60 and at T = ATH (groups 0 and 1): the
+    // count vanishes at the group refresh; T more ACTs only reach T.
+    for (const auto &[group, t] : {std::pair{0u, 60u}, std::pair{1u, 64u}}) {
+        const RowId last = group * 8 + 7;
+        act(m, last, t);
+        m.onAutoRefresh(group * 8, last, ctx);
+        act(m, last, t);
+        EXPECT_FALSE(m.wantsAlert()) << "T " << t;
+        // But the ground truth shows the victim accumulated 2T of
+        // damage.
+        EXPECT_EQ(security.damage(last + 1), 2 * t);
+    }
 }
 
 TEST_F(MoatFixture, NoResetOnRefreshKeepsCounters)

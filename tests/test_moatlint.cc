@@ -1097,7 +1097,8 @@ TEST(MoatlintCleanTree, RealTreeMutantsAreAllCaught)
     EXPECT_EQ(attack_fields,
               (std::vector<std::string>{
                   "AttackCell::attack", "AttackCell::mitigator",
-                  "AttackConfig::aboLevel", "AttackConfig::budget",
+                  "AttackConfig::aboLevel", "AttackConfig::banks",
+                  "AttackConfig::budget",
                   "AttackConfig::pattern", "AttackConfig::poolRows",
                   "AttackConfig::timing", "AttackConfig::trials"}));
     // The mitigator spec text feeds every cell key and seed: both of

@@ -108,28 +108,33 @@ TEST(CounterQueueIntegration, JailbreakPatternIsBounded)
 {
     // The headline of the repair: the deterministic Jailbreak pattern
     // cannot push a row past the queue's ALERT threshold by more than
-    // the inter-ALERT slack.
-    subchannel::SubChannelConfig sc;
-    sc.numBanks = 1;
-    PanopticonCounterConfig cfg; // 64 ACTs of enqueued slack
-    subchannel::SubChannel ch(sc, PanopticonCounterMitigator(cfg));
+    // the inter-ALERT slack, at the default slack of 64 and at 128.
+    for (const ActCount slack : {64u, 128u}) {
+        subchannel::SubChannelConfig sc;
+        sc.numBanks = 1;
+        PanopticonCounterConfig cfg;
+        cfg.alertSlack = slack;
+        subchannel::SubChannel ch(sc, PanopticonCounterMitigator(cfg));
 
-    std::vector<RowId> rows;
-    for (int i = 0; i < 8; ++i)
-        rows.push_back(30000 + 8 * i);
-    for (int k = 0; k < 128; ++k) {
-        for (RowId r : rows)
-            ch.activate(0, r);
+        std::vector<RowId> rows;
+        for (int i = 0; i < 8; ++i)
+            rows.push_back(30000 + 8 * i);
+        for (int k = 0; k < 128; ++k) {
+            for (RowId r : rows)
+                ch.activate(0, r);
+        }
+        const Time pace = ch.timing().tREFI / 32;
+        Time nb = ch.now();
+        for (int a = 0; a < 1024; ++a)
+            nb = ch.activateAt(0, rows.back(), nb) + pace;
+        ch.advanceTo(ch.now() + fromNs(2000));
+
+        // Bounded by queueing threshold + slack + one mitigation
+        // latency (~3x the threshold) instead of the original design's
+        // 9x.
+        EXPECT_LE(ch.security(0).maxHammer(), 3 * cfg.queueThreshold)
+            << "slack " << slack;
     }
-    const Time pace = ch.timing().tREFI / 32;
-    Time nb = ch.now();
-    for (int a = 0; a < 1024; ++a)
-        nb = ch.activateAt(0, rows.back(), nb) + pace;
-    ch.advanceTo(ch.now() + fromNs(2000));
-
-    // Bounded by queueing threshold + slack + one mitigation latency
-    // (~3x the threshold) instead of the original design's 9x.
-    EXPECT_LE(ch.security(0).maxHammer(), 3 * cfg.queueThreshold);
 }
 
 } // namespace

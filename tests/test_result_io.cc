@@ -1,8 +1,8 @@
 /**
  * @file
  * The flat-JSON line codec (sim/result_io) on the records no golden
- * file covers: exact bytes of a ThroughputAttackResult line and of
- * both kinds of RunRequest line, every RunRequest field surviving
+ * file covers: exact bytes of a throughput attack's result line and of
+ * every kind of RunRequest line, every RunRequest field surviving
  * serialize -> parse, absent request fields keeping their defaults,
  * and the one strict number grammar every reader shares -- integers
  * are digits only and must fit their field, doubles are one whole
@@ -26,17 +26,28 @@ namespace
 
 TEST(ResultIoBytes, ThroughputAttackLine)
 {
-    attacks::ThroughputAttackResult r;
-    r.attackRate = 1.5e9;
-    r.baselineRate = 2e9;
-    r.relativeThroughput = 0.75;
+    // A throughput pattern's attack line ends with its loss; the
+    // reader takes it back because the pattern says it is there.
+    attacks::AttackResult r;
+    r.pattern = "tsa";
+    r.mitigator = "moat";
+    r.maxHammer = 69;
+    r.totalActs = 13150;
+    r.alerts = 401;
+    r.duration = 362590000;
     r.lossFraction = 0.1;
-    r.alerts = 12;
-    EXPECT_EQ(toJsonLine(r, "tsa", "moat:ath=64"),
-              "{\"kind\":\"throughput_attack\",\"pattern\":\"tsa\","
-              "\"mitigator\":\"moat:ath=64\",\"attack_rate\":1500000000,"
-              "\"baseline_rate\":2000000000,\"relative_throughput\":0.75,"
-              "\"loss_fraction\":0.10000000000000001,\"alerts\":12}");
+    const std::string line = toJsonLine(r);
+    EXPECT_EQ(line,
+              "{\"kind\":\"attack\",\"pattern\":\"tsa\","
+              "\"mitigator\":\"moat\",\"max_hammer\":69,"
+              "\"total_acts\":13150,\"alerts\":401,"
+              "\"duration_ps\":362590000,"
+              "\"loss_fraction\":0.10000000000000001}");
+    const attacks::AttackResult back = attackResultOfJsonLine(line);
+    EXPECT_EQ(back.pattern, "tsa");
+    EXPECT_EQ(back.alerts, r.alerts);
+    EXPECT_EQ(back.lossFraction, r.lossFraction);
+    EXPECT_EQ(toJsonLine(back), line);
 }
 
 /** A perf request with every field off its default. */
@@ -81,6 +92,7 @@ attackRequest()
     req.poolRows = 5;
     req.budget = 1000;
     req.trials = 8;
+    req.banks = 4;
     return req;
 }
 
@@ -100,6 +112,7 @@ expectSameRequest(const RunRequest &a, const RunRequest &b)
     EXPECT_EQ(a.poolRows, b.poolRows);
     EXPECT_EQ(a.budget, b.budget);
     EXPECT_EQ(a.trials, b.trials);
+    EXPECT_EQ(a.banks, b.banks);
     EXPECT_EQ(a.attackSubchannel, b.attackSubchannel);
     EXPECT_EQ(a.attackBank, b.attackBank);
     EXPECT_EQ(a.attackSeed, b.attackSeed);
@@ -147,7 +160,8 @@ TEST(RunRequestCodec, AttackLineBytesAndRoundTrip)
 {
     const RunRequest req = attackRequest();
     const std::string line = toJsonLine(req);
-    // The attack fields, then the phase trials; no co-attack placement.
+    // The attack fields, then the phase trials and the banks; no
+    // co-attack placement.
     EXPECT_EQ(line,
               "{\"kind\":\"attack\","
               "\"mitigator\":\"moat:ath=96,eth=\\\"q\\\"\","
@@ -155,7 +169,7 @@ TEST(RunRequestCodec, AttackLineBytesAndRoundTrip)
               "\"level\":2,\"fraction\":0.10000000000000001,"
               "\"subchannels\":4,\"seed\":18446744073709551615,"
               "\"jobs\":3,\"pattern\":\"postponement\",\"pool_rows\":5,"
-              "\"budget\":1000,\"trials\":8}");
+              "\"budget\":1000,\"trials\":8,\"banks\":4}");
     RunRequest back;
     std::string err;
     ASSERT_TRUE(tryRunRequestOfJsonLine(line, &back, &err)) << err;

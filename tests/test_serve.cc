@@ -195,6 +195,11 @@ TEST(RequestKey, AttackRequestsFoldTheirOwnFields)
     RunRequest b = a;
     b.trials = 8;
     EXPECT_NE(requestKey(a), requestKey(b));
+    RunRequest banks = a;
+    banks.pattern = "tsa";
+    RunRequest banks2 = banks;
+    banks2.banks = 4;
+    EXPECT_NE(requestKey(banks), requestKey(banks2));
     // Placement belongs to co-attacks; an attack ignores it...
     b = a;
     b.attackBank = 3;
@@ -418,6 +423,22 @@ TEST(Serve, MismatchedAttackIsRejectedAndTheDaemonStaysUp)
     EXPECT_FALSE(unread.retryable);
     EXPECT_NE(unread.error.find("does not read 'budget'"), std::string::npos)
         << unread.error;
+    // Banks are a throughput attack's knob, and no more of them than
+    // the device's sub-channel has.
+    const auto banks = serveRequestLine(
+        socket, "{\"kind\":\"attack\",\"pattern\":\"ratchet\","
+                "\"mitigator\":\"moat\",\"banks\":4}");
+    EXPECT_FALSE(banks.ok);
+    EXPECT_NE(banks.error.find("does not read 'banks'"), std::string::npos)
+        << banks.error;
+    const auto tooMany = serveRequestLine(
+        socket, "{\"kind\":\"attack\",\"pattern\":\"tsa\",\"banks\":33}");
+    EXPECT_FALSE(tooMany.ok);
+    EXPECT_FALSE(tooMany.retryable);
+    EXPECT_NE(tooMany.error.find("banks must be at most the banks per "
+                                 "sub-channel (32)"),
+              std::string::npos)
+        << tooMany.error;
 
     const auto stats = serveRequestLine(socket, "{\"kind\":\"stats\"}");
     ASSERT_TRUE(stats.ok) << stats.error;
@@ -448,13 +469,23 @@ TEST(Serve, AttackCellMatchesDirectRun)
     server.start();
     std::thread loop([&server] { server.serveForever(); });
 
-    const RunRequest req = ratchetRequest(64);
-    const ServeReply reply = serveRequest(socket, req);
-    ASSERT_TRUE(reply.ok) << reply.error;
-    ASSERT_EQ(reply.cells.size(), 1u);
-    const AttackCell cell = attackCellOf(req);
-    EXPECT_EQ(reply.cells[0],
-              toJsonLine(attacks::runAttack(cell.attack, cell.mitigator)));
+    // A throughput attack's banks cross the socket with the request,
+    // and its line comes back with its loss.
+    RunRequest tsa;
+    tsa.kind = "attack";
+    tsa.pattern = "tsa";
+    tsa.banks = 4;
+    for (const RunRequest &req : {ratchetRequest(64), tsa}) {
+        const ServeReply reply = serveRequest(socket, req);
+        ASSERT_TRUE(reply.ok) << reply.error;
+        ASSERT_EQ(reply.cells.size(), 1u);
+        const AttackCell cell = attackCellOf(req);
+        EXPECT_EQ(cell.attack.banks, req.banks);
+        EXPECT_EQ(reply.cells[0], toJsonLine(attacks::runAttack(
+                                      cell.attack, cell.mitigator)));
+    }
+    EXPECT_NE(serveRequest(socket, tsa).cells[0].find("\"loss_fraction\":"),
+              std::string::npos);
 
     const auto bye = serveRequestLine(socket, "{\"kind\":\"shutdown\"}");
     EXPECT_TRUE(bye.ok) << bye.error;

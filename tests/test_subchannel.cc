@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <variant>
+#include <vector>
+
 #include "mitigation/moat.hh"
 #include "mitigation/null.hh"
 #include "mitigation/panopticon.hh"
@@ -129,6 +132,46 @@ TEST(SubChannel, ThreeActsFitInAlertNormalWindow)
     EXPECT_EQ(in_window, 3u);
 }
 
+/**
+ * The mean activations per ALERT-to-ALERT window in the steady state
+ * of a Ratchet-style torrent at @p level (between the 5th and the 45th
+ * ALERT): a 512-row pool primed to ATH, then always the live row with
+ * the lowest count that is not latched for the next RFM.
+ */
+uint64_t
+actsPerAlertInATorrent(abo::Level level)
+{
+    SubChannelConfig sc = baseConfig(1);
+    sc.aboLevel = level;
+    sc.refreshResetsRows = false;
+    mitigation::MoatConfig m;
+    m.trackerEntries = static_cast<uint32_t>(abo::levelValue(level));
+    auto ch = moatChannel(sc, m);
+    const auto &moat = std::get<mitigation::MoatMitigator>(ch.mitigator(0));
+    std::vector<RowId> live;
+    for (RowId r = 30000; r < 30000 + 8 * 512; r += 8) {
+        while (ch.bank(0).counter(r) < m.ath)
+            ch.activate(0, r);
+        live.push_back(r);
+    }
+    uint64_t acts_at_5 = 0;
+    while (ch.abo().alertCount() < 45) {
+        std::erase_if(live,
+                      [&](RowId r) { return ch.bank(0).counter(r) == 0; });
+        RowId pick = live.front();
+        for (const RowId r : live) {
+            if (r != moat.pendingAlertRow() &&
+                (pick == moat.pendingAlertRow() ||
+                 ch.bank(0).counter(r) < ch.bank(0).counter(pick)))
+                pick = r;
+        }
+        ch.activate(0, pick);
+        if (ch.abo().alertCount() == 5 && acts_at_5 == 0)
+            acts_at_5 = ch.stats().acts;
+    }
+    return (ch.stats().acts - acts_at_5 + 20) / 40;
+}
+
 TEST(SubChannel, MinimumActsBetweenAlerts)
 {
     // After an ALERT's RFM, at least L activations must complete
@@ -149,6 +192,14 @@ TEST(SubChannel, MinimumActsBetweenAlerts)
     ch.activate(0, b);
     EXPECT_EQ(ch.abo().alertCount(), 2u);
     EXPECT_GE(ch.abo().totalStallTime(), 2 * fromNs(350));
+    // A steady torrent leaks exactly 3 + L ACTs per ALERT window.
+    for (const abo::Level level :
+         {abo::Level::L1, abo::Level::L2, abo::Level::L4}) {
+        const int lv = abo::levelValue(level);
+        EXPECT_EQ(actsPerAlertInATorrent(level),
+                  ch.timing().actsPerAlertWindow(lv))
+            << "L" << lv;
+    }
 }
 
 TEST(SubChannel, AlertMitigatesOneRowInEveryBank)

@@ -100,9 +100,10 @@ TEST_F(TraceGenTest, CoresUseDisjointRowRanges)
 TEST_F(TraceGenTest, CensusMatchesTable4Tiers)
 {
     // The generator's whole purpose: the per-bank-per-tREFW tier
-    // census must reproduce Table 4 within sampling error.
-    for (const char *name : {"roms", "lbm", "xalancbmk"}) {
-        const auto &spec = findWorkload(name);
+    // census must reproduce Table 4 within sampling error, for every
+    // workload of the suite.
+    for (const WorkloadSpec &spec : table4Workloads()) {
+        const std::string &name = spec.name;
         const auto traces = generateTraces(spec, cfg);
         const TierCensus census = censusOf(traces, cfg, spec);
         EXPECT_NEAR(census.act32, spec.act32, spec.act32 * 0.15 + 40)
