@@ -101,6 +101,10 @@ struct AttackPattern
     /** The driver, called once checkAttack() has passed. */
     AttackResult (*run)(const AttackConfig &,
                         const mitigation::MitigatorSpec &) = nullptr;
+    /** The largest pool_rows the driver can lay out and run under a
+     *  config and design; set exactly when `reads` names "pool_rows". */
+    uint32_t (*maxPoolRows)(const AttackConfig &,
+                            const mitigation::MitigatorSpec &) = nullptr;
     /** Whether the driver measures throughput, so its result line
      *  carries loss_fraction. */
     bool throughput = false;
@@ -121,10 +125,10 @@ const AttackPattern *findAttackPattern(const std::string &name);
 /**
  * Whether runAttack() can run @p config against @p mitigator: the
  * pattern exists, targets the design, the spec sets nothing the
- * driver rejects, and every knob the driver does not read is 0 (a
- * knob that changes nothing would only key a duplicate cell).
- * Returns false with a diagnostic in @p err when non-null; never
- * fatal()s.
+ * driver rejects, every knob the driver does not read is 0 (a knob
+ * that changes nothing would only key a duplicate cell), and the pool
+ * is one the driver can run (AttackPattern::maxPoolRows). Returns
+ * false with a diagnostic in @p err when non-null; never fatal()s.
  */
 bool checkAttack(const AttackConfig &config,
                  const mitigation::MitigatorSpec &mitigator,

@@ -118,19 +118,25 @@ attackPatterns()
 {
     static const std::vector<AttackPattern> table = {
         {"hammer", "", {}, {"budget"}, runHammer},
-        {"round-robin", "", {}, {"pool_rows", "budget"}, runRoundRobin},
-        {"ratchet", "moat", {}, {"pool_rows"}, runRatchet},
+        {"round-robin", "", {}, {"pool_rows", "budget"}, runRoundRobin,
+         [](const AttackConfig &c, const mitigation::MitigatorSpec &) {
+             return workload::maxAttackPoolRows(c.timing);
+         }},
+        {"ratchet", "moat", {}, {"pool_rows"}, runRatchet,
+         maxRatchetPoolRows},
         {"jailbreak", "panopticon", {}, {"budget"}, runJailbreak},
         // The tuned driver models the default defender; only the
         // mitigation period is honored.
         {"feinting", "ideal-prc", {"min-count", "blast"}, {"pool_rows"},
-         runFeinting},
+         runFeinting, maxFeintingPoolRows},
         {"postponement", "panopticon", {"drain-all=false"}, {"trials"},
          runPostponement},
         // Section 7's throughput attacks: one driver for the Figure-13
         // kernels and (banks > 1) the synchronized attack of Sec. 7.2.
-        {"kernel", "moat", {}, {"pool_rows", "banks"}, runKernel, true},
-        {"tsa", "moat", {}, {"pool_rows", "banks"}, runTsa, true},
+        {"kernel", "moat", {}, {"pool_rows", "banks"}, runKernel,
+         maxThroughputPoolRows, true},
+        {"tsa", "moat", {}, {"pool_rows", "banks"}, runTsa,
+         maxThroughputPoolRows, true},
     };
     return table;
 }
@@ -184,6 +190,14 @@ checkAttack(const AttackConfig &config,
                         knob + "' (got " + std::to_string(value) +
                         "; it reads " + joinNames(p->reads, std::identity{}) +
                         ")");
+    }
+    if (p->maxPoolRows != nullptr) {
+        const uint32_t most = p->maxPoolRows(config, mitigator);
+        if (config.poolRows > most)
+            return fail("the " + pattern + " pattern runs a pool of at "
+                        "most " + std::to_string(most) +
+                        " rows under this timing and design (got " +
+                        std::to_string(config.poolRows) + ")");
     }
     return true;
 }

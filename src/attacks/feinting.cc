@@ -21,6 +21,14 @@
 namespace moatsim::attacks
 {
 
+uint32_t
+maxFeintingPoolRows(const AttackConfig &config,
+                    const mitigation::MitigatorSpec &)
+{
+    const dram::TimingParams &t = config.timing;
+    return t.rowsPerBank / (2 * t.blastRadius + 2);
+}
+
 AttackResult
 runFeinting(const AttackConfig &config,
             const mitigation::MitigatorSpec &mitigator)
@@ -49,7 +57,7 @@ runFeinting(const AttackConfig &config,
     // Pool rows spaced beyond the blast radius so mitigating one row
     // never refreshes another pool row's victims.
     const uint32_t stride = 2 * t.blastRadius + 2;
-    if (static_cast<uint64_t>(pool_size) * stride > t.rowsPerBank)
+    if (pool_size > maxFeintingPoolRows(config, mitigator))
         fatal("runFeinting: pool does not fit in the bank");
     std::vector<RowId> live(pool_size);
     for (uint32_t i = 0; i < pool_size; ++i)

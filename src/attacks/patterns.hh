@@ -64,6 +64,15 @@ AttackResult runKernel(const AttackConfig &config,
 AttackResult runTsa(const AttackConfig &config,
                     const mitigation::MitigatorSpec &mitigator);
 
+/** The largest pool_rows each pooled driver fits in a bank under
+ *  @p config and @p mitigator (the pattern table's maxPoolRows). */
+uint32_t maxRatchetPoolRows(const AttackConfig &config,
+                            const mitigation::MitigatorSpec &mitigator);
+uint32_t maxFeintingPoolRows(const AttackConfig &config,
+                             const mitigation::MitigatorSpec &mitigator);
+uint32_t maxThroughputPoolRows(const AttackConfig &config,
+                               const mitigation::MitigatorSpec &mitigator);
+
 } // namespace moatsim::attacks
 
 #endif // MOATSIM_ATTACKS_PATTERNS_HH

@@ -93,6 +93,14 @@ ratchetTorrent(SubChannel &ch, std::vector<RowId> &live,
 
 } // namespace
 
+uint32_t
+maxRatchetPoolRows(const AttackConfig &config,
+                   const mitigation::MitigatorSpec &)
+{
+    const dram::TimingParams &t = config.timing;
+    return t.rowsPerBank / (2 * t.blastRadius + 2) - 4;
+}
+
 AttackResult
 runRatchet(const AttackConfig &config,
            const mitigation::MitigatorSpec &mitigator)
@@ -106,14 +114,13 @@ runRatchet(const AttackConfig &config,
     const auto bound = analysis::ratchetBound(
         t, ath, abo::levelValue(config.aboLevel));
     const uint32_t stride = 2 * t.blastRadius + 2;
-    const uint32_t max_fit = t.rowsPerBank / stride - 4;
-    uint32_t pool = config.poolRows != 0
-                        ? config.poolRows
-                        : static_cast<uint32_t>(std::min<uint64_t>(
-                              bound.maxPoolRows, max_fit));
+    const uint32_t pool = config.poolRows != 0
+                              ? config.poolRows
+                              : static_cast<uint32_t>(std::min<uint64_t>(
+                                    bound.maxPoolRows,
+                                    maxRatchetPoolRows(config, mitigator)));
     if (pool == 0)
         fatal("runRatchet: empty pool");
-    pool = std::min(pool, max_fit);
 
     SubChannel ch = makeChannel(config, mitigator.factory(),
                                 /*refreshResetsRows=*/false);

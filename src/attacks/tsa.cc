@@ -39,24 +39,26 @@ constexpr uint32_t kCycles = 20;
 /** Spacing of a bank's pool rows, so victim windows never overlap. */
 constexpr uint32_t kRowStride = 8;
 
+/** First pool row, away from the refresh pointer. */
+constexpr RowId kPoolBase = 1024;
+
+/** Offset between neighbouring banks' pools. */
+constexpr uint32_t kBankOffset = 64;
+
 /** Every bank's pool of rows. */
 using Pools = std::vector<std::vector<RowId>>;
 
-/** The pool of every bank: @p config's pool_rows (5 by default,
- *  capped to what fits the bank) from row 1024 + 64 * bank, away from
- *  the refresh pointer. */
+/** The pool of every bank: @p config's pool_rows (5 by default) from
+ *  row kPoolBase + kBankOffset * bank (checkAttack() has made sure
+ *  they fit). */
 Pools
 poolsOf(const AttackConfig &config, uint32_t banks)
 {
-    const RowId base = 1024;
-    const uint32_t fit =
-        (config.timing.rowsPerBank - base - 64 * banks) / kRowStride;
-    const uint32_t rows =
-        std::min(config.poolRows != 0 ? config.poolRows : 5, fit);
+    const uint32_t rows = config.poolRows != 0 ? config.poolRows : 5;
     Pools pools(banks, std::vector<RowId>(rows));
     for (BankId b = 0; b < banks; ++b) {
         for (uint32_t i = 0; i < rows; ++i)
-            pools[b][i] = base + b * 64 + i * kRowStride;
+            pools[b][i] = kPoolBase + b * kBankOffset + i * kRowStride;
     }
     return pools;
 }
@@ -153,21 +155,24 @@ torrent(SubChannel &ch, const Pools &pools, ActCount ath)
             std::vector<uint32_t> last(n);
             for (size_t i = 0; i < n; ++i)
                 last[i] = ch.security(b).hammerCount(pools[b][i]);
+            // Only a row's own ACT raises its hammer count, so a drop
+            // since the row's last visit is all it takes to see it
+            // retired: one look per row and ACT, not one per pool row.
+            const auto retired = [&](size_t i) {
+                const uint32_t h = ch.security(b).hammerCount(pools[b][i]);
+                const bool dropped = h < last[i];
+                last[i] = h;
+                return dropped;
+            };
             bool any_live = true;
             uint32_t guard = 0;
             while (any_live && ++guard < 4096) {
                 any_live = false;
                 for (size_t i = 0; i < n; ++i) {
-                    if (done[i])
+                    if (done[i] || (done[i] = retired(i)))
                         continue;
                     ch.activate(b, pools[b][i]);
-                    for (size_t j = 0; j < n; ++j) {
-                        const uint32_t h =
-                            ch.security(b).hammerCount(pools[b][j]);
-                        if (h < last[j])
-                            done[j] = true;
-                        last[j] = h;
-                    }
+                    done[i] = retired(i);
                     if (!done[i])
                         any_live = true;
                 }
@@ -177,6 +182,31 @@ torrent(SubChannel &ch, const Pools &pools, ActCount ath)
 }
 
 } // namespace
+
+uint32_t
+maxThroughputPoolRows(const AttackConfig &config,
+                      const mitigation::MitigatorSpec &mitigator)
+{
+    const dram::TimingParams &t = config.timing;
+    const uint32_t banks = std::max(config.banks, 1u);
+    // The last bank's last row, kPoolBase + kBankOffset * (banks - 1)
+    // + kRowStride * (rows - 1), must lie inside the bank.
+    const uint64_t first = kPoolBase + uint64_t{kBankOffset} * (banks - 1);
+    if (first >= t.rowsPerBank)
+        return 0;
+    const uint64_t fit = (t.rowsPerBank - 1 - first) / kRowStride + 1;
+    // And raising every bank's pool to ATH must take at most half the
+    // refresh window, at one ACT per tRC in each bank and no faster
+    // than tRRD and tFAW let the sub-channel go: past that the refresh
+    // sweep resets the rows about as fast as the pattern raises them,
+    // so a kernel never ALERTs and the torrent's priming never ends.
+    const Time per_act = std::max({t.tRC, Time{banks} * t.tRRD,
+                                   Time{banks} * t.tFAW / 4});
+    const Time ath =
+        std::max<Time>(mitigation::moatConfigOf(mitigator).ath, 1);
+    const uint64_t primable = t.availableWindow() / 2 / (per_act * ath);
+    return static_cast<uint32_t>(std::min(fit, primable));
+}
 
 AttackResult
 runKernel(const AttackConfig &config,

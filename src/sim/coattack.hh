@@ -42,7 +42,7 @@ namespace moatsim::sim
 // moatlint: key-source(coAttackCellKey)
 struct CoAttackScenario
 {
-    /** Pattern name (attacks::attackPatterns()), or "none". */
+    /** Pattern name: one of workload::attackTracePatterns(). */
     std::string pattern = "hammer";
     /** Rows in the attack pool (0 = pattern default). */
     uint32_t poolRows = 0;

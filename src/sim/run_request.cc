@@ -232,21 +232,16 @@ validateRunRequest(const RunRequest &req, std::string *err)
                     "\" is not a Table-4 name (or \"all\")", err);
 
     if (req.kind == "attack") {
-        if (!attacks::checkAttack(attackCellOf(req).attack, *mitigator,
-                                  &detail))
-            return fail("run request: " + detail, err);
         if (req.banks > device.banksPerSubchannel())
             return fail("run request banks must be at most the banks per "
                         "sub-channel (" +
                         std::to_string(device.banksPerSubchannel()) + ")",
                         err);
+        if (!attacks::checkAttack(attackCellOf(req).attack, *mitigator,
+                                  &detail))
+            return fail("run request: " + detail, err);
     }
     if (req.kind == "coattack") {
-        if (req.pattern != "none" &&
-            attacks::findAttackPattern(req.pattern) == nullptr)
-            return fail("run request pattern \"" + req.pattern +
-                        "\" is not a registered attack (or \"none\")",
-                        err);
         const uint32_t slots = slotCountOf(req);
         if (req.attackSubchannel >= slots)
             return fail("run request attack_subchannel must be below "
@@ -257,14 +252,15 @@ validateRunRequest(const RunRequest &req, std::string *err)
                         "banks per sub-channel (" +
                         std::to_string(device.banksPerSubchannel()) +
                         ")", err);
-        // The attacker's stream must fit the trace sort's range (the
-        // same check fatal()s inside generateAttackTrace), under the
-        // timing the experiment will resolve.
+        // The pattern must have a trace shape, its pool must fit the
+        // bank and its stream the trace sort's range (the same check
+        // fatal()s inside generateAttackTrace), under the timing the
+        // experiment will resolve.
         workload::TraceGenConfig tracegen;
         tracegen.windowFraction = req.fraction;
         if (!req.device.empty())
             tracegen = workload::withDevice(tracegen, device);
-        if (!workload::checkAttackTraceRange(
+        if (!workload::checkAttackTrace(
                 resolveAttack(coAttackScenarioOf(req), tracegen), &detail))
             return fail("run request: " + detail, err);
     }

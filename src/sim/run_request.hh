@@ -65,8 +65,9 @@ struct RunRequest
     unsigned jobs = 0;
 
     // ----- coattack and attack --------------------------------------
-    /** Attack pattern (attacks::attackPatterns()), or "none" (coattack
-     *  only). */
+    /** Attack pattern: one of attacks::attackPatterns() for an
+     *  attack, of workload::attackTracePatterns() (which has "none")
+     *  for a coattack. */
     std::string pattern = "hammer";
     /** Rows in the attack pool (0 = pattern default). */
     uint32_t poolRows = 0;

@@ -68,9 +68,10 @@
  *                   [--seed N] [--jobs N] [--jsonl FILE]
  *                   [--trace-seed N] [--result-store 0|1|DIR]
  *                   adversary-under-load scenario: the attack pattern
- *                   is synthesized as one more core's activation
- *                   trace and co-scheduled with the workload's benign
- *                   cores on the full multi-sub-channel System;
+ *                   (any but kernel and tsa) is synthesized as one
+ *                   more core's activation trace and co-scheduled
+ *                   with the workload's benign cores on the full
+ *                   multi-sub-channel System;
  *                   reports the attacker's maxHammer under contention,
  *                   the victims' slowdown vs an attack-free co-run of
  *                   the same design, and the ALERT/RFM activity with

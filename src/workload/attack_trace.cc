@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/logging.hh"
+#include "common/spec_text.hh"
 #include "workload/event_order.hh"
 
 namespace moatsim::workload
@@ -189,7 +190,80 @@ buildFeinting(Builder &b)
         b.emit(b.out.rows[0]);
 }
 
+/** One pattern's trace shape. */
+struct Shape
+{
+    const char *pattern;
+    /** The synthesizer; null for the empty stream. */
+    void (*build)(Builder &);
+    /** Whether it lays out a pool of pool_rows rows... */
+    bool pooled;
+    /** ...and how many rows beside it (the jailbreak target). */
+    uint32_t spareRows;
+};
+
+constexpr Shape kShapes[] = {
+    // Empty stream: the attack-free co-run replays through the same
+    // engine path with the attacker core contributing nothing.
+    {"none", nullptr, false, 0},
+    {"hammer", buildHammer, false, 0},
+    // Postponement pressure is continuous hammering; the attack's bite
+    // comes from the System-level REF postponement a co-attack run
+    // enables (attackPostponesRefresh).
+    {"postponement", buildHammer, false, 0},
+    {"round-robin", buildRoundRobin, true, 0},
+    {"ratchet", buildRatchet, true, 0},
+    {"jailbreak", buildJailbreak, true, 1},
+    {"feinting", buildFeinting, true, 0},
+};
+
+const Shape *
+findShape(const std::string &pattern)
+{
+    for (const Shape &shape : kShapes) {
+        if (pattern == shape.pattern)
+            return &shape;
+    }
+    return nullptr;
+}
+
 } // namespace
+
+const std::vector<std::string> &
+attackTracePatterns()
+{
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> out;
+        for (const Shape &shape : kShapes)
+            out.emplace_back(shape.pattern);
+        return out;
+    }();
+    return names;
+}
+
+bool
+checkAttackTrace(const AttackTraceConfig &config, std::string *why)
+{
+    const Shape *shape = findShape(config.pattern);
+    if (shape == nullptr) {
+        if (why)
+            *why = "pattern '" + config.pattern +
+                   "' has no co-attack trace (co-attack patterns: " +
+                   joinNames(attackTracePatterns(), std::identity{}) + ")";
+        return false;
+    }
+    const uint32_t fit = maxAttackPoolRows(config.timing);
+    const uint32_t most = fit - std::min(fit, shape->spareRows);
+    if (shape->pooled && config.poolRows > most) {
+        if (why)
+            *why = "the " + config.pattern + " pool of " +
+                   std::to_string(config.poolRows) +
+                   " rows does not fit in the bank (at most " +
+                   std::to_string(most) + ")";
+        return false;
+    }
+    return checkAttackTraceRange(config, why);
+}
 
 AttackTrace
 generateAttackTrace(const AttackTraceConfig &config)
@@ -200,30 +274,11 @@ generateAttackTrace(const AttackTraceConfig &config)
               " exceeds the trace event's slot range (max " +
               std::to_string(kMaxTraceSlot) + ")");
     std::string why;
-    if (!checkAttackTraceRange(config, &why))
+    if (!checkAttackTrace(config, &why))
         fatal("generateAttackTrace: " + why);
     Builder b(config);
-    if (config.pattern == "none") {
-        // Empty stream: the attack-free co-run replays through the
-        // same engine path with the attacker core contributing nothing.
-    } else if (config.pattern == "hammer" ||
-               config.pattern == "postponement") {
-        // Postponement pressure is continuous hammering; the attack's
-        // bite comes from the System-level REF postponement a
-        // co-attack run enables (attackPostponesRefresh).
-        buildHammer(b);
-    } else if (config.pattern == "round-robin") {
-        buildRoundRobin(b);
-    } else if (config.pattern == "ratchet") {
-        buildRatchet(b);
-    } else if (config.pattern == "jailbreak") {
-        buildJailbreak(b);
-    } else if (config.pattern == "feinting") {
-        buildFeinting(b);
-    } else {
-        fatal("generateAttackTrace: unknown pattern '" + config.pattern +
-              "'");
-    }
+    if (const auto build = findShape(config.pattern)->build)
+        build(b);
 
     b.out.trace.events = sortedEvents(std::move(b.out.trace.events));
     b.out.trace.window =
@@ -296,12 +351,19 @@ attackRowStride(const dram::TimingParams &timing)
     return 2 * timing.blastRadius + 2;
 }
 
+uint32_t
+maxAttackPoolRows(const dram::TimingParams &timing)
+{
+    return (timing.rowsPerBank - attackBaseRow(timing)) /
+           attackRowStride(timing);
+}
+
 std::vector<RowId>
 attackRowPool(const dram::TimingParams &timing, uint32_t pool)
 {
     const RowId base = attackBaseRow(timing);
     const uint32_t stride = attackRowStride(timing);
-    const uint32_t max_fit = (timing.rowsPerBank - base) / stride;
+    const uint32_t max_fit = maxAttackPoolRows(timing);
     if (pool > max_fit) {
         fatal("attack pool of " + std::to_string(pool) +
               " rows does not fit in the bank (max " +

@@ -34,7 +34,7 @@ namespace moatsim::workload
 struct AttackTraceConfig
 {
     dram::TimingParams timing{};
-    /** Pattern name (attacks::attackPatterns()), or "none". */
+    /** Pattern name: one of attackTracePatterns(). */
     std::string pattern = "hammer";
     /** Sub-channel the attacker pins. */
     uint32_t subchannel = 0;
@@ -80,19 +80,34 @@ uint64_t maxAttackBudget(const AttackTraceConfig &config);
  * range: the window is below kEventTimeLimit and the resolved budget
  * (explicit, else sized to the window) is within maxAttackBudget().
  * Otherwise @p why (when non-null) names the window or the budget.
- * Request validation calls this up front; generateAttackTrace fatal()s
- * on the same check.
  */
 bool checkAttackTraceRange(const AttackTraceConfig &config,
                            std::string *why = nullptr);
+
+/**
+ * The patterns generateAttackTrace() synthesizes: "none" and each
+ * attacks::attackPatterns() pattern that has an open-loop shape. The
+ * throughput attacks ("kernel", "tsa") have none: they measure a
+ * whole sub-channel's ACT rate, so they run isolated only.
+ */
+const std::vector<std::string> &attackTracePatterns();
+
+/**
+ * True when generateAttackTrace() can synthesize @p config: its
+ * pattern is one of attackTracePatterns(), a pooled shape's pool_rows
+ * fits in the bank, and checkAttackTraceRange() holds. Otherwise
+ * @p why (when non-null) says which fails. Request validation calls
+ * this up front; generateAttackTrace fatal()s on the same check.
+ */
+bool checkAttackTrace(const AttackTraceConfig &config,
+                      std::string *why = nullptr);
 
 /**
  * Synthesize the configured pattern. Pattern "none" yields an empty
  * trace: the attack-free co-run replays through exactly the same code
  * path as an attacked one.
  * Events come in the total order of workload/event_order.hh. fatal()s
- * on an unknown pattern, a pool that does not fit the bank, or a
- * config that fails checkAttackTraceRange().
+ * on a config that fails checkAttackTrace().
  */
 AttackTrace generateAttackTrace(const AttackTraceConfig &config);
 
@@ -108,6 +123,9 @@ bool attackPostponesRefresh(const std::string &pattern);
  */
 RowId attackBaseRow(const dram::TimingParams &timing);
 uint32_t attackRowStride(const dram::TimingParams &timing);
+
+/** The largest pool attackRowPool() fits in a bank. */
+uint32_t maxAttackPoolRows(const dram::TimingParams &timing);
 
 /** The rows of an attack pool; fatal()s when it does not fit. */
 std::vector<RowId> attackRowPool(const dram::TimingParams &timing,

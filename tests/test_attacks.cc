@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "analysis/ratchet_model.hh"
@@ -262,6 +263,48 @@ TEST(AttackPatterns, CheckRejectsKnobsTheDriverNeverReads)
             &err))
             << err;
     }
+}
+
+TEST(AttackPatterns, CheckRejectsAPoolThePatternCannotRun)
+{
+    // Every driver that reads pool_rows names the largest pool it can
+    // run; one row more is refused up front instead of clamped or
+    // fatal() inside the driver.
+    for (const AttackPattern &p : attackPatterns()) {
+        const bool pooled = std::find(p.reads.begin(), p.reads.end(),
+                                      "pool_rows") != p.reads.end();
+        EXPECT_EQ(p.maxPoolRows != nullptr, pooled) << p.name;
+    }
+    const auto check = [](const char *pattern, uint32_t banks,
+                          uint32_t expected_most) {
+        AttackConfig cfg = patternConfig(pattern);
+        cfg.banks = banks;
+        const auto spec = mitigation::Registry::parse(
+            findAttackPattern(pattern)->defaultDesign());
+        const uint32_t most =
+            findAttackPattern(pattern)->maxPoolRows(cfg, spec);
+        EXPECT_EQ(most, expected_most) << pattern << " at " << banks;
+        cfg.poolRows = most;
+        EXPECT_TRUE(checkAttack(cfg, spec)) << pattern;
+        cfg.poolRows = most + 1;
+        std::string err;
+        EXPECT_FALSE(checkAttack(cfg, spec, &err)) << pattern;
+        EXPECT_NE(err.find("runs a pool of at most " +
+                           std::to_string(most) + " rows"),
+                  std::string::npos)
+            << err;
+    };
+    // Round-robin, ratchet and feinting: what fits in the 64K-row bank.
+    check("round-robin", 0, 5461);
+    check("ratchet", 0, 10918);
+    check("feinting", 0, 10922);
+    // The throughput attacks: pools every bank can raise to ATH = 64
+    // in half the refresh window, at tRC per bank up to 17 banks and
+    // at the tFAW limit beyond.
+    check("kernel", 0, 4303);
+    check("tsa", 0, 4303);
+    check("tsa", 17, 4303);
+    check("tsa", 32, 2330);
 }
 
 TEST(AttackDriver, ResultNamesItsPatternAndDesign)

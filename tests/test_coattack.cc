@@ -18,10 +18,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "attacks/attack.hh"
 #include "sim/coattack.hh"
 #include "sim/experiment.hh"
 #include "sim/result_io.hh"
 #include "sim/system.hh"
+#include "workload/attack_trace.hh"
 #include "workload/event_order.hh"
 
 namespace moatsim::sim
@@ -382,6 +386,57 @@ TEST(AttackTraceDeathTest, BudgetPastTheSortRangeFatal)
                 testing::ExitedWithCode(1),
                 "budget of 2000000 activations spans past the trace "
                 "sort's 2\\^36 ps range \\(at most 1321528 ");
+}
+
+TEST(AttackTrace, OnlyShapedPatternsAndFittingPoolsAreSynthesized)
+{
+    // Every trace shape is a registered attack, and every registered
+    // attack has one except the throughput attacks, which measure a
+    // whole sub-channel's ACT rate and run isolated only.
+    const auto &shapes = workload::attackTracePatterns();
+    const auto shaped = [&](const std::string &name) {
+        return std::find(shapes.begin(), shapes.end(), name) !=
+               shapes.end();
+    };
+    EXPECT_TRUE(shaped("none"));
+    for (const std::string &name : shapes) {
+        EXPECT_TRUE(name == "none" ||
+                    attacks::findAttackPattern(name) != nullptr)
+            << name;
+    }
+    for (const attacks::AttackPattern &p : attacks::attackPatterns())
+        EXPECT_NE(shaped(p.name), p.throughput) << p.name;
+
+    for (const std::string pattern : {"tsa", "kernel"}) {
+        workload::AttackTraceConfig attack;
+        attack.pattern = pattern;
+        std::string why;
+        EXPECT_FALSE(workload::checkAttackTrace(attack, &why));
+        EXPECT_NE(why.find("pattern '" + pattern +
+                           "' has no co-attack trace"),
+                  std::string::npos)
+            << why;
+    }
+
+    // A pooled shape's pool must fit the bank; jailbreak lays out its
+    // target beside the pool_rows decoys.
+    const uint32_t fit = workload::maxAttackPoolRows(dram::TimingParams{});
+    for (const std::string pattern :
+         {"round-robin", "ratchet", "jailbreak", "feinting"}) {
+        workload::AttackTraceConfig attack;
+        attack.pattern = pattern;
+        attack.poolRows = pattern == "jailbreak" ? fit - 1 : fit;
+        EXPECT_TRUE(workload::checkAttackTrace(attack)) << pattern;
+        attack.poolRows += 1;
+        std::string why;
+        EXPECT_FALSE(workload::checkAttackTrace(attack, &why)) << pattern;
+        EXPECT_NE(why.find("does not fit in the bank"), std::string::npos)
+            << why;
+    }
+    workload::AttackTraceConfig tsa;
+    tsa.pattern = "tsa";
+    EXPECT_EXIT(workload::generateAttackTrace(tsa),
+                testing::ExitedWithCode(1), "has no co-attack trace");
 }
 
 TEST(AttackTrace, EveryPatternFitsTheSortRangeAtItsLargestBudget)

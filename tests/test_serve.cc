@@ -385,6 +385,38 @@ TEST(Serve, RejectsBadRequestsWithoutDying)
               std::string::npos)
         << longAttack.error;
 
+    // So is a co-attack whose pattern has no trace shape: the
+    // throughput attacks run isolated only.
+    for (const std::string pattern : {"tsa", "kernel"}) {
+        const auto unshaped = serveRequestLine(
+            socket,
+            "{\"kind\":\"coattack\",\"pattern\":\"" + pattern + "\"}");
+        EXPECT_FALSE(unshaped.ok) << pattern;
+        EXPECT_FALSE(unshaped.retryable);
+        EXPECT_NE(unshaped.error.find("has no co-attack trace"),
+                  std::string::npos)
+            << unshaped.error;
+    }
+    // And a pool that does not fit the bank, co-attack or isolated.
+    const auto wideCoattack = serveRequestLine(
+        socket, "{\"kind\":\"coattack\",\"pattern\":\"round-robin\","
+                "\"pool_rows\":100000}");
+    EXPECT_FALSE(wideCoattack.ok);
+    EXPECT_FALSE(wideCoattack.retryable);
+    EXPECT_NE(wideCoattack.error.find("does not fit in the bank"),
+              std::string::npos)
+        << wideCoattack.error;
+    for (const std::string pattern : {"round-robin", "tsa"}) {
+        const auto wideAttack = serveRequestLine(
+            socket, "{\"kind\":\"attack\",\"pattern\":\"" + pattern +
+                        "\",\"pool_rows\":100000}");
+        EXPECT_FALSE(wideAttack.ok) << pattern;
+        EXPECT_FALSE(wideAttack.retryable);
+        EXPECT_NE(wideAttack.error.find("runs a pool of at most"),
+                  std::string::npos)
+            << wideAttack.error;
+    }
+
     // The daemon survived all of it.
     const auto stats = serveRequestLine(socket, "{\"kind\":\"stats\"}");
     ASSERT_TRUE(stats.ok) << stats.error;
