@@ -101,6 +101,11 @@ struct AttackPattern
     /** The driver, called once checkAttack() has passed. */
     AttackResult (*run)(const AttackConfig &,
                         const mitigation::MitigatorSpec &) = nullptr;
+    /** About how many activations the driver issues under a config
+     *  and design, defaults resolved (sim::estimatedCost() prices an
+     *  attack cell by it). */
+    uint64_t (*acts)(const AttackConfig &,
+                     const mitigation::MitigatorSpec &) = nullptr;
     /** The largest pool_rows the driver can lay out and run under a
      *  config and design; set exactly when `reads` names "pool_rows". */
     uint32_t (*maxPoolRows)(const AttackConfig &,

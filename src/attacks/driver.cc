@@ -66,13 +66,36 @@ drain(SubChannel &ch)
     ch.drainToQuiescence(ch.timing().tREFW);
 }
 
+/** The hammer budget: `budget`, 4096 by default. */
+uint64_t
+hammerActs(const AttackConfig &config, const mitigation::MitigatorSpec &)
+{
+    return config.budget != 0 ? config.budget : 4096;
+}
+
+/** The round-robin pool: `pool_rows`, 8 by default. */
+uint32_t
+roundRobinPool(const AttackConfig &config)
+{
+    return config.poolRows != 0 ? config.poolRows : 8;
+}
+
+/** The round-robin budget: `budget`, 512 per pool row by default. */
+uint64_t
+roundRobinActs(const AttackConfig &config,
+               const mitigation::MitigatorSpec &)
+{
+    return config.budget != 0 ? config.budget
+                              : 512ULL * roundRobinPool(config);
+}
+
 /** Hammer a single mid-bank row as fast as the command timing allows. */
 AttackResult
 runHammer(const AttackConfig &config,
           const mitigation::MitigatorSpec &mitigator)
 {
     SubChannel ch = makeChannel(config, mitigator.factory());
-    const uint64_t budget = config.budget != 0 ? config.budget : 4096;
+    const uint64_t budget = hammerActs(config, mitigator);
     const RowId target = workload::attackBaseRow(config.timing);
     for (uint64_t i = 0; i < budget; ++i)
         ch.activate(0, target);
@@ -86,9 +109,8 @@ runRoundRobin(const AttackConfig &config,
               const mitigation::MitigatorSpec &mitigator)
 {
     SubChannel ch = makeChannel(config, mitigator.factory());
-    const uint32_t pool = config.poolRows != 0 ? config.poolRows : 8;
-    const uint64_t budget =
-        config.budget != 0 ? config.budget : 512ULL * pool;
+    const uint32_t pool = roundRobinPool(config);
+    const uint64_t budget = roundRobinActs(config, mitigator);
     // The same placement convention the co-attack trace synthesizer
     // uses, so the isolated and co-scheduled variants stay comparable.
     const std::vector<RowId> rows =
@@ -117,25 +139,40 @@ const std::vector<AttackPattern> &
 attackPatterns()
 {
     static const std::vector<AttackPattern> table = {
-        {"hammer", "", {}, {"budget"}, runHammer},
+        {"hammer", "", {}, {"budget"}, runHammer, hammerActs},
         {"round-robin", "", {}, {"pool_rows", "budget"}, runRoundRobin,
+         roundRobinActs,
          [](const AttackConfig &c, const mitigation::MitigatorSpec &) {
              return workload::maxAttackPoolRows(c.timing);
          }},
+        // At most the largest pool, every row primed to ATH and raised
+        // about once more.
         {"ratchet", "moat", {}, {"pool_rows"}, runRatchet,
+         [](const AttackConfig &c, const mitigation::MitigatorSpec &m) {
+             const uint64_t pool =
+                 c.poolRows != 0 ? c.poolRows : maxRatchetPoolRows(c, m);
+             return pool * (mitigation::moatConfigOf(m).ath + 1);
+         },
          maxRatchetPoolRows},
-        {"jailbreak", "panopticon", {}, {"budget"}, runJailbreak},
+        {"jailbreak", "panopticon", {}, {"budget"}, runJailbreak,
+         jailbreakActs},
         // The tuned driver models the default defender; only the
-        // mitigation period is honored.
+        // mitigation period is honored. Its rounds span at most one
+        // refresh window of back-to-back ACTs.
         {"feinting", "ideal-prc", {"min-count", "blast"}, {"pool_rows"},
-         runFeinting, maxFeintingPoolRows},
+         runFeinting,
+         [](const AttackConfig &c, const mitigation::MitigatorSpec &) {
+             return static_cast<uint64_t>(c.timing.availableWindow() /
+                                          c.timing.tRC);
+         },
+         maxFeintingPoolRows},
         {"postponement", "panopticon", {"drain-all=false"}, {"trials"},
-         runPostponement},
+         runPostponement, postponementActs},
         // Section 7's throughput attacks: one driver for the Figure-13
         // kernels and (banks > 1) the synchronized attack of Sec. 7.2.
         {"kernel", "moat", {}, {"pool_rows", "banks"}, runKernel,
-         maxThroughputPoolRows, true},
-        {"tsa", "moat", {}, {"pool_rows", "banks"}, runTsa,
+         throughputActs, maxThroughputPoolRows, true},
+        {"tsa", "moat", {}, {"pool_rows", "banks"}, runTsa, throughputActs,
          maxThroughputPoolRows, true},
     };
     return table;

@@ -23,21 +23,29 @@
 namespace moatsim::attacks
 {
 
+uint64_t
+jailbreakActs(const AttackConfig &config,
+              const mitigation::MitigatorSpec &mitigator)
+{
+    // The hammer budget; by default one mitigation period per resident
+    // entry plus two.
+    const mitigation::PanopticonConfig pcfg =
+        mitigation::panopticonConfigOf(mitigator);
+    return config.budget != 0 ? config.budget
+                              : static_cast<uint64_t>(pcfg.queueThreshold) *
+                                    (pcfg.queueEntries + 2);
+}
+
 AttackResult
 runJailbreak(const AttackConfig &config,
              const mitigation::MitigatorSpec &mitigator)
 {
     const mitigation::PanopticonConfig pcfg =
         mitigation::panopticonConfigOf(mitigator);
-    // The default budget covers one mitigation period per resident
-    // entry plus two; the driver counts it in 32 bits.
-    const uint64_t budget =
-        config.budget != 0
-            ? config.budget
-            : static_cast<uint64_t>(pcfg.queueThreshold) *
-                  (pcfg.queueEntries + 2);
+    // The driver counts the budget in 32 bits.
     const uint32_t hammer_acts = static_cast<uint32_t>(std::min<uint64_t>(
-        budget, std::numeric_limits<uint32_t>::max()));
+        jailbreakActs(config, mitigator),
+        std::numeric_limits<uint32_t>::max()));
 
     subchannel::SubChannel ch = makeChannel(config, mitigator.factory());
     // The attacker knows the queue state (threat model, Section 2.1).

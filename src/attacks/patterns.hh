@@ -64,6 +64,15 @@ AttackResult runKernel(const AttackConfig &config,
 AttackResult runTsa(const AttackConfig &config,
                     const mitigation::MitigatorSpec &mitigator);
 
+/** About the activations a driver issues under @p config and
+ *  @p mitigator, defaults resolved (the pattern table's acts). */
+uint64_t jailbreakActs(const AttackConfig &config,
+                       const mitigation::MitigatorSpec &mitigator);
+uint64_t postponementActs(const AttackConfig &config,
+                          const mitigation::MitigatorSpec &mitigator);
+uint64_t throughputActs(const AttackConfig &config,
+                        const mitigation::MitigatorSpec &mitigator);
+
 /** The largest pool_rows each pooled driver fits in a bank under
  *  @p config and @p mitigator (the pattern table's maxPoolRows). */
 uint32_t maxRatchetPoolRows(const AttackConfig &config,

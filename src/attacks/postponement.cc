@@ -21,6 +21,35 @@
 namespace moatsim::attacks
 {
 
+namespace
+{
+
+/** Trials the driver sweeps: `trials`, 256 by default. */
+uint32_t
+trialsOf(const AttackConfig &config)
+{
+    return config.trials != 0 ? config.trials : 256;
+}
+
+/** The ACTs a trial hammers its target with at most. */
+uint32_t
+trialBudget(ActCount threshold)
+{
+    return 4 * threshold + 64;
+}
+
+} // namespace
+
+uint64_t
+postponementActs(const AttackConfig &config,
+                 const mitigation::MitigatorSpec &mitigator)
+{
+    // Each trial pads below 211 ACTs, then hammers its target's budget.
+    const ActCount threshold =
+        mitigation::panopticonConfigOf(mitigator).queueThreshold;
+    return uint64_t{trialsOf(config)} * (210 + trialBudget(threshold));
+}
+
 AttackResult
 runPostponement(const AttackConfig &config,
                 const mitigation::MitigatorSpec &mitigator)
@@ -35,7 +64,7 @@ runPostponement(const AttackConfig &config,
     ch.setPostponeRefresh(true);
 
     const ActCount threshold = pcfg.queueThreshold;
-    const uint32_t trials = config.trials != 0 ? config.trials : 256;
+    const uint32_t trials = trialsOf(config);
     const RowId pad_row = 2048; // sacrificial row for phase shifting
     uint32_t best = 0;
 
@@ -50,7 +79,7 @@ runPostponement(const AttackConfig &config,
         // counter crosses the threshold and is mitigated only at the
         // next REF batch, up to ~201 activations later.
         const RowId target = 4096 + trial * 128;
-        const uint32_t budget = 4 * threshold + 64;
+        const uint32_t budget = trialBudget(threshold);
         uint32_t peak = 0;
         for (uint32_t a = 0; a < budget; ++a) {
             ch.activate(0, target);

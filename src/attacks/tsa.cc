@@ -48,13 +48,19 @@ constexpr uint32_t kBankOffset = 64;
 /** Every bank's pool of rows. */
 using Pools = std::vector<std::vector<RowId>>;
 
-/** The pool of every bank: @p config's pool_rows (5 by default) from
- *  row kPoolBase + kBankOffset * bank (checkAttack() has made sure
- *  they fit). */
+/** Rows in each bank's pool: pool_rows, 5 by default. */
+uint32_t
+poolRowsOf(const AttackConfig &config)
+{
+    return config.poolRows != 0 ? config.poolRows : 5;
+}
+
+/** The pool of every bank: poolRowsOf() rows from row kPoolBase +
+ *  kBankOffset * bank (checkAttack() has made sure they fit). */
 Pools
 poolsOf(const AttackConfig &config, uint32_t banks)
 {
-    const uint32_t rows = config.poolRows != 0 ? config.poolRows : 5;
+    const uint32_t rows = poolRowsOf(config);
     Pools pools(banks, std::vector<RowId>(rows));
     for (BankId b = 0; b < banks; ++b) {
         for (uint32_t i = 0; i < rows; ++i)
@@ -182,6 +188,16 @@ torrent(SubChannel &ch, const Pools &pools, ActCount ath)
 }
 
 } // namespace
+
+uint64_t
+throughputActs(const AttackConfig &config,
+               const mitigation::MitigatorSpec &mitigator)
+{
+    // kCycles passes of every bank's pool past ATH, under attack and
+    // again on the ALERT-free baseline.
+    return 2ULL * kCycles * std::max(config.banks, 1u) * poolRowsOf(config) *
+           (mitigation::moatConfigOf(mitigator).ath + 1);
+}
 
 uint32_t
 maxThroughputPoolRows(const AttackConfig &config,

@@ -1,7 +1,5 @@
 #include "dram/device.hh"
 
-#include <bit>
-
 #include "common/logging.hh"
 
 namespace moatsim::dram
@@ -167,16 +165,6 @@ deviceKeys()
     return keys;
 }
 
-/** log2 of @p value, or fatal naming @p field on a non-power-of-two. */
-uint32_t
-log2Exact(uint32_t value, const std::string &field)
-{
-    if (value == 0 || !std::has_single_bit(value))
-        fatal("DeviceModel: " + field + " (" + std::to_string(value) +
-              ") must be a power of two for address mapping");
-    return static_cast<uint32_t>(std::bit_width(value) - 1);
-}
-
 } // namespace
 
 const std::vector<DeviceOrg> &
@@ -303,22 +291,6 @@ DeviceModel::timing() const
     // device-grade properties.
     t.validate();
     return t;
-}
-
-AddressMap::Config
-DeviceModel::addressConfig() const
-{
-    AddressMap::Config cfg;
-    // rowBits (the 8 KB row size) is a property of the column/device
-    // width, identical across the grades; keep the Config default.
-    cfg.bankBits =
-        log2Exact(org_.banksPerSubchannel(), "banks per sub-channel");
-    cfg.subchannelBits =
-        log2Exact(org_.subchannelsPerChannel, "sub-channels per channel");
-    cfg.rankBits = log2Exact(org_.ranks, "ranks");
-    cfg.channelBits = log2Exact(org_.channels, "channels");
-    cfg.rowIndexBits = log2Exact(org_.rowsPerBank, "rows per bank");
-    return cfg;
 }
 
 } // namespace moatsim::dram

@@ -10,8 +10,8 @@
  * groups, ranks, channels) and speed (the TimingParams time fields plus
  * the PRAC counter-update cost) -- and everything downstream derives
  * from the resolved DeviceModel: dram::TimingParams geometry,
- * dram::AddressMap::Config bit widths, sim::System topology, and the
- * SRAM-cost accounting in analysis/storage_model.
+ * sim::System topology, and the SRAM-cost accounting in
+ * analysis/storage_model.
  *
  * A device is selected by a spec string in the one spec grammar of
  * common/spec_text.hh, the one mitigation::MitigatorSpec uses:
@@ -36,7 +36,6 @@
 
 #include "common/spec_text.hh"
 #include "common/time.hh"
-#include "dram/address_map.hh"
 #include "dram/timing.hh"
 
 namespace moatsim::dram
@@ -166,8 +165,8 @@ class DeviceSpec
 /**
  * A resolved device: one organization preset at one speed grade. The
  * single source of truth for DRAM geometry -- TimingParams geometry
- * fields, AddressMap bit widths, and system topology all derive from
- * here instead of from parallel defaults.
+ * fields and system topology both derive from here instead of from
+ * parallel defaults.
  */
 class DeviceModel
 {
@@ -194,14 +193,6 @@ class DeviceModel
      * reproduces TimingParams{} exactly.
      */
     TimingParams timing() const;
-
-    /**
-     * Address-mapping bit widths derived from the geometry. Fatals if
-     * banks per sub-channel, rows per bank, sub-channels, ranks, or
-     * channels is not a power of two -- a mismatched config must not
-     * silently misroute addresses.
-     */
-    AddressMap::Config addressConfig() const;
 
     /** Memory channels. */
     uint32_t channels() const { return org_.channels; }

@@ -13,6 +13,7 @@
 #include "sim/result_io.hh"
 #include "workload/attack_trace.hh"
 #include "workload/spec.hh"
+#include "workload/tracegen.hh"
 
 namespace moatsim::sim
 {
@@ -241,6 +242,16 @@ validateRunRequest(const RunRequest &req, std::string *err)
                                   &detail))
             return fail("run request: " + detail, err);
     }
+    if (req.kind == "attack")
+        return true;
+    // The traces the experiment will generate, under the device it
+    // resolves: the same checks fatal() inside generateTraces and
+    // generateAttackTrace.
+    workload::TraceGenConfig tracegen = experimentConfigOf(req).tracegen;
+    if (!req.device.empty())
+        tracegen = workload::withDevice(tracegen, device);
+    if (!workload::checkTraceGen(tracegen, &detail))
+        return fail("run request: " + detail, err);
     if (req.kind == "coattack") {
         const uint32_t slots = slotCountOf(req);
         if (req.attackSubchannel >= slots)
@@ -253,13 +264,7 @@ validateRunRequest(const RunRequest &req, std::string *err)
                         std::to_string(device.banksPerSubchannel()) +
                         ")", err);
         // The pattern must have a trace shape, its pool must fit the
-        // bank and its stream the trace sort's range (the same check
-        // fatal()s inside generateAttackTrace), under the timing the
-        // experiment will resolve.
-        workload::TraceGenConfig tracegen;
-        tracegen.windowFraction = req.fraction;
-        if (!req.device.empty())
-            tracegen = workload::withDevice(tracegen, device);
+        // bank and its stream the trace sort's range.
         if (!workload::checkAttackTrace(
                 resolveAttack(coAttackScenarioOf(req), tracegen), &detail))
             return fail("run request: " + detail, err);
@@ -284,8 +289,16 @@ slotCountOf(const RunRequest &req)
 double
 estimatedCost(const RunRequest &req)
 {
-    if (req.kind == "attack")
-        return 1.0;
+    if (req.kind == "attack") {
+        // A perf cost unit is about 2^20 trace ACTs (8 cores at IPC 2
+        // and 4 GHz over a 32 ms tREFW, per unit of ACT-PKI x window
+        // fraction x slot), each replayed for the baseline and the
+        // mitigated run: 2^21 simulated activations.
+        const AttackCell cell = attackCellOf(req);
+        return static_cast<double>(attacks::findAttackPattern(req.pattern)
+                                       ->acts(cell.attack, cell.mitigator)) /
+               static_cast<double>(uint64_t{1} << 21);
+    }
     double actSum = 0.0;
     if (req.workload == "all") {
         for (const auto &w : workload::table4Workloads())

@@ -151,9 +151,11 @@ bool tryRunRequestOfJsonLine(const std::string &line, RunRequest *req,
 /**
  * Check every field against the registries (mitigator and device
  * specs, workload name, attack pattern, level, fraction, attack slot
- * and bank bounds) and an attack request against the pattern table
- * (attacks::checkAttack) and its device's bank count without
- * fatal()ing. Returns false with a diagnostic in @p err when non-null.
+ * and bank bounds), an attack request against the pattern table
+ * (attacks::checkAttack) and its device's bank count, and the traces
+ * a perf or co-attack request generates (workload::checkTraceGen,
+ * workload::checkAttackTrace) without fatal()ing. Returns false with
+ * a diagnostic in @p err when non-null.
  */
 bool validateRunRequest(const RunRequest &req, std::string *err = nullptr);
 
@@ -162,13 +164,14 @@ bool validateRunRequest(const RunRequest &req, std::string *err = nullptr);
 uint32_t slotCountOf(const RunRequest &req);
 
 /**
- * Admission-control cost proxy of a request: the summed ACT-PKI of
- * the selected workloads scaled by the simulated window fraction and
- * slot count (co-attack runs count double for the attack-free
- * baseline). Proportional to replayed events, cheap to compute, and
- * deliberately unitless -- `moatsim serve --max-cost` budgets against
- * it. An attack request costs 1: one cell replaying one bank, far
- * fewer events than a workload sweep.
+ * Admission-control cost proxy of a validated request: the summed
+ * ACT-PKI of the selected workloads scaled by the simulated window
+ * fraction and slot count (co-attack runs count double for the
+ * attack-free baseline). Proportional to replayed events, cheap to
+ * compute, and deliberately unitless -- `moatsim serve --max-cost`
+ * budgets against it. An attack request is priced on the same scale
+ * by the activations its pattern issues (attacks::AttackPattern::acts),
+ * one unit per 2^21, about what one perf unit replays.
  */
 double estimatedCost(const RunRequest &req);
 

@@ -6,10 +6,10 @@
  * sub-channels of 32 banks each. A System instantiates N SubChannel
  * instances -- each with its own per-bank mitigators copied from the
  * same mitigation::Mitigator prototype -- and replays every core's
- * pre-decoded activation trace
- * (workload::TraceEvent carries the dram::AddressMap-routed
- * coordinates) through one merged event loop: cores issue in global
- * intended-arrival order, each ACT dispatches to its event's
+ * activation trace (workload::TraceEvent carries final coordinates,
+ * the XOR bank hash already applied) through one merged event loop:
+ * cores issue in global intended-arrival order, each ACT dispatches
+ * to its event's
  * sub-channel, and the per-core memory-level-parallelism bound
  * back-pressures the instruction stream across all sub-channels a
  * core touches.

@@ -6,7 +6,7 @@
  * matrix, and each cell replays the *same* workload trace: the trace
  * seed is deliberately independent of the mitigator under test (see
  * workload::traceSeed). Before the store, every cell -- baselines
- * included -- regenerated and re-decoded that trace from scratch, so a
+ * included -- regenerated that trace from scratch, so a
  * four-point matrix paid for each workload's generation five times or
  * more. The store generates each distinct trace exactly once and hands
  * out std::shared_ptr<const TraceSet> values that sweep cells share
@@ -14,7 +14,7 @@
  *
  * A TraceSet is immutable: it adopts the per-core event vectors
  * generateTraces sorted straight into their exact-size storage
- * (coordinates pre-decoded once through dram::AddressMap), with no
+ * (final coordinates, the XOR bank hash applied once), with no
  * flatten copy, and the replay loops (sim/system.hh) consume
  * CoreTraceView spans straight out of that storage.
  *
@@ -51,7 +51,7 @@ namespace moatsim::workload
 
 /**
  * One immutable, shareable set of per-core traces: each core's events
- * (coordinates pre-decoded at generation time) in the storage
+ * (coordinates final at generation time) in the storage
  * generateTraces sorted them into, plus per-core spans. Always held
  * behind std::shared_ptr<const TraceSet>; non-copyable and non-movable
  * so the views into the storage stay valid for every holder.

@@ -9,7 +9,6 @@
 
 #include "common/hash.hh"
 #include "common/logging.hh"
-#include "dram/address_map.hh"
 #include "workload/event_order.hh"
 
 namespace moatsim::workload
@@ -59,64 +58,12 @@ slotsOf(const TraceGenConfig &config)
     return channelsOf(config) * ranksOf(config) * subchannelsOf(config);
 }
 
-/**
- * The address map that routes generated traffic onto the simulated
- * system: bankBits/subchannelBits sized to the configuration, bank
- * XOR hashing on (the CoffeeLake baseline of Table 3).
- */
-dram::AddressMap
-addressMapOf(const TraceGenConfig &config)
+/** The generated window: windowFraction of a tREFW. */
+Time
+windowOf(const TraceGenConfig &config)
 {
-    const uint32_t scs = subchannelsOf(config);
-    const uint32_t ranks = ranksOf(config);
-    const uint32_t chans = channelsOf(config);
-    if (!std::has_single_bit(config.banksSimulated) ||
-        !std::has_single_bit(scs))
-        fatal("generateTraces: banksSimulated and subchannels must be "
-              "powers of two (address-bit routing)");
-    if (!std::has_single_bit(ranks) || !std::has_single_bit(chans))
-        fatal("generateTraces: channels and ranks must be powers of "
-              "two (address-bit routing)");
-    dram::AddressMap::Config amc;
-    amc.bankBits = static_cast<uint32_t>(std::bit_width(
-        config.banksSimulated) - 1);
-    amc.subchannelBits = static_cast<uint32_t>(std::bit_width(scs) - 1);
-    amc.rankBits = static_cast<uint32_t>(std::bit_width(ranks) - 1);
-    amc.channelBits = static_cast<uint32_t>(std::bit_width(chans) - 1);
-    amc.rowIndexBits = static_cast<uint32_t>(
-        std::bit_width(std::max(1u, config.timing.rowsPerBank - 1)));
-    return dram::AddressMap(amc);
-}
-
-/**
- * Route one generated access through the address map: compose the raw
- * physical address of (subchannel, bank, row) and decode it, so the
- * emitted coordinates carry the bank XOR hash exactly like demand
- * traffic on the modeled system. Decoding happens here, at trace
- * build time -- the replay loop consumes final coordinates.
- */
-dram::DramCoord
-routeCoord(const dram::AddressMap &map, uint32_t channel, uint32_t rank,
-           uint32_t subchannel, uint32_t raw_bank, RowId row)
-{
-    const auto &amc = map.config();
-    uint64_t a = row;
-    a = (a << amc.channelBits) | channel;
-    a = (a << amc.rankBits) | rank;
-    a = (a << amc.bankBits) | raw_bank;
-    a = (a << amc.subchannelBits) | subchannel;
-    a <<= amc.rowBits;
-    return map.decode(a);
-}
-
-/** Flat replay-slot index of decoded coordinates (System order).
- *  generateTraces checks up front that every slot fits 16 bits. */
-uint16_t
-slotOfCoord(const dram::DramCoord &c, const TraceGenConfig &config)
-{
-    return static_cast<uint16_t>(((c.channel * ranksOf(config)) + c.rank) *
-                                     subchannelsOf(config) +
-                                 c.subchannel);
+    return static_cast<Time>(static_cast<double>(config.timing.tREFW) *
+                             config.windowFraction);
 }
 
 /** Invocation counter behind traceGenInvocations(). */
@@ -133,8 +80,8 @@ traceGenInvocations()
 uint64_t
 configKey(const TraceGenConfig &config)
 {
-    // v2: sub-channel-aware emission (events routed through the
-    // address map and pre-decoded). v3: events in the total order
+    // v2: sub-channel-aware emission (events carry their slot and
+    // hashed bank). v3: events in the total order
     // (at, subchannel, bank, row) of workload/event_order.hh.
     uint64_t h =
         dram::foldTiming(stableHash64("moatsim.tracegen.v3"), config.timing);
@@ -205,39 +152,60 @@ effectiveIpc(const WorkloadSpec &spec, const TraceGenConfig &config)
     return std::min({ipc, bank_sat, core_sat});
 }
 
+bool
+checkTraceGen(const TraceGenConfig &config, std::string *why)
+{
+    const auto fail = [why](const std::string &what) {
+        if (why)
+            *why = what;
+        return false;
+    };
+    if (config.numCores == 0)
+        return fail("cores must be non-zero");
+    if (!std::has_single_bit(config.banksSimulated))
+        return fail("banksSimulated (" +
+                    std::to_string(config.banksSimulated) +
+                    ") must be a power of two: the bank hash masks the "
+                    "row with it");
+    const uint64_t slots = uint64_t{channelsOf(config)} * ranksOf(config) *
+                           subchannelsOf(config);
+    if (slots > uint64_t{kMaxTraceSlot} + 1)
+        return fail(std::to_string(slots) +
+                    " replay slots (channels x ranks x subchannels) "
+                    "exceed the trace event's " +
+                    std::to_string(uint64_t{kMaxTraceSlot} + 1) +
+                    "-slot range");
+    if (config.banksSimulated * slots > config.systemBanks)
+        return fail(std::to_string(config.banksSimulated) + " banks on " +
+                    std::to_string(slots) +
+                    " replay slots exceed the system's " +
+                    std::to_string(config.systemBanks) + " banks");
+    const Time window = windowOf(config);
+    if (window >= kEventTimeLimit)
+        return fail("window of " + std::to_string(window) +
+                    " ps (windowFraction " +
+                    std::to_string(config.windowFraction) +
+                    ") reaches the trace sort's 2^" +
+                    std::to_string(kEventTimeBits) + " ps range");
+    return true;
+}
+
 std::vector<CoreTrace>
 generateTraces(const WorkloadSpec &spec, const TraceGenConfig &config)
 {
     gen_invocations.fetch_add(1, std::memory_order_relaxed);
 
-    const dram::TimingParams &t = config.timing;
-    if (config.numCores == 0 || config.banksSimulated == 0)
-        fatal("generateTraces: cores and banks must be non-zero");
-    // Every event carries its flat slot in TraceEvent's 16-bit field.
-    const uint64_t slot_count = uint64_t{channelsOf(config)} *
-                                ranksOf(config) * subchannelsOf(config);
-    if (slot_count > uint64_t{kMaxTraceSlot} + 1)
-        fatal("generateTraces: " + std::to_string(slot_count) +
-              " replay slots (channels x ranks x subchannels) exceed "
-              "the trace event's " +
-              std::to_string(uint64_t{kMaxTraceSlot} + 1) + "-slot range");
-    if (config.banksSimulated * slotsOf(config) > config.systemBanks)
-        fatal("generateTraces: simulated banks exceed system banks");
+    std::string why;
+    if (!checkTraceGen(config, &why))
+        fatal("generateTraces: " + why);
 
     // Stable per-workload stream: equal (seed, name) pairs regenerate
     // identical traces on any platform, and the mitigated run of a cell
     // replays exactly the traces its cached baseline ran on.
     Rng rng(traceSeed(spec, config));
 
-    const Time window =
-        static_cast<Time>(static_cast<double>(t.tREFW) *
-                          config.windowFraction);
-    if (window >= kEventTimeLimit)
-        fatal("generateTraces: window of " + std::to_string(window) +
-              " ps (windowFraction " +
-              std::to_string(config.windowFraction) +
-              ") reaches the trace sort's 2^" +
-              std::to_string(kEventTimeBits) + " ps range");
+    const dram::TimingParams &t = config.timing;
+    const Time window = windowOf(config);
 
     // Exclusive tier populations (Table 4 counts are cumulative),
     // scaled to the generated window and divided across the cores.
@@ -257,10 +225,7 @@ generateTraces(const WorkloadSpec &spec, const TraceGenConfig &config)
                               static_cast<double>(config.systemBanks);
 
     const uint32_t rows_per_core = t.rowsPerBank / config.numCores;
-    const uint32_t scs = subchannelsOf(config);
-    const uint32_t ranks = ranksOf(config);
-    const uint32_t slots = slotsOf(config);
-    const dram::AddressMap map = addressMapOf(config);
+    const uint32_t bank_mask = config.banksSimulated - 1;
     std::vector<CoreTrace> traces(config.numCores);
 
     // Hot rows of one (core, bank): distinct rows from the core's
@@ -287,17 +252,13 @@ generateTraces(const WorkloadSpec &spec, const TraceGenConfig &config)
 
         // Traffic spans the whole simulated system: banksSimulated
         // banks on each replay slot (channels x ranks x
-        // sub-channels). The flat index is split into a raw (channel,
-        // rank, sub-channel, bank) tuple and every access is routed
-        // through the address map, which XOR-hashes the final bank
-        // with the row bits.
-        const uint32_t flat_banks = config.banksSimulated * slots;
+        // sub-channels). Every access lands on its raw bank XOR the
+        // row's low bits: the bank hash of the CoffeeLake mapping
+        // (Table 3), which spreads a row stride over the banks.
+        const uint32_t flat_banks = config.banksSimulated * slotsOf(config);
         for (uint32_t fb = 0; fb < flat_banks; ++fb) {
-            const uint32_t slot = fb / config.banksSimulated;
-            const uint32_t raw_bank = fb % config.banksSimulated;
-            const uint32_t sc = slot % scs;
-            const uint32_t rank = (slot / scs) % ranks;
-            const uint32_t chan = slot / (scs * ranks);
+            const auto slot = static_cast<uint16_t>(fb / config.banksSimulated);
+            const uint32_t raw_bank = fb & bank_mask;
             hot.clear();
             used.clear();
             auto add_tier = [&](double rows, uint32_t lo, uint32_t hi) {
@@ -343,15 +304,14 @@ generateTraces(const WorkloadSpec &spec, const TraceGenConfig &config)
                 }
                 const Time start = static_cast<Time>(
                     rng.below(static_cast<uint64_t>(window - span)));
-                const dram::DramCoord c =
-                    routeCoord(map, chan, rank, sc, raw_bank, h.row);
-                const uint16_t c_slot = slotOfCoord(c, config);
+                const auto bank =
+                    static_cast<BankId>(raw_bank ^ (h.row & bank_mask));
                 for (uint32_t i = 0; i < h.count; ++i) {
                     drawn.push_back(
                         {.at = start + static_cast<Time>(i) * gap,
-                         .row = c.row,
-                         .bank = c.bank,
-                         .subchannel = c_slot});
+                         .row = h.row,
+                         .bank = bank,
+                         .subchannel = slot});
                 }
             }
 
@@ -361,12 +321,11 @@ generateTraces(const WorkloadSpec &spec, const TraceGenConfig &config)
                                                rng.below(rows_per_core));
                 const Time at = static_cast<Time>(
                     rng.below(static_cast<uint64_t>(window)));
-                const dram::DramCoord c =
-                    routeCoord(map, chan, rank, sc, raw_bank, r);
-                drawn.push_back({.at = at,
-                                 .row = c.row,
-                                 .bank = c.bank,
-                                 .subchannel = slotOfCoord(c, config)});
+                drawn.push_back(
+                    {.at = at,
+                     .row = r,
+                     .bank = static_cast<BankId>(raw_bank ^ (r & bank_mask)),
+                     .subchannel = slot});
             }
         }
 

@@ -41,10 +41,9 @@ namespace moatsim::workload
 {
 
 /**
- * One intended activation. The DRAM coordinates are pre-decoded at
- * trace build time (routed through dram::AddressMap, including the
- * XOR bank hash), so the replay hot loop never touches the address
- * mapping: it dispatches straight on (subchannel, bank, row).
+ * One intended activation. The DRAM coordinates are final at trace
+ * build time (the XOR bank hash already applied), so the replay hot
+ * loop dispatches straight on (subchannel, bank, row).
  *
  * The fields are ordered widest first so the event packs into 16
  * bytes with no padding; every trace the store holds is a slab of
@@ -118,15 +117,15 @@ struct TraceGenConfig
     dram::TimingParams timing{};
     /** Cores in the system (rate mode). */
     uint32_t numCores = 8;
-    /** Banks simulated per sub-channel. */
+    /** Banks simulated per sub-channel, power of two (the bank hash
+     *  XORs a bank index with the row's low bits). */
     uint32_t banksSimulated = dram::kTable3BanksPerSubchannel;
     /**
-     * Sub-channels simulated per (channel, rank), power of two. Each
-     * core's traffic is routed across every replay slot (subchannels
-     * x channels x ranks) x banksSimulated banks through
-     * dram::AddressMap, and the events carry the decoded coordinates.
-     * The full-system configuration of Table 3 is 2; the default of 1
-     * keeps single-sub-channel experiments cheap.
+     * Sub-channels simulated per (channel, rank). Each core's traffic
+     * spreads across every replay slot (subchannels x channels x
+     * ranks) x banksSimulated banks. The full-system configuration of
+     * Table 3 is 2; the default of 1 keeps single-sub-channel
+     * experiments cheap.
      */
     uint32_t subchannels = 1;
     /** Memory channels (device topology; Table 3: 1). */
@@ -186,10 +185,21 @@ TraceGenConfig withDevice(const TraceGenConfig &config,
                           const dram::DeviceModel &device);
 
 /**
+ * True when generateTraces() can lay out @p config: cores are
+ * non-zero, banksSimulated is a power of two, every replay slot fits
+ * TraceEvent's 16-bit field, banksSimulated on every slot fits in
+ * systemBanks, and the window lies below kEventTimeLimit (a
+ * windowFraction up to about 2.1 tREFW). Otherwise @p why (when
+ * non-null) says which fails. Request validation calls this up
+ * front; generateTraces() fatal()s on the same check.
+ */
+bool checkTraceGen(const TraceGenConfig &config, std::string *why = nullptr);
+
+/**
  * Generate the per-core traces of one workload: each core's events in
  * an exact-size vector, in the total order of workload/event_order.hh.
- * fatal() when the window reaches kEventTimeLimit (a windowFraction
- * past about 2.1 tREFW).
+ * Each event's bank is its raw bank XOR the row's low bits. fatal()s
+ * on a config that fails checkTraceGen().
  */
 std::vector<CoreTrace> generateTraces(const WorkloadSpec &spec,
                                       const TraceGenConfig &config);

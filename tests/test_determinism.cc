@@ -18,8 +18,10 @@
 #include <vector>
 
 #include "attacks/attack.hh"
+#include "common/hash.hh"
 #include "common/mutex.hh"
 #include "common/thread_pool.hh"
+#include "dram/device.hh"
 #include "sim/result_io.hh"
 #include "sim/run_request.hh"
 #include "sim/sweep.hh"
@@ -412,6 +414,48 @@ TEST(SweepDeterminism, TraceSeedIgnoresMitigator)
     auto tg3 = tg;
     tg3.seed = 1234;
     EXPECT_NE(s, workload::traceSeed(spec, tg3));
+}
+
+TEST(TraceDeterminism, GeneratedEventsMatchTheirPinnedDigest)
+{
+    // The generated events of two workloads at 1/1024 tREFW, on the
+    // default two-sub-channel system and on a two-rank, two-channel
+    // device, fold to pinned digests: every trace byte is part of the
+    // golden-result contract, so a change to the stream, the bank
+    // placement or the event order must move a digest here first.
+    struct Pin
+    {
+        const char *workload;
+        const char *device;
+        uint64_t digest;
+    };
+    const Pin pins[] = {
+        {"roms", "", 0x2d2c825be8353ba1ULL},
+        {"xz", "", 0xd5ce586538023b4aULL},
+        {"roms", "device:org=128gb-2r2ch", 0x5291d94b8f6720e5ULL},
+        {"xz", "device:org=128gb-2r2ch", 0x6b20f4bcbfb4a5deULL},
+    };
+    for (const Pin &pin : pins) {
+        workload::TraceGenConfig tg;
+        tg.subchannels = 2;
+        tg.windowFraction = 1.0 / 1024;
+        if (*pin.device != '\0')
+            tg = workload::withDevice(
+                tg, dram::DeviceSpec::parse(pin.device).resolve());
+        const auto &spec = workload::findWorkload(pin.workload);
+        uint64_t h = stableHash64(spec.name);
+        for (const auto &trace : workload::generateTraces(spec, tg)) {
+            h = hashCombine(h, static_cast<uint64_t>(trace.window));
+            for (const auto &e : trace.events) {
+                for (const uint64_t v :
+                     {static_cast<uint64_t>(e.at), uint64_t{e.row},
+                      uint64_t{e.bank}, uint64_t{e.subchannel}})
+                    h = hashCombine(h, v);
+            }
+        }
+        EXPECT_EQ(h, pin.digest) << pin.workload << " " << pin.device
+                                 << ": 0x" << std::hex << h;
+    }
 }
 
 TEST(ResultIo, EscapedStringsRoundTrip)

@@ -157,26 +157,6 @@ TEST_F(DeviceTest, DefaultTimingEqualsHandAssembledDefaults)
     EXPECT_EQ(t.blastRadius, def.blastRadius);
 }
 
-TEST_F(DeviceTest, DefaultAddressConfigEqualsHandAssembledDefaults)
-{
-    const AddressMap::Config def;
-    const AddressMap::Config cfg = DeviceModel{}.addressConfig();
-    EXPECT_EQ(cfg.rowBits, def.rowBits);
-    EXPECT_EQ(cfg.bankBits, def.bankBits);
-    EXPECT_EQ(cfg.rowIndexBits, def.rowIndexBits);
-    EXPECT_EQ(cfg.rankBits, 0u);
-    EXPECT_EQ(cfg.channelBits, 0u);
-    // Encode/decode are byte-identical to the pre-device map when the
-    // new bit widths are zero.
-    const AddressMap a(def), b(cfg);
-    const uint64_t addr = 0x123456789abcull;
-    const auto ca = a.decode(addr), cb = b.decode(addr);
-    EXPECT_EQ(ca.bank, cb.bank);
-    EXPECT_EQ(ca.row, cb.row);
-    EXPECT_EQ(cb.rank, 0u);
-    EXPECT_EQ(cb.channel, 0u);
-}
-
 TEST_F(DeviceTest, WithDeviceDefaultGradeIsIdentity)
 {
     const workload::TraceGenConfig base;
@@ -202,7 +182,6 @@ TEST_F(DeviceTest, PresetGeometry)
     EXPECT_EQ(small.rowsPerBank(), kTable3RowsPerBank / 4);
     EXPECT_EQ(small.banksPerSubchannel(), kTable3BanksPerSubchannel);
     EXPECT_EQ(small.totalSubchannelSlots(), 2u);
-    EXPECT_EQ(small.addressConfig().rowIndexBits, 14u);
 
     const DeviceModel big =
         DeviceSpec::parse("device:org=128gb-2r2ch").resolve();
@@ -210,8 +189,6 @@ TEST_F(DeviceTest, PresetGeometry)
     EXPECT_EQ(big.ranks(), 2u);
     EXPECT_EQ(big.totalSubchannelSlots(), 8u);
     EXPECT_EQ(big.totalBanks(), 8u * 32u);
-    EXPECT_EQ(big.addressConfig().rankBits, 1u);
-    EXPECT_EQ(big.addressConfig().channelBits, 1u);
 }
 
 TEST_F(DeviceTest, SpeedGradeTimings)

@@ -29,6 +29,7 @@
 
 #include "attacks/attack.hh"
 #include "common/fault.hh"
+#include "dram/timing.hh"
 #include "sim/experiment.hh"
 #include "sim/result_io.hh"
 #include "sim/run_request.hh"
@@ -417,6 +418,21 @@ TEST(Serve, RejectsBadRequestsWithoutDying)
             << wideAttack.error;
     }
 
+    // And traces that do not fit the system: four sub-channels of 32
+    // banks (or three, for a co-attack) on a 64-bank system.
+    for (const std::string request :
+         {"{\"kind\":\"perf\",\"workload\":\"roms\",\"fraction\":0.001,"
+          "\"subchannels\":4}",
+          "{\"kind\":\"coattack\",\"workload\":\"roms\",\"fraction\":0.001,"
+          "\"subchannels\":3}"}) {
+        const auto tooWide = serveRequestLine(socket, request);
+        EXPECT_FALSE(tooWide.ok) << request;
+        EXPECT_FALSE(tooWide.retryable);
+        EXPECT_NE(tooWide.error.find("exceed the system's 64 banks"),
+                  std::string::npos)
+            << tooWide.error;
+    }
+
     // The daemon survived all of it.
     const auto stats = serveRequestLine(socket, "{\"kind\":\"stats\"}");
     ASSERT_TRUE(stats.ok) << stats.error;
@@ -524,10 +540,53 @@ TEST(Serve, AttackCellMatchesDirectRun)
     loop.join();
 }
 
+TEST(Serve, AttackCostCountsTheActivationsItAsksFor)
+{
+    // The largest throughput attack a request can name (32 banks of
+    // 2330 rows: one row more is refused) runs for tens of seconds, and
+    // must cost more than the default perf request over every
+    // workload, which runs for a few.
+    RunRequest tsa;
+    tsa.kind = "attack";
+    tsa.pattern = "tsa";
+    tsa.banks = dram::kTable3BanksPerSubchannel;
+    tsa.poolRows = 2330;
+    ASSERT_TRUE(validateRunRequest(tsa));
+    EXPECT_GT(estimatedCost(tsa), estimatedCost(RunRequest{}));
+    auto wider = tsa;
+    ++wider.poolRows;
+    EXPECT_FALSE(validateRunRequest(wider));
+
+    // The price follows the knobs: a kernel at one bank and its
+    // default pool costs a small fraction of a unit, a hammer budget a
+    // thousand times the default costs a thousand times as much.
+    RunRequest kernel = tsa;
+    kernel.pattern = "kernel";
+    kernel.banks = 0;
+    kernel.poolRows = 0;
+    EXPECT_LT(estimatedCost(kernel), estimatedCost(tsa) / 1000);
+    RunRequest hammer;
+    hammer.kind = "attack";
+    const double unit = estimatedCost(hammer);
+    EXPECT_GT(unit, 0.0);
+    hammer.budget = 4096 * 1000;
+    EXPECT_DOUBLE_EQ(estimatedCost(hammer), 1000 * unit);
+
+    // Every pattern prices its default request.
+    for (const attacks::AttackPattern &p : attacks::attackPatterns()) {
+        RunRequest req;
+        req.kind = "attack";
+        req.pattern = p.name;
+        req.mitigator = p.defaultDesign();
+        ASSERT_TRUE(validateRunRequest(req)) << p.name;
+        EXPECT_GT(estimatedCost(req), 0.0) << p.name;
+    }
+}
+
 TEST(Serve, WarmAttackSweepIsServedFromTheStore)
 {
-    // An attack costs one unit, so a budget of two admits the sweep
-    // one request at a time.
+    // Every attack request costs something, so admission counts it
+    // against the budget of two.
     for (const uint32_t ath : {32u, 64u, 128u})
         EXPECT_GT(estimatedCost(ratchetRequest(ath)), 0.0);
 

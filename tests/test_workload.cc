@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <set>
+#include <vector>
+#include <string>
+
 #include "workload/spec.hh"
 #include "workload/tracegen.hh"
 
@@ -113,6 +118,32 @@ TEST_F(TraceGenTest, CensusMatchesTable4Tiers)
         EXPECT_NEAR(census.act128, spec.act128, spec.act128 * 0.15 + 40)
             << name;
     }
+
+    // And the ACT-PKI, at 1/8 tREFW: within 2% of Table 4, except on
+    // the workloads listed here, whose hot-row tiers ask for more ACTs
+    // than the PKI budget of the instructions effectiveIpc() sizes
+    // (budget = max(PKI budget, hot ACTs)). They must stay outside the
+    // band, so a generator fix has to move them off this list.
+    const std::set<std::string> deviates = {
+        "cactuBSSN", // 3.6 -> 9.3
+        "blender",   // 1.1 -> 2.3
+        "gcc",       // 0.6 -> 0.9
+        "xalancbmk", // 0.9 -> 1.2
+        "wrf",       // 0.8 -> 1.0
+        "xz",        // 8.8 -> 9.3
+    };
+    constexpr double kPkiBand = 0.02;
+    auto cfg8 = cfg;
+    cfg8.windowFraction = 0.125;
+    for (const WorkloadSpec &spec : table4Workloads()) {
+        const double pki =
+            censusOf(generateTraces(spec, cfg8), cfg8, spec).actPki;
+        const double off = std::abs(pki / spec.actPki - 1.0);
+        if (deviates.contains(spec.name))
+            EXPECT_GT(off, kPkiBand) << spec.name << " ACT-PKI " << pki;
+        else
+            EXPECT_LE(off, kPkiBand) << spec.name << " ACT-PKI " << pki;
+    }
 }
 
 TEST_F(TraceGenTest, DeterministicForSameSeed)
@@ -132,10 +163,9 @@ TEST_F(TraceGenTest, DeterministicForSameSeed)
 
 TEST_F(TraceGenTest, SubChannelEmissionSpansAndBalances)
 {
-    // Full-system emission: events carry a valid pre-decoded
-    // sub-channel, both sub-channels see traffic, and the split is
-    // roughly even (the address-map routing spreads every core's
-    // banks across the system).
+    // Full-system emission: events carry a valid sub-channel, both
+    // sub-channels see traffic, and the split is roughly even (every
+    // core's banks spread across the system).
     auto cfg2 = cfg;
     cfg2.subchannels = 2;
     const auto &spec = findWorkload("omnetpp");
@@ -158,6 +188,35 @@ TEST_F(TraceGenTest, SubChannelEmissionSpansAndBalances)
     for (const auto &t : generateTraces(spec, cfg)) {
         for (const auto &e : t.events)
             ASSERT_EQ(e.subchannel, 0u);
+    }
+}
+
+TEST_F(TraceGenTest, BankIsTheRawBankXorTheRowBits)
+{
+    // Placement XORs a flat bank's index with the row's low bits (the
+    // bank hash of the Table-3 mapping). Each core gives every raw
+    // (slot, bank) exactly floor(PKI budget) ACTs when that budget
+    // covers the hot rows, as it does for bwaves; so undoing the XOR
+    // must give every raw bank the same count, and each raw bank's
+    // rows must land on every bank.
+    auto cfg2 = cfg;
+    cfg2.subchannels = 2;
+    const uint32_t banks = cfg2.banksSimulated;
+    for (const auto &t : generateTraces(findWorkload("bwaves"), cfg2)) {
+        std::vector<uint64_t> acts(2 * banks, 0);
+        std::vector<std::set<BankId>> landed(2 * banks);
+        for (const auto &e : t.events) {
+            ASSERT_LT(e.subchannel, 2u);
+            const uint32_t raw =
+                e.subchannel * banks + (e.bank ^ (e.row & (banks - 1)));
+            ++acts[raw];
+            landed[raw].insert(e.bank);
+        }
+        ASSERT_GT(acts[0], 0u);
+        for (uint32_t raw = 0; raw < 2 * banks; ++raw) {
+            EXPECT_EQ(acts[raw], acts[0]) << "raw bank " << raw;
+            EXPECT_EQ(landed[raw].size(), banks) << "raw bank " << raw;
+        }
     }
 }
 
