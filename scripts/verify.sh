@@ -146,6 +146,28 @@ grep -q "bank" "$BUILD_DIR/replay_bad_bank.err" || {
   exit 1
 }
 
+# An attack whose rows would run past the end of the bank is refused
+# by its pattern's plan, naming the knob: exit 1, never a crash.
+for case in "trials:--pattern postponement --trials 481" \
+  "entries:--pattern jailbreak --mitigator panopticon:entries=4097"; do
+  knob="${case%%:*}"
+  echo "validation smoke: attack ${case#*:} must fail"
+  attack_status=0
+  # shellcheck disable=SC2086 # the flags split on purpose
+  "$BUILD_DIR/moatsim" attack ${case#*:} > /dev/null \
+    2> "$BUILD_DIR/attack_limit.err" || attack_status=$?
+  if [ "$attack_status" -ne 1 ]; then
+    echo "FATAL: attack ${case#*:} exited with status $attack_status" >&2
+    cat "$BUILD_DIR/attack_limit.err" >&2
+    exit 1
+  fi
+  grep -q "$knob=" "$BUILD_DIR/attack_limit.err" || {
+    echo "FATAL: attack ${case#*:} failed without naming $knob:" >&2
+    cat "$BUILD_DIR/attack_limit.err" >&2
+    exit 1
+  }
+done
+
 # The result store is a pure cache of whole cells: a cold run filling
 # a shard directory and a warm re-run served entirely from it must be
 # byte-identical (table and JSONL), and the warm run must recompute

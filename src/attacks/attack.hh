@@ -15,10 +15,12 @@
  * "feinting", "postponement") target one design each, and so do the
  * Section-7 throughput attacks ("kernel", "tsa"), which report the ACT
  * throughput they cost besides the hammer count. One table,
- * attackPatterns(), lists every pattern with its design, the spec
- * settings its driver cannot honor and the AttackConfig knobs it
- * reads, and checkAttack() reads it, so a request is rejected with a
- * message before anything runs.
+ * attackPatterns(), lists every pattern with its design, the
+ * AttackConfig knobs it reads and its plan: the one place a pattern's
+ * defaults, limits, price and the spec settings it cannot honor are
+ * worked out. planAttack() reads the table, so a request the
+ * driver cannot lay out is refused with a message before anything
+ * runs, and the driver runs exactly what the plan says.
  */
 
 #ifndef MOATSIM_ATTACKS_ATTACK_HH
@@ -84,6 +86,19 @@ struct AttackConfig
     uint32_t banks = 0;
 };
 
+/** What a pattern's driver runs for one request, worked out before it
+ *  runs (the cell key stays that of the request). */
+struct AttackPlan
+{
+    /** The request, every knob the driver reads at the value it runs
+     *  (defaults applied) and banks at least 1. */
+    AttackConfig knobs;
+    /** About the activations the driver issues (sim::estimatedCost()). */
+    uint64_t acts = 0;
+    /** Why the request cannot run, naming the knob; empty when it can. */
+    std::string refusal;
+};
+
 /** One row of the pattern table. */
 struct AttackPattern
 {
@@ -91,25 +106,17 @@ struct AttackPattern
     /** The one design the pattern targets; empty for a generic
      *  pattern, which runs against any design. */
     std::string design;
-    /** Spec settings the pattern's driver cannot honor: `key` rejects
-     *  any explicit value, `key=value` that canonical value. */
-    std::vector<std::string> rejects;
     /** The knobs of AttackConfig the driver reads, by request field
      *  name ("pool_rows", "budget", "trials", "banks"); any other must
      *  be 0. */
     std::vector<std::string> reads;
-    /** The driver, called once checkAttack() has passed. */
-    AttackResult (*run)(const AttackConfig &,
+    /** Given plan.knobs = a request that names the design and sets only
+     *  knobs in `reads` (banks at least 1), applies the defaults,
+     *  prices the run and refuses what the driver cannot run. */
+    void (*plan)(AttackPlan &, const mitigation::MitigatorSpec &) = nullptr;
+    /** The driver, called with a plan that has no refusal. */
+    AttackResult (*run)(const AttackPlan &,
                         const mitigation::MitigatorSpec &) = nullptr;
-    /** About how many activations the driver issues under a config
-     *  and design, defaults resolved (sim::estimatedCost() prices an
-     *  attack cell by it). */
-    uint64_t (*acts)(const AttackConfig &,
-                     const mitigation::MitigatorSpec &) = nullptr;
-    /** The largest pool_rows the driver can lay out and run under a
-     *  config and design; set exactly when `reads` names "pool_rows". */
-    uint32_t (*maxPoolRows)(const AttackConfig &,
-                            const mitigation::MitigatorSpec &) = nullptr;
     /** Whether the driver measures throughput, so its result line
      *  carries loss_fraction. */
     bool throughput = false;
@@ -128,20 +135,23 @@ const std::vector<AttackPattern> &attackPatterns();
 const AttackPattern *findAttackPattern(const std::string &name);
 
 /**
- * Whether runAttack() can run @p config against @p mitigator: the
- * pattern exists, targets the design, the spec sets nothing the
- * driver rejects, every knob the driver does not read is 0 (a knob
- * that changes nothing would only key a duplicate cell), and the pool
- * is one the driver can run (AttackPattern::maxPoolRows). Returns
- * false with a diagnostic in @p err when non-null; never fatal()s.
+ * The plan of @p config against @p mitigator; refused when the pattern
+ * is unknown or targets another design, when a knob the driver does
+ * not read is set (it would only key a duplicate cell), or by the
+ * pattern's own plan. Never fatal()s.
  */
+AttackPlan planAttack(const AttackConfig &config,
+                      const mitigation::MitigatorSpec &mitigator);
+
+/** Whether planAttack() accepts the request; its refusal in @p err
+ *  when not and @p err is non-null. */
 bool checkAttack(const AttackConfig &config,
                  const mitigation::MitigatorSpec &mitigator,
                  std::string *err = nullptr);
 
 /**
  * Run a named attack pattern against any registered mitigator design.
- * fatal()s with checkAttack()'s message on a request it rejects.
+ * fatal()s with planAttack()'s refusal on a request it cannot run.
  */
 AttackResult runAttack(const AttackConfig &config,
                        const mitigation::MitigatorSpec &mitigator);

@@ -5,8 +5,8 @@
  * The generic patterns drive the defence purely through the SubChannel
  * command interface, so they run against any registered design; the
  * specialized and throughput patterns (patterns.hh) target the one
- * design the pattern table names. checkAttack() matches a request
- * against that table before any driver runs.
+ * design the pattern table names. planAttack() matches a request
+ * against that table and the pattern's plan before any driver runs.
  */
 
 #include "attacks/attack.hh"
@@ -27,13 +27,13 @@ namespace moatsim::attacks
 using subchannel::SubChannel;
 
 SubChannel
-makeChannel(const AttackConfig &config,
-            const mitigation::Mitigator &prototype, bool refreshResetsRows)
+makeChannel(const AttackPlan &plan, const mitigation::Mitigator &prototype,
+            bool refreshResetsRows)
 {
     subchannel::SubChannelConfig sc;
-    sc.timing = config.timing;
-    sc.numBanks = std::max(config.banks, 1u);
-    sc.aboLevel = config.aboLevel;
+    sc.timing = plan.knobs.timing;
+    sc.numBanks = plan.knobs.banks;
+    sc.aboLevel = plan.knobs.aboLevel;
     sc.refreshResetsRows = refreshResetsRows;
     return SubChannel(sc, prototype);
 }
@@ -66,114 +66,88 @@ drain(SubChannel &ch)
     ch.drainToQuiescence(ch.timing().tREFW);
 }
 
-/** The hammer budget: `budget`, 4096 by default. */
-uint64_t
-hammerActs(const AttackConfig &config, const mitigation::MitigatorSpec &)
+/** Hammer: `budget` ACTs, 4096 by default. */
+void
+planHammer(AttackPlan &plan, const mitigation::MitigatorSpec &)
 {
-    return config.budget != 0 ? config.budget : 4096;
-}
-
-/** The round-robin pool: `pool_rows`, 8 by default. */
-uint32_t
-roundRobinPool(const AttackConfig &config)
-{
-    return config.poolRows != 0 ? config.poolRows : 8;
-}
-
-/** The round-robin budget: `budget`, 512 per pool row by default. */
-uint64_t
-roundRobinActs(const AttackConfig &config,
-               const mitigation::MitigatorSpec &)
-{
-    return config.budget != 0 ? config.budget
-                              : 512ULL * roundRobinPool(config);
+    if (plan.knobs.budget == 0)
+        plan.knobs.budget = 4096;
+    plan.acts = plan.knobs.budget;
 }
 
 /** Hammer a single mid-bank row as fast as the command timing allows. */
 AttackResult
-runHammer(const AttackConfig &config,
-          const mitigation::MitigatorSpec &mitigator)
+runHammer(const AttackPlan &plan, const mitigation::MitigatorSpec &mitigator)
 {
-    SubChannel ch = makeChannel(config, mitigator.factory());
-    const uint64_t budget = hammerActs(config, mitigator);
-    const RowId target = workload::attackBaseRow(config.timing);
-    for (uint64_t i = 0; i < budget; ++i)
+    SubChannel ch = makeChannel(plan, mitigator.factory());
+    const RowId target = workload::attackBaseRow(plan.knobs.timing);
+    for (uint64_t i = 0; i < plan.knobs.budget; ++i)
         ch.activate(0, target);
     drain(ch);
     return resultOf(ch);
 }
 
+/** Round-robin: a pool of `pool_rows` rows, 8 by default, at most what
+ *  fits in the bank; a `budget` of 512 ACTs per pool row by default. */
+void
+planRoundRobin(AttackPlan &plan, const mitigation::MitigatorSpec &)
+{
+    AttackConfig &k = plan.knobs;
+    if (k.poolRows == 0)
+        k.poolRows = 8;
+    if (k.budget == 0)
+        k.budget = 512ULL * k.poolRows;
+    plan.acts = k.budget;
+    refuseAbove(plan, "pool_rows", k.poolRows,
+                workload::maxAttackPoolRows(k.timing), "a pool", "rows");
+}
+
 /** Hammer a pool of rows circularly (the many-sided pattern). */
 AttackResult
-runRoundRobin(const AttackConfig &config,
+runRoundRobin(const AttackPlan &plan,
               const mitigation::MitigatorSpec &mitigator)
 {
-    SubChannel ch = makeChannel(config, mitigator.factory());
-    const uint32_t pool = roundRobinPool(config);
-    const uint64_t budget = roundRobinActs(config, mitigator);
+    SubChannel ch = makeChannel(plan, mitigator.factory());
     // The same placement convention the co-attack trace synthesizer
     // uses, so the isolated and co-scheduled variants stay comparable.
     const std::vector<RowId> rows =
-        workload::attackRowPool(config.timing, pool);
-    for (uint64_t i = 0; i < budget; ++i)
-        ch.activate(0, rows[i % pool]);
+        workload::attackRowPool(plan.knobs.timing, plan.knobs.poolRows);
+    for (uint64_t i = 0; i < plan.knobs.budget; ++i)
+        ch.activate(0, rows[i % rows.size()]);
     drain(ch);
     return resultOf(ch);
 }
 
-/** Whether @p spec sets @p setting: `key` (any explicit value) or
- *  `key=value` (that canonical value). */
-bool
-setsParam(const mitigation::MitigatorSpec &spec, const std::string &setting)
-{
-    if (setting.find('=') == std::string::npos)
-        return spec.hasParam(setting);
-    const std::string text = spec.describe();
-    const auto items = splitList(text.substr(text.find(':') + 1), ',');
-    return std::find(items.begin(), items.end(), setting) != items.end();
-}
-
 } // namespace
+
+void
+refuseAbove(AttackPlan &plan, const char *knob, uint64_t got, uint64_t most,
+            const char *what, const char *unit)
+{
+    if (got > most && plan.refusal.empty())
+        plan.refusal = "the " + plan.knobs.pattern + " pattern runs " +
+                       what + " of at most " + std::to_string(most) + " " +
+                       unit + " under this timing and design (got " + knob +
+                       "=" + std::to_string(got) + ")";
+}
 
 const std::vector<AttackPattern> &
 attackPatterns()
 {
     static const std::vector<AttackPattern> table = {
-        {"hammer", "", {}, {"budget"}, runHammer, hammerActs},
-        {"round-robin", "", {}, {"pool_rows", "budget"}, runRoundRobin,
-         roundRobinActs,
-         [](const AttackConfig &c, const mitigation::MitigatorSpec &) {
-             return workload::maxAttackPoolRows(c.timing);
-         }},
-        // At most the largest pool, every row primed to ATH and raised
-        // about once more.
-        {"ratchet", "moat", {}, {"pool_rows"}, runRatchet,
-         [](const AttackConfig &c, const mitigation::MitigatorSpec &m) {
-             const uint64_t pool =
-                 c.poolRows != 0 ? c.poolRows : maxRatchetPoolRows(c, m);
-             return pool * (mitigation::moatConfigOf(m).ath + 1);
-         },
-         maxRatchetPoolRows},
-        {"jailbreak", "panopticon", {}, {"budget"}, runJailbreak,
-         jailbreakActs},
-        // The tuned driver models the default defender; only the
-        // mitigation period is honored. Its rounds span at most one
-        // refresh window of back-to-back ACTs.
-        {"feinting", "ideal-prc", {"min-count", "blast"}, {"pool_rows"},
-         runFeinting,
-         [](const AttackConfig &c, const mitigation::MitigatorSpec &) {
-             return static_cast<uint64_t>(c.timing.availableWindow() /
-                                          c.timing.tRC);
-         },
-         maxFeintingPoolRows},
-        {"postponement", "panopticon", {"drain-all=false"}, {"trials"},
-         runPostponement, postponementActs},
+        {"hammer", "", {"budget"}, planHammer, runHammer},
+        {"round-robin", "", {"pool_rows", "budget"}, planRoundRobin,
+         runRoundRobin},
+        {"ratchet", "moat", {"pool_rows"}, planRatchet, runRatchet},
+        {"jailbreak", "panopticon", {"budget"}, planJailbreak, runJailbreak},
+        {"feinting", "ideal-prc", {"pool_rows"}, planFeinting, runFeinting},
+        {"postponement", "panopticon", {"trials"}, planPostponement,
+         runPostponement},
         // Section 7's throughput attacks: one driver for the Figure-13
         // kernels and (banks > 1) the synchronized attack of Sec. 7.2.
-        {"kernel", "moat", {}, {"pool_rows", "banks"}, runKernel,
-         throughputActs, maxThroughputPoolRows, true},
-        {"tsa", "moat", {}, {"pool_rows", "banks"}, runTsa, throughputActs,
-         maxThroughputPoolRows, true},
+        {"kernel", "moat", {"pool_rows", "banks"}, planThroughput, runKernel,
+         true},
+        {"tsa", "moat", {"pool_rows", "banks"}, planThroughput, runTsa, true},
     };
     return table;
 }
@@ -188,31 +162,27 @@ findAttackPattern(const std::string &name)
     return nullptr;
 }
 
-bool
-checkAttack(const AttackConfig &config,
-            const mitigation::MitigatorSpec &mitigator, std::string *err)
+AttackPlan
+planAttack(const AttackConfig &config,
+           const mitigation::MitigatorSpec &mitigator)
 {
-    const auto fail = [err](const std::string &what) {
-        if (err != nullptr)
-            *err = what;
-        return false;
+    AttackPlan plan;
+    plan.knobs = config;
+    const auto refuse = [&plan](const std::string &why) {
+        plan.refusal = why;
+        return plan;
     };
     const std::string &pattern = config.pattern;
     const AttackPattern *p = findAttackPattern(pattern);
     if (p == nullptr) {
-        return fail("unknown attack pattern '" + pattern + "' (known: " +
-                    joinNames(attackPatterns(), &AttackPattern::name) +
-                    ")");
+        return refuse("unknown attack pattern '" + pattern + "' (known: " +
+                      joinNames(attackPatterns(), &AttackPattern::name) +
+                      ")");
     }
     if (!p->design.empty() && mitigator.name() != p->design) {
-        return fail("attack pattern '" + pattern + "' targets the '" +
-                    p->design + "' design, got '" + mitigator.describe() +
-                    "' (generic patterns: hammer, round-robin)");
-    }
-    for (const std::string &setting : p->rejects) {
-        if (setsParam(mitigator, setting))
-            return fail("the " + pattern + " pattern does not honor '" +
-                        setting + "' (got '" + mitigator.describe() + "')");
+        return refuse("attack pattern '" + pattern + "' targets the '" +
+                      p->design + "' design, got '" + mitigator.describe() +
+                      "' (generic patterns: hammer, round-robin)");
     }
     const std::pair<const char *, uint64_t> knobs[] = {
         {"pool_rows", config.poolRows},
@@ -223,30 +193,35 @@ checkAttack(const AttackConfig &config,
         if (value != 0 &&
             std::find(p->reads.begin(), p->reads.end(), knob) ==
                 p->reads.end())
-            return fail("the " + pattern + " pattern does not read '" +
-                        knob + "' (got " + std::to_string(value) +
-                        "; it reads " + joinNames(p->reads, std::identity{}) +
-                        ")");
+            return refuse("the " + pattern + " pattern does not read '" +
+                          knob + "' (got " + std::to_string(value) +
+                          "; it reads " +
+                          joinNames(p->reads, std::identity{}) + ")");
     }
-    if (p->maxPoolRows != nullptr) {
-        const uint32_t most = p->maxPoolRows(config, mitigator);
-        if (config.poolRows > most)
-            return fail("the " + pattern + " pattern runs a pool of at "
-                        "most " + std::to_string(most) +
-                        " rows under this timing and design (got " +
-                        std::to_string(config.poolRows) + ")");
-    }
-    return true;
+    // Every driver runs at least one bank.
+    plan.knobs.banks = std::max(config.banks, 1u);
+    p->plan(plan, mitigator);
+    return plan;
+}
+
+bool
+checkAttack(const AttackConfig &config,
+            const mitigation::MitigatorSpec &mitigator, std::string *err)
+{
+    const AttackPlan plan = planAttack(config, mitigator);
+    if (err != nullptr)
+        *err = plan.refusal;
+    return plan.refusal.empty();
 }
 
 AttackResult
 runAttack(const AttackConfig &config,
           const mitigation::MitigatorSpec &mitigator)
 {
-    std::string err;
-    if (!checkAttack(config, mitigator, &err))
-        fatal(err);
-    AttackResult r = findAttackPattern(config.pattern)->run(config, mitigator);
+    const AttackPlan plan = planAttack(config, mitigator);
+    if (!plan.refusal.empty())
+        fatal(plan.refusal);
+    AttackResult r = findAttackPattern(config.pattern)->run(plan, mitigator);
     r.pattern = config.pattern;
     r.mitigator = mitigator.describe();
     return r;

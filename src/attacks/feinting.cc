@@ -16,51 +16,68 @@
 #include <vector>
 
 #include "attacks/patterns.hh"
-#include "common/logging.hh"
 
 namespace moatsim::attacks
 {
 
-uint32_t
-maxFeintingPoolRows(const AttackConfig &config,
-                    const mitigation::MitigatorSpec &)
+namespace
 {
-    const dram::TimingParams &t = config.timing;
-    return t.rowsPerBank / (2 * t.blastRadius + 2);
+
+/** Rounds of the attack: one per mitigation period of @p k tREFI in
+ *  the refresh window (the registry refuses a zero period). */
+uint64_t
+roundsOf(const dram::TimingParams &t, uint32_t k)
+{
+    return static_cast<uint64_t>(t.availableWindow() / (Time{k} * t.tREFI));
+}
+
+} // namespace
+
+void
+planFeinting(AttackPlan &plan, const mitigation::MitigatorSpec &mitigator)
+{
+    // The driver models the default defender at the requested period.
+    for (const std::string key : {"min-count", "blast"}) {
+        if (mitigator.hasParam(key)) {
+            plan.refusal = "the feinting pattern does not honor '" + key +
+                           "' (got '" + mitigator.describe() + "')";
+            return;
+        }
+    }
+    AttackConfig &k = plan.knobs;
+    const dram::TimingParams &t = k.timing;
+    // The optimal pool sacrifices one row per round, its rows one
+    // stride apart in the bank.
+    if (k.poolRows == 0)
+        k.poolRows = static_cast<uint32_t>(roundsOf(
+            t, mitigation::idealPrcConfigOf(mitigator).mitigationPeriodRefis));
+    refuseAbove(plan, "pool_rows", k.poolRows,
+                t.rowsPerBank / (2 * t.blastRadius + 2), "a pool", "rows");
+    // The rounds span at most one refresh window of back-to-back ACTs.
+    plan.acts = static_cast<uint64_t>(t.availableWindow() / t.tRC);
 }
 
 AttackResult
-runFeinting(const AttackConfig &config,
+runFeinting(const AttackPlan &plan,
             const mitigation::MitigatorSpec &mitigator)
 {
-    const dram::TimingParams &t = config.timing;
+    const dram::TimingParams &t = plan.knobs.timing;
     // The driver models the default defender at the requested
-    // mitigation period; the pattern table rejects the other settings.
+    // mitigation period; the plan refuses the other settings.
     mitigation::IdealPrcConfig prc = mitigation::idealPrcConfigOf(mitigator);
     prc.blastRadius = t.blastRadius;
     const uint32_t k = prc.mitigationPeriodRefis;
-    if (k == 0)
-        fatal("runFeinting: mitigation period must be >= 1");
-
-    // One round per mitigation period fits in the refresh window; the
-    // optimal pool sacrifices one row per round.
-    const uint64_t rounds = static_cast<uint64_t>(
-        t.availableWindow() / (static_cast<Time>(k) * t.tREFI));
-    const uint32_t pool_size =
-        config.poolRows != 0 ? config.poolRows
-                             : static_cast<uint32_t>(rounds);
+    const uint64_t rounds = roundsOf(t, k);
 
     subchannel::SubChannel ch =
-        makeChannel(config, mitigation::IdealPrcMitigator(prc),
+        makeChannel(plan, mitigation::IdealPrcMitigator(prc),
                     /*refreshResetsRows=*/false);
 
     // Pool rows spaced beyond the blast radius so mitigating one row
     // never refreshes another pool row's victims.
     const uint32_t stride = 2 * t.blastRadius + 2;
-    if (pool_size > maxFeintingPoolRows(config, mitigator))
-        fatal("runFeinting: pool does not fit in the bank");
-    std::vector<RowId> live(pool_size);
-    for (uint32_t i = 0; i < pool_size; ++i)
+    std::vector<RowId> live(plan.knobs.poolRows);
+    for (uint32_t i = 0; i < live.size(); ++i)
         live[i] = i * stride;
 
     // Round structure: during each mitigation period, spread the ACT

@@ -23,41 +23,54 @@
 namespace moatsim::attacks
 {
 
-uint64_t
-jailbreakActs(const AttackConfig &config,
-              const mitigation::MitigatorSpec &mitigator)
+namespace
 {
-    // The hammer budget; by default one mitigation period per resident
-    // entry plus two.
+
+/** Spacing of the attack's rows, so victim windows never overlap. */
+constexpr uint32_t kRowStride = 8;
+
+} // namespace
+
+void
+planJailbreak(AttackPlan &plan, const mitigation::MitigatorSpec &mitigator)
+{
+    AttackConfig &k = plan.knobs;
     const mitigation::PanopticonConfig pcfg =
         mitigation::panopticonConfigOf(mitigator);
-    return config.budget != 0 ? config.budget
-                              : static_cast<uint64_t>(pcfg.queueThreshold) *
-                                    (pcfg.queueEntries + 2);
+    // The hammer budget; by default one mitigation period per resident
+    // entry plus two.
+    if (k.budget == 0)
+        k.budget = uint64_t{pcfg.queueThreshold} * (pcfg.queueEntries + 2ULL);
+    plan.acts = k.budget;
+    // One row per queue entry from mid-bank on, inside the bank; the
+    // driver counts the budget in 32 bits.
+    const uint32_t rows = k.timing.rowsPerBank;
+    refuseAbove(plan, "entries", pcfg.queueEntries,
+                (rows - 1 - rows / 2) / kRowStride + 1, "a queue", "entries");
+    refuseAbove(plan, "budget", k.budget,
+                std::numeric_limits<uint32_t>::max(), "a budget",
+                "activations");
 }
 
 AttackResult
-runJailbreak(const AttackConfig &config,
+runJailbreak(const AttackPlan &plan,
              const mitigation::MitigatorSpec &mitigator)
 {
     const mitigation::PanopticonConfig pcfg =
         mitigation::panopticonConfigOf(mitigator);
-    // The driver counts the budget in 32 bits.
-    const uint32_t hammer_acts = static_cast<uint32_t>(std::min<uint64_t>(
-        jailbreakActs(config, mitigator),
-        std::numeric_limits<uint32_t>::max()));
+    const auto hammer_acts = static_cast<uint32_t>(plan.knobs.budget);
 
-    subchannel::SubChannel ch = makeChannel(config, mitigator.factory());
+    subchannel::SubChannel ch = makeChannel(plan, mitigator.factory());
     // The attacker knows the queue state (threat model, Section 2.1).
     const auto &pano =
         std::get<mitigation::PanopticonMitigator>(ch.mitigator(0));
 
     // Pick queueEntries rows mid-bank (away from the refresh pointer,
     // which starts at row 0), spaced so victim windows never overlap.
-    const RowId base = config.timing.rowsPerBank / 2;
+    const RowId base = plan.knobs.timing.rowsPerBank / 2;
     std::vector<RowId> rows(pcfg.queueEntries);
     for (uint32_t i = 0; i < pcfg.queueEntries; ++i)
-        rows[i] = base + i * 8;
+        rows[i] = base + i * kRowStride;
 
     // Phase 1: circular activation brings every row to the queueing
     // threshold within the same tREFI; all enter the queue, the target

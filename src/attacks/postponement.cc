@@ -24,13 +24,6 @@ namespace moatsim::attacks
 namespace
 {
 
-/** Trials the driver sweeps: `trials`, 256 by default. */
-uint32_t
-trialsOf(const AttackConfig &config)
-{
-    return config.trials != 0 ? config.trials : 256;
-}
-
 /** The ACTs a trial hammers its target with at most. */
 uint32_t
 trialBudget(ActCount threshold)
@@ -38,37 +31,56 @@ trialBudget(ActCount threshold)
     return 4 * threshold + 64;
 }
 
+/** Trial t hammers the fresh row kFirstTarget + kTargetStride * t. */
+constexpr RowId kFirstTarget = 4096;
+constexpr uint32_t kTargetStride = 128;
+
 } // namespace
 
-uint64_t
-postponementActs(const AttackConfig &config,
+void
+planPostponement(AttackPlan &plan,
                  const mitigation::MitigatorSpec &mitigator)
 {
+    AttackConfig &k = plan.knobs;
+    if (k.trials == 0)
+        k.trials = 256;
     // Each trial pads below 211 ACTs, then hammers its target's budget.
-    const ActCount threshold =
-        mitigation::panopticonConfigOf(mitigator).queueThreshold;
-    return uint64_t{trialsOf(config)} * (210 + trialBudget(threshold));
+    const mitigation::PanopticonConfig pcfg =
+        mitigation::panopticonConfigOf(mitigator);
+    plan.acts = uint64_t{k.trials} * (210 + trialBudget(pcfg.queueThreshold));
+    // The attack only bites the Appendix-B drain-all policy, which the
+    // driver forces unless the spec turns it off.
+    if (mitigator.hasParam("drain-all") && !pcfg.drainAllOnRef)
+        plan.refusal = "the postponement pattern does not honor "
+                       "'drain-all=false' (got '" + mitigator.describe() +
+                       "')";
+    // Every trial's target row must lie inside the bank.
+    const uint32_t rows = k.timing.rowsPerBank;
+    refuseAbove(plan, "trials", k.trials,
+                rows > kFirstTarget
+                    ? (rows - 1 - kFirstTarget) / kTargetStride + 1
+                    : 0,
+                "a sweep", "trials");
 }
 
 AttackResult
-runPostponement(const AttackConfig &config,
+runPostponement(const AttackPlan &plan,
                 const mitigation::MitigatorSpec &mitigator)
 {
     mitigation::PanopticonConfig pcfg =
         mitigation::panopticonConfigOf(mitigator);
-    // The attack only bites the Appendix-B drain-all policy (the
-    // table rejects an explicit drain-all=false).
+    // The attack only bites the Appendix-B drain-all policy (the plan
+    // refuses an explicit drain-all=false).
     pcfg.drainAllOnRef = true;
     subchannel::SubChannel ch =
-        makeChannel(config, mitigation::PanopticonMitigator(pcfg));
+        makeChannel(plan, mitigation::PanopticonMitigator(pcfg));
     ch.setPostponeRefresh(true);
 
     const ActCount threshold = pcfg.queueThreshold;
-    const uint32_t trials = trialsOf(config);
     const RowId pad_row = 2048; // sacrificial row for phase shifting
     uint32_t best = 0;
 
-    for (uint32_t trial = 0; trial < trials; ++trial) {
+    for (uint32_t trial = 0; trial < plan.knobs.trials; ++trial) {
         // Shift the pattern phase relative to the REF-batch schedule so
         // some trial's queue insertion lands right after a batch.
         const uint32_t pad = trial % 211;
@@ -78,7 +90,7 @@ runPostponement(const AttackConfig &config,
         // Hammer a fresh row continuously; it enters the queue when its
         // counter crosses the threshold and is mitigated only at the
         // next REF batch, up to ~201 activations later.
-        const RowId target = 4096 + trial * 128;
+        const RowId target = kFirstTarget + trial * kTargetStride;
         const uint32_t budget = trialBudget(threshold);
         uint32_t peak = 0;
         for (uint32_t a = 0; a < budget; ++a) {

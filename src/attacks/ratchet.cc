@@ -23,7 +23,6 @@
 
 #include "analysis/ratchet_model.hh"
 #include "attacks/patterns.hh"
-#include "common/logging.hh"
 
 namespace moatsim::attacks
 {
@@ -93,36 +92,43 @@ ratchetTorrent(SubChannel &ch, std::vector<RowId> &live,
 
 } // namespace
 
-uint32_t
-maxRatchetPoolRows(const AttackConfig &config,
-                   const mitigation::MitigatorSpec &)
+void
+planRatchet(AttackPlan &plan, const mitigation::MitigatorSpec &mitigator)
 {
-    const dram::TimingParams &t = config.timing;
-    return t.rowsPerBank / (2 * t.blastRadius + 2) - 4;
+    AttackConfig &k = plan.knobs;
+    const dram::TimingParams &t = k.timing;
+    const ActCount ath = mitigation::moatConfigOf(mitigator).ath;
+    // Rows one stride apart from row 0, four strides spare at the end.
+    const uint32_t strides = t.rowsPerBank / (2 * t.blastRadius + 2);
+    const uint32_t most = strides - std::min(strides, 4u);
+    // The pool defaults to the Appendix-A optimum Nc (the largest pool
+    // whose priming and ALERT torrent fit the refresh window), capped
+    // to the bank; an empty one is refused.
+    if (k.poolRows == 0) {
+        k.poolRows = static_cast<uint32_t>(std::min<uint64_t>(
+            analysis::ratchetBound(t, ath, abo::levelValue(k.aboLevel))
+                .maxPoolRows,
+            most));
+        if (k.poolRows == 0)
+            plan.refusal = "the ratchet pattern's default pool_rows, the "
+                           "Appendix-A Nc, is 0 under this timing and "
+                           "design";
+    }
+    refuseAbove(plan, "pool_rows", k.poolRows, most, "a pool", "rows");
+    // At most every row primed to ATH and raised about once more.
+    plan.acts = uint64_t{k.poolRows} * (uint64_t{ath} + 1);
 }
 
 AttackResult
-runRatchet(const AttackConfig &config,
+runRatchet(const AttackPlan &plan,
            const mitigation::MitigatorSpec &mitigator)
 {
-    const dram::TimingParams &t = config.timing;
+    const dram::TimingParams &t = plan.knobs.timing;
     const ActCount ath = mitigation::moatConfigOf(mitigator).ath;
-
-    // The pool defaults to the Appendix-A optimum Nc (the largest pool
-    // whose priming and ALERT torrent fit the refresh window), capped
-    // to the bank.
-    const auto bound = analysis::ratchetBound(
-        t, ath, abo::levelValue(config.aboLevel));
     const uint32_t stride = 2 * t.blastRadius + 2;
-    const uint32_t pool = config.poolRows != 0
-                              ? config.poolRows
-                              : static_cast<uint32_t>(std::min<uint64_t>(
-                                    bound.maxPoolRows,
-                                    maxRatchetPoolRows(config, mitigator)));
-    if (pool == 0)
-        fatal("runRatchet: empty pool");
+    const uint32_t pool = plan.knobs.poolRows;
 
-    SubChannel ch = makeChannel(config, mitigator.factory(),
+    SubChannel ch = makeChannel(plan, mitigator.factory(),
                                 /*refreshResetsRows=*/false);
     const auto &moat = std::get<mitigation::MoatMitigator>(ch.mitigator(0));
 

@@ -48,21 +48,14 @@ constexpr uint32_t kBankOffset = 64;
 /** Every bank's pool of rows. */
 using Pools = std::vector<std::vector<RowId>>;
 
-/** Rows in each bank's pool: pool_rows, 5 by default. */
-uint32_t
-poolRowsOf(const AttackConfig &config)
-{
-    return config.poolRows != 0 ? config.poolRows : 5;
-}
-
-/** The pool of every bank: poolRowsOf() rows from row kPoolBase +
- *  kBankOffset * bank (checkAttack() has made sure they fit). */
+/** The pool of every bank: the plan's pool_rows rows from row
+ *  kPoolBase + kBankOffset * bank (the plan has made sure they fit). */
 Pools
-poolsOf(const AttackConfig &config, uint32_t banks)
+poolsOf(const AttackPlan &plan)
 {
-    const uint32_t rows = poolRowsOf(config);
-    Pools pools(banks, std::vector<RowId>(rows));
-    for (BankId b = 0; b < banks; ++b) {
+    const uint32_t rows = plan.knobs.poolRows;
+    Pools pools(plan.knobs.banks, std::vector<RowId>(rows));
+    for (BankId b = 0; b < plan.knobs.banks; ++b) {
         for (uint32_t i = 0; i < rows; ++i)
             pools[b][i] = kPoolBase + b * kBankOffset + i * kRowStride;
     }
@@ -89,15 +82,15 @@ using Pattern = void (*)(SubChannel &, const Pools &, ActCount ath);
  * channel for the baseline rate.
  */
 AttackResult
-measure(const AttackConfig &config,
-        const mitigation::MitigatorSpec &mitigator, Pattern pattern)
+measure(const AttackPlan &plan, const mitigation::MitigatorSpec &mitigator,
+        Pattern pattern)
 {
-    SubChannel attacked = makeChannel(config, mitigator.factory());
+    SubChannel attacked = makeChannel(plan, mitigator.factory());
     const uint32_t k = attacked.numBanks();
-    const Pools pools = poolsOf(config, k);
+    const Pools pools = poolsOf(plan);
     pattern(attacked, pools, mitigation::moatConfigOf(mitigator).ath);
 
-    SubChannel baseline = makeChannel(config, mitigation::NullMitigator{});
+    SubChannel baseline = makeChannel(plan, mitigation::NullMitigator{});
     const uint64_t total = attacked.stats().acts;
     for (uint64_t i = 0; i < total; ++i) {
         const auto &pool = pools[i % k];
@@ -189,53 +182,48 @@ torrent(SubChannel &ch, const Pools &pools, ActCount ath)
 
 } // namespace
 
-uint64_t
-throughputActs(const AttackConfig &config,
-               const mitigation::MitigatorSpec &mitigator)
+void
+planThroughput(AttackPlan &plan, const mitigation::MitigatorSpec &mitigator)
 {
+    AttackConfig &k = plan.knobs;
+    const dram::TimingParams &t = k.timing;
+    if (k.poolRows == 0)
+        k.poolRows = 5;
+    const ActCount ath = mitigation::moatConfigOf(mitigator).ath;
     // kCycles passes of every bank's pool past ATH, under attack and
     // again on the ALERT-free baseline.
-    return 2ULL * kCycles * std::max(config.banks, 1u) * poolRowsOf(config) *
-           (mitigation::moatConfigOf(mitigator).ath + 1);
-}
-
-uint32_t
-maxThroughputPoolRows(const AttackConfig &config,
-                      const mitigation::MitigatorSpec &mitigator)
-{
-    const dram::TimingParams &t = config.timing;
-    const uint32_t banks = std::max(config.banks, 1u);
+    plan.acts = 2ULL * kCycles * k.banks * k.poolRows * (uint64_t{ath} + 1);
+    refuseAbove(plan, "banks", k.banks, t.banksPerSubchannel, "a sub-channel",
+                "banks");
     // The last bank's last row, kPoolBase + kBankOffset * (banks - 1)
     // + kRowStride * (rows - 1), must lie inside the bank.
-    const uint64_t first = kPoolBase + uint64_t{kBankOffset} * (banks - 1);
-    if (first >= t.rowsPerBank)
-        return 0;
-    const uint64_t fit = (t.rowsPerBank - 1 - first) / kRowStride + 1;
+    const uint64_t first = kPoolBase + uint64_t{kBankOffset} * (k.banks - 1);
+    const uint64_t fit =
+        first < t.rowsPerBank ? (t.rowsPerBank - 1 - first) / kRowStride + 1
+                              : 0;
     // And raising every bank's pool to ATH must take at most half the
     // refresh window, at one ACT per tRC in each bank and no faster
     // than tRRD and tFAW let the sub-channel go: past that the refresh
     // sweep resets the rows about as fast as the pattern raises them,
     // so a kernel never ALERTs and the torrent's priming never ends.
-    const Time per_act = std::max({t.tRC, Time{banks} * t.tRRD,
-                                   Time{banks} * t.tFAW / 4});
-    const Time ath =
-        std::max<Time>(mitigation::moatConfigOf(mitigator).ath, 1);
-    const uint64_t primable = t.availableWindow() / 2 / (per_act * ath);
-    return static_cast<uint32_t>(std::min(fit, primable));
+    const Time per_act = std::max({t.tRC, Time{k.banks} * t.tRRD,
+                                   Time{k.banks} * t.tFAW / 4});
+    const uint64_t primable = t.availableWindow() / 2 /
+                              (per_act * std::max<Time>(ath, 1));
+    refuseAbove(plan, "pool_rows", k.poolRows, std::min(fit, primable),
+                "a pool", "rows");
 }
 
 AttackResult
-runKernel(const AttackConfig &config,
-          const mitigation::MitigatorSpec &mitigator)
+runKernel(const AttackPlan &plan, const mitigation::MitigatorSpec &mitigator)
 {
-    return measure(config, mitigator, kernel);
+    return measure(plan, mitigator, kernel);
 }
 
 AttackResult
-runTsa(const AttackConfig &config,
-       const mitigation::MitigatorSpec &mitigator)
+runTsa(const AttackPlan &plan, const mitigation::MitigatorSpec &mitigator)
 {
-    return measure(config, mitigator, torrent);
+    return measure(plan, mitigator, torrent);
 }
 
 } // namespace moatsim::attacks

@@ -1,10 +1,11 @@
 /**
  * @file
- * Auto-refresh scheduler for one bank.
+ * Auto-refresh scheduler of a sub-channel.
  *
  * DDR5 divides each bank's rows into 8192 spatially contiguous groups;
  * one REF command refreshes one group, and the group pointer wraps once
- * per tREFW (Section 2.2). Refresh postponement (Appendix B) is a
+ * per tREFW (Section 2.2). Every REF is an all-bank REF, so one pointer
+ * serves every bank of the sub-channel. Refresh postponement (Appendix B) is a
  * channel-level decision: subchannel::SubChannel owes REFs and later
  * issues them as a batch, each through issueRef().
  */
@@ -21,7 +22,7 @@
 namespace moatsim::dram
 {
 
-/** Per-bank auto-refresh group pointer. */
+/** The auto-refresh group pointer of a sub-channel's banks. */
 class RefreshScheduler
 {
   public:

@@ -5,11 +5,18 @@
 namespace moatsim::mitigation
 {
 
+std::string
+configError(const IdealPrcConfig &config)
+{
+    return config.mitigationPeriodRefis == 0 ? "period must be at least 1"
+                                              : "";
+}
+
 IdealPrcMitigator::IdealPrcMitigator(const IdealPrcConfig &config)
     : config_(config)
 {
-    if (config_.mitigationPeriodRefis == 0)
-        fatal("IdealPrcMitigator: mitigationPeriodRefis must be >= 1");
+    if (const std::string why = configError(config_); !why.empty())
+        panic("IdealPrcMitigator: " + why);
 }
 
 void

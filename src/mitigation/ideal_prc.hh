@@ -31,6 +31,10 @@ struct IdealPrcConfig
     uint32_t blastRadius = 2;
 };
 
+/** Why @p config cannot be built, naming the spec key; empty when it
+ *  can. Registry::tryParse() refuses it, the constructor panics. */
+std::string configError(const IdealPrcConfig &config);
+
 /** Idealized per-row-counter mitigator (per bank). */
 class IdealPrcMitigator
 {

@@ -18,14 +18,23 @@ MoatConfig::stepsPerRef() const
     return (total_steps + mitigationPeriodRefis - 1) / mitigationPeriodRefis;
 }
 
+std::string
+configError(const MoatConfig &config)
+{
+    if (config.trackerEntries == 0)
+        return "entries must be at least 1";
+    if (config.eth > config.ath)
+        return "eth (" + std::to_string(config.eth) +
+               ") must not exceed ath (" + std::to_string(config.ath) + ")";
+    return "";
+}
+
 MoatMitigator::MoatMitigator(const MoatConfig &config)
     : config_(config),
       tracker_(config.trackerEntries)
 {
-    if (config_.trackerEntries == 0)
-        fatal("MoatMitigator: trackerEntries must be >= 1");
-    if (config_.eth > config_.ath)
-        fatal("MoatMitigator: ETH must not exceed ATH");
+    if (const std::string why = configError(config_); !why.empty())
+        panic("MoatMitigator: " + why);
 }
 
 ActCount

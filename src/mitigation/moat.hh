@@ -64,6 +64,10 @@ struct MoatConfig
     uint32_t stepsPerRef() const;
 };
 
+/** Why @p config cannot be built, naming the spec key; empty when it
+ *  can. Registry::tryParse() refuses it, the constructor panics. */
+std::string configError(const MoatConfig &config);
+
 /** The MOAT mitigator (per bank). */
 class MoatMitigator
 {

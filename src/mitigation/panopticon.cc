@@ -7,13 +7,19 @@
 namespace moatsim::mitigation
 {
 
+std::string
+configError(const PanopticonConfig &config)
+{
+    if (config.queueThreshold == 0)
+        return "threshold must be at least 1";
+    return config.queueEntries == 0 ? "entries must be at least 1" : "";
+}
+
 PanopticonMitigator::PanopticonMitigator(const PanopticonConfig &config)
     : config_(config)
 {
-    if (config_.queueThreshold == 0)
-        fatal("PanopticonMitigator: queueThreshold must be positive");
-    if (config_.queueEntries == 0)
-        fatal("PanopticonMitigator: queueEntries must be positive");
+    if (const std::string why = configError(config_); !why.empty())
+        panic("PanopticonMitigator: " + why);
 }
 
 RowId

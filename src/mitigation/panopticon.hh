@@ -23,7 +23,6 @@
 #define MOATSIM_MITIGATION_PANOPTICON_HH
 
 #include <deque>
-
 #include "mitigation/mitigator.hh"
 
 namespace moatsim::mitigation
@@ -43,6 +42,10 @@ struct PanopticonConfig
     /** Victim rows on each side of an aggressor. */
     uint32_t blastRadius = 2;
 };
+
+/** Why @p config cannot be built, naming the spec key; empty when it
+ *  can. Registry::tryParse() refuses it, the constructor panics. */
+std::string configError(const PanopticonConfig &config);
 
 /** The Panopticon mitigator (per bank). */
 class PanopticonMitigator

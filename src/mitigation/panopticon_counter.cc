@@ -8,15 +8,23 @@
 namespace moatsim::mitigation
 {
 
+std::string
+configError(const PanopticonCounterConfig &config)
+{
+    if (config.queueThreshold == 0)
+        return "threshold must be at least 1";
+    if (config.queueEntries == 0)
+        return "entries must be at least 1";
+    // Zero slack would alert on every enqueued activation.
+    return config.alertSlack == 0 ? "slack must be at least 1" : "";
+}
+
 PanopticonCounterMitigator::PanopticonCounterMitigator(
     const PanopticonCounterConfig &config)
     : config_(config)
 {
-    if (config_.queueThreshold == 0 || config_.queueEntries == 0)
-        fatal("PanopticonCounterMitigator: bad configuration");
-    if (config_.alertSlack == 0)
-        fatal("PanopticonCounterMitigator: zero ALERT slack would "
-              "alert on every enqueued activation");
+    if (const std::string why = configError(config_); !why.empty())
+        panic("PanopticonCounterMitigator: " + why);
     queue_.reserve(config_.queueEntries);
 }
 

@@ -40,6 +40,10 @@ struct PanopticonCounterConfig
     uint32_t blastRadius = 2;
 };
 
+/** Why @p config cannot be built, naming the spec key; empty when it
+ *  can. Registry::tryParse() refuses it, the constructor panics. */
+std::string configError(const PanopticonCounterConfig &config);
+
 /** Panopticon with per-entry counters and max-first service. */
 class PanopticonCounterMitigator
 {

@@ -157,6 +157,8 @@ struct Design
     std::vector<SpecKey> keys;
     /** The prototype mitigator of a spec of this design. */
     Mitigator (*make)(const MitigatorSpec &) = nullptr;
+    /** The config's configError(), if the design has one. */
+    std::string (*check)(const MitigatorSpec &) = nullptr;
 };
 
 /** Lists a design from its params(): descriptor and key table. */
@@ -255,6 +257,12 @@ makeDesign()
             return M(configOf<C>(spec));
         else
             return M();
+    };
+    d.check = [](const MitigatorSpec &spec) -> std::string {
+        if constexpr (requires(const C &c) { configError(c); })
+            return configError(configOf<C>(spec));
+        else
+            return "";
     };
     return d;
 }
@@ -367,6 +375,8 @@ Registry::tryParse(const std::string &text, std::string *error)
     MitigatorSpec spec;
     spec.name_ = name;
     spec.params_ = std::move(*params);
+    if (const std::string why = d->check(spec); !why.empty())
+        return specError(error, "mitigator '" + name + "': " + why);
     return spec;
 }
 

@@ -157,7 +157,9 @@ class Registry
 
     /**
      * Parse without terminating: returns std::nullopt on error and,
-     * when @p error is non-null, stores the diagnostic there.
+     * when @p error is non-null, stores the diagnostic there. A spec
+     * the design cannot be built at (its configError(), e.g.
+     * "panopticon:entries=0" or an eth above ath) is an error too.
      */
     static std::optional<MitigatorSpec>
     tryParse(const std::string &text, std::string *error = nullptr);

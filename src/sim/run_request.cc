@@ -233,17 +233,11 @@ validateRunRequest(const RunRequest &req, std::string *err)
                     "\" is not a Table-4 name (or \"all\")", err);
 
     if (req.kind == "attack") {
-        if (req.banks > device.banksPerSubchannel())
-            return fail("run request banks must be at most the banks per "
-                        "sub-channel (" +
-                        std::to_string(device.banksPerSubchannel()) + ")",
-                        err);
         if (!attacks::checkAttack(attackCellOf(req).attack, *mitigator,
                                   &detail))
             return fail("run request: " + detail, err);
-    }
-    if (req.kind == "attack")
         return true;
+    }
     // The traces the experiment will generate, under the device it
     // resolves: the same checks fatal() inside generateTraces and
     // generateAttackTrace.
@@ -295,8 +289,8 @@ estimatedCost(const RunRequest &req)
         // fraction x slot), each replayed for the baseline and the
         // mitigated run: 2^21 simulated activations.
         const AttackCell cell = attackCellOf(req);
-        return static_cast<double>(attacks::findAttackPattern(req.pattern)
-                                       ->acts(cell.attack, cell.mitigator)) /
+        return static_cast<double>(
+                   attacks::planAttack(cell.attack, cell.mitigator).acts) /
                static_cast<double>(uint64_t{1} << 21);
     }
     double actSum = 0.0;

@@ -151,8 +151,8 @@ bool tryRunRequestOfJsonLine(const std::string &line, RunRequest *req,
 /**
  * Check every field against the registries (mitigator and device
  * specs, workload name, attack pattern, level, fraction, attack slot
- * and bank bounds), an attack request against the pattern table
- * (attacks::checkAttack) and its device's bank count, and the traces
+ * and bank bounds), an attack request against its pattern's plan
+ * (attacks::checkAttack), and the traces
  * a perf or co-attack request generates (workload::checkTraceGen,
  * workload::checkAttackTrace) without fatal()ing. Returns false with
  * a diagnostic in @p err when non-null.
@@ -170,7 +170,7 @@ uint32_t slotCountOf(const RunRequest &req);
  * attack-free baseline). Proportional to replayed events, cheap to
  * compute, and deliberately unitless -- `moatsim serve --max-cost`
  * budgets against it. An attack request is priced on the same scale
- * by the activations its pattern issues (attacks::AttackPattern::acts),
+ * by the activations its pattern's plan issues (attacks::AttackPlan),
  * one unit per 2^21, about what one perf unit replays.
  */
 double estimatedCost(const RunRequest &req);

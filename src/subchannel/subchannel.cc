@@ -29,6 +29,7 @@ SubChannel::SubChannel(const SubChannelConfig &config,
     : config_(config),
       // Every bank's PRAC counters live in one recycled slab.
       counter_slab_(banksOf(config), config.timing.rowsPerBank),
+      refresh_(config_.timing),
       abo_(config_.timing, config.aboLevel)
 {
     config_.timing.validate();
@@ -36,12 +37,10 @@ SubChannel::SubChannel(const SubChannelConfig &config,
     const uint32_t nb = banksOf(config_);
     banks_.reserve(nb);
     mitigators_.assign(nb, prototype);
-    refresh_.reserve(nb);
     mitigation_stats_.reserve(nb);
     for (BankId b = 0; b < nb; ++b) {
         banks_.emplace_back(config_.timing, counter_slab_.counters(b),
                             counter_slab_.dirtyLines(b));
-        refresh_.emplace_back(config_.timing);
         mitigation_stats_.emplace_back();
     }
 
@@ -219,9 +218,9 @@ SubChannel::processRefBoundary()
 void
 SubChannel::performOneRef()
 {
+    // Every REF is an all-bank REF: one group, the same in every bank.
+    const auto [first, last] = refresh_.groupRows(refresh_.issueRef());
     for (BankId b = 0; b < banks_.size(); ++b) {
-        const uint32_t group = refresh_[b].issueRef();
-        const auto [first, last] = refresh_[b].groupRows(group);
         dram::SecurityMonitor *sec = oracle_[b];
         mitigation::MitigationContext ctx(banks_[b], sec,
                                           mitigation_stats_[b]);

@@ -192,10 +192,11 @@ class SubChannel
         return mitigators_.at(b);
     }
 
-    /** Refresh scheduler of a bank. */
-    const dram::RefreshScheduler &refreshScheduler(BankId b) const
+    /** The refresh-group pointer: every REF refreshes the same group
+     *  in every bank. */
+    const dram::RefreshScheduler &refreshScheduler() const
     {
-        return refresh_.at(b);
+        return refresh_;
     }
 
     /** ABO protocol engine. */
@@ -263,7 +264,7 @@ class SubChannel
     /** Mitigators stored by value, like the banks: each hook is one
      *  std::visit on the bank's slot, with no pointer to chase. */
     std::vector<mitigation::Mitigator> mitigators_;
-    std::vector<dram::RefreshScheduler> refresh_;
+    dram::RefreshScheduler refresh_;
     std::vector<mitigation::MitigationStats> mitigation_stats_;
     abo::AboEngine abo_;
     SubChannelStats stats_;

@@ -40,7 +40,17 @@
  *                   postponement, --banks N the banks kernel and tsa
  *                   drive at once (e.g. `--pattern tsa --banks 17`,
  *                   the tFAW limit), and --device D runs under that
- *                   device grade's timings.
+ *                   device grade's timings. Defaults (limits) at the
+ *                   Table-3 geometry and ATH 64: hammer --acts 4096;
+ *                   round-robin --pool 8 (5461), --acts 512 per row;
+ *                   ratchet --pool 7325, the Appendix-A Nc of `moatsim
+ *                   bound` (10918); jailbreak --acts threshold x
+ *                   (entries + 2) (2^32 - 1), entries at most 4096;
+ *                   feinting --pool one per mitigation period (10922);
+ *                   postponement --trials 256 (480); kernel and tsa
+ *                   --pool 5 (4303 up to 17 banks, 2330 at 32),
+ *                   --banks 1 (32). Past a limit the request is
+ *                   refused, naming the knob.
  *   moatsim perf    [--workload NAME|all] [--mitigator S] [--ath N]
  *                   [--eth N] [--level 1|2|4] [--fraction F]
  *                   [--subchannels N] [--device D[;D...]] [--jobs N]

@@ -265,32 +265,39 @@ TEST(AttackPatterns, CheckRejectsKnobsTheDriverNeverReads)
     }
 }
 
+/** checkAttack() of @p cfg against the pattern's own design, or the
+ *  design @p spec names; its refusal in @p err. */
+bool
+checkAgainst(const AttackConfig &cfg, std::string *err = nullptr,
+             const std::string &spec = "")
+{
+    return checkAttack(
+        cfg,
+        mitigation::Registry::parse(
+            spec.empty() ? findAttackPattern(cfg.pattern)->defaultDesign()
+                         : spec),
+        err);
+}
+
 TEST(AttackPatterns, CheckRejectsAPoolThePatternCannotRun)
 {
-    // Every driver that reads pool_rows names the largest pool it can
-    // run; one row more is refused up front instead of clamped or
+    // Every driver that reads pool_rows runs at most some pool; one row
+    // more is refused up front, naming the knob, instead of clamped or
     // fatal() inside the driver.
-    for (const AttackPattern &p : attackPatterns()) {
-        const bool pooled = std::find(p.reads.begin(), p.reads.end(),
-                                      "pool_rows") != p.reads.end();
-        EXPECT_EQ(p.maxPoolRows != nullptr, pooled) << p.name;
-    }
     const auto check = [](const char *pattern, uint32_t banks,
-                          uint32_t expected_most) {
+                          uint32_t most) {
         AttackConfig cfg = patternConfig(pattern);
         cfg.banks = banks;
-        const auto spec = mitigation::Registry::parse(
-            findAttackPattern(pattern)->defaultDesign());
-        const uint32_t most =
-            findAttackPattern(pattern)->maxPoolRows(cfg, spec);
-        EXPECT_EQ(most, expected_most) << pattern << " at " << banks;
         cfg.poolRows = most;
-        EXPECT_TRUE(checkAttack(cfg, spec)) << pattern;
-        cfg.poolRows = most + 1;
         std::string err;
-        EXPECT_FALSE(checkAttack(cfg, spec, &err)) << pattern;
+        EXPECT_TRUE(checkAgainst(cfg, &err)) << pattern << ": " << err;
+        cfg.poolRows = most + 1;
+        EXPECT_FALSE(checkAgainst(cfg, &err)) << pattern << " at " << banks;
         EXPECT_NE(err.find("runs a pool of at most " +
                            std::to_string(most) + " rows"),
+                  std::string::npos)
+            << err;
+        EXPECT_NE(err.find("pool_rows=" + std::to_string(most + 1)),
                   std::string::npos)
             << err;
     };
@@ -303,8 +310,104 @@ TEST(AttackPatterns, CheckRejectsAPoolThePatternCannotRun)
     // at the tFAW limit beyond.
     check("kernel", 0, 4303);
     check("tsa", 0, 4303);
+    check("tsa", 1, 4303);
     check("tsa", 17, 4303);
-    check("tsa", 32, 2330);
+    check("tsa", dram::kTable3BanksPerSubchannel, 2330);
+}
+
+TEST(AttackPatterns, CheckRejectsALayoutTheBankCannotHold)
+{
+    // The limits of the knobs that lay rows out or count activations,
+    // at the Table-3 geometry: the largest passes, one more is refused
+    // with a message naming the knob.
+    std::string err;
+    // Postponement: trial t hammers row 4096 + 128 t.
+    AttackConfig trials = patternConfig("postponement");
+    trials.trials = 480;
+    EXPECT_TRUE(checkAgainst(trials, &err)) << err;
+    trials.trials = 481;
+    EXPECT_FALSE(checkAgainst(trials, &err));
+    EXPECT_NE(err.find("at most 480 trials"), std::string::npos) << err;
+    EXPECT_NE(err.find("trials=481"), std::string::npos) << err;
+
+    // Jailbreak: one row per queue entry from mid-bank, 8 rows apart.
+    const AttackConfig jailbreak = patternConfig("jailbreak");
+    EXPECT_TRUE(checkAgainst(jailbreak, &err, "panopticon:entries=4096"))
+        << err;
+    EXPECT_FALSE(checkAgainst(jailbreak, &err, "panopticon:entries=4097"));
+    EXPECT_NE(err.find("at most 4096 entries"), std::string::npos) << err;
+    EXPECT_NE(err.find("entries=4097"), std::string::npos) << err;
+
+    // Jailbreak counts its budget in 32 bits: 2^32 is refused, not
+    // clamped onto the cell of 2^32 - 1.
+    AttackConfig budget = jailbreak;
+    budget.budget = 0xffffffffULL;
+    EXPECT_TRUE(checkAgainst(budget, &err)) << err;
+    ++budget.budget;
+    EXPECT_FALSE(checkAgainst(budget, &err));
+    EXPECT_NE(err.find("budget=4294967296"), std::string::npos) << err;
+
+    // The throughput attacks drive at most every bank of a sub-channel.
+    for (const char *pattern : {"kernel", "tsa"}) {
+        AttackConfig banks = patternConfig(pattern);
+        banks.banks = dram::kTable3BanksPerSubchannel;
+        EXPECT_TRUE(checkAgainst(banks, &err)) << err;
+        ++banks.banks;
+        EXPECT_FALSE(checkAgainst(banks, &err)) << pattern;
+        EXPECT_NE(err.find("a sub-channel of at most 32 banks"),
+                  std::string::npos)
+            << err;
+        EXPECT_NE(err.find("banks=33"), std::string::npos) << err;
+    }
+}
+
+TEST(AttackPatterns, PlanIsWhatTheDriverRuns)
+{
+    // The plan resolves the defaults the driver runs and prices them:
+    // ratchet's default pool is the Appendix-A optimum Nc.
+    const auto moat = mitigation::Registry::parse("moat");
+    const AttackPlan ratchet = planAttack(patternConfig("ratchet"), moat);
+    EXPECT_EQ(ratchet.refusal, "");
+    EXPECT_EQ(ratchet.knobs.poolRows,
+              analysis::ratchetBound(kT, 64, 1).maxPoolRows);
+    EXPECT_EQ(ratchet.acts, uint64_t{ratchet.knobs.poolRows} * 65);
+    // The other defaults.
+    const auto planned = [](const char *pattern) {
+        return planAttack(patternConfig(pattern),
+                          mitigation::Registry::parse(
+                              findAttackPattern(pattern)->defaultDesign()))
+            .knobs;
+    };
+    EXPECT_EQ(planned("hammer").budget, 4096u);
+    EXPECT_EQ(planned("round-robin").poolRows, 8u);
+    EXPECT_EQ(planned("round-robin").budget, 8u * 512);
+    EXPECT_EQ(planned("jailbreak").budget, 128u * 10);
+    EXPECT_EQ(planned("postponement").trials, 256u);
+    EXPECT_EQ(planned("kernel").poolRows, 5u);
+    EXPECT_EQ(planned("tsa").banks, 1u);
+    // A refused request comes back with its reason and no price.
+    const AttackPlan wrong =
+        planAttack(patternConfig("ratchet"),
+                   mitigation::Registry::parse("panopticon"));
+    EXPECT_NE(wrong.refusal.find("targets the 'moat' design"),
+              std::string::npos);
+    EXPECT_EQ(wrong.acts, 0u);
+}
+
+TEST(AttackPatterns, LargestLayoutsRunToCompletion)
+{
+    // The largest postponement sweep and the deepest Jailbreak queue
+    // the bank holds run through, every row inside the bank.
+    AttackConfig trials = patternConfig("postponement");
+    trials.trials = 480;
+    const AttackResult p =
+        runAttack(trials, mitigation::Registry::parse("panopticon"));
+    EXPECT_GT(p.maxHammer, 128u);
+    const AttackResult j =
+        runAttack(patternConfig("jailbreak"),
+                  mitigation::Registry::parse("panopticon:entries=4096"));
+    EXPECT_GT(j.maxHammer, 128u);
+    EXPECT_GT(j.totalActs, 128u * 4096);
 }
 
 TEST(AttackDriver, ResultNamesItsPatternAndDesign)

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <csignal>
+
 #include "dram/bank.hh"
 #include "dram/security.hh"
 #include "mitigation/ideal_prc.hh"
@@ -120,12 +122,13 @@ TEST_F(PrcFixture, PeriodOneMitigatesEveryRef)
     EXPECT_EQ(bank.counter(20), 0u);
 }
 
-TEST(IdealPrcDeathTest, ZeroPeriodIsFatal)
+TEST(IdealPrcDeathTest, ZeroPeriodPanics)
 {
+    // No parsed spec reaches it: Registry::tryParse() refuses the spec.
     IdealPrcConfig cfg;
     cfg.mitigationPeriodRefis = 0;
-    EXPECT_EXIT(IdealPrcMitigator{cfg}, testing::ExitedWithCode(1),
-                "mitigationPeriodRefis");
+    EXPECT_EXIT(IdealPrcMitigator{cfg}, testing::KilledBySignal(SIGABRT),
+                "period must be at least 1");
 }
 
 } // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <variant>
 
 #include "dram/bank.hh"
@@ -296,12 +297,14 @@ TEST_F(MoatFixture, NameEncodesConfiguration)
     EXPECT_EQ(m.name(), "MOAT-L1(ETH=32,ATH=64)");
 }
 
-TEST(MoatDeathTest, EthAboveAthIsFatal)
+TEST(MoatDeathTest, EthAboveAthPanics)
 {
+    // No parsed spec reaches it: Registry::tryParse() refuses the spec.
     MoatConfig cfg;
     cfg.eth = 100;
     cfg.ath = 64;
-    EXPECT_EXIT(MoatMitigator{cfg}, testing::ExitedWithCode(1), "ETH");
+    EXPECT_EXIT(MoatMitigator{cfg}, testing::KilledBySignal(SIGABRT),
+                "eth \\(100\\) must not exceed ath \\(64\\)");
 }
 
 } // namespace

@@ -119,6 +119,36 @@ TEST(Registry, RejectsMalformedValues)
     EXPECT_NE(error.find("duplicate"), std::string::npos) << error;
 }
 
+TEST(Registry, RejectsSpecsTheDesignCannotBuild)
+{
+    // Each design's one check (configError) runs at parse time, so no
+    // parsed spec reaches the constructor's panic; the message names
+    // the key.
+    const std::pair<const char *, const char *> unbuildable[] = {
+        {"panopticon:entries=0", "entries must be at least 1"},
+        {"panopticon:threshold=0", "threshold must be at least 1"},
+        {"panopticon-counter:slack=0", "slack must be at least 1"},
+        {"panopticon-counter:entries=0", "entries must be at least 1"},
+        {"moat:entries=0", "entries must be at least 1"},
+        {"moat:ath=16", "eth (32) must not exceed ath (16)"},
+        {"moat:ath=64,eth=65", "eth (65) must not exceed ath (64)"},
+        {"ideal-prc:period=0", "period must be at least 1"}};
+    for (const auto &[text, needle] : unbuildable) {
+        std::string error;
+        EXPECT_FALSE(Registry::tryParse(text, &error).has_value()) << text;
+        EXPECT_NE(error.find(needle), std::string::npos) << error;
+    }
+    // Their edges build.
+    for (const char *text :
+         {"panopticon:entries=1,threshold=1", "panopticon-counter:slack=1",
+          "moat:entries=1", "moat:ath=16,eth=16", "ideal-prc:period=1",
+          "null"}) {
+        const auto spec = Registry::tryParse(text);
+        ASSERT_TRUE(spec.has_value()) << text;
+        spec->factory();
+    }
+}
+
 // --------------------------------------------------- config extraction
 
 /** One design's parameters, read back through its config extraction. */

@@ -433,6 +433,49 @@ TEST(Serve, RejectsBadRequestsWithoutDying)
             << tooWide.error;
     }
 
+    // Row layouts past the end of the bank, and a ratchet that fits no
+    // pool in the refresh window: each is the plan's refusal, naming
+    // the knob, not a crash or a fatal() inside the driver.
+    const std::pair<const char *, const char *> layouts[] = {
+        {"{\"kind\":\"attack\",\"pattern\":\"postponement\","
+         "\"mitigator\":\"panopticon\",\"trials\":600}",
+         "at most 480 trials"},
+        {"{\"kind\":\"attack\",\"pattern\":\"jailbreak\","
+         "\"mitigator\":\"panopticon:entries=5000\"}",
+         "at most 4096 entries"},
+        {"{\"kind\":\"attack\",\"pattern\":\"ratchet\","
+         "\"mitigator\":\"moat:ath=1000000\"}",
+         "default pool_rows, the Appendix-A Nc, is 0"}};
+    for (const auto &[request, needle] : layouts) {
+        const auto refused = serveRequestLine(socket, request);
+        EXPECT_FALSE(refused.ok) << request;
+        EXPECT_FALSE(refused.retryable);
+        EXPECT_NE(refused.error.find(needle), std::string::npos)
+            << refused.error;
+    }
+
+    // A design spec the constructor cannot build is refused at parse
+    // time, in every request kind.
+    const std::pair<const char *, const char *> unbuildable[] = {
+        {"panopticon:entries=0", "entries must be at least 1"},
+        {"panopticon:threshold=0", "threshold must be at least 1"},
+        {"panopticon-counter:slack=0", "slack must be at least 1"},
+        {"moat:entries=0", "entries must be at least 1"},
+        {"moat:ath=16", "must not exceed ath (16)"},
+        {"ideal-prc:period=0", "period must be at least 1"}};
+    for (const std::string kind : {"perf", "coattack", "attack"}) {
+        for (const auto &[spec, needle] : unbuildable) {
+            const auto refused = serveRequestLine(
+                socket, "{\"kind\":\"" + kind +
+                            "\",\"workload\":\"xz\",\"fraction\":0.001,"
+                            "\"mitigator\":\"" + spec + "\"}");
+            EXPECT_FALSE(refused.ok) << kind << " " << spec;
+            EXPECT_FALSE(refused.retryable);
+            EXPECT_NE(refused.error.find(needle), std::string::npos)
+                << refused.error;
+        }
+    }
+
     // The daemon survived all of it.
     const auto stats = serveRequestLine(socket, "{\"kind\":\"stats\"}");
     ASSERT_TRUE(stats.ok) << stats.error;
@@ -483,9 +526,10 @@ TEST(Serve, MismatchedAttackIsRejectedAndTheDaemonStaysUp)
         socket, "{\"kind\":\"attack\",\"pattern\":\"tsa\",\"banks\":33}");
     EXPECT_FALSE(tooMany.ok);
     EXPECT_FALSE(tooMany.retryable);
-    EXPECT_NE(tooMany.error.find("banks must be at most the banks per "
-                                 "sub-channel (32)"),
+    EXPECT_NE(tooMany.error.find("a sub-channel of at most 32 banks"),
               std::string::npos)
+        << tooMany.error;
+    EXPECT_NE(tooMany.error.find("banks=33"), std::string::npos)
         << tooMany.error;
 
     const auto stats = serveRequestLine(socket, "{\"kind\":\"stats\"}");

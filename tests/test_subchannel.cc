@@ -87,7 +87,7 @@ TEST(SubChannel, AutoRefreshFollowsSchedule)
     auto ch = nullChannel(baseConfig(1));
     ch.advanceTo(10 * ch.timing().tREFI + 1);
     EXPECT_EQ(ch.stats().refs, 10u);
-    EXPECT_EQ(ch.refreshScheduler(0).nextGroup(), 10u);
+    EXPECT_EQ(ch.refreshScheduler().nextGroup(), 10u);
 }
 
 TEST(SubChannel, RefreshResetsHammerState)
